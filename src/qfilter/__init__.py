@@ -18,7 +18,6 @@ from .classifier import (
     fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
-    risk_from_ensembles,
     uniform_class_weights,
     weighted_empirical_risk,
 )

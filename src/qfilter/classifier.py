@@ -7,8 +7,8 @@ import numpy as np
 
 from .embedding import EmbeddedSample
 from .errors import ClassBalanceError, DomainError, ShapeError
-from .featuremap import KrausPair, TransformedEnsembles, apply_filter
-from .quantum import DensityMatrix, hs_distance, overlap
+from .featuremap import KrausPair, TransformedEnsembles, apply_filter, transform_ensemble
+from .quantum import DensityMatrix, overlap
 
 TIE_EPS = 1e-12
 SENTINEL_COST = 2.0
@@ -56,27 +56,13 @@ class RiskReport:
 def build_ensembles(samples: list[EmbeddedSample]) -> tuple[DensityMatrix, DensityMatrix]:
     """Uniform per-class mixtures (weights 1/M_class), +1 class first.
 
-    Accumulation order and normalization mirror transform_ensemble exactly,
-    so an identity filter reproduces these matrices bit-for-bit.
+    These are the ensembles of the identity filter, so any filter that acts
+    as the identity reproduces them bit-for-bit.
     """
-    by_label = {+1: [], -1: []}
-    for s in samples:
-        by_label[s.label].append(s)
-    if not by_label[+1] or not by_label[-1]:
+    if {s.label for s in samples} != {+1, -1}:
         raise ClassBalanceError("both classes are required to build ensembles")
-    n = samples[0].state.n_qubits
-    out = {}
-    for label in (+1, -1):
-        acc = np.zeros((2**n, 2**n), dtype=complex)
-        trace = 0.0
-        for s in by_label[label]:
-            psi = s.state.amplitudes
-            rho = np.outer(psi, psi.conj())
-            acc += rho
-            trace += float(np.real(np.trace(rho)))
-        m = acc / trace
-        out[label] = DensityMatrix((m + m.conj().T) / 2, n)
-    return out[+1], out[-1]
+    ens = transform_ensemble(KrausPair.identity(2 ** samples[0].state.n_qubits), samples)
+    return ens.pos, ens.neg
 
 
 def fidelity_classify(
@@ -129,13 +115,6 @@ def weighted_empirical_risk(
     if not (v.shape == y.shape == w.shape):
         raise ShapeError(f"shapes differ: {v.shape}, {y.shape}, {w.shape}")
     return float(-(w * v * y).sum() / v.shape[0])
-
-
-def risk_from_ensembles(ens: TransformedEnsembles) -> float:
-    """-D_hs of the filtered class ensembles; the training objective at c=0."""
-    risk = -hs_distance(ens.pos, ens.neg)
-    assert risk >= -2.0 - 1e-9, "risk below the -2 floor is impossible"
-    return risk
 
 
 def constrained_risk(risk: float, p_succ: float, lam: float, cutoff: float) -> RiskReport:

@@ -7,6 +7,7 @@ of the full circuit gives K+K + K0+K0 = I.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ from .quantum import (
     ATOL_INVARIANT,
     DensityMatrix,
     GateSpec,
-    StateVector,
     UnitaryMatrix,
     _apply_to_columns,
     gate_array,
@@ -143,6 +143,49 @@ def kraus_from_circuit(circuit: FeatureMapCircuit, theta: np.ndarray) -> KrausPa
     return KrausPair(blocks[:, 0, :, 0], blocks[:, 1, :, 0])
 
 
+def kraus_with_pullback(
+    circuit: FeatureMapCircuit, theta: np.ndarray
+) -> tuple[KrausPair, Callable[[np.ndarray], np.ndarray]]:
+    """kraus_from_circuit() and the adjoint of its derivative.
+
+    Here the gates act only on the columns of V(theta) whose ancilla input
+    is |0>: the (2 dim, dim) isometry V P0, whose even rows are K and odd
+    rows K0. The forward pass stores the isometry before every gate, so
+    the returned pullback maps a cotangent X (dim x dim) to the
+    gradient of 2 Re tr[X K(theta)] in one backward pass:
+
+        d/dtheta_j = 2 Re tr[X P0+ G_L ... G_{j+1} G_j' G_{j-1} ... G_1 P0],
+
+    with G' = (G(t + pi) - G(t - pi)) / 4 for every exp(-i t P / 2) gate.
+    """
+    t = _check_theta(circuit, theta)
+    n = circuit.n_qubits
+    dim = 2**circuit.n_system
+    arrays = [gate_array(spec.kind, spec.resolve_angle(t)) for spec in circuit.gates]
+    cols = np.eye(2 * dim, dtype=complex)[:, 0::2]
+    before = []
+    for spec, g in zip(circuit.gates, arrays):
+        before.append(cols)
+        cols = _apply_to_columns(cols, g, spec.targets, n)
+    pair = KrausPair(cols[0::2], cols[1::2])
+
+    def pullback(x: np.ndarray) -> np.ndarray:
+        # adj holds (X P0+ G_L ... G_{j+1})+ while gate j is visited
+        adj = np.zeros_like(cols)
+        adj[0::2] = np.asarray(x).conj().T
+        grad = np.zeros(circuit.n_params)
+        for spec, g, b in zip(reversed(circuit.gates), reversed(arrays), reversed(before)):
+            if spec.param_index is not None:
+                a = spec.resolve_angle(t)
+                dg = (gate_array(spec.kind, a + np.pi) - gate_array(spec.kind, a - np.pi)) / 4
+                moved = _apply_to_columns(b, dg, spec.targets, n)
+                grad[spec.param_index] += 2 * np.real(np.vdot(adj, moved))
+            adj = _apply_to_columns(adj, g.conj().T, spec.targets, n)
+        return grad
+
+    return pair, pullback
+
+
 def filter_probability(pair: KrausPair, rho: DensityMatrix) -> float:
     """Success probability tr[K+K rho]."""
     k = pair.keep
@@ -163,39 +206,80 @@ def apply_filter(
     return DensityMatrix(out, rho.n_qubits), p_s
 
 
+def _sample_columns(samples: list[EmbeddedSample]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Amplitudes as the columns of a (dim, M) matrix, the labels, the qubit count."""
+    if not samples:
+        raise ClassAnnihilated("no samples")
+    psi = np.stack([s.state.amplitudes for s in samples], axis=1)
+    labels = np.array([s.label for s in samples])
+    return psi, labels, samples[0].state.n_qubits
+
+
+@dataclass(frozen=True)
+class ClassMoments:
+    """Unnormalized class second moments A+- = sum_{m in +-} |psi_m><psi_m|.
+
+    The filtered class sums are K A+- K+, so the training cost depends on
+    the data only through these two matrices and the sample count.
+    """
+
+    pos: np.ndarray
+    neg: np.ndarray
+    count: int
+    n_qubits: int
+
+
+def _moments(psi: np.ndarray, labels: np.ndarray, n: int) -> ClassMoments:
+    pos, neg = (psi[:, labels == y] @ psi[:, labels == y].conj().T for y in (+1, -1))
+    return ClassMoments(pos, neg, psi.shape[1], n)
+
+
+def class_moments(samples: list[EmbeddedSample]) -> ClassMoments:
+    return _moments(*_sample_columns(samples))
+
+
+def filter_moments(
+    pair: KrausPair, moments: ClassMoments
+) -> tuple[DensityMatrix, DensityMatrix, float, float]:
+    """Filtered class states K A+- K+ / P+- and the masses P+- = tr[K A+- K+].
+
+    Dividing each class sum once by its mass keeps annihilated samples
+    harmless as long as the class as a whole survives.
+    """
+    k = pair.keep
+    out = []
+    for label, a in ((+1, moments.pos), (-1, moments.neg)):
+        total = k @ a @ k.conj().T
+        mass = float(np.real(np.trace(total)))
+        if mass <= EPS_ANNIHILATION:
+            raise ClassAnnihilated(f"class {label:+d} annihilated by the filter")
+        m = total / mass
+        out.append((DensityMatrix((m + m.conj().T) / 2, moments.n_qubits), mass))
+    (pos, mass_pos), (neg, mass_neg) = out
+    return pos, neg, mass_pos, mass_neg
+
+
 def transform_ensemble(
     pair: KrausPair, samples: list[EmbeddedSample], eps: float = EPS_ANNIHILATION
 ) -> TransformedEnsembles:
     """Filter every sample and rebuild the two class ensembles.
 
     Each class mixture weights sample m by p_s(x_m) / p_s(class), which is
-    the same as accumulating sum_m K rho_m K+ and dividing once by the class
-    sum. The single division keeps annihilated samples (p_s ~ 0) harmless as
-    long as the class as a whole survives.
+    the same as filtering the class moment: the states come from
+    filter_moments(). Per-sample p_s are the squared column norms of K Psi.
+    A class whose summed p_s is at most eps raises ClassAnnihilated.
     """
-    if not samples:
-        raise ClassAnnihilated("no samples")
-    n = samples[0].state.n_qubits
-    dim = 2**n
-    sums = {+1: np.zeros((dim, dim), dtype=complex), -1: np.zeros((dim, dim), dtype=complex)}
-    class_p = {+1: 0.0, -1: 0.0}
-    p_s = np.zeros(len(samples))
-    for i, s in enumerate(samples):
-        psi = s.state.amplitudes
-        filtered = pair.keep @ np.outer(psi, psi.conj()) @ pair.keep.conj().T
-        p = float(np.real(np.trace(filtered)))
-        p_s[i] = p
-        sums[s.label] += filtered
-        class_p[s.label] += p
-    out = {}
-    for label in (+1, -1):
-        if class_p[label] <= eps:
+    psi, labels, n = _sample_columns(samples)
+    kpsi = pair.keep @ psi
+    p_s = np.sum(kpsi.real**2 + kpsi.imag**2, axis=0)
+    class_p = {label: float(p_s[labels == label].sum()) for label in (+1, -1)}
+    for label, mass in class_p.items():
+        if mass <= eps:
             raise ClassAnnihilated(f"class {label:+d} annihilated by the filter")
-        m = sums[label] / class_p[label]
-        out[label] = DensityMatrix((m + m.conj().T) / 2, n)
+    pos, neg, _, _ = filter_moments(pair, _moments(psi, labels, n))
     return TransformedEnsembles(
-        pos=out[+1],
-        neg=out[-1],
+        pos=pos,
+        neg=neg,
         p_s=p_s,
         p_s_pos=class_p[+1],
         p_s_neg=class_p[-1],

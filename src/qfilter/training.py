@@ -12,13 +12,26 @@ from .classifier import (
     constrained_risk,
     fidelity_classify,
     filtered_fidelity_classify,
-    risk_from_ensembles,
     sentinel_report,
 )
 from .embedding import EmbeddedSample, EmbeddingSpec, embed_dataset
 from .errors import ClassAnnihilated, DomainError, FilterAnnihilated
-from .featuremap import FeatureMapCircuit, KrausPair, kraus_from_circuit, transform_ensemble
+from .featuremap import (
+    ClassMoments,
+    FeatureMapCircuit,
+    KrausPair,
+    class_moments,
+    filter_moments,
+    kraus_from_circuit,
+    kraus_with_pullback,
+    transform_ensemble,
+)
 from .quantum import hs_distance, pure_to_density
+
+# train() kicks instead of stepping when the gradient norm is at most this:
+# at a stationary point, such as the identity start, the exact gradient
+# vanishes only up to roundoff
+STATIONARY_GRADIENT_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,37 @@ class TrainResult:
     wall_time: float
 
 
+def moment_cost(
+    pair: KrausPair, moments: ClassMoments, lam: float, cutoff: float
+) -> tuple[RiskReport, np.ndarray]:
+    """Constrained risk of the filtered class moments, and its cotangent in K.
+
+    The cotangent X gives the first-order change d risk = 2 Re tr[X dK].
+    With rho+- = K A+- K+ / P+- and Delta = rho+ - rho-, the distance
+    D = tr[Delta^2] changes by dD = sum_s tr[G_s dN_s] with
+    G+- = +-2 (Delta - tr[Delta rho+-]) / P+- and dN = dK A K+ + K A dK+;
+    while the hinge is active, p_succ = (P+ + P-) / M adds
+    lam (A+ + A-) K+ / M. A class annihilated by the filter gives the +2
+    sentinel and X = 0.
+    """
+    k = pair.keep
+    try:
+        pos, neg, mass_pos, mass_neg = filter_moments(pair, moments)
+    except ClassAnnihilated:
+        return sentinel_report(lam, cutoff), np.zeros_like(k)
+    p_succ = (mass_pos + mass_neg) / moments.count
+    report = constrained_risk(-hs_distance(pos, neg), p_succ, lam, cutoff)
+    delta = pos.entries - neg.entries
+    k_dag = k.conj().T
+    x = np.zeros_like(k)
+    for sign, rho, mass, a in ((1, pos, mass_pos, moments.pos), (-1, neg, mass_neg, moments.neg)):
+        g = delta - np.real(np.vdot(rho.entries, delta)) * np.eye(k.shape[0])
+        x -= (2 * sign / mass) * (a @ k_dag @ g)
+    if report.penalty > 0:
+        x -= (lam / moments.count) * ((moments.pos + moments.neg) @ k_dag)
+    return report, x
+
+
 def cost(
     theta: np.ndarray,
     samples: list[EmbeddedSample],
@@ -65,13 +109,30 @@ def cost(
     lam: float,
     cutoff: float,
 ) -> RiskReport:
-    """Constrained risk at theta; +2 sentinel if the filter kills a class."""
-    pair = kraus_from_circuit(ansatz, theta)
-    try:
-        ens = transform_ensemble(pair, samples)
-    except ClassAnnihilated:
-        return sentinel_report(lam, cutoff)
-    return constrained_risk(risk_from_ensembles(ens), ens.p_succ, lam, cutoff)
+    """Constrained risk at theta; +2 sentinel if the filter kills a class.
+
+    An empty sample list has no classes to filter and raises
+    ClassAnnihilated.
+    """
+    return moment_cost(kraus_from_circuit(ansatz, theta), class_moments(samples), lam, cutoff)[0]
+
+
+def value_and_gradient(
+    theta: np.ndarray,
+    moments: ClassMoments,
+    ansatz: FeatureMapCircuit,
+    lam: float,
+    cutoff: float,
+) -> tuple[RiskReport, np.ndarray]:
+    """cost() on precomputed class moments, with its exact gradient in theta.
+
+    One forward pass over the gates gives K, one backward pass the whole
+    gradient (adjoint products), whatever the number of parameters. The
+    sentinel has a zero gradient.
+    """
+    pair, pullback = kraus_with_pullback(ansatz, theta)
+    report, x = moment_cost(pair, moments, lam, cutoff)
+    return report, pullback(x)
 
 
 def gradient(fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -106,10 +167,15 @@ def train(
 ) -> TrainResult:
     """Minimize the constrained risk; deterministic per seed.
 
-    Returns the best theta seen, so the final cost never exceeds the initial
-    one (the circuit starts at the exact identity when init_scale = 0).
-    With co_train_embedding the trainable embedding angles are appended to
-    theta and the raw data are re-embedded at every cost evaluation.
+    Every epoch makes one value_and_gradient() evaluation on the class
+    moments, so the filter angles get their exact gradient. Returns the
+    best theta seen and its report, so the final cost never exceeds the
+    initial one (the circuit starts at the exact identity when
+    init_scale = 0). With co_train_embedding the trainable embedding angles
+    are appended to theta, the raw data are re-embedded at every
+    evaluation, and the embedding angles take central finite differences
+    of step fd_step. Otherwise fd_step only sets the size of the seeded
+    kick that moves theta off a stationary point.
     """
     start = time.perf_counter()
     n_ansatz = ansatz.n_params
@@ -124,56 +190,54 @@ def train(
         )
     else:
         theta0 = np.zeros(n_ansatz)
+    moments = None if co_train else class_moments(samples)
     if config.init_scale > 0:
         rng = np.random.default_rng(config.seed)
         theta0 = theta0 + config.init_scale * rng.standard_normal(theta0.shape)
 
-    def report_at(t: np.ndarray) -> RiskReport:
-        if co_train:
-            spec = replace(embedding_spec, params=tuple(t[n_ansatz:]))
-            smp = embed_dataset(raw_data, spec)
-        else:
-            smp = samples
-        return cost(t[:n_ansatz], smp, ansatz, config.lam, config.cutoff)
+    def embedded_moments(angles: np.ndarray) -> ClassMoments:
+        spec = replace(embedding_spec, params=tuple(angles))
+        return class_moments(embed_dataset(raw_data, spec))
 
-    def scalar(t: np.ndarray) -> float:
-        return report_at(t).risk
+    def evaluate(t: np.ndarray) -> tuple[RiskReport, np.ndarray]:
+        if not co_train:
+            return value_and_gradient(t, moments, ansatz, config.lam, config.cutoff)
+        angles = t[n_ansatz:]
+        pair, pullback = kraus_with_pullback(ansatz, t[:n_ansatz])
+        report, x = moment_cost(pair, embedded_moments(angles), config.lam, config.cutoff)
+
+        def scalar(e: np.ndarray) -> float:
+            return moment_cost(pair, embedded_moments(e), config.lam, config.cutoff)[0].risk
+
+        return report, np.concatenate([pullback(x), gradient(scalar, angles, config.fd_step)])
 
     theta = theta0
-    current = report_at(theta)
+    current, g = evaluate(theta)
     cost_trace = [current.risk]
     p_succ_trace = [current.p_succ]
-    best_theta, best_cost = theta, current.risk
+    best_theta, best = theta, current
     adam_state = {"t": 0, "m": np.zeros_like(theta), "v": np.zeros_like(theta)}
     # the identity start is a stationary point (the cost is even in theta
-    # there), so an exactly zero gradient gets a seeded escape kick
+    # there), so it needs a seeded escape kick
     kick_rng = np.random.default_rng([config.seed, 0x5ADD1E])
     for _ in range(config.epochs):
-        g = gradient(scalar, theta, config.fd_step)
-        if not np.any(g):
+        if np.linalg.norm(g) <= STATIONARY_GRADIENT_NORM:
             direction = kick_rng.standard_normal(theta.shape)
             theta = theta + config.fd_step * direction / np.linalg.norm(direction)
-            current = report_at(theta)
-            cost_trace.append(current.risk)
-            p_succ_trace.append(current.p_succ)
-            if current.risk < best_cost:
-                best_theta, best_cost = theta, current.risk
-            continue
-        if config.optimizer == "adam":
+        elif config.optimizer == "adam":
             theta = theta - _adam_update(adam_state, g, config.learning_rate)
         else:
             theta = theta - config.learning_rate * g
-        current = report_at(theta)
+        current, g = evaluate(theta)
         cost_trace.append(current.risk)
         p_succ_trace.append(current.p_succ)
-        if current.risk < best_cost:
-            best_theta, best_cost = theta, current.risk
-    final = report_at(best_theta)
+        if current.risk < best.risk:
+            best_theta, best = theta, current
     return TrainResult(
         theta_star=best_theta,
         cost_trace=np.array(cost_trace),
         p_succ_trace=np.array(p_succ_trace),
-        report=final,
+        report=best,
         seed=config.seed,
         wall_time=time.perf_counter() - start,
     )

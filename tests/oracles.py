@@ -117,9 +117,34 @@ def filter_state(k, rho):
     return num / p, p
 
 
+def ensemble_loop(k, samples):
+    """Filter sample by sample and accumulate each class, dividing once.
+
+    Returns the filtered +1 and -1 class states and the per-sample success
+    probabilities tr[K rho_m K+].
+    """
+    dim = k.shape[0]
+    sums = {+1: np.zeros((dim, dim), dtype=complex), -1: np.zeros((dim, dim), dtype=complex)}
+    mass = {+1: 0.0, -1: 0.0}
+    p_s = []
+    for s in samples:
+        psi = s.state.amplitudes
+        filtered = k @ np.outer(psi, psi.conj()) @ k.conj().T
+        p = float(np.real(np.trace(filtered)))
+        p_s.append(p)
+        sums[s.label] += filtered
+        mass[s.label] += p
+    return sums[+1] / mass[+1], sums[-1] / mass[-1], np.array(p_s)
+
+
 def hs(a, b):
     d = a - b
     return float(np.real(np.trace(d @ d)))
+
+
+def risk_from_ensembles(ens):
+    """-D_hs of the filtered class ensembles, the training objective at c = 0."""
+    return -hs(ens.pos.entries, ens.neg.entries)
 
 
 def project_bit(amps, qubit, n, outcome=0):

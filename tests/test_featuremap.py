@@ -13,13 +13,18 @@ from qfilter.featuremap import (
     apply_filter,
     build_ansatz,
     circuit_unitary,
+    class_moments,
+    filter_moments,
     filter_probability,
     kraus_from_circuit,
+    kraus_with_pullback,
     transform_ensemble,
 )
 from qfilter.classifier import build_ensembles
+from qfilter.training import gradient
 from qfilter.quantum import (
     DensityMatrix,
+    GateSpec,
     hs_distance,
     pure_to_density,
     random_state,
@@ -162,28 +167,55 @@ def _two_class_samples(n_qubits=1, m=4, seed=0):
 
 
 def test_transform_ensemble_matches_hand_accumulation():
-    samples = _two_class_samples(m=4, seed=2)
-    circ = build_ansatz(1, 1)
-    theta = np.random.default_rng(9).uniform(-np.pi, np.pi, circ.n_params)
-    pair = kraus_from_circuit(circ, theta)
-    ens = transform_ensemble(pair, samples)
+    for n, layers, m in [(1, 1, 4), (1, 2, 9), (2, 1, 12), (3, 2, 20)]:
+        samples = [
+            EmbeddedSample(random_state(1000 * n + j, n), (+1, -1)[j % 3 == 0], j)
+            for j in range(m)
+        ]
+        circ = build_ansatz(n, layers)
+        theta = np.random.default_rng(9 + m).uniform(-np.pi, np.pi, circ.n_params)
+        pair = kraus_from_circuit(circ, theta)
+        ens = transform_ensemble(pair, samples)
+        want_pos, want_neg, ps = oracles.ensemble_loop(pair.keep, samples)
+        labels = np.array([s.label for s in samples])
+        np.testing.assert_allclose(ens.pos.entries, want_pos, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ens.neg.entries, want_neg, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ens.p_s, ps, rtol=0, atol=1e-15)
+        assert ens.p_succ == pytest.approx(np.mean(ps), abs=1e-15)
+        assert ens.p_joint == pytest.approx(np.prod(ps), abs=1e-15)
+        assert ens.p_s_pos == pytest.approx(ps[labels == 1].sum(), abs=1e-15)
+        assert ens.p_s_neg == pytest.approx(ps[labels == -1].sum(), abs=1e-15)
+        # the class masses tr[K A K+] the training cost divides by
+        _, _, mass_pos, mass_neg = filter_moments(pair, class_moments(samples))
+        assert mass_pos == pytest.approx(ps[labels == 1].sum(), abs=1e-14)
+        assert mass_neg == pytest.approx(ps[labels == -1].sum(), abs=1e-14)
 
-    sums = {+1: np.zeros((2, 2), dtype=complex), -1: np.zeros((2, 2), dtype=complex)}
-    ps = []
-    for s in samples:
-        rho = np.outer(s.state.amplitudes, s.state.amplitudes.conj())
-        filt = pair.keep @ rho @ pair.keep.conj().T
-        sums[s.label] += filt
-        ps.append(float(np.real(np.trace(filt))))
-    want_pos = sums[+1] / (ps[0] + ps[2])
-    want_neg = sums[-1] / (ps[1] + ps[3])
-    np.testing.assert_allclose(ens.pos.entries, want_pos, atol=1e-12)
-    np.testing.assert_allclose(ens.neg.entries, want_neg, atol=1e-12)
-    np.testing.assert_allclose(ens.p_s, ps, atol=1e-15)
-    assert ens.p_succ == pytest.approx(np.mean(ps), abs=1e-15)
-    assert ens.p_joint == pytest.approx(np.prod(ps), abs=1e-15)
-    assert ens.p_s_pos == pytest.approx(ps[0] + ps[2], abs=1e-15)
-    assert ens.p_s_neg == pytest.approx(ps[1] + ps[3], abs=1e-15)
+
+def test_kraus_pullback_matches_finite_differences():
+    """Adjoint gradient of 2 Re tr[X K(theta)] for a random cotangent X.
+
+    The circuit mixes every parametric gate kind, a fixed angle, a gate
+    without an angle and one parameter shared by two gates.
+    """
+    gates = (
+        GateSpec("H", (0,)),
+        GateSpec("Ry", (0,), param_index=0),
+        GateSpec("ZZ", (0, 2), param_index=1),
+        GateSpec("CRx", (1, 2), param_index=0),
+        GateSpec("Rz", (1,), angle=0.3),
+        GateSpec("Rx", (2,), param_index=2),
+    )
+    circ = FeatureMapCircuit(2, 1, gates, 3)
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(-np.pi, np.pi, 3)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    pair, pullback = kraus_with_pullback(circ, theta)
+    np.testing.assert_allclose(pair.keep, kraus_from_circuit(circ, theta).keep, rtol=0, atol=1e-14)
+
+    def scalar(t):
+        return 2 * np.real(np.trace(x @ kraus_from_circuit(circ, t).keep))
+
+    np.testing.assert_allclose(pullback(x), gradient(scalar, theta), rtol=0, atol=1e-8)
 
 
 def test_identity_filter_reproduces_baseline_ensembles_bitwise():

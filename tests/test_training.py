@@ -1,22 +1,27 @@
-"""Finite-difference gradients, the optimizer loop, and condition comparison."""
+"""Exact and finite-difference gradients, the optimizer loop, and condition comparison."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import oracles
+from qfilter import training
 from qfilter.classifier import build_ensembles
 from qfilter.embedding import EmbeddedSample, EmbeddingSpec, embed_dataset
-from qfilter.errors import DomainError
-from qfilter.featuremap import FeatureMapCircuit, build_ansatz
+from qfilter.errors import ClassAnnihilated, DomainError
+from qfilter.featuremap import FeatureMapCircuit, build_ansatz, class_moments, kraus_from_circuit
 from qfilter.quantum import GateSpec, basis_state, hs_distance, random_state
 from qfilter.training import (
+    STATIONARY_GRADIENT_NORM,
     CompareCondition,
     TrainConfig,
     compare_conditions,
     cost,
     gradient,
     train,
+    value_and_gradient,
 )
 
 
@@ -91,6 +96,45 @@ def test_cost_gradient_against_symbolic_circuit():
     assert got == pytest.approx(want, abs=1e-7)
 
 
+def _random_samples(n_qubits, m, seed):
+    return [
+        EmbeddedSample(random_state(seed * 1000 + j, n_qubits), (+1, -1)[j % 2], j)
+        for j in range(m)
+    ]
+
+
+def test_exact_gradient_matches_finite_differences():
+    """The adjoint gradient against gradient(), the central-difference oracle."""
+    hinge = set()
+    for n in (1, 2, 3):
+        for layers in (1, 2):
+            ansatz = build_ansatz(n, layers)
+            samples = _random_samples(n, 10, n)
+            moments = class_moments(samples)
+            theta = np.random.default_rng(10 * n + layers).uniform(-np.pi, np.pi, ansatz.n_params)
+            for c in (0.0, 0.5, 0.9):
+                rep, g = value_and_gradient(theta, moments, ansatz, 1.0, c)
+                want = cost(theta, samples, ansatz, 1.0, c)
+                assert rep.risk == pytest.approx(want.risk, abs=1e-14)
+                fd = gradient(lambda t: cost(t, samples, ansatz, 1.0, c).risk, theta)
+                np.testing.assert_allclose(g, fd, rtol=0, atol=1e-8, err_msg=f"{n}, {layers}, {c}")
+                hinge.add(rep.penalty > 0)
+    assert hinge == {True, False}
+
+
+def test_cost_matches_per_sample_oracle():
+    for n, layers, c in [(1, 1, 0.0), (2, 2, 0.5), (3, 1, 0.9), (2, 1, 1.0)]:
+        ansatz = build_ansatz(n, layers)
+        samples = _random_samples(n, 15, 7 + n)
+        theta = np.random.default_rng(n + layers).uniform(-np.pi, np.pi, ansatz.n_params)
+        pos, neg, p_s = oracles.ensemble_loop(kraus_from_circuit(ansatz, theta).keep, samples)
+        lam = 2.0
+        want = -oracles.hs(pos, neg) + lam * max(0.0, c - p_s.mean())
+        rep = cost(theta, samples, ansatz, lam, c)
+        assert rep.risk == pytest.approx(want, abs=1e-12)
+        assert rep.p_succ == pytest.approx(p_s.mean(), abs=1e-15)
+
+
 def test_cost_is_baseline_risk_at_zero_theta():
     samples = [
         EmbeddedSample(random_state(1, 1), +1, 0),
@@ -114,6 +158,18 @@ def test_cost_sentinel_on_class_annihilation():
     assert rep.risk == 2.0
     assert rep.p_succ == 0.0
     assert rep.penalty == pytest.approx(0.5)
+    same, g = value_and_gradient(np.array([math.pi]), class_moments(samples), circuit, 1.0, 0.5)
+    assert same == rep
+    np.testing.assert_array_equal(g, [0.0])
+
+
+def test_cost_and_train_reject_empty_samples():
+    # no sample, no class to filter: an input error, not the +2 sentinel
+    ansatz = build_ansatz(1, 1)
+    with pytest.raises(ClassAnnihilated, match="no samples"):
+        cost(ansatz.zero_theta(), [], ansatz, lam=1.0, cutoff=0.0)
+    with pytest.raises(ClassAnnihilated, match="no samples"):
+        train(TrainConfig(epochs=1), [], ansatz)
 
 
 def test_train_config_validation():
@@ -172,16 +228,33 @@ def test_train_is_deterministic_per_seed():
     assert not np.array_equal(a.theta_star, c.theta_star)
 
 
-def test_identity_start_escapes_the_stationary_point():
-    """At theta = 0 the cost is even in every coordinate, so central
-    differences vanish identically; the seeded kick must still move."""
+def test_identity_start_escapes_the_stationary_point(monkeypatch):
+    """At theta = 0 the cost is even in every coordinate, so its gradient
+    vanishes up to roundoff; the seeded kick must still fire and move."""
     samples = _iris_samples()
     ansatz = build_ansatz(1, 2)
-    res = train(TrainConfig(epochs=60, seed=0), samples, ansatz)
-    assert res.cost_trace.shape == (61,)
-    # moved off the saddle and improved
-    assert np.any(res.theta_star != 0.0)
-    assert res.report.risk < res.cost_trace[0] - 1e-3
+    cfg = TrainConfig(epochs=60, seed=0)
+    _, g0 = value_and_gradient(ansatz.zero_theta(), class_moments(samples), ansatz, 1.0, 0.0)
+    assert np.linalg.norm(g0) <= STATIONARY_GRADIENT_NORM
+    direction = np.random.default_rng([cfg.seed, 0x5ADD1E]).standard_normal(ansatz.n_params)
+    kicked = cost(cfg.fd_step * direction / np.linalg.norm(direction), samples, ansatz, 1.0, 0.0)
+
+    exact = value_and_gradient
+
+    def with_residue(*args):
+        # a gradient that is tiny but not bitwise zero at the start
+        report, g = exact(*args)
+        return report, g + 1e-14
+
+    for evaluate in (exact, with_residue):
+        monkeypatch.setattr(training, "value_and_gradient", evaluate)
+        res = train(cfg, samples, ansatz)
+        assert res.cost_trace.shape == (61,)
+        # the first epoch is the kick, not an optimizer step
+        assert res.cost_trace[1] == pytest.approx(kicked.risk, abs=1e-14)
+        # moved off the saddle and improved
+        assert np.any(res.theta_star != 0.0)
+        assert res.report.risk < res.cost_trace[0] - 1e-3
 
 
 def test_train_sgd_also_improves():
@@ -218,6 +291,35 @@ def test_co_training_extends_the_parameter_vector():
     res = train(cfg, samples, ansatz, raw_data=raw, embedding_spec=spec)
     assert res.theta_star.shape == (ansatz.n_params + 1,)
     assert res.report.risk == min(res.cost_trace)
+
+
+def test_co_training_gradient_matches_finite_differences():
+    """One SGD step of the co-trained loop against central differences of
+    the full cost, with the data re-embedded at every evaluation."""
+    raw = [
+        (np.array([0.3]), +1),
+        (np.array([-0.9]), -1),
+        (np.array([0.5]), +1),
+        (np.array([-0.2]), -1),
+    ]
+    spec = EmbeddingSpec("pca-layer", 1, params=(0.4,))
+    samples = embed_dataset(raw, spec)
+    ansatz = build_ansatz(1, 1)
+    lr = 1e-3
+    cfg = TrainConfig(
+        epochs=0, optimizer="sgd", learning_rate=lr, seed=2, init_scale=0.7, co_train_embedding=True
+    )
+    theta0 = train(cfg, samples, ansatz, raw_data=raw, embedding_spec=spec).theta_star
+    step = train(replace(cfg, epochs=1), samples, ansatz, raw_data=raw, embedding_spec=spec)
+
+    def full_cost(t):
+        smp = embed_dataset(raw, replace(spec, params=tuple(t[ansatz.n_params :])))
+        return cost(t[: ansatz.n_params], smp, ansatz, cfg.lam, cfg.cutoff).risk
+
+    assert step.report.risk < step.cost_trace[0]
+    np.testing.assert_allclose(
+        (theta0 - step.theta_star) / lr, gradient(full_cost, theta0), rtol=0, atol=1e-7
+    )
 
 
 def test_co_training_requires_raw_data_and_trainable_embedding():
