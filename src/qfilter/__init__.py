@@ -15,6 +15,7 @@ from .classifier import (
     RiskReport,
     build_ensembles,
     constrained_risk,
+    decide,
     fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
@@ -24,11 +25,9 @@ from .classifier import (
 from .datasets import (
     PCAModel,
     RawDataset,
-    downsample_image,
     iris_builtin,
     load_csv,
     pca_fit,
-    pca_transform,
     synthetic_blobs,
 )
 from .embedding import (
@@ -69,14 +68,11 @@ from .quantum import (
     UnitaryMatrix,
     apply_gate,
     basis_state,
-    gate_matrix,
     hs_distance,
-    mixture,
     overlap,
     project_qubit,
     pure_to_density,
     random_cptp,
-    tensor,
     trace_norm,
     zero_state,
 )

@@ -1,6 +1,7 @@
 """Fidelity classifiers, weighted empirical risk, and the cutoff objective."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +17,21 @@ SENTINEL_COST = 2.0
 
 @dataclass(frozen=True)
 class ClassifierOutput:
-    """Classifier value with its sign decision; ties go to +1 but are flagged."""
+    """Classifier value with its sign decision; ties go to +1 but are flagged.
+
+    A non-finite value (shot noise that never drew a class) has no decision.
+    """
 
     value: float
-    decision: int
+    decision: int | None
     tie: bool
     p_s_test: float = 1.0
 
 
-def _decide(value: float, p_s_test: float = 1.0) -> ClassifierOutput:
+def decide(value: float, p_s_test: float = 1.0) -> ClassifierOutput:
+    """The one sign rule: +1, -1, or +1 flagged as a tie within TIE_EPS."""
+    if not math.isfinite(value):
+        return ClassifierOutput(value, None, False, p_s_test)
     if abs(value) <= TIE_EPS:
         return ClassifierOutput(value, +1, True, p_s_test)
     return ClassifierOutput(value, +1 if value > 0 else -1, False, p_s_test)
@@ -70,7 +77,7 @@ def fidelity_classify(
 ) -> ClassifierOutput:
     """tr[(rho - sigma) test]: positive favors the +1 class."""
     value = overlap(rho, test) - overlap(sigma, test)
-    return _decide(value)
+    return decide(value)
 
 
 def filtered_fidelity_classify(
@@ -79,7 +86,7 @@ def filtered_fidelity_classify(
     """Filter the test state, then classify against the filtered ensembles."""
     test_f, p_s = apply_filter(pair, test)
     value = overlap(ens.pos, test_f) - overlap(ens.neg, test_f)
-    return _decide(value, p_s)
+    return decide(value, p_s)
 
 
 def uniform_class_weights(labels: np.ndarray) -> np.ndarray:

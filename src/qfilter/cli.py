@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,24 +17,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classifier import filtered_fidelity_classify
-from .datasets import (
-    PCAModel,
-    RawDataset,
-    iris_builtin,
-    load_csv,
-    pca_fit,
-    pca_project,
-    synthetic_blobs,
-)
-from .embedding import (
-    EmbeddedSample,
-    EmbeddingSpec,
-    FeatureScaling,
-    embed_dataset,
-    encode_point,
-    fit_rotation_scaling,
-)
+from .classifier import decide, filtered_fidelity_classify
+from .datasets import RawDataset
+from .embedding import Pipeline, restore_model
 from .errors import (
     ClassAnnihilated,
     ClassBalanceError,
@@ -41,6 +27,7 @@ from .errors import (
     DimError,
     DomainError,
     FilterAnnihilated,
+    ModelError,
     ParamShapeError,
     ShapeError,
     ZeroVectorError,
@@ -60,12 +47,10 @@ DATA_ERRORS = (
     DomainError,
     ParamShapeError,
     ClassAnnihilated,
+    ModelError,
     OSError,
-    KeyError,
     json.JSONDecodeError,
 )
-
-TIE_EPS = 1e-12
 
 
 def _sanitize(obj):
@@ -104,150 +89,51 @@ def _fingerprint(dataset: RawDataset) -> dict:
     }
 
 
-def _resolve_dataset(args) -> tuple[RawDataset, dict]:
+def _descriptors(args, dims: list[int]) -> list[dict]:
+    """Descriptors of the --dataset data; blobs get one per dimension in dims."""
     spec = args.dataset
     if spec == "iris":
-        ds, _ = iris_builtin()
-        return ds, {"kind": "iris"}
+        return [{"kind": "iris"}]
     if spec == "blobs":
-        ds = synthetic_blobs(args.seed, args.per_class, args.dims, args.separation)
-        return ds, {
-            "kind": "blobs",
-            "seed": args.seed,
-            "per_class": args.per_class,
-            "dims": args.dims,
-            "separation": args.separation,
-        }
+        flags = {k: getattr(args, k) for k in ("seed", "per_class", "separation")}
+        return [{"kind": "blobs", "dims": d, **flags} for d in dims]
     if spec.startswith("csv:"):
-        path = spec[len("csv:") :]
-        return load_csv(path), {"kind": "csv", "path": path}
+        return [{"kind": "csv", "path": spec[len("csv:") :]}]
     raise DomainError(f"unknown dataset {spec!r} (use iris, blobs, or csv:<path>)")
 
 
-class Pipeline:
-    """Dataset + preprocessing + embedding resolved from CLI args or a manifest."""
-
-    def __init__(self, dataset, descriptor, embedding_arg, embed_layers, ring):
-        self.dataset = dataset
-        self.descriptor = descriptor
-        feats = dataset.features
-        self.pca = None
-        self.scaling = None
-        if embedding_arg == "angle":
-            self.spec = EmbeddingSpec("angle", 1)
-        elif embedding_arg == "amplitude":
-            n_qubits = max(1, math.ceil(math.log2(max(feats.shape[1], 2))))
-            self.spec = EmbeddingSpec("amplitude", n_qubits)
-        elif embedding_arg.startswith("pca:"):
-            k = int(embedding_arg[len("pca:") :])
-            self.pca = pca_fit(dataset, k)
-            projected = pca_project(self.pca, feats)
-            self.scaling = fit_rotation_scaling(projected)
-            count = EmbeddingSpec("pca-layer", k, layers=embed_layers, ring=ring).param_count()
-            self.spec = EmbeddingSpec(
-                "pca-layer", k, params=(0.0,) * count, layers=embed_layers, ring=ring
-            )
-        else:
-            raise DomainError(f"unknown embedding {embedding_arg!r}")
-
-    def preprocess(self, features: np.ndarray) -> np.ndarray:
-        out = np.asarray(features, dtype=float)
-        if self.pca is not None:
-            out = pca_project(self.pca, out)
-        if self.scaling is not None:
-            out = self.scaling.apply(out)
-        return out
-
-    def training_pairs(self) -> list[tuple[np.ndarray, int]]:
-        feats = self.preprocess(self.dataset.features)
-        return [(feats[i], int(self.dataset.labels[i])) for i in range(len(feats))]
-
-    def samples(self, spec: EmbeddingSpec | None = None):
-        return embed_dataset(self.training_pairs(), spec or self.spec)
-
-    def encode_test_point(self, x: np.ndarray, spec: EmbeddingSpec | None = None):
-        row = self.preprocess(np.asarray(x, dtype=float)[None, :])[0]
-        return encode_point(row, spec or self.spec)
-
-    def embedding_manifest(self, spec: EmbeddingSpec | None = None) -> dict:
-        spec = spec or self.spec
-        out = {"kind": spec.kind, "n_qubits": spec.n_qubits}
-        if spec.kind == "pca-layer":
-            out["layers"] = spec.layers
-            out["ring"] = spec.ring
-            out["params"] = list(spec.params)
-            out["pca_mean"] = self.pca.mean.tolist()
-            out["pca_components"] = self.pca.components.tolist()
-            out["scale_center"] = list(self.scaling.center)
-            out["scale_factor"] = list(self.scaling.factor)
-        return out
+def _embedding(args) -> str:
+    return args.embedding or ("angle" if args.dataset == "iris" else "amplitude")
 
 
-def _pipeline_from_manifest(cfg: dict) -> Pipeline:
-    d = cfg["dataset"]
-    if d["kind"] == "iris":
-        dataset, _ = iris_builtin()
-    elif d["kind"] == "blobs":
-        dataset = synthetic_blobs(d["seed"], d["per_class"], d["dims"], d["separation"])
-    else:
-        dataset = load_csv(d["path"])
-    e = cfg["embedding"]
-    if e["kind"] == "pca-layer":
-        pipe = Pipeline(dataset, d, f"pca:{e['n_qubits']}", e["layers"], e["ring"])
-        # restore the fitted preprocessing and trained angles exactly
-        comps = np.array(e["pca_components"])
-        pipe.pca = PCAModel(np.array(e["pca_mean"]), comps, np.zeros(comps.shape[1]))
-        pipe.scaling = FeatureScaling(tuple(e["scale_center"]), tuple(e["scale_factor"]))
-        pipe.spec = EmbeddingSpec(
-            "pca-layer",
-            e["n_qubits"],
-            params=tuple(e["params"]),
-            layers=e["layers"],
-            ring=e["ring"],
-        )
-        return pipe
-    return Pipeline(dataset, d, e["kind"], 1, False)
-
-
-def _decision_fields(value: float) -> dict:
-    if value is None or not math.isfinite(value):
-        return {"value": None, "decision": None, "tie_flag": False}
-    tie = abs(value) <= TIE_EPS
-    decision = +1 if (value > 0 or tie) else -1
-    return {"value": value, "decision": decision, "tie_flag": tie}
-
-
-def cmd_train(args) -> int:
-    dataset, descriptor = _resolve_dataset(args)
-    pipe = Pipeline(dataset, descriptor, args.embedding, args.embed_layers, args.ring)
-    samples = pipe.samples()
-    ansatz = build_ansatz(pipe.spec.n_qubits, args.layers)
-    config = TrainConfig(
+def _train_config(args, **train_only) -> TrainConfig:
+    """The optimizer flags train and compare share, plus train's own."""
+    return TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
         optimizer=args.optimizer,
         lam=getattr(args, "lambda"),
-        cutoff=args.c,
         init_scale=args.init_scale,
         seed=args.seed,
-        co_train_embedding=args.co_train,
+        **train_only,
     )
-    raw = pipe.training_pairs() if args.co_train else None
+
+
+def cmd_train(args) -> int:
+    (descriptor,) = _descriptors(args, [args.dims])
+    pipe = Pipeline.fit(descriptor, _embedding(args), args.embed_layers, args.ring)
+    samples = pipe.samples()
+    ansatz = build_ansatz(pipe.spec.n_qubits, args.layers)
+    config = _train_config(args, cutoff=args.c, co_train_embedding=args.co_train)
+    raw = pipe.pairs() if args.co_train else None
     result = train(config, samples, ansatz, raw_data=raw, embedding_spec=pipe.spec)
 
     theta_star = result.theta_star
     final_spec = pipe.spec
     if args.co_train:
-        final_spec = EmbeddingSpec(
-            "pca-layer",
-            pipe.spec.n_qubits,
-            params=tuple(theta_star[ansatz.n_params :]),
-            layers=pipe.spec.layers,
-            ring=pipe.spec.ring,
-        )
-    final_samples = pipe.samples(final_spec)
+        final_spec = dataclasses.replace(pipe.spec, params=tuple(theta_star[ansatz.n_params :]))
     pair = kraus_from_circuit(ansatz, theta_star[: ansatz.n_params])
-    ens = transform_ensemble(pair, final_samples)
+    ens = transform_ensemble(pair, pipe.samples(final_spec))
 
     manifest = {
         "command": "train",
@@ -257,18 +143,14 @@ def cmd_train(args) -> int:
             "dataset": descriptor,
             "embedding": pipe.embedding_manifest(final_spec),
             "ansatz_layers": args.layers,
+            # every TrainConfig field but the seed, which the manifest holds above
             "train": {
-                "learning_rate": config.learning_rate,
-                "epochs": config.epochs,
-                "optimizer": config.optimizer,
-                "fd_step": config.fd_step,
-                "lambda": config.lam,
-                "cutoff": config.cutoff,
-                "init_scale": config.init_scale,
-                "co_train_embedding": config.co_train_embedding,
+                ("lambda" if k == "lam" else k): v
+                for k, v in dataclasses.asdict(config).items()
+                if k != "seed"
             },
         },
-        "dataset_fingerprint": _fingerprint(dataset),
+        "dataset_fingerprint": _fingerprint(pipe.dataset),
     }
     payload = {
         "manifest": manifest,
@@ -289,54 +171,39 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
-        model = json.load(fh)
-    manifest = model["manifest"]
-    cfg = manifest["config"]
-    pipe = _pipeline_from_manifest(cfg)
-    samples = pipe.samples()
-    ansatz = build_ansatz(pipe.spec.n_qubits, cfg["ansatz_layers"])
-    theta = np.array(model["theta_star"], dtype=float)[: ansatz.n_params]
-    x = np.array([float(v) for v in args.input.split(",")], dtype=float)
-    test_state = pipe.encode_test_point(x)
+        model = restore_model(json.load(fh))
+    samples = model.pipeline.samples()
+    ansatz = build_ansatz(model.pipeline.spec.n_qubits, model.ansatz_layers)
+    theta = model.theta_star[: ansatz.n_params]
+    test_state = model.pipeline.encode(args.input)
 
     out_manifest = {
         "command": "classify",
         "artifact_version": __version__,
         "seed": args.seed,
-        "config": cfg,
-        "dataset_fingerprint": manifest["dataset_fingerprint"],
-        "input": x.tolist(),
+        "config": model.config,
+        "dataset_fingerprint": model.fingerprint,
+        "input": args.input,
         "path": args.path,
         "shots": args.shots,
         "model": args.model,
     }
+    extra: dict = {}
     try:
         pair = kraus_from_circuit(ansatz, theta)
         ens = transform_ensemble(pair, samples)
         if args.path == "analytic":
             out = filtered_fidelity_classify(ens, pair, pure_to_density(test_state))
-            fields = {
-                "value": out.value,
-                "decision": out.decision,
-                "tie_flag": out.tie,
-                "p_s_test": out.p_s_test,
-            }
         else:
             outcome = run_classifier_protocol(samples, test_state, ansatz, theta)
             if args.shots > 0:
                 outcome = sample_outcomes(outcome, args.shots, args.seed)
-            fields = _decision_fields(outcome.derived_value)
-            fields["p_s_test"] = outcome.p_postselect / ens.p_succ
+            out = decide(outcome.derived_value, outcome.p_postselect / ens.p_succ)
     except FilterAnnihilated:
-        fields = {
-            "value": None,
-            "decision": None,
-            "tie_flag": False,
-            "p_s_test": 0.0,
-            "error": "filter-annihilated",
-        }
-    payload = {"manifest": out_manifest, **fields}
-    _emit_json(payload, args.out)
+        out, extra = decide(math.nan, 0.0), {"error": "filter-annihilated"}
+    fields = dataclasses.asdict(out)
+    fields["tie_flag"] = fields.pop("tie")
+    _emit_json({"manifest": out_manifest, **fields, **extra}, args.out)
     return 0
 
 
@@ -347,7 +214,11 @@ def _parse_conditions(text: str, lam: float) -> list[CompareCondition]:
         if token == "embedding-only":
             conds.append(CompareCondition("embedding-only"))
         elif token.startswith("c="):
-            conds.append(CompareCondition("feature-map", cutoff=float(token[2:]), lam=lam))
+            try:
+                cutoff = float(token[2:])
+            except ValueError:
+                raise DomainError(f"bad cutoff in condition {token!r}") from None
+            conds.append(CompareCondition("feature-map", cutoff=cutoff, lam=lam))
         else:
             raise DomainError(f"bad condition {token!r} (use embedding-only or c=<x>)")
     return conds
@@ -357,45 +228,17 @@ def cmd_compare(args) -> int:
     conditions = _parse_conditions(args.conditions, getattr(args, "lambda"))
     if len(conditions) < 2:
         raise DomainError("compare needs at least 2 conditions")
-    dim_list = [int(v) for v in str(args.dim_sweep).split(",")] if args.dataset == "blobs" else [None]
+    embedding = _embedding(args)
+    descriptors = _descriptors(args, args.dim_sweep or [args.dims])
+    config = _train_config(args)
 
     all_rows = []
-    descriptors = []
-    for d in dim_list:
-        run_args = argparse.Namespace(**vars(args))
-        if d is not None:
-            run_args.dims = d
-        dataset, descriptor = _resolve_dataset(run_args)
-        descriptors.append(descriptor)
-        pipe = Pipeline(dataset, descriptor, args.embedding, args.embed_layers, args.ring)
-        samples = pipe.samples()
-        if args.dataset == "blobs":
-            test_ds = synthetic_blobs(args.seed + 1, args.per_class, run_args.dims, args.separation)
-            test_pairs = [
-                (pipe.preprocess(test_ds.features)[i], int(test_ds.labels[i]))
-                for i in range(len(test_ds.labels))
-            ]
-            test_samples = [
-                EmbeddedSample(encode_point(x, pipe.spec), y, i)
-                for i, (x, y) in enumerate(test_pairs)
-            ]
-        elif args.dataset == "iris":
-            _, (tx, ty) = iris_builtin()
-            test_samples = [EmbeddedSample(pipe.encode_test_point(tx), ty, 0)]
-        else:
-            test_samples = samples
+    for descriptor in descriptors:
+        pipe = Pipeline.fit(descriptor, embedding, args.embed_layers, args.ring)
         ansatz = build_ansatz(pipe.spec.n_qubits, args.layers)
-        config = TrainConfig(
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            optimizer=args.optimizer,
-            lam=getattr(args, "lambda"),
-            seed=args.seed,
-        )
-        rows = compare_conditions(samples, test_samples, conditions, ansatz, config)
-        d_value = dataset.features.shape[1]
+        rows = compare_conditions(pipe.samples(), pipe.test_samples(), conditions, ansatz, config)
         for row in rows:
-            row["d"] = int(d_value)
+            row["d"] = int(pipe.dataset.features.shape[1])
         all_rows.extend(rows)
 
     manifest = {
@@ -404,7 +247,7 @@ def cmd_compare(args) -> int:
         "seed": args.seed,
         "config": {
             "datasets": descriptors,
-            "embedding": args.embedding,
+            "embedding": embedding,
             "ansatz_layers": args.layers,
             "conditions": args.conditions,
             "lambda": getattr(args, "lambda"),
@@ -415,72 +258,80 @@ def cmd_compare(args) -> int:
     _emit_json({"manifest": manifest, "rows": all_rows}, args.out)
     csv_path = (args.out.rsplit(".", 1)[0] if args.out else "compare") + ".csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        columns = ["condition", "d", "hs_distance", "p_succ_train", "p_succ_total", "accuracy"]
         writer = csv.writer(fh)
-        writer.writerow(
-            ["condition", "d", "hs_distance", "p_succ_train", "p_succ_total", "accuracy"]
-        )
+        writer.writerow(columns)
         for row in all_rows:
-            writer.writerow(
-                [
-                    row["condition"],
-                    row["d"],
-                    repr(row["hs_distance"]),
-                    repr(row["p_succ_train"]),
-                    repr(row["p_succ_total"]),
-                    repr(row["accuracy"]),
-                ]
-            )
+            writer.writerow([row["condition"], row["d"], *(repr(row[k]) for k in columns[2:])])
     return 0
 
 
 def cmd_selftest(args) -> int:
     suites = run_all(inject_fault=args.inject_fault)
     passed = all(s.passed() for s in suites)
-    payload = {
-        "passed": passed,
-        "suites": [
-            {
-                "name": s.name,
-                "instances": s.instances,
-                "failures": s.failures,
-                "max_residual": s.max_residual,
-                "tolerance": s.tolerance,
-                "seconds": s.seconds,
-                "failing_case": s.failing_case,
-            }
-            for s in suites
-        ],
-    }
-    _emit_json(payload, args.out)
+    _emit_json({"passed": passed, "suites": [dataclasses.asdict(s) for s in suites]}, args.out)
     return 0 if passed else 1
+
+
+def _checked(kind, ok, what: str):
+    """An argparse type: kind(text), finite and satisfying ok, or a usage error."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if math.isfinite(value) and ok(value):
+                return value
+        except (ValueError, OverflowError):
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+def _list_of(item):
+    return lambda text: [item(v) for v in text.split(",")]
+
+
+_COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_REAL = _checked(float, lambda v: True, "a finite number")
+_NON_NEGATIVE = _checked(float, lambda v: v >= 0, "a finite number >= 0")
+
+
+def _embedding_name(text: str) -> str:
+    if text.startswith("pca:"):
+        _POSITIVE_COUNT(text[len("pca:") :])
+    elif text not in ("amplitude", "angle"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not amplitude, angle or pca:<k>")
+    return text
 
 
 def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", default="iris", help="iris | blobs | csv:<path>")
     p.add_argument(
         "--embedding",
+        type=_embedding_name,
         default=None,
         help="amplitude | angle | pca:<k> (default: angle for iris, else amplitude)",
     )
-    p.add_argument("--layers", type=int, default=1, help="filter ansatz layers")
-    p.add_argument("--embed-layers", type=int, default=1, dest="embed_layers")
+    p.add_argument("--layers", type=_POSITIVE_COUNT, default=1, help="filter ansatz layers")
+    p.add_argument("--embed-layers", type=_COUNT, default=1, dest="embed_layers")
     p.add_argument("--ring", action="store_true", help="ring couplers in pca-layer")
-    p.add_argument("--per-class", type=int, default=20, dest="per_class")
-    p.add_argument("--dims", type=int, default=2, help="blobs feature dimension")
-    p.add_argument("--separation", type=float, default=2.0, help="blobs class gap")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--per-class", type=_POSITIVE_COUNT, default=20, dest="per_class")
+    p.add_argument("--dims", type=_POSITIVE_COUNT, default=2, help="blobs feature dimension")
+    p.add_argument("--separation", type=_REAL, default=2.0, help="blobs class gap")
+    p.add_argument("--seed", type=_COUNT, default=0)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c", type=float, default=0.0, help="success-probability cutoff")
-    p.add_argument("--lambda", type=float, default=1.0, help="penalty weight")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.05)
+    """Optimizer flags shared by train and compare."""
+    p.add_argument("--lambda", type=_NON_NEGATIVE, default=1.0, help="penalty weight")
+    p.add_argument("--epochs", type=_COUNT, default=200)
+    p.add_argument("--lr", type=_checked(float, lambda v: v > 0, "a finite number > 0"),
+                   default=0.05)
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--init-scale", type=float, default=0.0, dest="init_scale",
+    p.add_argument("--init-scale", type=_NON_NEGATIVE, default=0.0, dest="init_scale",
                    help="stddev of the random start (0 = exact identity)")
-    p.add_argument("--co-train", action="store_true", dest="co_train",
-                   help="optimize pca-layer embedding angles jointly")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,15 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="fit filter parameters")
     _add_common_data_flags(p_train)
     _add_train_flags(p_train)
+    p_train.add_argument("--c", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                         default=0.0, help="success-probability cutoff")
+    p_train.add_argument("--co-train", action="store_true", dest="co_train",
+                         help="optimize pca-layer embedding angles jointly")
     p_train.add_argument("--out", default=None, help="result JSON path (default stdout)")
     p_train.set_defaults(func=cmd_train)
 
     p_cls = sub.add_parser("classify", help="classify one point with a trained model")
     p_cls.add_argument("--model", required=True, help="train result JSON")
-    p_cls.add_argument("--input", required=True, help="comma-separated features")
+    p_cls.add_argument("--input", type=_list_of(_REAL), required=True,
+                       help="comma-separated features")
     p_cls.add_argument("--path", choices=("analytic", "circuit"), default="analytic")
-    p_cls.add_argument("--shots", type=int, default=0, help="0 = exact probabilities")
-    p_cls.add_argument("--seed", type=int, default=0)
+    p_cls.add_argument("--shots", type=_COUNT, default=0, help="0 = exact probabilities")
+    p_cls.add_argument("--seed", type=_COUNT, default=0)
     p_cls.add_argument("--out", default=None)
     p_cls.set_defaults(func=cmd_classify)
 
@@ -516,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument(
         "--dim-sweep",
+        type=_list_of(_POSITIVE_COUNT),
         default=None,
         dest="dim_sweep",
         help="comma list of blob dims (default: --dims only)",
@@ -533,17 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "embedding", "") is None:
-        args.embedding = "angle" if args.dataset == "iris" else "amplitude"
-    if getattr(args, "dim_sweep", None) is None and hasattr(args, "dims"):
-        args.dim_sweep = str(args.dims)
-    if hasattr(args, "c") and not 0.0 <= args.c <= 1.0:
-        parser.error("--c must be in [0, 1]")
-    if hasattr(args, "lambda") and getattr(args, "lambda") < 0:
-        parser.error("--lambda must be >= 0")
-    if hasattr(args, "shots") and args.shots < 0:
-        parser.error("--shots must be >= 0")
-    if getattr(args, "co_train", False) and not str(args.embedding).startswith("pca:"):
+    if getattr(args, "co_train", False) and not (args.embedding or "").startswith("pca:"):
         parser.error("--co-train requires a pca:<k> embedding")
     try:
         return args.func(args)

@@ -1,4 +1,4 @@
-"""Built-in data, CSV loading, PCA, image downsampling, synthetic blobs."""
+"""Built-in data, CSV loading, PCA, synthetic blobs."""
 from __future__ import annotations
 
 import csv
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassBalanceError, CsvError, DimError, ShapeError
+from .errors import ClassBalanceError, CsvError, DimError, DomainError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ def load_csv(path: str) -> RawDataset:
                 values = [float(c) for c in row]
             except ValueError as exc:
                 raise CsvError(f"{path}:{line_no}: {exc}") from exc
+            if not np.all(np.isfinite(values)):
+                raise CsvError(f"{path}:{line_no}: non-finite value")
             labels.append(values.pop(label_idx))
             feats.append(values)
     if not feats:
@@ -126,23 +128,6 @@ def pca_project(model: PCAModel, features: np.ndarray) -> np.ndarray:
     return (np.asarray(features, dtype=float) - model.mean) @ model.components
 
 
-def pca_transform(model: PCAModel, dataset: RawDataset) -> RawDataset:
-    k = model.components.shape[1]
-    return RawDataset(
-        pca_project(model, dataset.features),
-        dataset.labels,
-        name=f"{dataset.name}-pca{k}",
-    )
-
-
-def downsample_image(pixels: np.ndarray) -> np.ndarray:
-    """28x28 -> 4x4 by averaging 7x7 blocks, row-major flattened."""
-    p = np.asarray(pixels, dtype=float)
-    if p.shape != (28, 28):
-        raise ShapeError(f"expected a 28x28 grid, got {p.shape}")
-    return p.reshape(4, 7, 4, 7).mean(axis=(1, 3)).ravel()
-
-
 def synthetic_blobs(seed: int, m_per_class: int, dims: int, separation: float) -> RawDataset:
     """Two unit-variance Gaussian clusters split along the first axis."""
     if m_per_class < 1:
@@ -157,3 +142,16 @@ def synthetic_blobs(seed: int, m_per_class: int, dims: int, separation: float) -
         np.array([+1] * m_per_class + [-1] * m_per_class),
         name=f"blobs-s{seed}-m{m_per_class}-d{dims}-sep{separation:g}",
     )
+
+
+def load_dataset(descriptor: dict) -> RawDataset:
+    """The dataset a descriptor names: iris, blobs with their arguments, or a CSV path."""
+    kind = descriptor["kind"]
+    if kind == "iris":
+        return iris_builtin()[0]
+    if kind == "blobs":
+        d = descriptor
+        return synthetic_blobs(d["seed"], d["per_class"], d["dims"], d["separation"])
+    if kind == "csv":
+        return load_csv(descriptor["path"])
+    raise DomainError(f"unknown dataset kind {kind!r}")

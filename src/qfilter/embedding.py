@@ -1,11 +1,25 @@
-"""Classical-to-quantum encoders producing labeled pure-state samples."""
+"""Classical-to-quantum encoders producing labeled pure-state samples.
+
+A Pipeline takes a dataset descriptor, as a train manifest records it, to
+those samples: it holds the dataset, the preprocessing fitted on it and
+the embedding spec.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassBalanceError, DimError, DomainError, ParamShapeError, ZeroVectorError
+from .datasets import PCAModel, RawDataset, iris_builtin, load_dataset, pca_fit, pca_project
+from .errors import (
+    ClassBalanceError,
+    DimError,
+    DomainError,
+    ModelError,
+    ParamShapeError,
+    ZeroVectorError,
+)
 from .quantum import GateSpec, StateVector, apply_gate, zero_state
 
 EMBEDDING_KINDS = ("amplitude", "angle", "pca-layer")
@@ -151,3 +165,120 @@ def fit_rotation_scaling(features: np.ndarray) -> FeatureScaling:
     spread = np.abs(f - center).max(axis=0)
     factor = np.where(spread > 1e-12, np.pi / np.where(spread > 1e-12, spread, 1.0), 1.0)
     return FeatureScaling(tuple(center.tolist()), tuple(factor.tolist()))
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """Dataset, fitted preprocessing and embedding spec."""
+
+    descriptor: dict
+    dataset: RawDataset
+    spec: EmbeddingSpec
+    pca: PCAModel | None = None
+    scaling: FeatureScaling | None = None
+
+    @classmethod
+    def fit(
+        cls, descriptor: dict, embedding: str, embed_layers: int = 1, ring: bool = False
+    ) -> Pipeline:
+        """Load the dataset and fit what `amplitude`, `angle` or `pca:<k>` needs."""
+        dataset = load_dataset(descriptor)
+        if embedding == "angle":
+            return cls(descriptor, dataset, EmbeddingSpec("angle", 1))
+        if embedding == "amplitude":
+            n_qubits = max(1, math.ceil(math.log2(max(dataset.features.shape[1], 2))))
+            return cls(descriptor, dataset, EmbeddingSpec("amplitude", n_qubits))
+        if not embedding.startswith("pca:"):
+            raise DomainError(f"unknown embedding {embedding!r}")
+        k = int(embedding[len("pca:") :])
+        pca = pca_fit(dataset, k)
+        scaling = fit_rotation_scaling(pca_project(pca, dataset.features))
+        count = EmbeddingSpec("pca-layer", k, layers=embed_layers, ring=ring).param_count()
+        spec = EmbeddingSpec("pca-layer", k, params=(0.0,) * count, layers=embed_layers, ring=ring)
+        return cls(descriptor, dataset, spec, pca, scaling)
+
+    def preprocess(self, features: np.ndarray) -> np.ndarray:
+        out = np.asarray(features, dtype=float)
+        if self.pca is not None:
+            out = pca_project(self.pca, out)
+        if self.scaling is not None:
+            out = self.scaling.apply(out)
+        return out
+
+    def pairs(self, data: RawDataset | None = None) -> list[tuple[np.ndarray, int]]:
+        """Preprocessed (x, y) rows of the pipeline's dataset or of another one."""
+        data = self.dataset if data is None else data
+        return list(zip(self.preprocess(data.features), data.labels.tolist()))
+
+    def samples(
+        self, spec: EmbeddingSpec | None = None, data: RawDataset | None = None
+    ) -> list[EmbeddedSample]:
+        return embed_dataset(self.pairs(data), spec or self.spec)
+
+    def encode(self, x: np.ndarray) -> StateVector:
+        return encode_point(self.preprocess(np.asarray(x, dtype=float)[None, :])[0], self.spec)
+
+    def test_samples(self) -> list[EmbeddedSample]:
+        """The samples compare scores on.
+
+        Blobs drawn at seed + 1, the built-in iris test point, or (CSV data)
+        the training rows.
+        """
+        d = self.descriptor
+        if d["kind"] == "blobs":
+            return self.samples(data=load_dataset({**d, "seed": d["seed"] + 1}))
+        if d["kind"] == "iris":
+            _, (x, y) = iris_builtin()
+            return [EmbeddedSample(self.encode(x), y, 0)]
+        return self.samples()
+
+    def embedding_manifest(self, spec: EmbeddingSpec | None = None) -> dict:
+        spec = spec or self.spec
+        out = {"kind": spec.kind, "n_qubits": spec.n_qubits}
+        if spec.kind == "pca-layer":
+            out["layers"] = spec.layers
+            out["ring"] = spec.ring
+            out["params"] = list(spec.params)
+            out["pca_mean"] = self.pca.mean.tolist()
+            out["pca_components"] = self.pca.components.tolist()
+            out["scale_center"] = list(self.scaling.center)
+            out["scale_factor"] = list(self.scaling.factor)
+        return out
+
+
+@dataclass(frozen=True)
+class TrainedModel:
+    """The parts of a train result that classification reads."""
+
+    pipeline: Pipeline
+    ansatz_layers: int
+    theta_star: np.ndarray
+    config: dict
+    fingerprint: dict
+
+
+def restore_model(result: dict) -> TrainedModel:
+    """Rebuild a train result; a missing entry raises ModelError.
+
+    The PCA, the scaling and the trained embedding angles come from the
+    manifest as saved, not refitted.
+    """
+    try:
+        manifest = result["manifest"]
+        cfg = manifest["config"]
+        d, e = cfg["dataset"], cfg["embedding"]
+        if e["kind"] == "pca-layer":
+            spec = EmbeddingSpec(
+                "pca-layer", e["n_qubits"], tuple(e["params"]), e["layers"], e["ring"]
+            )
+            comps = np.array(e["pca_components"])
+            pca = PCAModel(np.array(e["pca_mean"]), comps, np.zeros(comps.shape[1]))
+            scaling = FeatureScaling(tuple(e["scale_center"]), tuple(e["scale_factor"]))
+            pipe = Pipeline(d, load_dataset(d), spec, pca, scaling)
+        else:
+            pipe = Pipeline.fit(d, e["kind"])
+        theta = np.array(result["theta_star"], dtype=float)
+        fingerprint = manifest["dataset_fingerprint"]
+        return TrainedModel(pipe, cfg["ansatz_layers"], theta, cfg, fingerprint)
+    except KeyError as exc:
+        raise ModelError(f"model has no entry {exc}") from exc

@@ -14,10 +14,6 @@ class NormError(QFilterError):
     """State or matrix fails a normalization requirement."""
 
 
-class WeightError(QFilterError):
-    """Mixture or risk weights are negative or do not sum to one."""
-
-
 class DimError(QFilterError):
     """Operands have incompatible dimensions."""
 
@@ -56,3 +52,7 @@ class ShapeError(QFilterError):
 
 class CsvError(QFilterError):
     """Input CSV file is malformed."""
+
+
+class ModelError(QFilterError):
+    """A saved model lacks an entry that restoring it needs."""

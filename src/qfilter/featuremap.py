@@ -34,11 +34,10 @@ class FeatureMapCircuit:
     layers: int
     gates: tuple[GateSpec, ...]
     n_params: int
-    n_ancilla: int = 1
 
     @property
     def n_qubits(self) -> int:
-        return self.n_system + self.n_ancilla
+        return self.n_system + 1
 
     def zero_theta(self) -> np.ndarray:
         return np.zeros(self.n_params)
@@ -81,8 +80,6 @@ class TransformedEnsembles:
     pos: DensityMatrix
     neg: DensityMatrix
     p_s: np.ndarray
-    p_s_pos: float
-    p_s_neg: float
     p_succ: float
     p_joint: float
 
@@ -194,13 +191,11 @@ def filter_probability(pair: KrausPair, rho: DensityMatrix) -> float:
     return float(np.real(np.trace(k.conj().T @ k @ rho.entries)))
 
 
-def apply_filter(
-    pair: KrausPair, rho: DensityMatrix, eps: float = EPS_ANNIHILATION
-) -> tuple[DensityMatrix, float]:
+def apply_filter(pair: KrausPair, rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K+K rho]."""
     p_s = filter_probability(pair, rho)
-    if p_s <= eps:
-        raise FilterAnnihilated(f"success probability {p_s:.3e} below {eps:.0e}")
+    if p_s <= EPS_ANNIHILATION:
+        raise FilterAnnihilated(f"success probability {p_s:.3e} below {EPS_ANNIHILATION:.0e}")
     out = pair.keep @ rho.entries @ pair.keep.conj().T / p_s
     out = (out + out.conj().T) / 2  # scrub roundoff asymmetry before validation
     return DensityMatrix(out, rho.n_qubits), p_s
@@ -259,30 +254,22 @@ def filter_moments(
     return pos, neg, mass_pos, mass_neg
 
 
-def transform_ensemble(
-    pair: KrausPair, samples: list[EmbeddedSample], eps: float = EPS_ANNIHILATION
-) -> TransformedEnsembles:
+def transform_ensemble(pair: KrausPair, samples: list[EmbeddedSample]) -> TransformedEnsembles:
     """Filter every sample and rebuild the two class ensembles.
 
     Each class mixture weights sample m by p_s(x_m) / p_s(class), which is
     the same as filtering the class moment: the states come from
-    filter_moments(). Per-sample p_s are the squared column norms of K Psi.
-    A class whose summed p_s is at most eps raises ClassAnnihilated.
+    filter_moments(), which raises ClassAnnihilated for a class the filter
+    annihilates. Per-sample p_s are the squared column norms of K Psi.
     """
     psi, labels, n = _sample_columns(samples)
     kpsi = pair.keep @ psi
     p_s = np.sum(kpsi.real**2 + kpsi.imag**2, axis=0)
-    class_p = {label: float(p_s[labels == label].sum()) for label in (+1, -1)}
-    for label, mass in class_p.items():
-        if mass <= eps:
-            raise ClassAnnihilated(f"class {label:+d} annihilated by the filter")
     pos, neg, _, _ = filter_moments(pair, _moments(psi, labels, n))
     return TransformedEnsembles(
         pos=pos,
         neg=neg,
         p_s=p_s,
-        p_s_pos=class_p[+1],
-        p_s_neg=class_p[-1],
         p_succ=float(p_s.mean()),
         p_joint=float(np.prod(p_s)),
     )

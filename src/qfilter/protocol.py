@@ -234,28 +234,46 @@ def _class_swap_table(
     return p_class, joint / p_class[:, None]
 
 
+def _derived_value(cond: np.ndarray) -> float:
+    """The derived value of a conditional swap table, by its number of rows.
+
+    2 rows (label C): [p(S=0|C=0) - p(S=1|C=0)] - [p(S=0|C=1) - p(S=1|C=1)],
+    the filtered fidelity classifier value.
+    4 rows (C1, C2 row-major: 00, 01, 10, 11): each cell gives one overlap
+    via 2 p(S=0|cell) - 1, combined into tr{rt^2} + tr{st^2} - 2 tr{rt st},
+    the Hilbert-Schmidt distance of the filtered ensembles.
+    """
+    if cond.shape[0] == 2:
+        return float((cond[0, 0] - cond[0, 1]) - (cond[1, 0] - cond[1, 1]))
+    ov = 2.0 * cond[:, 0] - 1.0
+    return float(ov[0] + ov[3] - (ov[1] + ov[2]))
+
+
+def _filter_and_read(
+    state: StateVector,
+    layout: RegisterLayout,
+    circuit: FeatureMapCircuit,
+    theta: np.ndarray,
+) -> ProtocolOutcome:
+    """Append the remaining qubits in |0>, post-select, swap test, read the table."""
+    tail = np.eye(2 ** (layout.n_qubits - state.n_qubits), dtype=complex)[0]
+    full = StateVector(np.kron(state.amplitudes, tail), layout.n_qubits)
+    filtered, p_post = apply_feature_maps_postselect(full, circuit, theta, layout)
+    final = _swap_test(filtered, layout)
+    p_class, cond = _class_swap_table(final, layout.label, layout.swap)
+    return ProtocolOutcome(p_post, p_class, cond, _derived_value(cond))
+
+
 def run_classifier_protocol(
     samples: list[EmbeddedSample],
     test: StateVector,
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
 ) -> ProtocolOutcome:
-    """Full filtered classification circuit with exact conditional readout.
-
-    derived_value = [p(S=0|C=0) - p(S=1|C=0)] - [p(S=0|C=1) - p(S=1|C=1)],
-    the filtered fidelity classifier value.
-    """
+    """Full filtered classification circuit with exact conditional readout."""
     layout = classifier_layout(len(samples), samples[0].state.n_qubits)
     base = prepare_classifier_state(samples, test)
-    full = StateVector(
-        np.kron(base.amplitudes, np.array([1, 0, 0, 0], dtype=complex)),
-        layout.n_qubits,
-    )
-    filtered, p_post = apply_feature_maps_postselect(full, circuit, theta, layout)
-    final = _swap_test(filtered, layout)
-    p_class, cond = _class_swap_table(final, layout.label, layout.swap)
-    value = (cond[0, 0] - cond[0, 1]) - (cond[1, 0] - cond[1, 1])
-    return ProtocolOutcome(p_post, p_class, cond, float(value))
+    return _filter_and_read(base, layout, circuit, theta)
 
 
 def run_risk_protocol(
@@ -263,25 +281,11 @@ def run_risk_protocol(
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
 ) -> ProtocolOutcome:
-    """Two filtered risk-state copies and a swap test between their data.
-
-    Each (C1, C2) cell gives one overlap via 2 p(S=0|cell) - 1; the derived
-    value combines them into tr{rt^2} + tr{st^2} - 2 tr{rt st}, the
-    Hilbert-Schmidt distance of the filtered ensembles.
-    """
+    """Two filtered risk-state copies and a swap test between their data."""
     layout = risk_layout(len(samples), samples[0].state.n_qubits)
     one = prepare_risk_state(samples)
-    two = np.kron(one.amplitudes, one.amplitudes)
-    full = StateVector(
-        np.kron(two, np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=complex)),
-        layout.n_qubits,
-    )
-    filtered, p_post = apply_feature_maps_postselect(full, circuit, theta, layout)
-    final = _swap_test(filtered, layout)
-    p_class, cond = _class_swap_table(final, layout.label, layout.swap)
-    ov = 2.0 * cond[:, 0] - 1.0  # cells (C1,C2) row-major: 00, 01, 10, 11
-    value = ov[0] + ov[3] - (ov[1] + ov[2])
-    return ProtocolOutcome(p_post, p_class, cond, float(value))
+    two = StateVector(np.kron(one.amplitudes, one.amplitudes), 2 * one.n_qubits)
+    return _filter_and_read(two, layout, circuit, theta)
 
 
 def sample_outcomes(outcome: ProtocolOutcome, shots: int, seed: int) -> ProtocolOutcome:
@@ -300,13 +304,5 @@ def sample_outcomes(outcome: ProtocolOutcome, shots: int, seed: int) -> Protocol
     p_class = counts.sum(axis=1) / shots
     with np.errstate(invalid="ignore"):
         cond = counts / counts.sum(axis=1, keepdims=True)
-    if np.any(counts.sum(axis=1) == 0):
-        value = float("nan")
-    elif outcome.p_class.shape[0] == 2:
-        value = (cond[0, 0] - cond[0, 1]) - (cond[1, 0] - cond[1, 1])
-    else:
-        ov = 2.0 * cond[:, 0] - 1.0
-        value = ov[0] + ov[3] - (ov[1] + ov[2])
-    return ProtocolOutcome(
-        outcome.p_postselect, p_class, cond, float(value), shots, counts
-    )
+    value = float("nan") if np.any(counts.sum(axis=1) == 0) else _derived_value(cond)
+    return ProtocolOutcome(outcome.p_postselect, p_class, cond, value, shots, counts)

@@ -17,15 +17,12 @@ from .errors import (
     NormError,
     ShapeError,
     UnsupportedGate,
-    WeightError,
     ZeroVectorError,
 )
 
-# Tolerance tiers: invariants of our own constructions, user-supplied input,
-# and agreement between two exact computation paths.
+# Tolerance tiers: invariants of our own constructions and user-supplied input.
 ATOL_INVARIANT = 1e-10
 ATOL_INPUT = 1e-8
-ATOL_PATHS = 1e-9
 
 GATE_ARITY = {
     "Rx": 1,
@@ -37,8 +34,6 @@ GATE_ARITY = {
     "CRx": 2,
     "CSWAP": 3,
 }
-
-_PARAMETRIC = {"Rx", "Ry", "Rz", "ZZ", "CRx"}
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,7 @@ class GateSpec:
             )
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets {self.targets}")
-        if self.kind in _PARAMETRIC:
+        if self.kind in _ROTATIONS:
             if (self.param_index is None) == (self.angle is None):
                 raise ValueError(
                     f"{self.kind} needs exactly one of param_index or angle"
@@ -100,20 +95,12 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n < 1e-15:
-            raise ZeroVectorError("cannot normalize the zero state")
-        return StateVector(self.amplitudes / n, self.n_qubits)
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
 def zero_state(n_qubits: int) -> StateVector:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(amps, n_qubits)
+    return basis_state(n_qubits, 0)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -142,9 +129,6 @@ class DensityMatrix:
         if np.linalg.eigvalsh(m).min() < -ATOL_INVARIANT:
             raise NormError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", m)
-
-    def purity(self) -> float:
-        return overlap(self, self)
 
 
 @dataclass(frozen=True)
@@ -197,30 +181,17 @@ _CSWAP = np.eye(8, dtype=complex)
 _CSWAP[[5, 6], :] = _CSWAP[[6, 5], :]
 
 
+_ROTATIONS = {"Rx": _rx, "Ry": _ry, "Rz": _rz, "ZZ": _zz, "CRx": _crx}
+_FIXED = {"H": _H, "X": _X, "CSWAP": _CSWAP}
+
+
 def gate_array(kind: str, theta: float = 0.0) -> np.ndarray:
     """Dense matrix for a single gate, control = first target for CRx/CSWAP."""
-    if kind == "Rx":
-        return _rx(theta)
-    if kind == "Ry":
-        return _ry(theta)
-    if kind == "Rz":
-        return _rz(theta)
-    if kind == "H":
-        return _H.copy()
-    if kind == "X":
-        return _X.copy()
-    if kind == "ZZ":
-        return _zz(theta)
-    if kind == "CRx":
-        return _crx(theta)
-    if kind == "CSWAP":
-        return _CSWAP.copy()
+    if kind in _ROTATIONS:
+        return _ROTATIONS[kind](theta)
+    if kind in _FIXED:
+        return _FIXED[kind].copy()
     raise UnsupportedGate(f"unknown gate kind {kind!r}")
-
-
-def gate_matrix(kind: str, theta: float = 0.0) -> UnitaryMatrix:
-    arr = gate_array(kind, theta)
-    return UnitaryMatrix(arr, GATE_ARITY[kind])
 
 
 def _apply_to_columns(
@@ -253,10 +224,6 @@ def apply_gate(
     return StateVector(out.ravel(), state.n_qubits)
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.n_qubits + b.n_qubits)
-
-
 def project_qubit(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
     """Project one qubit onto |outcome>, renormalize, return (state, probability).
 
@@ -282,23 +249,6 @@ def pure_to_density(state: StateVector) -> DensityMatrix:
         raise NormError(f"state norm {state.norm()} != 1")
     psi = state.amplitudes
     return DensityMatrix(np.outer(psi, psi.conj()), state.n_qubits)
-
-
-def mixture(states: list[DensityMatrix], weights: np.ndarray) -> DensityMatrix:
-    w = np.asarray(weights, dtype=float)
-    if len(states) != w.shape[0]:
-        raise DimError(f"{len(states)} states but {w.shape[0]} weights")
-    if np.any(w < 0):
-        raise WeightError("mixture weights must be nonnegative")
-    if abs(w.sum() - 1.0) > ATOL_INVARIANT:
-        raise WeightError(f"mixture weights sum to {w.sum()}")
-    n = states[0].n_qubits
-    if any(s.n_qubits != n for s in states):
-        raise DimError("mixture states live on different registers")
-    acc = np.zeros_like(states[0].entries)
-    for wi, s in zip(w, states):
-        acc += wi * s.entries
-    return DensityMatrix(acc, n)
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -354,13 +304,3 @@ def random_state(seed: int, n_qubits: int) -> StateVector:
     d = 2**n_qubits
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return StateVector(v / np.linalg.norm(v), n_qubits)
-
-
-def random_density(seed: int, n_qubits: int, rank: int | None = None) -> DensityMatrix:
-    """Seeded random mixed state as a normalized Wishart-style matrix."""
-    rng = np.random.default_rng(seed)
-    d = 2**n_qubits
-    r = d if rank is None else rank
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, n_qubits)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def _run_indexed(fn, count: int) -> list[tuple[float, dict]]:
+def _run_indexed(fn, count: int) -> list:
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         return list(pool.map(fn, range(count)))
 
@@ -214,8 +214,7 @@ def suite_path_equivalence(count: int = 100) -> list[SuiteResult]:
         )
         return value_res, prob_res, {"seed": i, "m": m, "n_qubits": n}
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(one, range(count)))
+    results = _run_indexed(one, count)
     values = [(v, c) for v, _, c in results]
     probs = [(p, c) for _, p, c in results]
     return [
@@ -233,13 +232,10 @@ def run_all(inject_fault: bool = False) -> list[SuiteResult]:
     ]
     if inject_fault:
         s = suites[0]
-        suites[0] = SuiteResult(
-            name=s.name,
-            instances=s.instances,
+        suites[0] = replace(
+            s,
             failures=s.failures + 1,
             max_residual=s.max_residual + 1.0,
-            tolerance=s.tolerance,
-            seconds=s.seconds,
             failing_case={"seed": -1, "note": "injected fault (negative control)"},
         )
     return suites

@@ -9,6 +9,7 @@ from qfilter.classifier import (
     RiskReport,
     build_ensembles,
     constrained_risk,
+    decide,
     fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
@@ -72,6 +73,16 @@ def test_fidelity_classify_tie_goes_positive_and_flags():
     assert out.value == 0.0
     assert out.decision == +1
     assert out.tie
+
+
+def test_decide_gives_no_decision_for_a_non_finite_value():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        out = decide(value, 0.25)
+        assert out.decision is None
+        assert out.tie is False
+        assert out.p_s_test == 0.25
+    assert decide(-1e-13).decision == +1 and decide(-1e-13).tie
+    assert decide(-2e-12).decision == -1 and not decide(-2e-12).tie
 
 
 def test_filtered_fidelity_classify_records_test_success():

@@ -221,6 +221,71 @@ def test_exit_code_2_on_bad_flags(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--model", "m.json", "--input=a,b"],
+        ["classify", "--model", "m.json", "--input="],
+        ["classify", "--model", "m.json", "--input=nan,1"],
+        ["classify", "--model", "m.json", "--input=1", "--seed", "-1"],
+        ["train", "--layers", "0"],
+        ["train", "--embedding", "pca:x"],
+        ["train", "--embedding", "pca:0"],
+        ["train", "--dims", "0"],
+        ["train", "--per-class", "0"],
+        ["train", "--separation", "nan"],
+        ["train", "--seed", "-1"],
+        ["train", "--epochs", "-1"],
+        ["train", "--lr", "0"],
+        ["train", "--lr", "inf"],
+        ["train", "--init-scale", "-1"],
+        ["compare", "--dim-sweep", "2,a"],
+        # compare trains every arm at its own cutoff, so it takes no --c
+        ["compare", "--c", "0.7", "--co-train", "--embedding", "pca:1"],
+    ],
+)
+def test_malformed_flag_values_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_csv_and_bad_conditions_exit_3(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("a,b,label\n1,2,1\nnan,3,-1\n")
+    assert main(["train", "--dataset", f"csv:{bad}", "--epochs", "1"]) == 3
+    assert "nan.csv:3: non-finite" in capsys.readouterr().err
+    argv = ["compare", "--dataset", "iris", "--conditions", "embedding-only,c=x"]
+    assert main(argv) == 3
+    assert "error: bad cutoff" in capsys.readouterr().err
+
+
+def test_model_without_manifest_entries_exits_3(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    for content in ({"manifest": {}}, {}, {"manifest": {"config": {"dataset": {}}}}):
+        model.write_text(json.dumps(content))
+        assert main(["classify", "--model", str(model), "--input", "0.3,0.9"]) == 3
+        assert "error: model has no entry" in capsys.readouterr().err
+
+
+def test_classify_single_shot_has_no_decision(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)])
+    argv = ["classify", "--model", str(model), "--input", "0.2,0.9",
+            "--path", "circuit", "--shots", "1"]
+    code, out = _run(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    # one shot never observes both label outcomes, so the value is undefined
+    assert payload["value"] is None
+    assert payload["decision"] is None
+    assert payload["tie_flag"] is False
+    assert payload["p_s_test"] == pytest.approx(1.0)
+
+
 def test_exit_code_3_on_data_errors(tmp_path, capsys):
     assert main(["train", "--dataset", "csv:/does/not/exist.csv"]) == 3
     err = capsys.readouterr().err

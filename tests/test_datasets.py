@@ -1,16 +1,14 @@
-"""Built-in data, CSV loading, PCA, downsampling, and synthetic blobs."""
+"""Built-in data, CSV loading, PCA, and synthetic blobs."""
 import numpy as np
 import pytest
 
 from qfilter.datasets import (
     PCAModel,
     RawDataset,
-    downsample_image,
     iris_builtin,
     load_csv,
     pca_fit,
     pca_project,
-    pca_transform,
     synthetic_blobs,
 )
 from qfilter.errors import ClassBalanceError, CsvError, DimError, ShapeError
@@ -69,6 +67,17 @@ def test_load_csv_errors_carry_line_numbers(tmp_path):
         load_csv(str(p))
     p.write_text("x,label\n0.1,1\n0.2\n")
     with pytest.raises(CsvError, match=r"bad\.csv:3.*columns"):
+        load_csv(str(p))
+
+
+def test_load_csv_rejects_non_finite_cells(tmp_path):
+    p = tmp_path / "bad.csv"
+    for cell in ("nan", "inf", "-Infinity"):
+        p.write_text(f"x,y,label\n0.1,0.2,1\n0.3,{cell},-1\n")
+        with pytest.raises(CsvError, match=r"bad\.csv:3: non-finite"):
+            load_csv(str(p))
+    p.write_text("x,label\n0.1,1\n0.2,nan\n")  # the label column too
+    with pytest.raises(CsvError, match=r"bad\.csv:3"):
         load_csv(str(p))
 
 
@@ -143,22 +152,9 @@ def test_pca_project_and_transform():
     assert projected.shape == (40, 2)
     # centered data: projections have zero mean too
     np.testing.assert_allclose(projected.mean(axis=0), 0.0, atol=1e-10)
-    out = pca_transform(model, ds)
-    np.testing.assert_array_equal(out.features, projected)
-    np.testing.assert_array_equal(out.labels, ds.labels)
-    assert out.name.endswith("-pca2")
-
-
-def test_downsample_image_block_means():
-    img = np.arange(28 * 28, dtype=float).reshape(28, 28)
-    out = downsample_image(img)
-    assert out.shape == (16,)
-    want00 = img[:7, :7].mean()
-    want33 = img[21:, 21:].mean()
-    assert out[0] == pytest.approx(want00)
-    assert out[15] == pytest.approx(want33)
-    with pytest.raises(ShapeError):
-        downsample_image(np.zeros((28, 27)))
+    # a new point goes through the same affine map as the fitted rows
+    point = pca_project(model, ds.features[3] + 1.0)
+    np.testing.assert_allclose(point, projected[3] + model.components.sum(axis=0), atol=1e-12)
 
 
 def test_synthetic_blobs_shape_and_separation():

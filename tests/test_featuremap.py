@@ -183,8 +183,6 @@ def test_transform_ensemble_matches_hand_accumulation():
         np.testing.assert_allclose(ens.p_s, ps, rtol=0, atol=1e-15)
         assert ens.p_succ == pytest.approx(np.mean(ps), abs=1e-15)
         assert ens.p_joint == pytest.approx(np.prod(ps), abs=1e-15)
-        assert ens.p_s_pos == pytest.approx(ps[labels == 1].sum(), abs=1e-15)
-        assert ens.p_s_neg == pytest.approx(ps[labels == -1].sum(), abs=1e-15)
         # the class masses tr[K A K+] the training cost divides by
         _, _, mass_pos, mass_neg = filter_moments(pair, class_moments(samples))
         assert mass_pos == pytest.approx(ps[labels == 1].sum(), abs=1e-14)
