@@ -66,15 +66,13 @@ from .quantum import (
     GateSpec,
     StateVector,
     UnitaryMatrix,
-    apply_gate,
-    basis_state,
     hs_distance,
     overlap,
     project_qubit,
     pure_to_density,
     random_cptp,
+    run_gates,
     trace_norm,
-    zero_state,
 )
 from .training import (
     CompareCondition,

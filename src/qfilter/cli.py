@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -18,8 +17,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import decide, filtered_fidelity_classify
-from .datasets import RawDataset
-from .embedding import Pipeline, restore_model
+from .embedding import Pipeline, fingerprint, restore_model
 from .errors import (
     ClassAnnihilated,
     ClassBalanceError,
@@ -76,17 +74,6 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _fingerprint(dataset: RawDataset) -> dict:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(dataset.features).tobytes())
-    h.update(np.ascontiguousarray(dataset.labels).tobytes())
-    return {
-        "rows": int(dataset.features.shape[0]),
-        "dims": int(dataset.features.shape[1]),
-        "sha256": h.hexdigest(),
-    }
 
 
 def _descriptors(args, dims: list[int]) -> list[dict]:
@@ -150,7 +137,7 @@ def cmd_train(args) -> int:
                 if k != "seed"
             },
         },
-        "dataset_fingerprint": _fingerprint(pipe.dataset),
+        "dataset_fingerprint": fingerprint(pipe.dataset),
     }
     payload = {
         "manifest": manifest,
@@ -253,6 +240,10 @@ def cmd_compare(args) -> int:
             "lambda": getattr(args, "lambda"),
             "epochs": args.epochs,
             "learning_rate": args.lr,
+            "optimizer": args.optimizer,
+            "init_scale": args.init_scale,
+            "embed_layers": args.embed_layers,
+            "ring": args.ring,
         },
     }
     _emit_json({"manifest": manifest, "rows": all_rows}, args.out)

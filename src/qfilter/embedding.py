@@ -6,7 +6,9 @@ the embedding spec.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import (
     ParamShapeError,
     ZeroVectorError,
 )
-from .quantum import GateSpec, StateVector, apply_gate, zero_state
+from .quantum import GateSpec, StateVector, run_gates
 
 EMBEDDING_KINDS = ("amplitude", "angle", "pca-layer")
 
@@ -98,30 +100,37 @@ def angle_encode(x0: float) -> StateVector:
     return StateVector(np.array([x0, np.sqrt(1.0 - x0 * x0)], dtype=complex), 1)
 
 
-def pca_layer_encode(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
-    """Rx data loading, then alternating trainable Ry and ZZ coupler layers."""
-    v = np.asarray(x, dtype=float)
+def pca_layer_states(
+    xs: np.ndarray, spec: EmbeddingSpec
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """pca-layer states of the rows of xs as columns, and their pullback in spec.params.
+
+    Rx data loading makes the product state (cos(x_q/2), -i sin(x_q/2))
+    over the qubits, so only the trainable layers (an Ry on every qubit,
+    then the ZZ couplers, angle i from params[i]) run through run_gates().
+    """
+    v = np.asarray(xs, dtype=float)
     n = spec.n_qubits
-    if v.shape != (n,):
-        raise DimError(f"input of shape {v.shape} does not match {n} qubits")
+    if v.ndim != 2 or v.shape[1] != n:
+        raise DimError(f"inputs of shape {v.shape} do not match {n} qubits")
     theta = np.asarray(spec.params, dtype=float)
     if theta.shape[0] != spec.param_count():
         raise ParamShapeError(
             f"expected {spec.param_count()} parameters, got {theta.shape[0]}"
         )
-    state = zero_state(n)
+    cols = np.ones((1, v.shape[0]), dtype=complex)
     for q in range(n):
-        state = apply_gate(state, GateSpec("Rx", (q,), angle=v[q]))
-    pairs = _coupler_pairs(n, spec.ring)
-    i = 0
-    for _ in range(spec.layers):
-        for q in range(n):
-            state = apply_gate(state, GateSpec("Ry", (q,), angle=theta[i]))
-            i += 1
-        for pair in pairs:
-            state = apply_gate(state, GateSpec("ZZ", pair, angle=theta[i]))
-            i += 1
-    return state
+        ket = np.stack([np.cos(v[:, q] / 2), -1j * np.sin(v[:, q] / 2)])
+        cols = (cols[:, None, :] * ket[None, :, :]).reshape(-1, v.shape[0])
+    layer = [("Ry", (q,)) for q in range(n)] + [("ZZ", p) for p in _coupler_pairs(n, spec.ring)]
+    gates = [GateSpec(kind, t, param_index=i) for i, (kind, t) in enumerate(layer * spec.layers)]
+    return run_gates(cols, gates, theta, n)
+
+
+def pca_layer_encode(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
+    """Rx data loading, then alternating trainable Ry and ZZ coupler layers."""
+    cols, _ = pca_layer_states(np.asarray(x, dtype=float)[None], spec)
+    return StateVector(cols[:, 0], spec.n_qubits)
 
 
 def encode_point(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
@@ -246,6 +255,18 @@ class Pipeline:
         return out
 
 
+def fingerprint(dataset: RawDataset) -> dict:
+    """Row and column counts and a SHA-256 of the features and labels."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(dataset.features).tobytes())
+    h.update(np.ascontiguousarray(dataset.labels).tobytes())
+    return {
+        "rows": int(dataset.features.shape[0]),
+        "dims": int(dataset.features.shape[1]),
+        "sha256": h.hexdigest(),
+    }
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     """The parts of a train result that classification reads."""
@@ -258,10 +279,11 @@ class TrainedModel:
 
 
 def restore_model(result: dict) -> TrainedModel:
-    """Rebuild a train result; a missing entry raises ModelError.
+    """Rebuild a train result; a malformed one raises ModelError.
 
     The PCA, the scaling and the trained embedding angles come from the
-    manifest as saved, not refitted.
+    manifest as saved, not refitted. The dataset, rebuilt from its
+    descriptor, must still match the fingerprint the model was trained on.
     """
     try:
         manifest = result["manifest"]
@@ -271,14 +293,20 @@ def restore_model(result: dict) -> TrainedModel:
             spec = EmbeddingSpec(
                 "pca-layer", e["n_qubits"], tuple(e["params"]), e["layers"], e["ring"]
             )
-            comps = np.array(e["pca_components"])
-            pca = PCAModel(np.array(e["pca_mean"]), comps, np.zeros(comps.shape[1]))
-            scaling = FeatureScaling(tuple(e["scale_center"]), tuple(e["scale_factor"]))
-            pipe = Pipeline(d, load_dataset(d), spec, pca, scaling)
+            comps = np.array(e["pca_components"], dtype=float)
+            pca = PCAModel(np.array(e["pca_mean"], dtype=float), comps, np.zeros(comps.shape[1]))
+            center, factor = (tuple(map(float, e[k])) for k in ("scale_center", "scale_factor"))
+            pipe = Pipeline(d, load_dataset(d), spec, pca, FeatureScaling(center, factor))
         else:
             pipe = Pipeline.fit(d, e["kind"])
-        theta = np.array(result["theta_star"], dtype=float)
-        fingerprint = manifest["dataset_fingerprint"]
-        return TrainedModel(pipe, cfg["ansatz_layers"], theta, cfg, fingerprint)
+        layers, theta = cfg["ansatz_layers"], np.array(result["theta_star"], dtype=float)
+        if not isinstance(layers, int) or theta.ndim != 1:
+            raise ModelError("malformed model: ansatz_layers or theta_star has the wrong type")
+        saved = manifest["dataset_fingerprint"]
     except KeyError as exc:
         raise ModelError(f"model has no entry {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed model: {exc}") from exc
+    if fingerprint(pipe.dataset) != saved:
+        raise ModelError("the dataset differs from the one the model was trained on")
+    return TrainedModel(pipe, layers, theta, cfg, saved)

@@ -55,4 +55,4 @@ class CsvError(QFilterError):
 
 
 class ModelError(QFilterError):
-    """A saved model lacks an entry that restoring it needs."""
+    """A saved model is malformed or no longer matches its dataset."""

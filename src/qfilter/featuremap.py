@@ -19,8 +19,7 @@ from .quantum import (
     DensityMatrix,
     GateSpec,
     UnitaryMatrix,
-    _apply_to_columns,
-    gate_array,
+    run_gates,
 )
 
 EPS_ANNIHILATION = 1e-12
@@ -121,10 +120,7 @@ def circuit_unitary(circuit: FeatureMapCircuit, theta: np.ndarray) -> UnitaryMat
     """Dense matrix of the full gate sequence, first gate applied first."""
     t = _check_theta(circuit, theta)
     n = circuit.n_qubits
-    u = np.eye(2**n, dtype=complex)
-    for spec in circuit.gates:
-        u = _apply_to_columns(u, gate_array(spec.kind, spec.resolve_angle(t)), spec.targets, n)
-    return UnitaryMatrix(u, n)
+    return UnitaryMatrix(run_gates(np.eye(2**n, dtype=complex), circuit.gates, t, n)[0], n)
 
 
 def kraus_from_circuit(circuit: FeatureMapCircuit, theta: np.ndarray) -> KrausPair:
@@ -147,40 +143,22 @@ def kraus_with_pullback(
 
     Here the gates act only on the columns of V(theta) whose ancilla input
     is |0>: the (2 dim, dim) isometry V P0, whose even rows are K and odd
-    rows K0. The forward pass stores the isometry before every gate, so
-    the returned pullback maps a cotangent X (dim x dim) to the
-    gradient of 2 Re tr[X K(theta)] in one backward pass:
-
-        d/dtheta_j = 2 Re tr[X P0+ G_L ... G_{j+1} G_j' G_{j-1} ... G_1 P0],
-
-    with G' = (G(t + pi) - G(t - pi)) / 4 for every exp(-i t P / 2) gate.
+    rows K0. The returned pullback maps a cotangent X (dim x dim) to the
+    gradient of 2 Re tr[X K(theta)]: the backward pass of run_gates() with
+    X+ in the even rows of its cotangent.
     """
     t = _check_theta(circuit, theta)
-    n = circuit.n_qubits
     dim = 2**circuit.n_system
-    arrays = [gate_array(spec.kind, spec.resolve_angle(t)) for spec in circuit.gates]
-    cols = np.eye(2 * dim, dtype=complex)[:, 0::2]
-    before = []
-    for spec, g in zip(circuit.gates, arrays):
-        before.append(cols)
-        cols = _apply_to_columns(cols, g, spec.targets, n)
-    pair = KrausPair(cols[0::2], cols[1::2])
+    cols, run_back = run_gates(
+        np.eye(2 * dim, dtype=complex)[:, 0::2], circuit.gates, t, circuit.n_qubits
+    )
 
     def pullback(x: np.ndarray) -> np.ndarray:
-        # adj holds (X P0+ G_L ... G_{j+1})+ while gate j is visited
         adj = np.zeros_like(cols)
         adj[0::2] = np.asarray(x).conj().T
-        grad = np.zeros(circuit.n_params)
-        for spec, g, b in zip(reversed(circuit.gates), reversed(arrays), reversed(before)):
-            if spec.param_index is not None:
-                a = spec.resolve_angle(t)
-                dg = (gate_array(spec.kind, a + np.pi) - gate_array(spec.kind, a - np.pi)) / 4
-                moved = _apply_to_columns(b, dg, spec.targets, n)
-                grad[spec.param_index] += 2 * np.real(np.vdot(adj, moved))
-            adj = _apply_to_columns(adj, g.conj().T, spec.targets, n)
-        return grad
+        return run_back(adj)
 
-    return pair, pullback
+    return KrausPair(cols[0::2], cols[1::2]), pullback
 
 
 def filter_probability(pair: KrausPair, rho: DensityMatrix) -> float:
@@ -224,13 +202,14 @@ class ClassMoments:
     n_qubits: int
 
 
-def _moments(psi: np.ndarray, labels: np.ndarray, n: int) -> ClassMoments:
+def column_moments(psi: np.ndarray, labels: np.ndarray, n: int) -> ClassMoments:
+    """Class moments of the columns of psi, labelled +1 or -1."""
     pos, neg = (psi[:, labels == y] @ psi[:, labels == y].conj().T for y in (+1, -1))
     return ClassMoments(pos, neg, psi.shape[1], n)
 
 
 def class_moments(samples: list[EmbeddedSample]) -> ClassMoments:
-    return _moments(*_sample_columns(samples))
+    return column_moments(*_sample_columns(samples))
 
 
 def filter_moments(
@@ -265,7 +244,7 @@ def transform_ensemble(pair: KrausPair, samples: list[EmbeddedSample]) -> Transf
     psi, labels, n = _sample_columns(samples)
     kpsi = pair.keep @ psi
     p_s = np.sum(kpsi.real**2 + kpsi.imag**2, axis=0)
-    pos, neg, _, _ = filter_moments(pair, _moments(psi, labels, n))
+    pos, neg, _, _ = filter_moments(pair, column_moments(psi, labels, n))
     return TransformedEnsembles(
         pos=pos,
         neg=neg,

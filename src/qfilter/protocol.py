@@ -21,7 +21,7 @@ import numpy as np
 from .embedding import EmbeddedSample
 from .errors import ClassAnnihilated, DimError, FilterAnnihilated, ZeroVectorError
 from .featuremap import FeatureMapCircuit, _check_theta, circuit_unitary
-from .quantum import GateSpec, StateVector, apply_gate, project_qubit, _apply_to_columns
+from .quantum import GateSpec, StateVector, _apply_to_columns, project_qubit, run_gates
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,12 @@ def apply_feature_maps_postselect(
 
 def _swap_test(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Hadamard, pairwise controlled swaps between the two data registers, Hadamard."""
-    reg_a, reg_b = layout.data
-    out = apply_gate(state, GateSpec("H", (layout.swap,)))
-    for qa, qb in zip(reg_a, reg_b):
-        out = apply_gate(out, GateSpec("CSWAP", (layout.swap, qa, qb)))
-    return apply_gate(out, GateSpec("H", (layout.swap,)))
+    hadamard = GateSpec("H", (layout.swap,))
+    cswaps = [GateSpec("CSWAP", (layout.swap, qa, qb)) for qa, qb in zip(*layout.data)]
+    cols, _ = run_gates(
+        state.amplitudes.reshape(-1, 1), [hadamard, *cswaps, hadamard], (), state.n_qubits
+    )
+    return StateVector(cols.ravel(), state.n_qubits)
 
 
 def _class_swap_table(

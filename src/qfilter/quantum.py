@@ -7,6 +7,7 @@ coupling is ZZ(t) = exp(-i t Z (x) Z / 2).
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,13 @@ GATE_ARITY = {
 class GateSpec:
     """One gate instance: kind, target qubits, and where its angle comes from.
 
-    Parametric gates take the angle either from a trainable parameter vector
-    (param_index) or as a fixed constant (angle). Exactly one of the two may
-    be set; non-parametric gates take neither.
+    A rotation takes its angle from entry param_index of a parameter
+    vector; the other gates take none.
     """
 
     kind: str
     targets: tuple[int, ...]
     param_index: int | None = None
-    angle: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_ARITY:
@@ -60,21 +59,11 @@ class GateSpec:
             )
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets {self.targets}")
-        if self.kind in _ROTATIONS:
-            if (self.param_index is None) == (self.angle is None):
-                raise ValueError(
-                    f"{self.kind} needs exactly one of param_index or angle"
-                )
-        elif self.param_index is not None or self.angle is not None:
-            raise ValueError(f"{self.kind} takes no angle")
+        if (self.param_index is None) == (self.kind in _ROTATIONS):
+            raise ValueError(f"{self.kind}: a rotation needs a param_index, other gates none")
 
-    def resolve_angle(self, theta: np.ndarray | None) -> float:
-        if self.param_index is not None:
-            assert theta is not None
-            return float(theta[self.param_index])
-        if self.angle is not None:
-            return float(self.angle)
-        return 0.0
+    def resolve_angle(self, theta: np.ndarray) -> float:
+        return 0.0 if self.param_index is None else float(theta[self.param_index])
 
 
 @dataclass(frozen=True)
@@ -97,16 +86,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    return basis_state(n_qubits, 0)
-
-
-def basis_state(n_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, n_qubits)
 
 
 @dataclass(frozen=True)
@@ -211,17 +190,40 @@ def _apply_to_columns(
     return t.reshape(2**n_qubits, tail)
 
 
-def apply_gate(
-    state: StateVector, spec: GateSpec, theta: np.ndarray | None = None
-) -> StateVector:
-    """Apply one gate; angle comes from spec.resolve_angle(theta)."""
-    for t in spec.targets:
-        if not 0 <= t < state.n_qubits:
-            raise IndexError(f"target {t} outside register of {state.n_qubits}")
-    local = gate_array(spec.kind, spec.resolve_angle(theta))
-    col = state.amplitudes.reshape(-1, 1)
-    out = _apply_to_columns(col, local, spec.targets, state.n_qubits)
-    return StateVector(out.ravel(), state.n_qubits)
+def run_gates(
+    cols: np.ndarray, gates: Sequence[GateSpec], theta: np.ndarray, n_qubits: int
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Apply a gate list to every column of cols (2**n_qubits x k), first gate first.
+
+    A rotation takes its angle from theta[param_index]. Also returns the
+    pullback that maps a cotangent Y to the gradient of 2 Re <Y, cols(theta)>
+    in one backward pass of adjoint products (Jones & Gacon, arXiv:2009.02823),
+        d/dtheta_j = 2 Re <Y, G_L ... G_{j+1} G_j' G_{j-1} ... G_1 cols>,
+    with G' = (G(t + pi) - G(t - pi)) / 4 for every exp(-i t P / 2) gate;
+    for that the forward pass keeps the input of every rotation.
+    """
+    t = np.asarray(theta, dtype=float)
+    arrays, before = [], []
+    for spec in gates:
+        if not all(0 <= q < n_qubits for q in spec.targets):
+            raise IndexError(f"targets {spec.targets} outside register of {n_qubits}")
+        arrays.append(gate_array(spec.kind, spec.resolve_angle(t)))
+        before.append(None if spec.param_index is None else cols)
+        cols = _apply_to_columns(cols, arrays[-1], spec.targets, n_qubits)
+
+    def pullback(adj: np.ndarray) -> np.ndarray:
+        # adj holds (Y+ G_L ... G_{j+1})+ while gate j is visited
+        grad = np.zeros(t.shape[0])
+        for spec, g, b in zip(reversed(gates), reversed(arrays), reversed(before)):
+            if b is not None:
+                a = spec.resolve_angle(t)
+                dg = (gate_array(spec.kind, a + np.pi) - gate_array(spec.kind, a - np.pi)) / 4
+                moved = _apply_to_columns(b, dg, spec.targets, n_qubits)
+                grad[spec.param_index] += 2 * np.real(np.vdot(adj, moved))
+            adj = _apply_to_columns(adj, g.conj().T, spec.targets, n_qubits)
+        return grad
+
+    return cols, pullback
 
 
 def project_qubit(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:

@@ -14,13 +14,14 @@ from .classifier import (
     filtered_fidelity_classify,
     sentinel_report,
 )
-from .embedding import EmbeddedSample, EmbeddingSpec, embed_dataset
+from .embedding import EmbeddedSample, EmbeddingSpec, embed_dataset, pca_layer_states
 from .errors import ClassAnnihilated, DomainError, FilterAnnihilated
 from .featuremap import (
     ClassMoments,
     FeatureMapCircuit,
     KrausPair,
     class_moments,
+    column_moments,
     filter_moments,
     kraus_from_circuit,
     kraus_with_pullback,
@@ -32,6 +33,8 @@ from .quantum import hs_distance, pure_to_density
 # at a stationary point, such as the identity start, the exact gradient
 # vanishes only up to roundoff
 STATIONARY_GRADIENT_NORM = 1e-12
+# length of that seeded kick
+KICK_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 200
     optimizer: str = "adam"
-    fd_step: float = 1e-5
     lam: float = 1.0
     cutoff: float = 0.0
     init_scale: float = 0.0
@@ -53,8 +55,6 @@ class TrainConfig:
             raise DomainError("epochs must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise DomainError(f"unknown optimizer {self.optimizer!r}")
-        if self.fd_step <= 0:
-            raise DomainError("finite-difference step must be positive")
         if self.lam < 0:
             raise DomainError("lambda must be >= 0")
         if not 0.0 <= self.cutoff <= 1.0:
@@ -73,33 +73,38 @@ class TrainResult:
 
 def moment_cost(
     pair: KrausPair, moments: ClassMoments, lam: float, cutoff: float
-) -> tuple[RiskReport, np.ndarray]:
-    """Constrained risk of the filtered class moments, and its cotangent in K.
+) -> tuple[RiskReport, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Constrained risk of the filtered class moments, and its cotangents.
 
-    The cotangent X gives the first-order change d risk = 2 Re tr[X dK].
-    With rho+- = K A+- K+ / P+- and Delta = rho+ - rho-, the distance
-    D = tr[Delta^2] changes by dD = sum_s tr[G_s dN_s] with
-    G+- = +-2 (Delta - tr[Delta rho+-]) / P+- and dN = dK A K+ + K A dK+;
-    while the hinge is active, p_succ = (P+ + P-) / M adds
-    lam (A+ + A-) K+ / M. A class annihilated by the filter gives the +2
-    sentinel and X = 0.
+    With the filtered class sums N+- = K A+- K+, their masses P+- = tr N+-,
+    rho+- = N+- / P+- and Delta = rho+ - rho-, the distance D = tr[Delta^2]
+    changes by dD = sum_s tr[G_s dN_s], G+- = +-2 (Delta - tr[Delta rho+-]) / P+-.
+    So d risk = sum_s tr[W_s dN_s] with W_s = -G_s, less lam I / M while the
+    hinge on p_succ = (P+ + P-) / M is active, and X = sum_s A_s K+ W_s gives
+    d risk = 2 Re tr[X dK]. Returns the report, X and (W+, W-); a class
+    annihilated by the filter gives the +2 sentinel and zero cotangents.
     """
     k = pair.keep
     try:
         pos, neg, mass_pos, mass_neg = filter_moments(pair, moments)
     except ClassAnnihilated:
-        return sentinel_report(lam, cutoff), np.zeros_like(k)
+        zero = np.zeros_like(k)
+        return sentinel_report(lam, cutoff), zero, (zero, zero)
     p_succ = (mass_pos + mass_neg) / moments.count
     report = constrained_risk(-hs_distance(pos, neg), p_succ, lam, cutoff)
     delta = pos.entries - neg.entries
     k_dag = k.conj().T
+    eye = np.eye(k.shape[0])
     x = np.zeros_like(k)
+    w = []
     for sign, rho, mass, a in ((1, pos, mass_pos, moments.pos), (-1, neg, mass_neg, moments.neg)):
-        g = delta - np.real(np.vdot(rho.entries, delta)) * np.eye(k.shape[0])
+        g = delta - np.real(np.vdot(rho.entries, delta)) * eye
         x -= (2 * sign / mass) * (a @ k_dag @ g)
+        w.append((-2 * sign / mass) * g)
     if report.penalty > 0:
         x -= (lam / moments.count) * ((moments.pos + moments.neg) @ k_dag)
-    return report, x
+        w = [w_s - (lam / moments.count) * eye for w_s in w]
+    return report, x, tuple(w)
 
 
 def cost(
@@ -131,7 +136,7 @@ def value_and_gradient(
     sentinel has a zero gradient.
     """
     pair, pullback = kraus_with_pullback(ansatz, theta)
-    report, x = moment_cost(pair, moments, lam, cutoff)
+    report, x, _ = moment_cost(pair, moments, lam, cutoff)
     return report, pullback(x)
 
 
@@ -167,49 +172,45 @@ def train(
 ) -> TrainResult:
     """Minimize the constrained risk; deterministic per seed.
 
-    Every epoch makes one value_and_gradient() evaluation on the class
-    moments, so the filter angles get their exact gradient. Returns the
-    best theta seen and its report, so the final cost never exceeds the
-    initial one (the circuit starts at the exact identity when
-    init_scale = 0). With co_train_embedding the trainable embedding angles
-    are appended to theta, the raw data are re-embedded at every
-    evaluation, and the embedding angles take central finite differences
-    of step fd_step. Otherwise fd_step only sets the size of the seeded
-    kick that moves theta off a stationary point.
+    Every epoch makes one evaluation of the cost and its exact gradient on
+    the class moments (value_and_gradient()). Returns the best theta seen
+    and its report, so the final cost never exceeds the initial one (the
+    circuit starts at the exact identity when init_scale = 0). With
+    co_train_embedding the trainable pca-layer angles are appended to
+    theta and the raw data are re-embedded at every evaluation; their
+    gradient comes from the same backward pass: sample m of class s has
+    the state cotangent (K+ W_s K) psi_m (see moment_cost()).
     """
     start = time.perf_counter()
     n_ansatz = ansatz.n_params
     co_train = config.co_train_embedding
     if co_train:
-        if raw_data is None or embedding_spec is None:
-            raise DomainError("co-training needs raw_data and embedding_spec")
-        if embedding_spec.param_count() == 0:
-            raise DomainError("embedding has no trainable parameters")
-        theta0 = np.concatenate(
-            [np.zeros(n_ansatz), np.asarray(embedding_spec.params, dtype=float)]
-        )
+        if raw_data is None or embedding_spec is None or embedding_spec.param_count() == 0:
+            raise DomainError("co-training needs raw data and an embedding with trainable angles")
+        # embed_dataset() checks that both labels are present
+        labels = np.array([s.label for s in embed_dataset(raw_data, embedding_spec)])
+        xs = np.array([x for x, _ in raw_data])
+        theta0 = np.concatenate([np.zeros(n_ansatz), np.asarray(embedding_spec.params, float)])
     else:
+        moments = class_moments(samples)
         theta0 = np.zeros(n_ansatz)
-    moments = None if co_train else class_moments(samples)
     if config.init_scale > 0:
         rng = np.random.default_rng(config.seed)
         theta0 = theta0 + config.init_scale * rng.standard_normal(theta0.shape)
 
-    def embedded_moments(angles: np.ndarray) -> ClassMoments:
-        spec = replace(embedding_spec, params=tuple(angles))
-        return class_moments(embed_dataset(raw_data, spec))
-
     def evaluate(t: np.ndarray) -> tuple[RiskReport, np.ndarray]:
         if not co_train:
             return value_and_gradient(t, moments, ansatz, config.lam, config.cutoff)
-        angles = t[n_ansatz:]
+        spec = replace(embedding_spec, params=tuple(t[n_ansatz:]))
+        psi, embed_pullback = pca_layer_states(xs, spec)
         pair, pullback = kraus_with_pullback(ansatz, t[:n_ansatz])
-        report, x = moment_cost(pair, embedded_moments(angles), config.lam, config.cutoff)
-
-        def scalar(e: np.ndarray) -> float:
-            return moment_cost(pair, embedded_moments(e), config.lam, config.cutoff)[0].risk
-
-        return report, np.concatenate([pullback(x), gradient(scalar, angles, config.fd_step)])
+        moments_t = column_moments(psi, labels, spec.n_qubits)
+        report, x, w = moment_cost(pair, moments_t, config.lam, config.cutoff)
+        k = pair.keep
+        adj = np.empty_like(psi)
+        for label, w_s in zip((+1, -1), w):
+            adj[:, labels == label] = k.conj().T @ w_s @ k @ psi[:, labels == label]
+        return report, np.concatenate([pullback(x), embed_pullback(adj)])
 
     theta = theta0
     current, g = evaluate(theta)
@@ -223,7 +224,7 @@ def train(
     for _ in range(config.epochs):
         if np.linalg.norm(g) <= STATIONARY_GRADIENT_NORM:
             direction = kick_rng.standard_normal(theta.shape)
-            theta = theta + config.fd_step * direction / np.linalg.norm(direction)
+            theta = theta + KICK_STEP * direction / np.linalg.norm(direction)
         elif config.optimizer == "adam":
             theta = theta - _adam_update(adam_state, g, config.learning_rate)
         else:

@@ -11,12 +11,19 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from qfilter.quantum import StateVector
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def basis_state(n, index):
+    """The computational basis state |index> on n qubits."""
+    return StateVector(np.eye(2**n, dtype=complex)[index], n)
 
 
 def rx(theta):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import basis_state
 from qfilter.classifier import (
     RiskReport,
     build_ensembles,
@@ -22,7 +23,6 @@ from qfilter.errors import ClassBalanceError, DomainError, ShapeError
 from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.quantum import (
     DensityMatrix,
-    basis_state,
     hs_distance,
     pure_to_density,
     random_state,

@@ -181,6 +181,19 @@ def test_compare_emits_json_and_csv(tmp_path):
         assert float(row[2]) == ref["hs_distance"]
 
 
+def test_compare_manifest_records_the_optimizer_flags(tmp_path):
+    out = tmp_path / "cmp.json"
+    code = main(["compare", "--dataset", "blobs", "--per-class", "3", "--epochs", "2",
+                 "--embedding", "pca:2", "--embed-layers", "2", "--ring",
+                 "--optimizer", "sgd", "--init-scale", "0.5", "--out", str(out)])
+    assert code == 0
+    config = json.loads(out.read_text())["manifest"]["config"]
+    assert config["optimizer"] == "sgd"
+    assert config["init_scale"] == 0.5
+    assert config["embed_layers"] == 2
+    assert config["ring"] is True
+
+
 def test_compare_needs_two_conditions():
     code = main(["compare", "--dataset", "iris", "--conditions", "c=0", "--epochs", "1"])
     assert code == 3
@@ -269,6 +282,38 @@ def test_model_without_manifest_entries_exits_3(tmp_path, capsys):
         model.write_text(json.dumps(content))
         assert main(["classify", "--model", str(model), "--input", "0.3,0.9"]) == 3
         assert "error: model has no entry" in capsys.readouterr().err
+
+
+def test_malformed_model_exits_3(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)])
+    good = json.loads(model.read_text())
+    for content in ([1, 2], {**good, "theta_star": ["x"]}):
+        model.write_text(json.dumps(content))
+        assert main(["classify", "--model", str(model), "--input", "0.3,0.9"]) == 3
+        err = capsys.readouterr().err
+        assert "error: malformed model" in err
+        assert "Traceback" not in err
+
+
+def test_classify_rejects_a_changed_dataset(tmp_path, capsys):
+    csv_path = tmp_path / "train.csv"
+    rng = np.random.default_rng(2)
+    rows = ["f0,f1,label"]
+    for i in range(10):
+        y = 1 if i % 2 == 0 else -1
+        rows.append(",".join(f"{v:.6f}" for v in rng.standard_normal(2) + (y, 0)) + f",{y}")
+    csv_path.write_text("\n".join(rows) + "\n")
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", f"csv:{csv_path}", "--epochs", "5",
+                 "--out", str(model)]) == 0
+    argv = ["classify", "--model", str(model), "--input", "0.5,0.1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows[3] = "0.25" + rows[3][rows[3].index(","):]  # one cell of one row
+    csv_path.write_text("\n".join(rows) + "\n")
+    assert main(argv) == 3
+    assert "error: the dataset differs" in capsys.readouterr().err
 
 
 def test_classify_single_shot_has_no_decision(tmp_path, capsys):

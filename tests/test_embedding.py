@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import basis_state
 from qfilter.embedding import (
     EmbeddedSample,
     EmbeddingSpec,
@@ -17,6 +18,7 @@ from qfilter.embedding import (
     encode_point,
     fit_rotation_scaling,
     pca_layer_encode,
+    pca_layer_states,
 )
 from qfilter.errors import (
     ClassBalanceError,
@@ -25,7 +27,6 @@ from qfilter.errors import (
     ParamShapeError,
     ZeroVectorError,
 )
-from qfilter.quantum import zero_state
 
 
 def test_amplitude_encode_normalizes_and_pads():
@@ -118,10 +119,34 @@ def test_pca_layer_ring_closes_the_loop():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "k,layers,ring",
+    [(1, 1, False), (2, 2, False), (2, 1, True), (3, 1, True), (3, 2, True), (4, 2, False)],
+)
+def test_pca_layer_encode_matches_gate_by_gate_oracle(k, layers, ring):
+    """Rx loading, then per layer Ry on every qubit and the ZZ couplers."""
+    rng = np.random.default_rng(10 * k + layers)
+    count = EmbeddingSpec("pca-layer", k, layers=layers, ring=ring).param_count()
+    theta = rng.uniform(-np.pi, np.pi, count)
+    spec = EmbeddingSpec("pca-layer", k, tuple(theta), layers, ring)
+    xs = rng.uniform(-np.pi, np.pi, (3, k))
+    pairs = [(q, q + 1) for q in range(k - 1)] + ([(k - 1, 0)] if ring and k > 2 else [])
+    gates = [("Ry", (q,)) for q in range(k)] + [("ZZ", pair) for pair in pairs]
+    cols, _ = pca_layer_states(xs, spec)
+    for m, x in enumerate(xs):
+        want = basis_state(k, 0).amplitudes
+        for q in range(k):
+            want = oracles.lift(oracles.oracle_gate("Rx", x[q]), (q,), k) @ want
+        for i, (kind, targets) in enumerate(gates * layers):
+            want = oracles.lift(oracles.oracle_gate(kind, theta[i]), targets, k) @ want
+        np.testing.assert_allclose(pca_layer_encode(x, spec).amplitudes, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cols[:, m], want, rtol=0, atol=1e-12)
+
+
 def test_pca_layer_identity_at_zero_angles():
     spec = EmbeddingSpec("pca-layer", 2, params=(0.0, 0.0, 0.0))
     got = pca_layer_encode(np.zeros(2), spec)
-    np.testing.assert_allclose(got.amplitudes, zero_state(2).amplitudes, atol=1e-15)
+    np.testing.assert_allclose(got.amplitudes, basis_state(2, 0).amplitudes, atol=1e-15)
 
 
 def test_pca_layer_rejects_bad_shapes():
@@ -165,7 +190,7 @@ def test_embed_dataset_requires_both_classes():
 
 def test_embedded_sample_label_validation():
     with pytest.raises(ValueError):
-        EmbeddedSample(zero_state(1), 0, 0)
+        EmbeddedSample(basis_state(1, 0), 0, 0)
 
 
 def test_fit_rotation_scaling_maps_train_range_into_pi():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import basis_state
 from qfilter.embedding import EmbeddedSample
 from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated, ParamShapeError
 from qfilter.featuremap import (
@@ -192,20 +193,20 @@ def test_transform_ensemble_matches_hand_accumulation():
 def test_kraus_pullback_matches_finite_differences():
     """Adjoint gradient of 2 Re tr[X K(theta)] for a random cotangent X.
 
-    The circuit mixes every parametric gate kind, a fixed angle, a gate
-    without an angle and one parameter shared by two gates.
+    The circuit mixes every parametric gate kind, a gate without an angle
+    and one parameter shared by two gates.
     """
     gates = (
         GateSpec("H", (0,)),
         GateSpec("Ry", (0,), param_index=0),
         GateSpec("ZZ", (0, 2), param_index=1),
         GateSpec("CRx", (1, 2), param_index=0),
-        GateSpec("Rz", (1,), angle=0.3),
+        GateSpec("Rz", (1,), param_index=3),
         GateSpec("Rx", (2,), param_index=2),
     )
-    circ = FeatureMapCircuit(2, 1, gates, 3)
+    circ = FeatureMapCircuit(2, 1, gates, 4)
     rng = np.random.default_rng(4)
-    theta = rng.uniform(-np.pi, np.pi, 3)
+    theta = rng.uniform(-np.pi, np.pi, 4)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     pair, pullback = kraus_with_pullback(circ, theta)
     np.testing.assert_allclose(pair.keep, kraus_from_circuit(circ, theta).keep, rtol=0, atol=1e-14)
@@ -230,8 +231,6 @@ def test_identity_filter_reproduces_baseline_ensembles_bitwise():
 
 
 def test_identity_filter_is_exact_on_basis_samples():
-    from qfilter import basis_state
-
     samples = [
         EmbeddedSample(basis_state(1, 0), +1, 0),
         EmbeddedSample(basis_state(1, 1), -1, 1),
@@ -247,12 +246,7 @@ def test_transform_ensemble_class_annihilation():
     pair = KrausPair(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     samples = [
         EmbeddedSample(random_state(1, 1), +1, 0),
-        EmbeddedSample(
-            # exactly |1>
-            __import__("qfilter").basis_state(1, 1),
-            -1,
-            1,
-        ),
+        EmbeddedSample(basis_state(1, 1), -1, 1),  # exactly |1>
     ]
     with pytest.raises(ClassAnnihilated):
         transform_ensemble(pair, samples)
@@ -262,8 +256,6 @@ def test_transform_ensemble_class_annihilation():
 
 def test_annihilated_single_sample_is_harmless_if_class_survives():
     pair = KrausPair(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    from qfilter import basis_state
-
     samples = [
         EmbeddedSample(basis_state(1, 0), +1, 0),
         EmbeddedSample(basis_state(1, 1), +1, 1),  # killed, class survives

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import basis_state
 from qfilter.embedding import EmbeddedSample
 from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated
 from qfilter.featuremap import build_ansatz, circuit_unitary, kraus_from_circuit, transform_ensemble
@@ -21,7 +22,7 @@ from qfilter.protocol import (
     run_risk_protocol,
     sample_outcomes,
 )
-from qfilter.quantum import StateVector, basis_state, hs_distance, pure_to_density, random_state
+from qfilter.quantum import StateVector, hs_distance, pure_to_density, random_state
 
 
 def _samples(seed, m=2, n=1):
@@ -231,13 +232,13 @@ def test_class_annihilation_readout():
 
     # CRx(pi) with control = data qubit rotates ancilla |0> -> -i|1> exactly
     # when the data qubit is |1>, so post-selecting ancilla 0 kills |1> data
-    circ = FeatureMapCircuit(1, 1, (GateSpec("CRx", (0, 1), angle=math.pi),), 0)
+    circ = FeatureMapCircuit(1, 1, (GateSpec("CRx", (0, 1), param_index=0),), 1)
     samples = [
         EmbeddedSample(basis_state(1, 0), +1, 0),
         EmbeddedSample(basis_state(1, 1), -1, 1),
     ]
     with pytest.raises(ClassAnnihilated):
-        run_classifier_protocol(samples, basis_state(1, 0), circ, np.zeros(0))
+        run_classifier_protocol(samples, basis_state(1, 0), circ, np.array([math.pi]))
 
 
 def test_protocol_outcome_validation():

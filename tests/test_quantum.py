@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import basis_state
 from qfilter.errors import (
     DimError,
     HermiticityError,
@@ -19,8 +20,6 @@ from qfilter.quantum import (
     StateVector,
     UnitaryMatrix,
     apply_channel,
-    apply_gate,
-    basis_state,
     gate_array,
     hs_distance,
     overlap,
@@ -28,8 +27,8 @@ from qfilter.quantum import (
     pure_to_density,
     random_cptp,
     random_state,
+    run_gates,
     trace_norm,
-    zero_state,
 )
 from qfilter.selftest import raw_random_density
 
@@ -69,45 +68,49 @@ def test_unknown_gate_kind_rejected():
         GateSpec("Toffoli", (0, 1, 2))
 
 
+def _run(state, *gates, theta=()):
+    """Amplitudes after running the gates on one state."""
+    cols, _ = run_gates(state.amplitudes.reshape(-1, 1), gates, theta, state.n_qubits)
+    return cols[:, 0]
+
+
 def test_gate_spec_arity_and_angle_rules():
     with pytest.raises(ShapeError):
-        GateSpec("Rx", (0, 1), angle=0.1)
+        GateSpec("Rx", (0, 1), param_index=0)
     with pytest.raises(ValueError):
-        GateSpec("CRx", (1, 1), angle=0.1)  # duplicate targets
+        GateSpec("CRx", (1, 1), param_index=0)  # duplicate targets
     with pytest.raises(ValueError):
-        GateSpec("Rx", (0,))  # parametric without a source
+        GateSpec("Rx", (0,))  # a rotation without its parameter
     with pytest.raises(ValueError):
-        GateSpec("Rx", (0,), param_index=0, angle=0.5)  # both sources
-    with pytest.raises(ValueError):
-        GateSpec("H", (0,), angle=0.5)  # non-parametric with an angle
+        GateSpec("H", (0,), param_index=0)  # non-parametric with a parameter
     spec = GateSpec("Rx", (0,), param_index=2)
     assert spec.resolve_angle(np.array([0.0, 0.0, 0.4])) == 0.4
-    assert GateSpec("Rx", (0,), angle=-0.3).resolve_angle(None) == -0.3
+    assert GateSpec("H", (0,)).resolve_angle(np.zeros(0)) == 0.0
 
 
 def test_qubit_zero_is_most_significant():
     # X on qubit 0 of |00> lands on basis index 2, not 1
-    out = apply_gate(zero_state(2), GateSpec("X", (0,)))
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0], atol=0)
-    out = apply_gate(zero_state(2), GateSpec("X", (1,)))
-    np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=0)
+    out = _run(basis_state(2, 0), GateSpec("X", (0,)))
+    np.testing.assert_allclose(out, [0, 0, 1, 0], atol=0)
+    out = _run(basis_state(2, 0), GateSpec("X", (1,)))
+    np.testing.assert_allclose(out, [0, 1, 0, 0], atol=0)
 
 
 def test_crx_control_is_first_target():
+    crx = GateSpec("CRx", (0, 1), param_index=0)
     # control |0>: nothing happens to the target
-    out = apply_gate(zero_state(2), GateSpec("CRx", (0, 1), angle=np.pi))
-    np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-15)
+    out = _run(basis_state(2, 0), crx, theta=[np.pi])
+    np.testing.assert_allclose(out, [1, 0, 0, 0], atol=1e-15)
     # control |1>: Rx(pi) flips the target up to a phase of -i
-    start = basis_state(2, 2)
-    out = apply_gate(start, GateSpec("CRx", (0, 1), angle=np.pi))
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, -1j], atol=1e-12)
+    out = _run(basis_state(2, 2), crx, theta=[np.pi])
+    np.testing.assert_allclose(out, [0, 0, 0, -1j], atol=1e-12)
 
 
 def test_cswap_control_is_first_target():
-    out = apply_gate(basis_state(3, 0b101), GateSpec("CSWAP", (0, 1, 2)))
-    np.testing.assert_allclose(out.amplitudes, np.eye(8)[0b110], atol=0)
-    out = apply_gate(basis_state(3, 0b001), GateSpec("CSWAP", (0, 1, 2)))
-    np.testing.assert_allclose(out.amplitudes, np.eye(8)[0b001], atol=0)
+    out = _run(basis_state(3, 0b101), GateSpec("CSWAP", (0, 1, 2)))
+    np.testing.assert_allclose(out, np.eye(8)[0b110], atol=0)
+    out = _run(basis_state(3, 0b001), GateSpec("CSWAP", (0, 1, 2)))
+    np.testing.assert_allclose(out, np.eye(8)[0b001], atol=0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -117,7 +120,7 @@ def test_cswap_control_is_first_target():
     angles,
     st.integers(min_value=0, max_value=10_000),
 )
-def test_apply_gate_matches_dense_lift(n, kind, theta, seed):
+def test_run_gates_matches_dense_lift(n, kind, theta, seed):
     from qfilter.quantum import GATE_ARITY
 
     k = GATE_ARITY[kind]
@@ -125,20 +128,49 @@ def test_apply_gate_matches_dense_lift(n, kind, theta, seed):
         n = k
     rng = np.random.default_rng(seed)
     targets = tuple(rng.permutation(n)[:k].tolist())
-    state = random_state(seed, n)
-    spec = (
-        GateSpec(kind, targets, angle=theta)
-        if kind in ("Rx", "Ry", "Rz", "ZZ", "CRx")
-        else GateSpec(kind, targets)
-    )
-    got = apply_gate(state, spec).amplitudes
-    want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ state.amplitudes
+    cols = np.stack([random_state(seed, n).amplitudes, random_state(seed + 1, n).amplitudes], 1)
+    parametric = kind in ("Rx", "Ry", "Rz", "ZZ", "CRx")
+    spec = GateSpec(kind, targets, param_index=0 if parametric else None)
+    got, _ = run_gates(cols, [spec], [theta], n)
+    want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_apply_gate_rejects_out_of_range_target():
+def test_run_gates_rejects_out_of_range_target():
     with pytest.raises(IndexError):
-        apply_gate(zero_state(1), GateSpec("H", (1,)))
+        _run(basis_state(1, 0), GateSpec("H", (1,)))
+
+
+def test_run_gates_pullback_matches_finite_differences():
+    """Adjoint gradient of 2 Re <Y, run_gates(cols)> for a random cotangent Y.
+
+    The list mixes every parametric gate kind with gates that take no
+    angle, one parameter drives two gates and one parameter none.
+    """
+    from qfilter.training import gradient
+
+    gates = (
+        GateSpec("H", (0,)),
+        GateSpec("Ry", (0,), param_index=0),
+        GateSpec("ZZ", (0, 2), param_index=1),
+        GateSpec("CRx", (1, 2), param_index=0),
+        GateSpec("CSWAP", (2, 0, 1)),
+        GateSpec("Rz", (1,), param_index=3),
+        GateSpec("Rx", (2,), param_index=2),
+    )
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(-np.pi, np.pi, 5)
+    cols = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    out, pullback = run_gates(cols, gates, theta, 3)
+    np.testing.assert_allclose(out, oracles.circuit_matrix(gates, theta, 3) @ cols, atol=1e-12)
+
+    def scalar(t):
+        return 2 * np.real(np.vdot(y, run_gates(cols, gates, t, 3)[0]))
+
+    got = pullback(y)
+    np.testing.assert_allclose(got, gradient(scalar, theta), rtol=0, atol=1e-8)
+    assert got[4] == 0.0
 
 
 def test_state_vector_validation_and_helpers():
@@ -153,16 +185,18 @@ def test_basis_states():
     out = basis_state(3, 0b100)
     assert out.n_qubits == 3
     np.testing.assert_allclose(out.amplitudes, np.eye(8)[0b100], atol=0)
-    np.testing.assert_allclose(zero_state(2).amplitudes, np.eye(4)[0], atol=0)
+    # X on qubits 0 and 2 of |000> gives |101>
+    flips = _run(basis_state(3, 0), GateSpec("X", (0,)), GateSpec("X", (2,)))
+    np.testing.assert_allclose(flips, basis_state(3, 0b101).amplitudes, atol=0)
 
 
 def test_project_qubit_probability_and_renormalization():
-    state = apply_gate(zero_state(2), GateSpec("H", (0,)))
+    state = StateVector(_run(basis_state(2, 0), GateSpec("H", (0,))), 2)
     kept, p = project_qubit(state, 0, 1)
     assert p == pytest.approx(0.5)
     np.testing.assert_allclose(kept.amplitudes, [0, 0, 1, 0], atol=1e-15)
     with pytest.raises(ZeroVectorError):
-        project_qubit(zero_state(2), 0, 1)
+        project_qubit(basis_state(2, 0), 0, 1)
 
 
 def test_density_matrix_validation():

@@ -7,12 +7,13 @@ import pytest
 import sympy as sp
 
 import oracles
+from oracles import basis_state
 from qfilter import training
 from qfilter.classifier import build_ensembles
 from qfilter.embedding import EmbeddedSample, EmbeddingSpec, embed_dataset
 from qfilter.errors import ClassAnnihilated, DomainError
 from qfilter.featuremap import FeatureMapCircuit, build_ansatz, class_moments, kraus_from_circuit
-from qfilter.quantum import GateSpec, basis_state, hs_distance, random_state
+from qfilter.quantum import GateSpec, hs_distance, random_state
 from qfilter.training import (
     STATIONARY_GRADIENT_NORM,
     CompareCondition,
@@ -180,8 +181,6 @@ def test_train_config_validation():
     with pytest.raises(DomainError):
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(DomainError):
-        TrainConfig(fd_step=0.0)
-    with pytest.raises(DomainError):
         TrainConfig(lam=-0.1)
     with pytest.raises(DomainError):
         TrainConfig(cutoff=1.5)
@@ -237,7 +236,8 @@ def test_identity_start_escapes_the_stationary_point(monkeypatch):
     _, g0 = value_and_gradient(ansatz.zero_theta(), class_moments(samples), ansatz, 1.0, 0.0)
     assert np.linalg.norm(g0) <= STATIONARY_GRADIENT_NORM
     direction = np.random.default_rng([cfg.seed, 0x5ADD1E]).standard_normal(ansatz.n_params)
-    kicked = cost(cfg.fd_step * direction / np.linalg.norm(direction), samples, ansatz, 1.0, 0.0)
+    kick = training.KICK_STEP * direction / np.linalg.norm(direction)
+    kicked = cost(kick, samples, ansatz, 1.0, 0.0)
 
     exact = value_and_gradient
 
@@ -293,32 +293,40 @@ def test_co_training_extends_the_parameter_vector():
     assert res.report.risk == min(res.cost_trace)
 
 
-def test_co_training_gradient_matches_finite_differences():
+@pytest.mark.parametrize("c", [0.0, 0.9])
+@pytest.mark.parametrize("ring", [False, True])
+@pytest.mark.parametrize("embed_layers", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_co_training_gradient_matches_finite_differences(k, embed_layers, ring, c):
     """One SGD step of the co-trained loop against central differences of
-    the full cost, with the data re-embedded at every evaluation."""
-    raw = [
-        (np.array([0.3]), +1),
-        (np.array([-0.9]), -1),
-        (np.array([0.5]), +1),
-        (np.array([-0.2]), -1),
-    ]
-    spec = EmbeddingSpec("pca-layer", 1, params=(0.4,))
+    the full cost, with the data re-embedded at every evaluation; at
+    c = 0.9 the success-probability hinge is active."""
+    rng = np.random.default_rng(10 * k + embed_layers)
+    raw = [(rng.uniform(-np.pi, np.pi, k), (+1, -1)[m % 2]) for m in range(6)]
+    count = EmbeddingSpec("pca-layer", k, layers=embed_layers, ring=ring).param_count()
+    angles = tuple(rng.uniform(-1.0, 1.0, count))
+    spec = EmbeddingSpec("pca-layer", k, params=angles, layers=embed_layers, ring=ring)
     samples = embed_dataset(raw, spec)
-    ansatz = build_ansatz(1, 1)
+    ansatz = build_ansatz(k, 1)
     lr = 1e-3
     cfg = TrainConfig(
-        epochs=0, optimizer="sgd", learning_rate=lr, seed=2, init_scale=0.7, co_train_embedding=True
+        epochs=0, optimizer="sgd", learning_rate=lr, seed=2, init_scale=1.5, cutoff=c,
+        co_train_embedding=True,
     )
     theta0 = train(cfg, samples, ansatz, raw_data=raw, embedding_spec=spec).theta_star
     step = train(replace(cfg, epochs=1), samples, ansatz, raw_data=raw, embedding_spec=spec)
 
-    def full_cost(t):
+    def full_report(t):
         smp = embed_dataset(raw, replace(spec, params=tuple(t[ansatz.n_params :])))
-        return cost(t[: ansatz.n_params], smp, ansatz, cfg.lam, cfg.cutoff).risk
+        return cost(t[: ansatz.n_params], smp, ansatz, cfg.lam, cfg.cutoff)
 
+    assert (full_report(theta0).penalty > 0) == (c > 0)
     assert step.report.risk < step.cost_trace[0]
     np.testing.assert_allclose(
-        (theta0 - step.theta_star) / lr, gradient(full_cost, theta0), rtol=0, atol=1e-7
+        (theta0 - step.theta_star) / lr,
+        gradient(lambda t: full_report(t).risk, theta0),
+        rtol=0,
+        atol=1e-7,
     )
 
 
