@@ -19,7 +19,6 @@ from .classifier import (
     fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
-    uniform_class_weights,
     weighted_empirical_risk,
 )
 from .datasets import (

@@ -89,18 +89,11 @@ def filtered_fidelity_classify(
     return decide(value, p_s)
 
 
-def uniform_class_weights(labels: np.ndarray) -> np.ndarray:
-    """Baseline weights M / M_class, balancing unequal class sizes."""
-    y = np.asarray(labels)
-    m = y.shape[0]
-    counts = {lab: int(np.sum(y == lab)) for lab in (+1, -1)}
-    if counts[+1] == 0 or counts[-1] == 0:
-        raise ClassBalanceError("both classes required for class weights")
-    return np.array([m / counts[int(lab)] for lab in y], dtype=float)
-
-
 def filtered_class_weights(labels: np.ndarray, p_s: np.ndarray) -> np.ndarray:
-    """Post-selected weights M * p_s(x_m) / p_s(class of m)."""
+    """Post-selected weights M * p_s(x_m) / p_s(class of m).
+
+    With p_s = 1 (the identity filter) they are the baseline weights M / M_class.
+    """
     y = np.asarray(labels)
     p = np.asarray(p_s, dtype=float)
     if y.shape != p.shape:

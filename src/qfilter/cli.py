@@ -118,9 +118,11 @@ def cmd_train(args) -> int:
     theta_star = result.theta_star
     final_spec = pipe.spec
     if args.co_train:
+        # the trained embedding angles give new states
         final_spec = dataclasses.replace(pipe.spec, params=tuple(theta_star[ansatz.n_params :]))
+        samples = pipe.samples(final_spec)
     pair = kraus_from_circuit(ansatz, theta_star[: ansatz.n_params])
-    ens = transform_ensemble(pair, pipe.samples(final_spec))
+    ens = transform_ensemble(pair, samples)
 
     manifest = {
         "command": "train",
@@ -258,7 +260,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    suites = run_all(inject_fault=args.inject_fault)
+    suites = run_all()
     passed = all(s.passed() for s in suites)
     _emit_json({"passed": passed, "suites": [dataclasses.asdict(s) for s in suites]}, args.out)
     return 0 if passed else 1
@@ -372,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_self = sub.add_parser("selftest", help="run the verification suites")
-    p_self.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_self.add_argument("--out", default=None)
     p_self.set_defaults(func=cmd_selftest)
     return parser

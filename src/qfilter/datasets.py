@@ -153,5 +153,8 @@ def load_dataset(descriptor: dict) -> RawDataset:
         d = descriptor
         return synthetic_blobs(d["seed"], d["per_class"], d["dims"], d["separation"])
     if kind == "csv":
-        return load_csv(descriptor["path"])
+        path = descriptor["path"]
+        if not isinstance(path, str):
+            raise CsvError(f"a CSV path must be a string, got {path!r}")
+        return load_csv(path)
     raise DomainError(f"unknown dataset kind {kind!r}")

@@ -86,6 +86,8 @@ def amplitude_encode(x: np.ndarray, n_qubits: int) -> StateVector:
     if v.ndim != 1 or v.shape[0] > d:
         raise DimError(f"input of dim {v.shape} does not fit {n_qubits} qubits")
     norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        raise DomainError(f"cannot amplitude-encode: the norm of the input is {norm}")
     if norm < 1e-15:
         raise ZeroVectorError("cannot amplitude-encode the zero vector")
     amps = np.zeros(d, dtype=complex)

@@ -2,28 +2,26 @@
 
 Four suites mirror the library's core guarantees: channel contractivity,
 Kraus completeness, the risk/distance identities, and agreement between the
-analytic and register-level paths. Instances are seed-indexed, so failures
-reproduce exactly; the report serializes the failing instance.
+analytic and register-level paths. Instances are seed-indexed and run in
+order, so failures reproduce exactly; the report serializes the failing
+instance, and an instance that raises is a failure, not a crash.
 """
 from __future__ import annotations
 
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import (
-    build_ensembles,
-    fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
-    uniform_class_weights,
     weighted_empirical_risk,
 )
 from .embedding import EmbeddedSample
-from .featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
+from .featuremap import KrausPair, build_ansatz, kraus_from_circuit, transform_ensemble
 from .protocol import run_classifier_protocol, run_risk_protocol
 from .quantum import (
     apply_channel,
@@ -50,36 +48,47 @@ class SuiteResult:
 
 
 def worker_count() -> int:
-    """QFILTER_THREADS caps the pool; 0 or unset means one per CPU."""
-    raw = os.environ.get("QFILTER_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
+    """Threads the suites run on: always 1, since the runner is a plain loop."""
+    return 1
 
 
-def _run_indexed(fn, count: int) -> list:
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(fn, range(count)))
+def _run(
+    one: Callable[[int], tuple], count: int, suites: tuple[tuple[str, float], ...]
+) -> list[SuiteResult]:
+    """Run one(i) for i = 0..count-1 in order; one report per (name, tolerance).
 
-
-def _report(name: str, results: list[tuple[float, dict]], tol: float, t0: float) -> SuiteResult:
-    residuals = [r for r, _ in results]
-    worst = int(np.argmax(residuals))
-    failures = sum(1 for r in residuals if r > tol)
-    failing = results[worst][1] if failures else None
-    return SuiteResult(
-        name=name,
-        instances=len(results),
-        failures=failures,
-        max_residual=float(residuals[worst]),
-        tolerance=tol,
-        seconds=time.perf_counter() - t0,
-        failing_case=failing,
-    )
+    one(i) returns a residual per suite followed by the instance's case
+    record. An instance that raises fails every suite with residual inf and
+    a case holding its seed and the exception; a NaN residual fails too.
+    """
+    t0 = time.perf_counter()
+    residuals = np.empty((count, len(suites)))
+    cases = []
+    for i in range(count):
+        try:
+            *residual, case = one(i)
+        except Exception as exc:
+            residual = [math.inf] * len(suites)
+            case = {"seed": i, "error": f"{type(exc).__name__}: {exc}"}
+        residuals[i] = residual
+        cases.append(case)
+    seconds = time.perf_counter() - t0
+    reports = []
+    for column, (name, tol) in zip(residuals.T, suites):
+        worst = int(np.argmax(column))
+        failures = int(np.sum(~(column <= tol)))
+        reports.append(
+            SuiteResult(
+                name=name,
+                instances=count,
+                failures=failures,
+                max_residual=float(column[worst]),
+                tolerance=tol,
+                seconds=seconds,
+                failing_case=cases[worst] if failures else None,
+            )
+        )
+    return reports
 
 
 def raw_random_density(seed: int, dim: int) -> np.ndarray:
@@ -92,7 +101,6 @@ def raw_random_density(seed: int, dim: int) -> np.ndarray:
 
 def suite_contractivity(count: int = 100) -> SuiteResult:
     """trace_norm never grows under a random CPTP map, dims 2 through 8."""
-    t0 = time.perf_counter()
 
     def one(i: int) -> tuple[float, dict]:
         dim = 2 + i % 7
@@ -105,12 +113,12 @@ def suite_contractivity(count: int = 100) -> SuiteResult:
         residual = trace_norm(apply_channel(kraus, x)) - trace_norm(x)
         return residual, {"seed": i, "dim": dim, "n_kraus": n_kraus, "p1": p1}
 
-    return _report("contractivity", _run_indexed(one, count), 1e-10, t0)
+    (report,) = _run(one, count, (("contractivity", 1e-10),))
+    return report
 
 
 def suite_kraus_completeness(count: int = 1000) -> SuiteResult:
     """K+K + K0+K0 = I across ansatz sizes and random angles."""
-    t0 = time.perf_counter()
 
     def one(i: int) -> tuple[float, dict]:
         n_system = 1 + i % 4
@@ -127,7 +135,8 @@ def suite_kraus_completeness(count: int = 1000) -> SuiteResult:
             "layers": layers,
         }
 
-    return _report("kraus-completeness", _run_indexed(one, count), 1e-10, t0)
+    (report,) = _run(one, count, (("kraus-completeness", 1e-10),))
+    return report
 
 
 def random_embedded_set(seed: int, m: int, n_qubits: int) -> list[EmbeddedSample]:
@@ -141,44 +150,36 @@ def random_embedded_set(seed: int, m: int, n_qubits: int) -> list[EmbeddedSample
 
 
 def suite_risk_identities(count: int = 100) -> SuiteResult:
-    """Weighted empirical risk equals -D_hs, unfiltered and filtered."""
-    t0 = time.perf_counter()
+    """Weighted empirical risk equals -D_hs, for the identity filter and a random one.
+
+    The identity filter (K = I, p_s = 1) is the unfiltered classifier.
+    """
 
     def one(i: int) -> tuple[float, dict]:
         m = 2 + i % 7
         n = 1 + i % 3
         samples = random_embedded_set(6000 + i, m, n)
         labels = np.array([s.label for s in samples])
-        rho, sigma = build_ensembles(samples)
-        base_values = np.array(
-            [
-                fidelity_classify(rho, sigma, pure_to_density(s.state)).value
-                for s in samples
-            ]
-        )
-        base_risk = weighted_empirical_risk(
-            base_values, labels, uniform_class_weights(labels)
-        )
-        res = abs(base_risk - (-hs_distance(rho, sigma)))
-
         ansatz = build_ansatz(n, 1)
         rng = np.random.default_rng(7000 + i)
         theta = rng.uniform(-np.pi, np.pi, ansatz.n_params)
-        pair = kraus_from_circuit(ansatz, theta)
-        ens = transform_ensemble(pair, samples)
-        filt_values = np.array(
-            [
-                filtered_fidelity_classify(ens, pair, pure_to_density(s.state)).value
-                for s in samples
-            ]
-        )
-        filt_risk = weighted_empirical_risk(
-            filt_values, labels, filtered_class_weights(labels, ens.p_s)
-        )
-        res = max(res, abs(filt_risk - (-hs_distance(ens.pos, ens.neg))))
+        res = 0.0
+        for pair in (KrausPair.identity(2**n), kraus_from_circuit(ansatz, theta)):
+            ens = transform_ensemble(pair, samples)
+            values = np.array(
+                [
+                    filtered_fidelity_classify(ens, pair, pure_to_density(s.state)).value
+                    for s in samples
+                ]
+            )
+            risk = weighted_empirical_risk(
+                values, labels, filtered_class_weights(labels, ens.p_s)
+            )
+            res = max(res, abs(risk - (-hs_distance(ens.pos, ens.neg))))
         return res, {"seed": i, "m": m, "n_qubits": n}
 
-    return _report("risk-identities", _run_indexed(one, count), 1e-10, t0)
+    (report,) = _run(one, count, (("risk-identities", 1e-10),))
+    return report
 
 
 def suite_path_equivalence(count: int = 100) -> list[SuiteResult]:
@@ -187,7 +188,6 @@ def suite_path_equivalence(count: int = 100) -> list[SuiteResult]:
     Returns two reports over one shared pass: derived classifier/distance
     values (tolerance 1e-9) and post-selection probabilities (1e-10).
     """
-    t0 = time.perf_counter()
 
     def one(i: int) -> tuple[float, float, dict]:
         m = 2 + i % 3
@@ -214,28 +214,17 @@ def suite_path_equivalence(count: int = 100) -> list[SuiteResult]:
         )
         return value_res, prob_res, {"seed": i, "m": m, "n_qubits": n}
 
-    results = _run_indexed(one, count)
-    values = [(v, c) for v, _, c in results]
-    probs = [(p, c) for _, p, c in results]
+    return _run(
+        one,
+        count,
+        (("path-equivalence-values", 1e-9), ("path-equivalence-probs", 1e-10)),
+    )
+
+
+def run_all() -> list[SuiteResult]:
     return [
-        _report("path-equivalence-values", values, 1e-9, t0),
-        _report("path-equivalence-probs", probs, 1e-10, t0),
-    ]
-
-
-def run_all(inject_fault: bool = False) -> list[SuiteResult]:
-    suites = [
         suite_contractivity(),
         suite_kraus_completeness(),
         suite_risk_identities(),
         *suite_path_equivalence(),
     ]
-    if inject_fault:
-        s = suites[0]
-        suites[0] = replace(
-            s,
-            failures=s.failures + 1,
-            max_residual=s.max_residual + 1.0,
-            failing_case={"seed": -1, "note": "injected fault (negative control)"},
-        )
-    return suites

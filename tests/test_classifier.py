@@ -15,7 +15,6 @@ from qfilter.classifier import (
     filtered_class_weights,
     filtered_fidelity_classify,
     sentinel_report,
-    uniform_class_weights,
     weighted_empirical_risk,
 )
 from qfilter.embedding import EmbeddedSample
@@ -105,14 +104,6 @@ def test_filtered_fidelity_classify_records_test_success():
     assert out.value == pytest.approx(want_value, abs=1e-12)
 
 
-def test_uniform_class_weights_balance():
-    labels = np.array([+1, -1, -1, -1])
-    w = uniform_class_weights(labels)
-    np.testing.assert_allclose(w, [4.0, 4 / 3, 4 / 3, 4 / 3])
-    with pytest.raises(ClassBalanceError):
-        uniform_class_weights(np.array([+1, +1]))
-
-
 def test_filtered_class_weights_formula():
     labels = np.array([+1, +1, -1])
     p_s = np.array([0.2, 0.6, 0.5])
@@ -122,6 +113,15 @@ def test_filtered_class_weights_formula():
         filtered_class_weights(labels, p_s[:2])
     with pytest.raises(ClassBalanceError):
         filtered_class_weights(np.array([+1, -1]), np.array([0.0, 1.0]))
+
+
+def test_uniform_class_weights_balance():
+    """The identity filter (p_s = 1) gives the baseline weights M / M_class."""
+    labels = np.array([+1, -1, -1, -1])
+    w = filtered_class_weights(labels, np.ones(4))
+    np.testing.assert_allclose(w, [4.0, 4 / 3, 4 / 3, 4 / 3])
+    with pytest.raises(ClassBalanceError):
+        filtered_class_weights(np.array([+1, +1]), np.ones(2))
 
 
 def test_weighted_empirical_risk_formula():
@@ -148,7 +148,8 @@ def test_baseline_risk_identity(seed, m, n):
     values = np.array(
         [fidelity_classify(rho, sigma, pure_to_density(s.state)).value for s in samples]
     )
-    risk = weighted_empirical_risk(values, labels, uniform_class_weights(labels))
+    weights = filtered_class_weights(labels, np.ones(len(labels)))
+    risk = weighted_empirical_risk(values, labels, weights)
     assert risk == pytest.approx(-hs_distance(rho, sigma), abs=1e-10)
 
 

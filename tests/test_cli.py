@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qfilter import quantum
 from qfilter.cli import main
 
 
@@ -199,21 +200,29 @@ def test_compare_needs_two_conditions():
     assert code == 3
 
 
-def test_selftest_fault_injection_fails(tmp_path):
-    out = tmp_path / "self.json"
-    code = main(["selftest", "--inject-fault", "--out", str(out)])
+def test_selftest_fault_injection_fails(monkeypatch, capsys):
+    """Negative control: a non-unitary Rx fails the suites that build circuits."""
+    rx = quantum._ROTATIONS["Rx"]
+    monkeypatch.setitem(quantum._ROTATIONS, "Rx", lambda t: 1.001 * rx(t))
+    code, out = _run(["selftest"], capsys)
     assert code == 1
-    payload = json.loads(out.read_text())
+    payload = json.loads(out)
     assert payload["passed"] is False
-    names = [s["name"] for s in payload["suites"]]
-    assert names == [
+    suites = {s["name"]: s for s in payload["suites"]}
+    assert list(suites) == [
         "contractivity",
         "kraus-completeness",
         "risk-identities",
         "path-equivalence-values",
         "path-equivalence-probs",
     ]
-    assert payload["suites"][0]["failing_case"]["seed"] == -1
+    assert suites["contractivity"]["failures"] == 0
+    for name in ("kraus-completeness", "path-equivalence-values", "path-equivalence-probs"):
+        suite = suites[name]
+        assert suite["failures"] == suite["instances"]
+        assert suite["max_residual"] is None  # inf, written as null
+        assert suite["failing_case"]["seed"] == 0
+        assert suite["failing_case"]["error"] == "NormError: matrix is not unitary"
 
 
 def test_exit_code_2_on_bad_flags(tmp_path):
@@ -329,6 +338,26 @@ def test_classify_single_shot_has_no_decision(tmp_path, capsys):
     assert payload["decision"] is None
     assert payload["tie_flag"] is False
     assert payload["p_s_test"] == pytest.approx(1.0)
+
+
+def test_overflowing_row_exits_3(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("a,b,label\n1e308,1e308,1\n0.4,0.3,1\n0.2,0.5,-1\n")
+    assert main(["train", "--dataset", f"csv:{data}", "--epochs", "1"]) == 3
+    assert "error: cannot amplitude-encode" in capsys.readouterr().err
+
+
+def test_classify_rejects_a_non_string_csv_path(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,label\n0.3,0.9,1\n0.8,0.1,-1\n")
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", f"csv:{data}", "--epochs", "0",
+                 "--out", str(model)]) == 0
+    trained = json.loads(model.read_text())
+    trained["manifest"]["config"]["dataset"]["path"] = 0  # would be a file descriptor
+    model.write_text(json.dumps(trained))
+    assert main(["classify", "--model", str(model), "--input", "0.3,0.9"]) == 3
+    assert "error: a CSV path must be a string" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_data_errors(tmp_path, capsys):

@@ -7,6 +7,7 @@ from qfilter.datasets import (
     RawDataset,
     iris_builtin,
     load_csv,
+    load_dataset,
     pca_fit,
     pca_project,
     synthetic_blobs,
@@ -100,6 +101,13 @@ def test_load_csv_structural_errors(tmp_path):
     p.write_text("x,label\n1.0,1\n2.0,1\n")
     with pytest.raises(ClassBalanceError):
         load_csv(str(p))
+
+
+def test_load_dataset_rejects_a_non_string_csv_path():
+    # open() takes an integer as a file descriptor: 0 would read stdin
+    for path in (0, None, ["d.csv"]):
+        with pytest.raises(CsvError, match="must be a string"):
+            load_dataset({"kind": "csv", "path": path})
 
 
 def _toy_dataset(seed=0, m=40, d=6):

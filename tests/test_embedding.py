@@ -44,6 +44,9 @@ def test_amplitude_encode_rejects_bad_input():
         amplitude_encode(np.ones((2, 2)), 2)
     with pytest.raises(ZeroVectorError):
         amplitude_encode(np.zeros(2), 1)
+    # finite entries whose norm overflows would encode as the zero vector
+    with pytest.raises(DomainError, match="norm"):
+        amplitude_encode(np.array([1e308, 1e308]), 1)
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))

@@ -1,27 +1,18 @@
 """Plumbing of the verification battery (the suites themselves run in
 test_acceptance at full scale)."""
+import math
+
 import numpy as np
 import pytest
 
+from qfilter import quantum, selftest
 from qfilter.selftest import (
     SuiteResult,
     random_embedded_set,
     raw_random_density,
     run_all,
     suite_contractivity,
-    worker_count,
 )
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("QFILTER_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("QFILTER_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("QFILTER_THREADS", "not-a-number")
-    assert worker_count() >= 1
-    monkeypatch.delenv("QFILTER_THREADS")
-    assert worker_count() >= 1
 
 
 def test_suite_result_passed():
@@ -48,18 +39,29 @@ def test_random_embedded_set_always_has_both_classes():
         assert [s.source_index for s in samples] == [0, 1, 2, 3]
 
 
-def test_suite_reports_failing_case_on_injected_fault():
-    suites = run_all(inject_fault=True)
-    assert not all(s.passed() for s in suites)
-    corrupted = suites[0]
-    assert corrupted.failures >= 1
-    assert corrupted.failing_case is not None
-    assert sum(1 for s in suites[1:] if s.passed()) == len(suites) - 1
+def test_nan_residual_fails_its_suite(monkeypatch):
+    monkeypatch.setattr(selftest, "trace_norm", lambda x: math.nan)
+    res = suite_contractivity(count=3)
+    assert res.failures == 3
+    assert math.isnan(res.max_residual)
+    assert res.failing_case["seed"] == 0
 
 
-def test_contractivity_suite_small_run(monkeypatch):
-    monkeypatch.setenv("QFILTER_THREADS", "2")
+def test_contractivity_suite_small_run():
     res = suite_contractivity(count=8)
     assert res.instances == 8
     assert res.failures == 0
     assert res.max_residual <= res.tolerance
+
+
+def test_suite_reports_failing_case_on_injected_fault(monkeypatch):
+    """A non-unitary Rx fails the circuit suites, each naming its first case."""
+    rx = quantum._ROTATIONS["Rx"]
+    monkeypatch.setitem(quantum._ROTATIONS, "Rx", lambda t: 1.001 * rx(t))
+    suites = {s.name: s for s in run_all()}
+    assert suites["contractivity"].passed()
+    corrupted = suites["kraus-completeness"]
+    assert not corrupted.passed()
+    assert corrupted.failures == corrupted.instances
+    assert corrupted.max_residual == math.inf
+    assert corrupted.failing_case == {"seed": 0, "error": "NormError: matrix is not unitary"}
