@@ -67,7 +67,6 @@ from .quantum import (
     UnitaryMatrix,
     hs_distance,
     overlap,
-    project_qubit,
     pure_to_density,
     random_cptp,
     run_gates,

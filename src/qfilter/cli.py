@@ -27,6 +27,7 @@ from .errors import (
     FilterAnnihilated,
     ModelError,
     ParamShapeError,
+    RegisterTooLarge,
     ShapeError,
     ZeroVectorError,
 )
@@ -46,6 +47,7 @@ DATA_ERRORS = (
     ParamShapeError,
     ClassAnnihilated,
     ModelError,
+    RegisterTooLarge,
     OSError,
     json.JSONDecodeError,
 )

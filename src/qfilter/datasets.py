@@ -110,9 +110,13 @@ def pca_fit(dataset: RawDataset, k: int) -> PCAModel:
     m, d = x.shape
     if not 1 <= k <= min(m, d):
         raise DimError(f"k={k} outside [1, min(M={m}, d={d})]")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / max(m - 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        xc = x - mean
+        cov = xc.T @ xc / max(m - 1, 1)
+    # a non-finite centred entry leaves its covariance diagonal non-finite too
+    if not np.isfinite(cov).all():
+        raise DomainError(f"{dataset.name}: the centred data or its covariance overflows")
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:k]
     comps = evecs[:, order]

@@ -85,7 +85,8 @@ def amplitude_encode(x: np.ndarray, n_qubits: int) -> StateVector:
     d = 2**n_qubits
     if v.ndim != 1 or v.shape[0] > d:
         raise DimError(f"input of dim {v.shape} does not fit {n_qubits} qubits")
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v)
     if not math.isfinite(norm):
         raise DomainError(f"cannot amplitude-encode: the norm of the input is {norm}")
     if norm < 1e-15:

@@ -46,6 +46,10 @@ class ClassAnnihilated(QFilterError):
     """An entire class is filtered out, leaving no state to normalize."""
 
 
+class RegisterTooLarge(QFilterError):
+    """A register-level simulation would exceed its memory budget."""
+
+
 class ShapeError(QFilterError):
     """Array argument has the wrong shape."""
 

@@ -10,6 +10,12 @@ Register order (big-endian, qubit 0 most significant):
   classifier: [index | train data | test data | swap | label | F_T F_t]
   risk:       [index1 | data1 | label1 | index2 | data2 | label2 | swap | F1 F2]
 where each F is the feature-map ancilla of one data register.
+
+The simulated register holds every qubit before the ancillas, as one
+tensor in that order. An ancilla enters in |0> and is measured right after
+its V(theta), so only its outcome-0 slice is ever kept. The risk circuit's
+swap qubit never enters either: the swap test is read as a sum and a
+difference of the register and its data-swapped copy.
 """
 from __future__ import annotations
 
@@ -19,9 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedSample
-from .errors import ClassAnnihilated, DimError, FilterAnnihilated, ZeroVectorError
+from .errors import ClassAnnihilated, DimError, FilterAnnihilated, RegisterTooLarge
 from .featuremap import FeatureMapCircuit, _check_theta, circuit_unitary
-from .quantum import GateSpec, StateVector, _apply_to_columns, project_qubit, run_gates
+from .quantum import StateVector
+
+# Largest array one protocol run may allocate; a bigger register raises
+# RegisterTooLarge before any of it is built.
+MAX_BUFFER_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -114,24 +124,6 @@ class ProtocolOutcome:
         object.__setattr__(self, "p_swap_given_class", psc)
 
 
-def _branch_vector(
-    m_index: int, nl: int, parts: list[np.ndarray]
-) -> np.ndarray:
-    out = np.zeros(2**nl, dtype=complex)
-    out[m_index] = 1.0
-    for p in parts:
-        out = np.kron(out, p)
-    return out
-
-
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
-
-
-def _label_ket(label: int) -> np.ndarray:
-    return _KET0 if label == +1 else _KET1
-
-
 def _check_samples(samples: list[EmbeddedSample]) -> int:
     if len(samples) < 2:
         raise DimError("need at least two samples")
@@ -141,38 +133,59 @@ def _check_samples(samples: list[EmbeddedSample]) -> int:
     return n
 
 
+def _check_budget(n_qubits: int) -> None:
+    """Refuse a register whose post-selection product would exceed MAX_BUFFER_BYTES.
+
+    The largest array the simulation holds is V(theta)'s output on the
+    register plus one ancilla: 2**(n_qubits + 1) amplitudes of 16 B.
+    """
+    need = 2 ** (n_qubits + 1) * 16
+    if need > MAX_BUFFER_BYTES:
+        raise RegisterTooLarge(
+            f"a {n_qubits}-qubit register needs a {need / 2**20:.3g} MiB buffer, "
+            f"over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
+        )
+
+
+def _index_cells(samples: list[EmbeddedSample], nl: int, data: np.ndarray) -> np.ndarray:
+    """(index, *data axes, label) tensor: data[m] / sqrt(M) in cell (m, label_m).
+
+    Label +1 is the label qubit's |0>, -1 its |1>; index branches past M stay zero.
+    """
+    m = len(samples)
+    cells = np.zeros((2**nl, *data.shape[1:], 2), dtype=complex)
+    labels = [0 if s.label == +1 else 1 for s in samples]
+    cells[np.arange(m), ..., labels] = data / math.sqrt(m)
+    return cells
+
+
 def prepare_classifier_state(
     samples: list[EmbeddedSample], test: StateVector
 ) -> StateVector:
     """(1/sqrt(M)) sum_m |m> |psi_m> |psi_test> |0>_swap |label_m>.
 
     Non-power-of-two M leaves the unused index branches at amplitude zero.
-    The two filter ancillas are not included here; they are appended by
+    The filter ancillas are never part of the register; see
     apply_feature_maps_postselect.
     """
     n = _check_samples(samples)
     if test.n_qubits != n:
         raise DimError("test register size differs from the samples")
-    m = len(samples)
-    nl = index_register_width(m)
-    dim = 2 ** (nl + 2 * n + 2)
-    acc = np.zeros(dim, dtype=complex)
-    for i, s in enumerate(samples):
-        acc += _branch_vector(
-            i, nl, [s.state.amplitudes, test.amplitudes, _KET0, _label_ket(s.label)]
-        )
-    return StateVector(acc / math.sqrt(m), nl + 2 * n + 2)
+    nl = index_register_width(len(samples))
+    _check_budget(nl + 2 * n + 2)
+    train = np.array([s.state.amplitudes for s in samples])
+    data = np.zeros((len(samples), 2**n, 2**n, 2), dtype=complex)  # train, test, swap
+    data[..., 0] = train[:, :, None] * test.amplitudes
+    cells = _index_cells(samples, nl, data)
+    return StateVector(cells.ravel(), nl + 2 * n + 2)
 
 
 def prepare_risk_state(samples: list[EmbeddedSample]) -> StateVector:
     """(1/sqrt(M)) sum_m |m> |psi_m> |label_m>; one copy only."""
     n = _check_samples(samples)
-    m = len(samples)
-    nl = index_register_width(m)
-    acc = np.zeros(2 ** (nl + n + 1), dtype=complex)
-    for i, s in enumerate(samples):
-        acc += _branch_vector(i, nl, [s.state.amplitudes, _label_ket(s.label)])
-    return StateVector(acc / math.sqrt(m), nl + n + 1)
+    nl = index_register_width(len(samples))
+    cells = _index_cells(samples, nl, np.array([s.state.amplitudes for s in samples]))
+    return StateVector(cells.ravel(), nl + n + 1)
 
 
 def apply_feature_maps_postselect(
@@ -181,54 +194,82 @@ def apply_feature_maps_postselect(
     theta: np.ndarray,
     layout: RegisterLayout,
 ) -> tuple[StateVector, float]:
-    """Run V(theta) on every (data register, ancilla) pair, keep ancillas at 0.
+    """Run V(theta) on every (data register, ancilla in |0>) pair, keep ancilla 0.
 
-    Returns the renormalized surviving state and the joint probability of
-    all ancilla outcomes being 0.
+    state holds the qubits of layout before its ancillas, which never join
+    it: each ancilla's outcome-0 slice is kept right after its V(theta).
+    Returns the renormalized surviving state, on the qubits of state, and
+    the joint probability of all ancilla outcomes being 0.
     """
     t = _check_theta(circuit, theta)
-    v = circuit_unitary(circuit, t).entries
-    psi = state.amplitudes.reshape(-1, 1)
-    for data, anc in zip(layout.data, layout.filter_ancilla):
-        if len(data) != circuit.n_system:
-            raise DimError("data register width differs from the circuit system size")
-        psi = _apply_to_columns(psi, v, data + (anc,), state.n_qubits)
-    out = StateVector(psi.ravel(), state.n_qubits)
-    p_post = 1.0
-    for anc in layout.filter_ancilla:
-        try:
-            out, p = project_qubit(out, anc, 0)
-        except ZeroVectorError as exc:
-            raise FilterAnnihilated("post-selection probability 0") from exc
+    if any(len(data) != circuit.n_system for data in layout.data):
+        raise DimError("data register width differs from the circuit system size")
+    held = list(layout.index) + [q for d in layout.data for q in d] + list(layout.label)
+    if not max(held) < state.n_qubits <= min(layout.filter_ancilla):
+        raise DimError(
+            f"a {state.n_qubits}-qubit state does not hold the registers before the ancillas"
+        )
+    _check_budget(state.n_qubits)
+    # columns of V whose ancilla input is |0>; rows are (data out, ancilla out)
+    half = circuit_unitary(circuit, t).entries[:, 0::2]
+    psi, p_post = state.amplitudes, 1.0
+    for data in layout.data:
+        psi, p = _postselect(psi, half, data, state.n_qubits)
         p_post *= p
     if p_post <= 1e-12:
         raise FilterAnnihilated(f"post-selection probability {p_post:.3e}")
-    return out, p_post
+    return StateVector(psi, state.n_qubits), p_post
 
 
-def _swap_test(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Hadamard, pairwise controlled swaps between the two data registers, Hadamard."""
-    hadamard = GateSpec("H", (layout.swap,))
-    cswaps = [GateSpec("CSWAP", (layout.swap, qa, qb)) for qa, qb in zip(*layout.data)]
-    cols, _ = run_gates(
-        state.amplitudes.reshape(-1, 1), [hadamard, *cswaps, hadamard], (), state.n_qubits
-    )
-    return StateVector(cols.ravel(), state.n_qubits)
+def _postselect(
+    psi: np.ndarray, half: np.ndarray, data: tuple[int, ...], n_qubits: int
+) -> tuple[np.ndarray, float]:
+    """One V(theta) on data and a fresh ancilla, then the renormalized ancilla-0 slice.
+
+    The data axes move last, so the whole register is one 2-D product with
+    the half-column block of V.
+    """
+    k = len(data)
+    last = tuple(range(n_qubits - k, n_qubits))
+    moved = np.moveaxis(psi.reshape([2] * n_qubits), data, last)
+    out = (moved.reshape(-1, 2**k) @ half.T).reshape(moved.shape[: n_qubits - k] + (2**k, 2))
+    kept = out[..., 0]
+    p = float(np.vdot(kept, kept).real)
+    if p < 1e-300:
+        raise FilterAnnihilated("post-selection probability 0")
+    kept = np.moveaxis(kept.reshape(moved.shape), last, data) / math.sqrt(p)
+    return kept.ravel(), p
 
 
-def _class_swap_table(
-    state: StateVector, class_qubits: tuple[int, ...], swap_qubit: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact p(class cells) and p(swap | class cell) from the final state."""
-    n = state.n_qubits
-    probs = state.probabilities().reshape([2] * n)
-    keep = list(class_qubits) + [swap_qubit]
-    drop = tuple(q for q in range(n) if q not in keep)
-    joint = probs.sum(axis=drop) if drop else probs
-    # surviving axes follow ascending qubit index; reorder to (class..., swap)
-    dest = [keep.index(q) for q in sorted(keep)]
-    joint = np.moveaxis(joint, range(len(keep)), dest)
-    joint = joint.reshape(2 ** len(class_qubits), 2)
+def _swap_table(state: StateVector, layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Exact p(label cell) and p(swap | label cell) of the swap test on the data.
+
+    With the swap qubit in |0>, H, the controlled swaps and H leave
+    (t + S t)/2 on swap outcome 0 and (t - S t)/2 on outcome 1, where S
+    swaps the two data registers (Buhrman, Cleve, Watrous & de Wolf, PRL 87,
+    167902, 2001). S keeps every label cell, so per cell the two masses are
+    (sum |t|^2 +- Re sum conj(t) S t) / 2, summed over the other registers.
+    """
+    t = state.amplitudes.reshape([2] * state.n_qubits)
+    qubits = list(range(state.n_qubits))
+    if layout.swap < state.n_qubits:  # the classifier holds its swap qubit, in |0>
+        t = t[(slice(None),) * layout.swap + (0,)]
+        qubits.remove(layout.swap)
+    swapped = qubits.copy()
+    for qa, qb in zip(*layout.data):
+        ia, ib = qubits.index(qa), qubits.index(qb)
+        swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
+    st = t.transpose([qubits.index(q) for q in swapped])
+    cells = [qubits.index(q) for q in layout.label]
+    drop = tuple(i for i in range(t.ndim) if i not in cells)
+    order = np.argsort(np.argsort(cells))
+
+    def per_cell(x: np.ndarray) -> np.ndarray:
+        return x.sum(axis=drop).transpose(order).ravel()
+
+    mass = per_cell(np.abs(t) ** 2)
+    overlap = per_cell((t.conj() * st).real)
+    joint = np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1)
     p_class = joint.sum(axis=1)
     if np.any(p_class <= 1e-12):
         raise ClassAnnihilated("a label outcome has zero probability")
@@ -256,12 +297,9 @@ def _filter_and_read(
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
 ) -> ProtocolOutcome:
-    """Append the remaining qubits in |0>, post-select, swap test, read the table."""
-    tail = np.eye(2 ** (layout.n_qubits - state.n_qubits), dtype=complex)[0]
-    full = StateVector(np.kron(state.amplitudes, tail), layout.n_qubits)
-    filtered, p_post = apply_feature_maps_postselect(full, circuit, theta, layout)
-    final = _swap_test(filtered, layout)
-    p_class, cond = _class_swap_table(final, layout.label, layout.swap)
+    """Post-select the prepared register, then read the swap test's table."""
+    filtered, p_post = apply_feature_maps_postselect(state, circuit, theta, layout)
+    p_class, cond = _swap_table(filtered, layout)
     return ProtocolOutcome(p_post, p_class, cond, _derived_value(cond))
 
 
@@ -284,8 +322,9 @@ def run_risk_protocol(
 ) -> ProtocolOutcome:
     """Two filtered risk-state copies and a swap test between their data."""
     layout = risk_layout(len(samples), samples[0].state.n_qubits)
-    one = prepare_risk_state(samples)
-    two = StateVector(np.kron(one.amplitudes, one.amplitudes), 2 * one.n_qubits)
+    _check_budget(layout.swap)  # both copies; the swap qubit never joins them
+    one = prepare_risk_state(samples).amplitudes
+    two = StateVector(np.multiply.outer(one, one).ravel(), layout.swap)
     return _filter_and_read(two, layout, circuit, theta)
 
 

@@ -18,7 +18,6 @@ from .errors import (
     NormError,
     ShapeError,
     UnsupportedGate,
-    ZeroVectorError,
 )
 
 # Tolerance tiers: invariants of our own constructions and user-supplied input.
@@ -224,26 +223,6 @@ def run_gates(
         return grad
 
     return cols, pullback
-
-
-def project_qubit(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
-    """Project one qubit onto |outcome>, renormalize, return (state, probability).
-
-    The projected register keeps all qubits; the measured one is left in
-    |outcome>. Probability zero raises ZeroVectorError.
-    """
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexError(f"qubit {qubit} outside register of {state.n_qubits}")
-    t = state.amplitudes.reshape([2] * state.n_qubits)
-    keep = np.zeros_like(t)
-    sl = [slice(None)] * state.n_qubits
-    sl[qubit] = outcome
-    keep[tuple(sl)] = t[tuple(sl)]
-    flat = keep.ravel()
-    prob = float(np.sum(np.abs(flat) ** 2))
-    if prob < 1e-300:
-        raise ZeroVectorError(f"outcome {outcome} on qubit {qubit} has probability 0")
-    return StateVector(flat / np.sqrt(prob), state.n_qubits), prob
 
 
 def pure_to_density(state: StateVector) -> DensityMatrix:

@@ -97,6 +97,21 @@ def test_classify_circuit_path_agrees_with_analytic(tmp_path, capsys):
     assert circuit["decision"] == analytic["decision"]
 
 
+def test_classify_circuit_over_the_register_budget_exits_3(tmp_path, capsys, monkeypatch):
+    from qfilter import protocol
+
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)]) == 0
+    # iris: 2 samples of 1 qubit, a 5-qubit classifier register, 1 KiB product
+    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 512)
+    argv = ["classify", "--model", str(model), "--input", "0.3,0.9"]
+    assert main(argv + ["--path", "circuit"]) == 3
+    captured = capsys.readouterr()
+    assert "error: a 5-qubit register needs" in captured.err
+    assert "Traceback" not in captured.err
+    assert main(argv) == 0  # the analytic path allocates no register
+
+
 def test_classify_with_shots_is_seeded(tmp_path, capsys):
     model = tmp_path / "model.json"
     main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)])
@@ -345,6 +360,15 @@ def test_overflowing_row_exits_3(tmp_path, capsys):
     data.write_text("a,b,label\n1e308,1e308,1\n0.4,0.3,1\n0.2,0.5,-1\n")
     assert main(["train", "--dataset", f"csv:{data}", "--epochs", "1"]) == 3
     assert "error: cannot amplitude-encode" in capsys.readouterr().err
+
+
+def test_overflowing_pca_input_exits_3_naming_it(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("a,b,label\n1e308,-1e308,1\n0.4,0.3,1\n0.2,0.5,-1\n0.1,0.9,-1\n")
+    argv = ["train", "--dataset", f"csv:{data}", "--embedding", "pca:1", "--epochs", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"error: {data}: the centred data or its covariance overflows" in err
 
 
 def test_classify_rejects_a_non_string_csv_path(tmp_path, capsys):

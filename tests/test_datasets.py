@@ -12,7 +12,7 @@ from qfilter.datasets import (
     pca_project,
     synthetic_blobs,
 )
-from qfilter.errors import ClassBalanceError, CsvError, DimError, ShapeError
+from qfilter.errors import ClassBalanceError, CsvError, DimError, DomainError, ShapeError
 
 
 def test_raw_dataset_validation():
@@ -151,6 +151,18 @@ def test_pca_fit_k_bounds():
         pca_fit(ds, 0)
     with pytest.raises(DimError):
         pca_fit(ds, 4)
+
+
+def test_pca_fit_rejects_overflowing_data():
+    # finite rows whose centred products overflow the covariance
+    ds = RawDataset(np.array([[1e308, -1e308], [0.4, 0.3], [0.2, 0.5], [0.1, 0.9]]),
+                    np.array([+1, +1, -1, -1]), "huge")
+    with pytest.raises(DomainError, match="huge: the centred data or its covariance overflows"):
+        pca_fit(ds, 1)
+    # so does the mean of rows near the float limit
+    ds = RawDataset(np.array([[1.7e308, 1.0], [1.7e308, 2.0]]), np.array([+1, -1]), "edge")
+    with pytest.raises(DomainError, match="edge"):
+        pca_fit(ds, 1)
 
 
 def test_pca_project_and_transform():

@@ -126,15 +126,12 @@ def test_apply_feature_maps_postselect_matches_kraus_probability():
     theta = np.random.default_rng(12).uniform(-np.pi, np.pi, circ.n_params)
     layout = classifier_layout(2, 1)
     base = prepare_classifier_state(samples, random_state(13, 1))
-    full = StateVector(
-        np.kron(base.amplitudes, np.array([1, 0, 0, 0], dtype=complex)),
-        layout.n_qubits,
-    )
-    out, p_post = apply_feature_maps_postselect(full, circ, theta, layout)
+    out, p_post = apply_feature_maps_postselect(base, circ, theta, layout)
+    assert out.n_qubits == base.n_qubits  # the ancillas never join the register
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
-    # independent dense simulation of the same two feature-map applications
+    # independent dense simulation with both ancillas appended in |0>
+    amps = np.kron(base.amplitudes, np.array([1, 0, 0, 0], dtype=complex))
     v = oracles.circuit_matrix(circ.gates, theta, 2)
-    amps = full.amplitudes.copy()
     amps = oracles.lift(v, layout.data[0] + (layout.filter_ancilla[0],), layout.n_qubits) @ amps
     amps = oracles.lift(v, layout.data[1] + (layout.filter_ancilla[1],), layout.n_qubits) @ amps
     want_p = 1.0
@@ -142,7 +139,24 @@ def test_apply_feature_maps_postselect_matches_kraus_probability():
         amps, p = oracles.project_bit(amps, anc, layout.n_qubits)
         want_p *= p
     assert p_post == pytest.approx(want_p, abs=1e-12)
-    np.testing.assert_allclose(out.amplitudes, amps, atol=1e-10)
+    # both ancillas are the last qubits and sit in |00>
+    np.testing.assert_allclose(amps.reshape(-1, 4)[:, 1:], 0.0, atol=0)
+    np.testing.assert_allclose(out.amplitudes, amps.reshape(-1, 4)[:, 0], atol=1e-10)
+
+
+def test_apply_feature_maps_postselect_checks_the_register():
+    samples = _samples(14, m=2, n=1)
+    circ = build_ansatz(1, 1)
+    layout = classifier_layout(2, 1)
+    base = prepare_classifier_state(samples, random_state(15, 1))
+    with_ancillas = StateVector(np.kron(base.amplitudes, [1, 0, 0, 0]), layout.n_qubits)
+    with pytest.raises(DimError):
+        apply_feature_maps_postselect(with_ancillas, circ, circ.zero_theta(), layout)
+    with pytest.raises(DimError):
+        apply_feature_maps_postselect(basis_state(2, 0), circ, circ.zero_theta(), layout)
+    wide = build_ansatz(2, 1)
+    with pytest.raises(DimError):
+        apply_feature_maps_postselect(base, wide, np.zeros(wide.n_params), layout)
 
 
 def test_apply_feature_maps_postselect_annihilation():
@@ -199,10 +213,12 @@ def test_risk_protocol_against_dense_oracle():
     assert got.derived_value == pytest.approx(value, abs=1e-9)
 
 
-def test_protocol_matches_analytic_path():
-    samples = _samples(31, m=3, n=2)
-    test = random_state(32, 2)
-    circ = build_ansatz(2, 1)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5, 40])
+def test_protocol_matches_analytic_path(m, n):
+    samples = _samples(31, m=m, n=n)
+    test = random_state(32, n)
+    circ = build_ansatz(n, 1)
     theta = np.random.default_rng(33).uniform(-np.pi, np.pi, circ.n_params)
     pair = kraus_from_circuit(circ, theta)
     ens = transform_ensemble(pair, samples)
@@ -215,6 +231,65 @@ def test_protocol_matches_analytic_path():
     rsk = run_risk_protocol(samples, circ, theta)
     assert rsk.derived_value == pytest.approx(hs_distance(ens.pos, ens.neg), abs=1e-9)
     assert rsk.p_postselect == pytest.approx(ens.p_succ**2, abs=1e-10)
+
+
+def test_protocols_use_no_analytic_route(monkeypatch):
+    from qfilter import featuremap, protocol, quantum
+
+    samples = _samples(61, m=3, n=1)
+    test = random_state(62, 1)
+    circ = build_ansatz(1, 1)
+    theta = np.random.default_rng(63).uniform(-np.pi, np.pi, circ.n_params)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the register-level twin took an analytic route")
+
+    for module, names in (
+        (featuremap, ("kraus_from_circuit", "kraus_with_pullback", "filter_moments",
+                      "transform_ensemble", "apply_filter")),
+        (quantum, ("pure_to_density",)),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+            if hasattr(protocol, name):
+                monkeypatch.setattr(protocol, name, forbidden)
+    monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", forbidden)
+
+    v = oracles.circuit_matrix(circ.gates, theta, 2)
+    states = [s.state.amplitudes for s in samples]
+    labels = [s.label for s in samples]
+    for got, want in (
+        (run_classifier_protocol(samples, test, circ, theta),
+         oracles.classifier_protocol_oracle(states, labels, test.amplitudes, v, 1)),
+        (run_risk_protocol(samples, circ, theta),
+         oracles.risk_protocol_oracle(states, labels, v, 1)),
+    ):
+        p_post, p_class, cond, value = want
+        assert got.p_postselect == pytest.approx(p_post, abs=1e-10)
+        np.testing.assert_allclose(got.p_class, p_class, atol=1e-10)
+        np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-10)
+        assert got.derived_value == pytest.approx(value, abs=1e-9)
+
+
+def test_register_budget_is_checked_before_allocating(monkeypatch):
+    from qfilter import protocol
+    from qfilter.errors import RegisterTooLarge
+
+    samples = _samples(71, m=2, n=1)
+    test = random_state(72, 1)
+    circ = build_ansatz(1, 1)
+    theta = circ.zero_theta()
+    # classifier register 5 qubits, risk register 6: products of 2**6 and 2**7 amplitudes
+    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 2**6 * 16)
+    run_classifier_protocol(samples, test, circ, theta)
+    with pytest.raises(RegisterTooLarge, match="budget"):
+        run_risk_protocol(samples, circ, theta)
+    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 2**6 * 16 - 1)
+    with pytest.raises(RegisterTooLarge):
+        prepare_classifier_state(samples, test)
+    base = StateVector(np.eye(32, dtype=complex)[0], 5)
+    with pytest.raises(RegisterTooLarge):
+        apply_feature_maps_postselect(base, circ, theta, classifier_layout(2, 1))
 
 
 def test_protocol_identity_filter_postselects_with_certainty():

@@ -12,7 +12,6 @@ from qfilter.errors import (
     NormError,
     ShapeError,
     UnsupportedGate,
-    ZeroVectorError,
 )
 from qfilter.quantum import (
     DensityMatrix,
@@ -23,7 +22,6 @@ from qfilter.quantum import (
     gate_array,
     hs_distance,
     overlap,
-    project_qubit,
     pure_to_density,
     random_cptp,
     random_state,
@@ -190,13 +188,15 @@ def test_basis_states():
     np.testing.assert_allclose(flips, basis_state(3, 0b101).amplitudes, atol=0)
 
 
-def test_project_qubit_probability_and_renormalization():
-    state = StateVector(_run(basis_state(2, 0), GateSpec("H", (0,))), 2)
-    kept, p = project_qubit(state, 0, 1)
+def test_project_bit_probability_and_renormalization():
+    # the post-selection reference the protocol oracles use
+    amps = _run(basis_state(2, 0), GateSpec("H", (0,)))
+    kept, p = oracles.project_bit(amps, 0, 2, outcome=1)
     assert p == pytest.approx(0.5)
-    np.testing.assert_allclose(kept.amplitudes, [0, 0, 1, 0], atol=1e-15)
-    with pytest.raises(ZeroVectorError):
-        project_qubit(basis_state(2, 0), 0, 1)
+    np.testing.assert_allclose(kept, [0, 0, 1, 0], atol=1e-15)
+    kept, p = oracles.project_bit(amps, 1, 2)
+    assert p == pytest.approx(1.0)
+    np.testing.assert_allclose(kept, amps, atol=0)
 
 
 def test_density_matrix_validation():
