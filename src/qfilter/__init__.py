@@ -73,9 +73,9 @@ from .quantum import (
     trace_norm,
 )
 from .training import (
-    CompareCondition,
     TrainConfig,
     TrainResult,
+    co_train,
     compare_conditions,
     cost,
     gradient,

@@ -35,7 +35,7 @@ from .featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
 from .protocol import run_classifier_protocol, sample_outcomes
 from .quantum import pure_to_density
 from .selftest import run_all
-from .training import CompareCondition, TrainConfig, compare_conditions, train
+from .training import TrainConfig, co_train, compare_conditions, train
 
 DATA_ERRORS = (
     CsvError,
@@ -111,19 +111,17 @@ def _train_config(args, **train_only) -> TrainConfig:
 def cmd_train(args) -> int:
     (descriptor,) = _descriptors(args, [args.dims])
     pipe = Pipeline.fit(descriptor, _embedding(args), args.embed_layers, args.ring)
-    samples = pipe.samples()
     ansatz = build_ansatz(pipe.spec.n_qubits, args.layers)
-    config = _train_config(args, cutoff=args.c, co_train_embedding=args.co_train)
-    raw = pipe.pairs() if args.co_train else None
-    result = train(config, samples, ansatz, raw_data=raw, embedding_spec=pipe.spec)
-
-    theta_star = result.theta_star
-    final_spec = pipe.spec
+    config = _train_config(args, cutoff=args.c)
     if args.co_train:
-        # the trained embedding angles give new states
-        final_spec = dataclasses.replace(pipe.spec, params=tuple(theta_star[ansatz.n_params :]))
-        samples = pipe.samples(final_spec)
-    pair = kraus_from_circuit(ansatz, theta_star[: ansatz.n_params])
+        result = co_train(config, pipe.pairs(), pipe.spec, ansatz)
+        # the trained embedding angles give the states the filter acts on
+        spec = dataclasses.replace(pipe.spec, params=tuple(result.theta_star[ansatz.n_params :]))
+        samples = pipe.samples(spec)
+    else:
+        spec, samples = pipe.spec, pipe.samples()
+        result = train(config, samples, ansatz)
+    pair = kraus_from_circuit(ansatz, result.theta_star[: ansatz.n_params])
     ens = transform_ensemble(pair, samples)
 
     manifest = {
@@ -132,14 +130,15 @@ def cmd_train(args) -> int:
         "seed": args.seed,
         "config": {
             "dataset": descriptor,
-            "embedding": pipe.embedding_manifest(final_spec),
+            "embedding": pipe.embedding_manifest(spec),
             "ansatz_layers": args.layers,
-            # every TrainConfig field but the seed, which the manifest holds above
+            # every TrainConfig field but the seed, which the manifest holds
+            # above, and whether the embedding angles were trained too
             "train": {
                 ("lambda" if k == "lam" else k): v
                 for k, v in dataclasses.asdict(config).items()
                 if k != "seed"
-            },
+            } | {"co_train_embedding": args.co_train},
         },
         "dataset_fingerprint": fingerprint(pipe.dataset),
     }
@@ -151,7 +150,7 @@ def cmd_train(args) -> int:
         "p_succ": result.report.p_succ,
         "p_joint": ens.p_joint,
         "penalty": result.report.penalty,
-        "theta_star": theta_star,
+        "theta_star": result.theta_star,
         "cost_trace": result.cost_trace,
         "p_succ_trace": result.p_succ_trace,
         "wall_time_s": result.wall_time,
@@ -163,8 +162,8 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = restore_model(json.load(fh))
-    samples = model.pipeline.samples()
     ansatz = build_ansatz(model.pipeline.spec.n_qubits, model.ansatz_layers)
+    samples = model.pipeline.samples()
     theta = model.theta_star[: ansatz.n_params]
     test_state = model.pipeline.encode(args.input)
 
@@ -198,25 +197,21 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _parse_conditions(text: str, lam: float) -> list[CompareCondition]:
-    conds = []
-    for token in text.split(","):
-        token = token.strip()
-        if token == "embedding-only":
-            conds.append(CompareCondition("embedding-only"))
-        elif token.startswith("c="):
-            try:
-                cutoff = float(token[2:])
-            except ValueError:
-                raise DomainError(f"bad cutoff in condition {token!r}") from None
-            conds.append(CompareCondition("feature-map", cutoff=cutoff, lam=lam))
-        else:
-            raise DomainError(f"bad condition {token!r} (use embedding-only or c=<x>)")
-    return conds
+def _cutoff(token: str) -> float | None:
+    """The cutoff of one --conditions entry; None is the embedding-only arm."""
+    token = token.strip()
+    if token == "embedding-only":
+        return None
+    if not token.startswith("c="):
+        raise DomainError(f"bad condition {token!r} (use embedding-only or c=<x>)")
+    try:
+        return float(token[2:])
+    except ValueError:
+        raise DomainError(f"bad cutoff in condition {token!r}") from None
 
 
 def cmd_compare(args) -> int:
-    conditions = _parse_conditions(args.conditions, getattr(args, "lambda"))
+    conditions = [_cutoff(token) for token in args.conditions.split(",")]
     if len(conditions) < 2:
         raise DomainError("compare needs at least 2 conditions")
     embedding = _embedding(args)

@@ -10,6 +10,13 @@ import numpy as np
 from .errors import ClassBalanceError, CsvError, DimError, DomainError, ShapeError
 
 
+def check_labels(labels: list[int]) -> None:
+    """Raise ClassBalanceError unless the labels are +1 and -1, both present."""
+    present = set(labels)
+    if not present <= {+1, -1} or len(present) != 2:
+        raise ClassBalanceError(f"need both labels +1 and -1, got {sorted(present)}")
+
+
 @dataclass(frozen=True)
 class RawDataset:
     """Feature matrix with +1/-1 labels; both classes must be present."""
@@ -23,9 +30,7 @@ class RawDataset:
         y = np.asarray(self.labels, dtype=int)
         if f.ndim != 2 or y.ndim != 1 or f.shape[0] != y.shape[0]:
             raise ShapeError(f"features {f.shape} vs labels {y.shape}")
-        present = set(np.unique(y).tolist())
-        if present != {+1, -1}:
-            raise ClassBalanceError(f"need labels {{+1,-1}}, got {sorted(present)}")
+        check_labels(y.tolist())
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y)
 
@@ -59,6 +64,8 @@ def load_csv(path: str) -> RawDataset:
         header = [h.strip() for h in header]
         if "label" not in header:
             raise CsvError(f"{path}: header has no `label` column")
+        if len(header) < 2:
+            raise CsvError(f"{path}: header has no feature column")
         label_idx = header.index("label")
         feats: list[list[float]] = []
         labels: list[float] = []

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import PCAModel, RawDataset, iris_builtin, load_dataset, pca_fit, pca_project
+from .datasets import (
+    PCAModel,
+    RawDataset,
+    check_labels,
+    iris_builtin,
+    load_dataset,
+    pca_fit,
+    pca_project,
+)
 from .errors import (
-    ClassBalanceError,
     DimError,
     DomainError,
     ModelError,
@@ -148,9 +155,7 @@ def embed_dataset(
     data: list[tuple[np.ndarray, int]], spec: EmbeddingSpec
 ) -> list[EmbeddedSample]:
     """Encode every (x, y) pair, preserving order; both classes required."""
-    labels = {y for _, y in data}
-    if not labels <= {+1, -1} or len(labels) != 2:
-        raise ClassBalanceError(f"need both labels +1 and -1, got {sorted(labels)}")
+    check_labels([y for _, y in data])
     return [
         EmbeddedSample(encode_point(x, spec), int(y), m)
         for m, (x, y) in enumerate(data)
@@ -228,7 +233,12 @@ class Pipeline:
         return embed_dataset(self.pairs(data), spec or self.spec)
 
     def encode(self, x: np.ndarray) -> StateVector:
-        return encode_point(self.preprocess(np.asarray(x, dtype=float)[None, :])[0], self.spec)
+        """The state of one point, which must have the dataset's features."""
+        x = np.asarray(x, dtype=float)
+        d = self.dataset.features.shape[1]
+        if x.shape != (d,):
+            raise DimError(f"the input has {x.size} features, the model's data {d}")
+        return encode_point(self.preprocess(x[None, :])[0], self.spec)
 
     def test_samples(self) -> list[EmbeddedSample]:
         """The samples compare scores on.

@@ -47,7 +47,7 @@ class ClassAnnihilated(QFilterError):
 
 
 class RegisterTooLarge(QFilterError):
-    """A register-level simulation would exceed its memory budget."""
+    """A simulation would exceed its memory budget."""
 
 
 class ShapeError(QFilterError):

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedSample
-from .errors import ClassAnnihilated, DimError, FilterAnnihilated, ParamShapeError
+from .errors import (
+    ClassAnnihilated,
+    DimError,
+    FilterAnnihilated,
+    ParamShapeError,
+    RegisterTooLarge,
+)
 from .quantum import (
     ATOL_INVARIANT,
     DensityMatrix,
@@ -23,6 +29,10 @@ from .quantum import (
 )
 
 EPS_ANNIHILATION = 1e-12
+# Largest working set one run may hold, on the analytic path and on the
+# register-level one; a bigger model raises RegisterTooLarge before any of
+# it is built.
+MAX_BUFFER_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,8 @@ def build_ansatz(n_system: int, layers: int) -> FeatureMapCircuit:
 
     The chain couples qubit q to q+1, ending on the ancilla, so every system
     qubit can influence the measured branch. All angles are trainable.
+    Raises RegisterTooLarge when circuit_unitary()'s tape (one
+    2**(n+1)-square matrix per gate, plus the output) exceeds MAX_BUFFER_BYTES.
     """
     if n_system < 1 or layers < 1:
         raise ValueError("need n_system >= 1 and layers >= 1")
@@ -104,6 +116,12 @@ def build_ansatz(n_system: int, layers: int) -> FeatureMapCircuit:
         for q in range(n_total - 1):
             gates.append(GateSpec("CRx", (q, q + 1), param_index=p))
             p += 1
+    need = (len(gates) + 1) * 4**n_total * 16
+    if need > MAX_BUFFER_BYTES:
+        raise RegisterTooLarge(
+            f"a {n_system}-qubit, {layers}-layer filter needs {need / 2**20:.3g} MiB "
+            f"for its gate tape, over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
+        )
     return FeatureMapCircuit(n_system, layers, tuple(gates), p)
 
 

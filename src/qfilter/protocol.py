@@ -26,12 +26,8 @@ import numpy as np
 
 from .embedding import EmbeddedSample
 from .errors import ClassAnnihilated, DimError, FilterAnnihilated, RegisterTooLarge
-from .featuremap import FeatureMapCircuit, _check_theta, circuit_unitary
+from .featuremap import MAX_BUFFER_BYTES, FeatureMapCircuit, _check_theta, circuit_unitary
 from .quantum import StateVector
-
-# Largest array one protocol run may allocate; a bigger register raises
-# RegisterTooLarge before any of it is built.
-MAX_BUFFER_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,8 @@ def _swap_table(state: StateVector, layout: RegisterLayout) -> tuple[np.ndarray,
 
     mass = per_cell(np.abs(t) ** 2)
     overlap = per_cell((t.conj() * st).real)
-    joint = np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1)
+    # each is a sum of |t +- S t|^2 / 4, so only roundoff takes one below 0
+    joint = np.maximum(np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1), 0.0)
     p_class = joint.sum(axis=1)
     if np.any(p_class <= 1e-12):
         raise ClassAnnihilated("a label outcome has zero probability")

@@ -2,8 +2,8 @@
 
 Big-endian ordering throughout: qubit 0 is the most significant bit of a
 basis index, so |q0 q1 ... q_{n-1}> lives at index sum_i q_i 2^(n-1-i).
-Rotations follow R_a(t) = exp(-i t sigma_a / 2) and the two-qubit phase
-coupling is ZZ(t) = exp(-i t Z (x) Z / 2).
+Every gate is a rotation exp(-i t P / 2): R_a(t) with P = sigma_a, the
+phase coupling ZZ(t) with P = Z (x) Z, and CRx(t) with P = |1><1| (x) X.
 """
 from __future__ import annotations
 
@@ -24,29 +24,16 @@ from .errors import (
 ATOL_INVARIANT = 1e-10
 ATOL_INPUT = 1e-8
 
-GATE_ARITY = {
-    "Rx": 1,
-    "Ry": 1,
-    "Rz": 1,
-    "H": 1,
-    "X": 1,
-    "ZZ": 2,
-    "CRx": 2,
-    "CSWAP": 3,
-}
+GATE_ARITY = {"Rx": 1, "Ry": 1, "Rz": 1, "ZZ": 2, "CRx": 2}
 
 
 @dataclass(frozen=True)
 class GateSpec:
-    """One gate instance: kind, target qubits, and where its angle comes from.
-
-    A rotation takes its angle from entry param_index of a parameter
-    vector; the other gates take none.
-    """
+    """One rotation: kind, target qubits, and where in theta its angle is."""
 
     kind: str
     targets: tuple[int, ...]
-    param_index: int | None = None
+    param_index: int
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_ARITY:
@@ -58,11 +45,6 @@ class GateSpec:
             )
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets {self.targets}")
-        if (self.param_index is None) == (self.kind in _ROTATIONS):
-            raise ValueError(f"{self.kind}: a rotation needs a param_index, other gates none")
-
-    def resolve_angle(self, theta: np.ndarray) -> float:
-        return 0.0 if self.param_index is None else float(theta[self.param_index])
 
 
 @dataclass(frozen=True)
@@ -126,10 +108,6 @@ class UnitaryMatrix:
         object.__setattr__(self, "entries", m)
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
 def _rx(t: float) -> np.ndarray:
     c, s = np.cos(t / 2), np.sin(t / 2)
     return np.array([[c, -1j * s], [-1j * s, c]])
@@ -155,21 +133,14 @@ def _crx(t: float) -> np.ndarray:
     return out
 
 
-_CSWAP = np.eye(8, dtype=complex)
-_CSWAP[[5, 6], :] = _CSWAP[[6, 5], :]
-
-
 _ROTATIONS = {"Rx": _rx, "Ry": _ry, "Rz": _rz, "ZZ": _zz, "CRx": _crx}
-_FIXED = {"H": _H, "X": _X, "CSWAP": _CSWAP}
 
 
-def gate_array(kind: str, theta: float = 0.0) -> np.ndarray:
-    """Dense matrix for a single gate, control = first target for CRx/CSWAP."""
-    if kind in _ROTATIONS:
-        return _ROTATIONS[kind](theta)
-    if kind in _FIXED:
-        return _FIXED[kind].copy()
-    raise UnsupportedGate(f"unknown gate kind {kind!r}")
+def gate_array(kind: str, theta: float) -> np.ndarray:
+    """Dense matrix of one rotation at angle theta, control = first target for CRx."""
+    if kind not in _ROTATIONS:
+        raise UnsupportedGate(f"unknown gate kind {kind!r}")
+    return _ROTATIONS[kind](theta)
 
 
 def _apply_to_columns(
@@ -194,31 +165,30 @@ def run_gates(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Apply a gate list to every column of cols (2**n_qubits x k), first gate first.
 
-    A rotation takes its angle from theta[param_index]. Also returns the
+    Each gate takes its angle from theta[param_index]. Also returns the
     pullback that maps a cotangent Y to the gradient of 2 Re <Y, cols(theta)>
     in one backward pass of adjoint products (Jones & Gacon, arXiv:2009.02823),
         d/dtheta_j = 2 Re <Y, G_L ... G_{j+1} G_j' G_{j-1} ... G_1 cols>,
     with G' = (G(t + pi) - G(t - pi)) / 4 for every exp(-i t P / 2) gate;
-    for that the forward pass keeps the input of every rotation.
+    for that the forward pass keeps the input of every gate.
     """
     t = np.asarray(theta, dtype=float)
     arrays, before = [], []
     for spec in gates:
         if not all(0 <= q < n_qubits for q in spec.targets):
             raise IndexError(f"targets {spec.targets} outside register of {n_qubits}")
-        arrays.append(gate_array(spec.kind, spec.resolve_angle(t)))
-        before.append(None if spec.param_index is None else cols)
+        arrays.append(gate_array(spec.kind, float(t[spec.param_index])))
+        before.append(cols)
         cols = _apply_to_columns(cols, arrays[-1], spec.targets, n_qubits)
 
     def pullback(adj: np.ndarray) -> np.ndarray:
         # adj holds (Y+ G_L ... G_{j+1})+ while gate j is visited
         grad = np.zeros(t.shape[0])
         for spec, g, b in zip(reversed(gates), reversed(arrays), reversed(before)):
-            if b is not None:
-                a = spec.resolve_angle(t)
-                dg = (gate_array(spec.kind, a + np.pi) - gate_array(spec.kind, a - np.pi)) / 4
-                moved = _apply_to_columns(b, dg, spec.targets, n_qubits)
-                grad[spec.param_index] += 2 * np.real(np.vdot(adj, moved))
+            a = float(t[spec.param_index])
+            dg = (gate_array(spec.kind, a + np.pi) - gate_array(spec.kind, a - np.pi)) / 4
+            moved = _apply_to_columns(b, dg, spec.targets, n_qubits)
+            grad[spec.param_index] += 2 * np.real(np.vdot(adj, moved))
             adj = _apply_to_columns(adj, g.conj().T, spec.targets, n_qubits)
         return grad
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from .classifier import (
     filtered_fidelity_classify,
     sentinel_report,
 )
-from .embedding import EmbeddedSample, EmbeddingSpec, embed_dataset, pca_layer_states
+from .datasets import check_labels
+from .embedding import EmbeddedSample, EmbeddingSpec, pca_layer_states
 from .errors import ClassAnnihilated, DomainError, FilterAnnihilated
 from .featuremap import (
     ClassMoments,
@@ -46,7 +48,6 @@ class TrainConfig:
     cutoff: float = 0.0
     init_scale: float = 0.0
     seed: int = 0
-    co_train_embedding: bool = False
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -164,75 +165,93 @@ def _adam_update(state: dict, g: np.ndarray, lr: float) -> np.ndarray:
 
 
 def train(
-    config: TrainConfig,
-    samples: list[EmbeddedSample],
-    ansatz: FeatureMapCircuit,
-    raw_data: list[tuple[np.ndarray, int]] | None = None,
-    embedding_spec: EmbeddingSpec | None = None,
+    config: TrainConfig, samples: list[EmbeddedSample], ansatz: FeatureMapCircuit
 ) -> TrainResult:
-    """Minimize the constrained risk; deterministic per seed.
+    """Minimize the constrained risk of a fixed embedding; deterministic per seed.
 
     Every epoch makes one evaluation of the cost and its exact gradient on
     the class moments (value_and_gradient()). Returns the best theta seen
     and its report, so the final cost never exceeds the initial one (the
-    circuit starts at the exact identity when init_scale = 0). With
-    co_train_embedding the trainable pca-layer angles are appended to
-    theta and the raw data are re-embedded at every evaluation; their
-    gradient comes from the same backward pass: sample m of class s has
-    the state cotangent (K+ W_s K) psi_m (see moment_cost()).
+    circuit starts at the exact identity when init_scale = 0).
     """
-    start = time.perf_counter()
+    moments = class_moments(samples)
+    return _descend(
+        config,
+        lambda t: value_and_gradient(t, moments, ansatz, config.lam, config.cutoff),
+        np.zeros(ansatz.n_params),
+    )
+
+
+def co_train(
+    config: TrainConfig,
+    raw_data: list[tuple[np.ndarray, int]],
+    spec: EmbeddingSpec,
+    ansatz: FeatureMapCircuit,
+) -> TrainResult:
+    """train() with the trainable pca-layer angles of spec appended to theta.
+
+    The raw rows are re-embedded at every evaluation, and the angles'
+    gradient comes from the same backward pass as the filter's: sample m
+    of class s has the state cotangent (K+ W_s K) psi_m (see moment_cost()).
+    """
+    if spec.param_count() == 0:
+        raise DomainError("co-training needs an embedding with trainable angles")
+    labels = np.array([y for _, y in raw_data])
+    check_labels(labels.tolist())
+    xs = np.array([x for x, _ in raw_data])
     n_ansatz = ansatz.n_params
-    co_train = config.co_train_embedding
-    if co_train:
-        if raw_data is None or embedding_spec is None or embedding_spec.param_count() == 0:
-            raise DomainError("co-training needs raw data and an embedding with trainable angles")
-        # embed_dataset() checks that both labels are present
-        labels = np.array([s.label for s in embed_dataset(raw_data, embedding_spec)])
-        xs = np.array([x for x, _ in raw_data])
-        theta0 = np.concatenate([np.zeros(n_ansatz), np.asarray(embedding_spec.params, float)])
-    else:
-        moments = class_moments(samples)
-        theta0 = np.zeros(n_ansatz)
-    if config.init_scale > 0:
-        rng = np.random.default_rng(config.seed)
-        theta0 = theta0 + config.init_scale * rng.standard_normal(theta0.shape)
 
     def evaluate(t: np.ndarray) -> tuple[RiskReport, np.ndarray]:
-        if not co_train:
-            return value_and_gradient(t, moments, ansatz, config.lam, config.cutoff)
-        spec = replace(embedding_spec, params=tuple(t[n_ansatz:]))
-        psi, embed_pullback = pca_layer_states(xs, spec)
+        psi, embed_pullback = pca_layer_states(xs, replace(spec, params=tuple(t[n_ansatz:])))
         pair, pullback = kraus_with_pullback(ansatz, t[:n_ansatz])
-        moments_t = column_moments(psi, labels, spec.n_qubits)
-        report, x, w = moment_cost(pair, moments_t, config.lam, config.cutoff)
+        moments = column_moments(psi, labels, spec.n_qubits)
+        report, x, w = moment_cost(pair, moments, config.lam, config.cutoff)
         k = pair.keep
         adj = np.empty_like(psi)
         for label, w_s in zip((+1, -1), w):
             adj[:, labels == label] = k.conj().T @ w_s @ k @ psi[:, labels == label]
         return report, np.concatenate([pullback(x), embed_pullback(adj)])
 
-    theta = theta0
-    current, g = evaluate(theta)
-    cost_trace = [current.risk]
-    p_succ_trace = [current.p_succ]
-    best_theta, best = theta, current
+    theta0 = np.concatenate([np.zeros(n_ansatz), np.asarray(spec.params, float)])
+    return _descend(config, evaluate, theta0)
+
+
+def _descend(
+    config: TrainConfig,
+    evaluate: Callable[[np.ndarray], tuple[RiskReport, np.ndarray]],
+    theta0: np.ndarray,
+) -> TrainResult:
+    """Adam or SGD on evaluate: theta -> (report, gradient), from theta0.
+
+    With init_scale > 0 the start moves by a seeded Gaussian offset.
+    Returns the best theta seen and its report.
+    """
+    start = time.perf_counter()
+    theta, cost_trace, p_succ_trace = theta0, [], []
     adam_state = {"t": 0, "m": np.zeros_like(theta), "v": np.zeros_like(theta)}
     # the identity start is a stationary point (the cost is even in theta
     # there), so it needs a seeded escape kick
     kick_rng = np.random.default_rng([config.seed, 0x5ADD1E])
-    for _ in range(config.epochs):
-        if np.linalg.norm(g) <= STATIONARY_GRADIENT_NORM:
-            direction = kick_rng.standard_normal(theta.shape)
-            theta = theta + KICK_STEP * direction / np.linalg.norm(direction)
-        elif config.optimizer == "adam":
-            theta = theta - _adam_update(adam_state, g, config.learning_rate)
-        else:
-            theta = theta - config.learning_rate * g
+    for epoch in range(config.epochs + 1):
+        # the start offset or a step may overflow; theta itself is checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            if epoch == 0:
+                if config.init_scale > 0:
+                    rng = np.random.default_rng(config.seed)
+                    theta = theta + config.init_scale * rng.standard_normal(theta.shape)
+            elif np.linalg.norm(g) <= STATIONARY_GRADIENT_NORM:
+                direction = kick_rng.standard_normal(theta.shape)
+                theta = theta + KICK_STEP * direction / np.linalg.norm(direction)
+            elif config.optimizer == "adam":
+                theta = theta - _adam_update(adam_state, g, config.learning_rate)
+            else:
+                theta = theta - config.learning_rate * g
+        if not np.isfinite(theta).all():
+            raise DomainError("theta overflows: init_scale or the learning rate is too large")
         current, g = evaluate(theta)
         cost_trace.append(current.risk)
         p_succ_trace.append(current.p_succ)
-        if current.risk < best.risk:
+        if epoch == 0 or current.risk < best.risk:
             best_theta, best = theta, current
     return TrainResult(
         theta_star=best_theta,
@@ -242,24 +261,6 @@ def train(
         seed=config.seed,
         wall_time=time.perf_counter() - start,
     )
-
-
-@dataclass(frozen=True)
-class CompareCondition:
-    """One comparison arm: no filter at all, or a filter trained at (cutoff, lam)."""
-
-    mode: str  # "embedding-only" | "feature-map"
-    cutoff: float = 0.0
-    lam: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("embedding-only", "feature-map"):
-            raise DomainError(f"unknown comparison mode {self.mode!r}")
-
-    def name(self) -> str:
-        if self.mode == "embedding-only":
-            return "embedding-only"
-        return f"feature-map-c{self.cutoff:g}"
 
 
 def _filtered_eval(
@@ -286,24 +287,26 @@ def _filtered_eval(
 def compare_conditions(
     samples: list[EmbeddedSample],
     test_samples: list[EmbeddedSample],
-    conditions: list[CompareCondition],
+    cutoffs: list[float | None],
     ansatz: FeatureMapCircuit,
     config: TrainConfig,
 ) -> list[dict]:
-    """Seed-matched arms sharing one dataset; rows are CSV/JSON friendly."""
+    """Seed-matched arms sharing one dataset; rows are CSV/JSON friendly.
+
+    An arm is its cutoff: None is the embedding-only arm, without a filter,
+    and c is a filter trained with config at cutoff c.
+    """
     rows = []
-    for cond in conditions:
-        if cond.mode == "embedding-only":
+    for c in cutoffs:
+        if c is None:
             rho, sigma = build_ensembles(samples)
             hits = sum(
-                1
+                fidelity_classify(rho, sigma, pure_to_density(s.state)).decision == s.label
                 for s in test_samples
-                if fidelity_classify(rho, sigma, pure_to_density(s.state)).decision
-                == s.label
             )
             rows.append(
                 {
-                    "condition": cond.name(),
+                    "condition": "embedding-only",
                     "hs_distance": hs_distance(rho, sigma),
                     "p_succ_train": 1.0,
                     "p_succ_total": 1.0,
@@ -311,14 +314,13 @@ def compare_conditions(
                 }
             )
             continue
-        run_cfg = replace(config, cutoff=cond.cutoff, lam=cond.lam)
-        result = train(run_cfg, samples, ansatz)
-        pair = kraus_from_circuit(ansatz, result.theta_star[: ansatz.n_params])
+        result = train(replace(config, cutoff=c), samples, ansatz)
+        pair = kraus_from_circuit(ansatz, result.theta_star)
         ens = transform_ensemble(pair, samples)
         accuracy, mean_test_p = _filtered_eval(ens, pair, test_samples)
         rows.append(
             {
-                "condition": cond.name(),
+                "condition": f"feature-map-c{c:g}",
                 "hs_distance": result.report.hs_distance,
                 "p_succ_train": result.report.p_succ,
                 "p_succ_total": result.report.p_succ * mean_test_p,

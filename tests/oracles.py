@@ -67,12 +67,6 @@ def oracle_gate(kind, theta=0.0):
         return zz(theta)
     if kind == "CRx":
         return crx(theta)
-    if kind == "H":
-        return HADAMARD.copy()
-    if kind == "X":
-        return SX.copy()
-    if kind == "CSWAP":
-        return cswap()
     raise KeyError(kind)
 
 
@@ -109,7 +103,7 @@ def circuit_matrix(gate_list, theta, n):
     """Product of lifted gates, first gate applied first."""
     u = np.eye(2**n, dtype=complex)
     for spec in gate_list:
-        u = lift(oracle_gate(spec.kind, spec.resolve_angle(theta)), spec.targets, n) @ u
+        u = lift(oracle_gate(spec.kind, theta[spec.param_index]), spec.targets, n) @ u
     return u
 
 

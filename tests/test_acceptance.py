@@ -24,7 +24,7 @@ from qfilter.selftest import (
     suite_path_equivalence,
     suite_risk_identities,
 )
-from qfilter.training import CompareCondition, TrainConfig, compare_conditions, train
+from qfilter.training import TrainConfig, compare_conditions, train
 
 
 def _iris():
@@ -186,7 +186,7 @@ def test_criterion_08_improvement_over_embedding():
         rows = compare_conditions(
             samples,
             test_samples,
-            [CompareCondition("embedding-only"), CompareCondition("feature-map", cutoff=0.0)],
+            [None, 0.0],  # embedding-only, and a filter at cutoff 0
             ansatz,
             TrainConfig(epochs=200, seed=0),
         )

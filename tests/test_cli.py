@@ -151,6 +151,20 @@ def test_classify_pca_model_roundtrip(tmp_path, capsys):
     assert payload["decision"] in (+1, -1)
 
 
+def test_classify_input_of_the_wrong_width_exits_3(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,c,label\n0.1,0.9,0.3,1\n0.8,0.1,-0.2,-1\n0.4,0.5,0.1,1\n")
+    for embedding in ("pca:2", "amplitude", "angle"):
+        model = tmp_path / f"{embedding.replace(':', '')}.json"
+        assert main(["train", "--dataset", f"csv:{data}", "--embedding", embedding,
+                     "--epochs", "1", "--out", str(model)]) == 0
+        for point in ("0.5,0.1", "0.5,0.1,0.2,0.3"):
+            assert main(["classify", "--model", str(model), "--input", point]) == 3
+            err = capsys.readouterr().err
+            assert "error: the input has" in err and "the model's data 3" in err
+            assert "Traceback" not in err
+
+
 def test_co_train_appends_embedding_angles(tmp_path):
     csv_path = tmp_path / "train.csv"
     rng = np.random.default_rng(1)
@@ -171,6 +185,30 @@ def test_co_train_appends_embedding_angles(tmp_path):
     assert len(emb["params"]) == 3
     ansatz_params = 8  # build_ansatz(2 qubits, 1 layer)
     assert len(saved["theta_star"]) == ansatz_params + 3
+
+
+def test_co_train_embeds_the_data_once(tmp_path, monkeypatch):
+    """A co-trained fit embeds the rows point by point only for its final
+    ensemble, after training."""
+    from qfilter import embedding
+
+    calls = []
+    encode = embedding.encode_point
+
+    def counted(x, spec):
+        calls.append(spec.params)
+        return encode(x, spec)
+
+    monkeypatch.setattr(embedding, "encode_point", counted)
+    csv_path = tmp_path / "train.csv"
+    rows = ["f0,f1,label"] + [f"{0.1 * i:.1f},{(-1) ** i * 0.3:.1f},{(-1) ** i}" for i in range(6)]
+    csv_path.write_text("\n".join(rows) + "\n")
+    argv = ["train", "--dataset", f"csv:{csv_path}", "--embedding", "pca:2", "--co-train",
+            "--epochs", "3", "--init-scale", "0.2", "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    trained = tuple(json.loads((tmp_path / "m.json").read_text())
+                    ["manifest"]["config"]["embedding"]["params"])
+    assert calls == [trained] * 6
 
 
 def test_compare_emits_json_and_csv(tmp_path):
@@ -298,6 +336,42 @@ def test_non_finite_csv_and_bad_conditions_exit_3(tmp_path, capsys):
     argv = ["compare", "--dataset", "iris", "--conditions", "embedding-only,c=x"]
     assert main(argv) == 3
     assert "error: bad cutoff" in capsys.readouterr().err
+    argv = ["compare", "--dataset", "iris", "--conditions", "embedding-only,kernel"]
+    assert main(argv) == 3
+    assert "error: bad condition 'kernel'" in capsys.readouterr().err
+
+
+def test_csv_without_a_feature_column_exits_3_naming_it(tmp_path, capsys):
+    data = tmp_path / "labels.csv"
+    data.write_text("label\n1\n-1\n1\n")
+    for embedding in ("angle", "amplitude", "pca:1"):
+        argv = ["train", "--dataset", f"csv:{data}", "--embedding", embedding, "--epochs", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"error: {data}: header has no feature column" in err
+        assert "Traceback" not in err
+
+
+def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
+    """train, compare and classify refuse a filter whose gate tape is over budget."""
+    from qfilter import featuremap
+
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)]) == 0
+    # 1 system qubit, 1 layer: 5 gates, a tape of 6 matrices of 4 x 4, 1536 B
+    monkeypatch.setattr(featuremap, "MAX_BUFFER_BYTES", 1535)
+    for argv in (
+        ["train", "--dataset", "iris", "--epochs", "1"],
+        ["compare", "--dataset", "iris", "--epochs", "1"],
+        ["classify", "--model", str(model), "--input", "0.3,0.9"],
+        ["classify", "--model", str(model), "--input", "0.3,0.9", "--path", "circuit"],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: a 1-qubit, 1-layer filter needs 0.00146 MiB" in err
+        assert "Traceback" not in err
+    monkeypatch.setattr(featuremap, "MAX_BUFFER_BYTES", 1536)
+    assert main(["classify", "--model", str(model), "--input", "0.3,0.9"]) == 0
 
 
 def test_model_without_manifest_entries_exits_3(tmp_path, capsys):
@@ -353,6 +427,20 @@ def test_classify_single_shot_has_no_decision(tmp_path, capsys):
     assert payload["decision"] is None
     assert payload["tie_flag"] is False
     assert payload["p_s_test"] == pytest.approx(1.0)
+
+
+def test_classify_with_shots_on_a_training_point(tmp_path, capsys):
+    """A test state equal to a training state makes one swap-test outcome
+    impossible; roundoff must not make its probability negative."""
+    model = tmp_path / "model.json"
+    main(["train", "--dataset", "iris", "--epochs", "2", "--out", str(model)])
+    # x0 = 0 encodes to |1>, the -1 training state
+    argv = ["classify", "--model", str(model), "--input", "0.0,0.0", "--path", "circuit"]
+    assert main(argv) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--shots", "50"]) == 0
+    sampled = json.loads(capsys.readouterr().out)
+    assert sampled["decision"] == exact["decision"] == -1
 
 
 def test_overflowing_row_exits_3(tmp_path, capsys):

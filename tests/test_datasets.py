@@ -92,6 +92,9 @@ def test_load_csv_structural_errors(tmp_path):
     p.write_text("a,b\n1,2\n")
     with pytest.raises(CsvError, match="label"):
         load_csv(str(p))
+    p.write_text("label\n1\n-1\n")
+    with pytest.raises(CsvError, match=f"{p}: header has no feature column"):
+        load_csv(str(p))
     p.write_text("x,label\n")
     with pytest.raises(CsvError, match="no data rows"):
         load_csv(str(p))

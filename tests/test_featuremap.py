@@ -193,11 +193,11 @@ def test_transform_ensemble_matches_hand_accumulation():
 def test_kraus_pullback_matches_finite_differences():
     """Adjoint gradient of 2 Re tr[X K(theta)] for a random cotangent X.
 
-    The circuit mixes every parametric gate kind, a gate without an angle
-    and one parameter shared by two gates.
+    The circuit holds every gate kind, and parameters 0 and 1 each drive
+    two gates.
     """
     gates = (
-        GateSpec("H", (0,)),
+        GateSpec("Rx", (0,), param_index=1),
         GateSpec("Ry", (0,), param_index=0),
         GateSpec("ZZ", (0, 2), param_index=1),
         GateSpec("CRx", (1, 2), param_index=0),
@@ -264,6 +264,23 @@ def test_annihilated_single_sample_is_harmless_if_class_survives():
     ens = transform_ensemble(pair, samples)
     assert ens.p_s[1] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(ens.pos.entries, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_build_ansatz_checks_the_gate_tape_budget(monkeypatch):
+    from qfilter import featuremap
+    from qfilter.errors import RegisterTooLarge
+
+    # 1 layer: 3n + 2 gates; circuit_unitary keeps 3n + 3 matrices of 4**(n+1) x 16 B
+    build_ansatz(8, 1)  # 27 x 4 MiB
+    with pytest.raises(RegisterTooLarge, match="a 9-qubit, 1-layer filter needs 480 MiB"):
+        build_ansatz(9, 1)
+    with pytest.raises(RegisterTooLarge):
+        build_ansatz(8, 3)
+    monkeypatch.setattr(featuremap, "MAX_BUFFER_BYTES", 6 * 16 * 16)
+    build_ansatz(1, 1)
+    monkeypatch.setattr(featuremap, "MAX_BUFFER_BYTES", 6 * 16 * 16 - 1)
+    with pytest.raises(RegisterTooLarge, match="budget"):
+        build_ansatz(1, 1)
 
 
 def test_feature_map_circuit_zero_theta_shape():

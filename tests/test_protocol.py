@@ -160,17 +160,18 @@ def test_apply_feature_maps_postselect_checks_the_register():
 
 
 def test_apply_feature_maps_postselect_annihilation():
-    # X on the ancilla flips it to |1> always: keep branch has probability 0
+    # Rx(pi) on the ancilla takes it to -i|1> always: the keep branch has
+    # probability cos(pi/2)**2, zero up to roundoff
     from qfilter.quantum import GateSpec
     from qfilter.featuremap import FeatureMapCircuit
 
-    circ = FeatureMapCircuit(1, 1, (GateSpec("X", (1,)),), 0)
+    circ = FeatureMapCircuit(1, 1, (GateSpec("Rx", (1,), param_index=0),), 1)
     samples = [
         EmbeddedSample(basis_state(1, 0), +1, 0),
         EmbeddedSample(basis_state(1, 1), -1, 1),
     ]
     with pytest.raises(FilterAnnihilated):
-        run_classifier_protocol(samples, basis_state(1, 0), circ, np.zeros(0))
+        run_classifier_protocol(samples, basis_state(1, 0), circ, np.array([math.pi]))
 
 
 def test_classifier_protocol_against_dense_oracle():

@@ -47,11 +47,6 @@ def test_rotation_gates_match_exponential_form(theta):
         )
 
 
-def test_fixed_gates_match_reference():
-    for kind in ("H", "X", "CSWAP"):
-        np.testing.assert_allclose(gate_array(kind), oracles.oracle_gate(kind), atol=0)
-
-
 def test_unitary_matrix_validates_unitarity():
     u = UnitaryMatrix(gate_array("Rx", 0.7), 1)
     assert u.n_qubits == 1
@@ -61,9 +56,13 @@ def test_unitary_matrix_validates_unitarity():
 
 def test_unknown_gate_kind_rejected():
     with pytest.raises(UnsupportedGate):
-        gate_array("Toffoli")
+        gate_array("Toffoli", 0.0)
     with pytest.raises(UnsupportedGate):
-        GateSpec("Toffoli", (0, 1, 2))
+        GateSpec("Toffoli", (0, 1, 2), param_index=0)
+    # every gate is a rotation: no fixed gates
+    for kind in ("H", "X"):
+        with pytest.raises(UnsupportedGate):
+            GateSpec(kind, (0,), param_index=0)
 
 
 def _run(state, *gates, theta=()):
@@ -77,21 +76,19 @@ def test_gate_spec_arity_and_angle_rules():
         GateSpec("Rx", (0, 1), param_index=0)
     with pytest.raises(ValueError):
         GateSpec("CRx", (1, 1), param_index=0)  # duplicate targets
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GateSpec("Rx", (0,))  # a rotation without its parameter
-    with pytest.raises(ValueError):
-        GateSpec("H", (0,), param_index=0)  # non-parametric with a parameter
-    spec = GateSpec("Rx", (0,), param_index=2)
-    assert spec.resolve_angle(np.array([0.0, 0.0, 0.4])) == 0.4
-    assert GateSpec("H", (0,)).resolve_angle(np.zeros(0)) == 0.0
+    # the angle is theta[param_index]
+    out = _run(basis_state(1, 0), GateSpec("Rx", (0,), param_index=2), theta=[0.0, 0.0, 0.4])
+    np.testing.assert_allclose(out, oracles.rx(0.4)[:, 0], atol=1e-15)
 
 
 def test_qubit_zero_is_most_significant():
-    # X on qubit 0 of |00> lands on basis index 2, not 1
-    out = _run(basis_state(2, 0), GateSpec("X", (0,)))
-    np.testing.assert_allclose(out, [0, 0, 1, 0], atol=0)
-    out = _run(basis_state(2, 0), GateSpec("X", (1,)))
-    np.testing.assert_allclose(out, [0, 1, 0, 0], atol=0)
+    # Rx(pi) = -iX on qubit 0 of |00> lands on basis index 2, not 1
+    out = _run(basis_state(2, 0), GateSpec("Rx", (0,), param_index=0), theta=[np.pi])
+    np.testing.assert_allclose(out, [0, 0, -1j, 0], atol=1e-15)
+    out = _run(basis_state(2, 0), GateSpec("Rx", (1,), param_index=0), theta=[np.pi])
+    np.testing.assert_allclose(out, [0, -1j, 0, 0], atol=1e-15)
 
 
 def test_crx_control_is_first_target():
@@ -104,17 +101,10 @@ def test_crx_control_is_first_target():
     np.testing.assert_allclose(out, [0, 0, 0, -1j], atol=1e-12)
 
 
-def test_cswap_control_is_first_target():
-    out = _run(basis_state(3, 0b101), GateSpec("CSWAP", (0, 1, 2)))
-    np.testing.assert_allclose(out, np.eye(8)[0b110], atol=0)
-    out = _run(basis_state(3, 0b001), GateSpec("CSWAP", (0, 1, 2)))
-    np.testing.assert_allclose(out, np.eye(8)[0b001], atol=0)
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(min_value=1, max_value=4),
-    st.sampled_from(["Rx", "Ry", "Rz", "H", "X", "ZZ", "CRx", "CSWAP"]),
+    st.sampled_from(["Rx", "Ry", "Rz", "ZZ", "CRx"]),
     angles,
     st.integers(min_value=0, max_value=10_000),
 )
@@ -127,8 +117,7 @@ def test_run_gates_matches_dense_lift(n, kind, theta, seed):
     rng = np.random.default_rng(seed)
     targets = tuple(rng.permutation(n)[:k].tolist())
     cols = np.stack([random_state(seed, n).amplitudes, random_state(seed + 1, n).amplitudes], 1)
-    parametric = kind in ("Rx", "Ry", "Rz", "ZZ", "CRx")
-    spec = GateSpec(kind, targets, param_index=0 if parametric else None)
+    spec = GateSpec(kind, targets, param_index=0)
     got, _ = run_gates(cols, [spec], [theta], n)
     want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -136,23 +125,23 @@ def test_run_gates_matches_dense_lift(n, kind, theta, seed):
 
 def test_run_gates_rejects_out_of_range_target():
     with pytest.raises(IndexError):
-        _run(basis_state(1, 0), GateSpec("H", (1,)))
+        _run(basis_state(1, 0), GateSpec("Ry", (1,), param_index=0), theta=[0.0])
 
 
 def test_run_gates_pullback_matches_finite_differences():
     """Adjoint gradient of 2 Re <Y, run_gates(cols)> for a random cotangent Y.
 
-    The list mixes every parametric gate kind with gates that take no
-    angle, one parameter drives two gates and one parameter none.
+    The list holds every gate kind; parameters 0 and 1 each drive two
+    gates and parameter 4 none.
     """
     from qfilter.training import gradient
 
     gates = (
-        GateSpec("H", (0,)),
+        GateSpec("Rx", (0,), param_index=1),
         GateSpec("Ry", (0,), param_index=0),
         GateSpec("ZZ", (0, 2), param_index=1),
         GateSpec("CRx", (1, 2), param_index=0),
-        GateSpec("CSWAP", (2, 0, 1)),
+        GateSpec("CRx", (2, 0), param_index=3),
         GateSpec("Rz", (1,), param_index=3),
         GateSpec("Rx", (2,), param_index=2),
     )
@@ -183,14 +172,20 @@ def test_basis_states():
     out = basis_state(3, 0b100)
     assert out.n_qubits == 3
     np.testing.assert_allclose(out.amplitudes, np.eye(8)[0b100], atol=0)
-    # X on qubits 0 and 2 of |000> gives |101>
-    flips = _run(basis_state(3, 0), GateSpec("X", (0,)), GateSpec("X", (2,)))
-    np.testing.assert_allclose(flips, basis_state(3, 0b101).amplitudes, atol=0)
+    # Rx(pi) = -iX on qubits 0 and 2 of |000> gives -|101>
+    flips = _run(
+        basis_state(3, 0),
+        GateSpec("Rx", (0,), param_index=0),
+        GateSpec("Rx", (2,), param_index=0),
+        theta=[np.pi],
+    )
+    np.testing.assert_allclose(flips, -basis_state(3, 0b101).amplitudes, atol=1e-15)
 
 
 def test_project_bit_probability_and_renormalization():
     # the post-selection reference the protocol oracles use
-    amps = _run(basis_state(2, 0), GateSpec("H", (0,)))
+    # Ry(pi/2) takes |0> to (|0> + |1>) / sqrt 2, as H does
+    amps = _run(basis_state(2, 0), GateSpec("Ry", (0,), param_index=0), theta=[np.pi / 2])
     kept, p = oracles.project_bit(amps, 0, 2, outcome=1)
     assert p == pytest.approx(0.5)
     np.testing.assert_allclose(kept, [0, 0, 1, 0], atol=1e-15)

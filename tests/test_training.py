@@ -11,13 +11,13 @@ from oracles import basis_state
 from qfilter import training
 from qfilter.classifier import build_ensembles
 from qfilter.embedding import EmbeddedSample, EmbeddingSpec, embed_dataset
-from qfilter.errors import ClassAnnihilated, DomainError
+from qfilter.errors import ClassAnnihilated, ClassBalanceError, DomainError
 from qfilter.featuremap import FeatureMapCircuit, build_ansatz, class_moments, kraus_from_circuit
 from qfilter.quantum import GateSpec, hs_distance, random_state
 from qfilter.training import (
     STATIONARY_GRADIENT_NORM,
-    CompareCondition,
     TrainConfig,
+    co_train,
     compare_conditions,
     cost,
     gradient,
@@ -285,12 +285,46 @@ def test_co_training_extends_the_parameter_vector():
         (np.array([-0.2]), -1),
     ]
     spec = EmbeddingSpec("pca-layer", 1, params=(0.0,))
-    samples = embed_dataset(raw, spec)
     ansatz = build_ansatz(1, 1)
-    cfg = TrainConfig(epochs=5, seed=1, init_scale=0.3, co_train_embedding=True)
-    res = train(cfg, samples, ansatz, raw_data=raw, embedding_spec=spec)
+    cfg = TrainConfig(epochs=5, seed=1, init_scale=0.3)
+    res = co_train(cfg, raw, spec, ansatz)
     assert res.theta_star.shape == (ansatz.n_params + 1,)
     assert res.report.risk == min(res.cost_trace)
+
+
+def test_overflowing_parameters_raise_a_domain_error():
+    """A start offset or a step too large for a float raises, without a
+    numpy warning, before the cost sees a non-finite angle."""
+    samples = _iris_samples()
+    ansatz = build_ansatz(1, 2)
+    with pytest.raises(DomainError, match="overflow"):
+        train(TrainConfig(epochs=1, init_scale=1.7e308), samples, ansatz)
+    # a unit gradient and SGD at lr 1e308 overflow theta in the second step
+    from qfilter.classifier import constrained_risk
+
+    report = constrained_risk(-1.0, 1.0, 1.0, 0.0)
+    sgd = TrainConfig(epochs=3, optimizer="sgd", learning_rate=1e308)
+    with pytest.raises(DomainError, match="overflow"):
+        training._descend(sgd, lambda t: (report, np.ones_like(t)), np.zeros(2))
+    raw = [(np.array([0.3]), +1), (np.array([-0.9]), -1)]
+    spec = EmbeddingSpec("pca-layer", 1, params=(0.0,))
+    with pytest.raises(DomainError, match="overflow"):
+        co_train(TrainConfig(epochs=1, init_scale=1.7e308), raw, spec, ansatz)
+
+
+def test_co_training_never_embeds_point_by_point(monkeypatch):
+    """co_train reads the labels from the raw rows and embeds them in one
+    batch, so the per-point encoder is never called."""
+    from qfilter import embedding
+
+    def refuse(*args):
+        raise AssertionError("encode_point called")
+
+    monkeypatch.setattr(embedding, "encode_point", refuse)
+    raw = [(np.array([0.3, -0.4]), +1), (np.array([-0.9, 0.2]), -1), (np.array([0.5, 0.1]), +1)]
+    spec = EmbeddingSpec("pca-layer", 2, params=(0.0,) * 3)
+    res = co_train(TrainConfig(epochs=3, seed=1, init_scale=0.3), raw, spec, build_ansatz(2, 1))
+    assert len(res.cost_trace) == 4
 
 
 @pytest.mark.parametrize("c", [0.0, 0.9])
@@ -306,15 +340,11 @@ def test_co_training_gradient_matches_finite_differences(k, embed_layers, ring, 
     count = EmbeddingSpec("pca-layer", k, layers=embed_layers, ring=ring).param_count()
     angles = tuple(rng.uniform(-1.0, 1.0, count))
     spec = EmbeddingSpec("pca-layer", k, params=angles, layers=embed_layers, ring=ring)
-    samples = embed_dataset(raw, spec)
     ansatz = build_ansatz(k, 1)
     lr = 1e-3
-    cfg = TrainConfig(
-        epochs=0, optimizer="sgd", learning_rate=lr, seed=2, init_scale=1.5, cutoff=c,
-        co_train_embedding=True,
-    )
-    theta0 = train(cfg, samples, ansatz, raw_data=raw, embedding_spec=spec).theta_star
-    step = train(replace(cfg, epochs=1), samples, ansatz, raw_data=raw, embedding_spec=spec)
+    cfg = TrainConfig(epochs=0, optimizer="sgd", learning_rate=lr, seed=2, init_scale=1.5, cutoff=c)
+    theta0 = co_train(cfg, raw, spec, ansatz).theta_star
+    step = co_train(replace(cfg, epochs=1), raw, spec, ansatz)
 
     def full_report(t):
         smp = embed_dataset(raw, replace(spec, params=tuple(t[ansatz.n_params :])))
@@ -331,21 +361,35 @@ def test_co_training_gradient_matches_finite_differences(k, embed_layers, ring, 
 
 
 def test_co_training_requires_raw_data_and_trainable_embedding():
-    samples = _iris_samples()
     ansatz = build_ansatz(1, 1)
-    cfg = TrainConfig(epochs=1, co_train_embedding=True)
-    with pytest.raises(DomainError):
-        train(cfg, samples, ansatz)
-    raw = [(np.array([0.3, 0.1]), +1), (np.array([-0.3, 0.2]), -1)]
-    with pytest.raises(DomainError):
-        train(cfg, samples, ansatz, raw_data=raw, embedding_spec=EmbeddingSpec("angle", 1))
+    cfg = TrainConfig(epochs=1)
+    raw = [(np.array([0.3]), +1), (np.array([-0.3]), -1)]
+    with pytest.raises(DomainError, match="trainable angles"):
+        co_train(cfg, raw, EmbeddingSpec("angle", 1), ansatz)
+    # the raw rows must hold both labels, checked as embed_dataset() checks them
+    one_class = [(x, +1) for x, _ in raw]
+    spec = EmbeddingSpec("pca-layer", 1, params=(0.0,))
+    with pytest.raises(ClassBalanceError, match=r"need both labels \+1 and -1, got \[1\]"):
+        co_train(cfg, one_class, spec, ansatz)
+    with pytest.raises(ClassBalanceError, match=r"got \[1\]"):
+        embed_dataset(one_class, spec)
 
 
 def test_compare_condition_names_and_validation():
-    assert CompareCondition("embedding-only").name() == "embedding-only"
-    assert CompareCondition("feature-map", cutoff=0.5).name() == "feature-map-c0.5"
-    with pytest.raises(DomainError):
-        CompareCondition("kernel")
+    """An arm is named by its cutoff; a --conditions entry that is neither
+    embedding-only nor c=<x> is refused."""
+    from qfilter.cli import _cutoff
+
+    assert _cutoff("embedding-only") is None
+    assert _cutoff(" c=0.5 ") == 0.5
+    with pytest.raises(DomainError, match="bad condition 'kernel'"):
+        _cutoff("kernel")
+    with pytest.raises(DomainError, match="bad cutoff"):
+        _cutoff("c=x")
+    samples = _iris_samples()
+    rows = compare_conditions(samples, samples, [None, 0.5], build_ansatz(1, 1),
+                              TrainConfig(epochs=0, seed=0))
+    assert [r["condition"] for r in rows] == ["embedding-only", "feature-map-c0.5"]
 
 
 def test_compare_conditions_rows():
@@ -357,13 +401,8 @@ def test_compare_conditions_rows():
     test_ds = synthetic_blobs(1, 4, 2, 2.5)
     test_samples = embed_dataset(test_ds.pairs(), spec)
     ansatz = build_ansatz(1, 1)
-    rows = compare_conditions(
-        samples,
-        test_samples,
-        [CompareCondition("embedding-only"), CompareCondition("feature-map", cutoff=0.0)],
-        ansatz,
-        TrainConfig(epochs=15, seed=0),
-    )
+    rows = compare_conditions(samples, test_samples, [None, 0.0], ansatz,
+                              TrainConfig(epochs=15, seed=0))
     assert [r["condition"] for r in rows] == ["embedding-only", "feature-map-c0"]
     emb, fm = rows
     assert emb["p_succ_train"] == 1.0
