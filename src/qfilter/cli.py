@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -180,15 +181,16 @@ def cmd_classify(args) -> int:
     }
     extra: dict = {}
     try:
-        pair = kraus_from_circuit(ansatz, theta)
-        ens = transform_ensemble(pair, samples)
         if args.path == "analytic":
+            pair = kraus_from_circuit(ansatz, theta)
+            ens = transform_ensemble(pair, samples)
             out = filtered_fidelity_classify(ens, pair, pure_to_density(test_state))
         else:
             outcome = run_classifier_protocol(samples, test_state, ansatz, theta)
             if args.shots > 0:
                 outcome = sample_outcomes(outcome, args.shots, args.seed)
-            out = decide(outcome.derived_value, outcome.p_postselect / ens.p_succ)
+            # p_s of the test point: its own register's post-selection
+            out = decide(outcome.derived_value, outcome.p_registers[1])
     except FilterAnnihilated:
         out, extra = decide(math.nan, 0.0), {"error": "filter-annihilated"}
     fields = dataclasses.asdict(out)
@@ -324,7 +326,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="stddev of the random start (0 = exact identity)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qfilter argument parser, built once per process; main() reuses it."""
     parser = argparse.ArgumentParser(
         prog="qfilter",
         description="Probabilistic Kraus filters over embedded data: "

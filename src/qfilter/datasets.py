@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassBalanceError, CsvError, DimError, DomainError, ShapeError
+from .errors import (
+    MAX_BUFFER_BYTES,
+    ClassBalanceError,
+    CsvError,
+    DimError,
+    DomainError,
+    RegisterTooLarge,
+    ShapeError,
+)
 
 
 def check_labels(labels: list[int]) -> None:
@@ -85,7 +93,7 @@ def load_csv(path: str) -> RawDataset:
     if not feats:
         raise CsvError(f"{path}: no data rows")
     y = np.array(labels)
-    if set(np.unique(y).tolist()) <= {0.0, 1.0}:
+    if 0.0 in y and set(np.unique(y).tolist()) <= {0.0, 1.0}:
         warnings.warn(f"{path}: labels in {{0,1}} remapped to {{-1,+1}}")
         y = np.where(y == 0.0, -1.0, +1.0)
     if not set(np.unique(y).tolist()) <= {-1.0, +1.0}:
@@ -112,11 +120,18 @@ def pca_fit(dataset: RawDataset, k: int) -> PCAModel:
     """Top-k eigenvectors of the sample covariance, deterministic signs.
 
     Each component is flipped so its largest-magnitude entry is positive.
+    Raises RegisterTooLarge when the d x d covariance exceeds MAX_BUFFER_BYTES.
     """
     x = dataset.features
     m, d = x.shape
     if not 1 <= k <= min(m, d):
         raise DimError(f"k={k} outside [1, min(M={m}, d={d})]")
+    need = d * d * 8
+    if need > MAX_BUFFER_BYTES:
+        raise RegisterTooLarge(
+            f"PCA of {d} features needs a {need / 2**20:.3g} MiB covariance, "
+            f"over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
         xc = x - mean

@@ -86,28 +86,36 @@ def _coupler_pairs(n_qubits: int, ring: bool) -> list[tuple[int, int]]:
     return pairs
 
 
-def amplitude_encode(x: np.ndarray, n_qubits: int) -> StateVector:
-    """Normalize x and pad with zeros to the full register dimension."""
-    v = np.asarray(x, dtype=float)
+def amplitude_states(xs: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Every row of xs normalized and zero padded to 2**n_qubits amplitudes.
+
+    The first row that cannot be encoded raises its error.
+    """
+    v = np.asarray(xs, dtype=float)
     d = 2**n_qubits
-    if v.ndim != 1 or v.shape[0] > d:
-        raise DimError(f"input of dim {v.shape} does not fit {n_qubits} qubits")
+    if v.ndim != 2 or v.shape[1] > d:
+        raise DimError(f"input of dim {v.shape[1:]} does not fit {n_qubits} qubits")
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(v)
-    if not math.isfinite(norm):
-        raise DomainError(f"cannot amplitude-encode: the norm of the input is {norm}")
-    if norm < 1e-15:
+        # row @ row for every row, the same product np.linalg.norm forms
+        norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= 1e-15)))
+    if bad.size:
+        norm = norms[bad[0]]
+        if not math.isfinite(norm):
+            raise DomainError(f"cannot amplitude-encode: the norm of the input is {norm}")
         raise ZeroVectorError("cannot amplitude-encode the zero vector")
-    amps = np.zeros(d, dtype=complex)
-    amps[: v.shape[0]] = v / norm
-    return StateVector(amps, n_qubits)
+    amps = np.zeros((v.shape[0], d), dtype=complex)
+    amps[:, : v.shape[1]] = v / norms[:, None]
+    return amps
 
 
-def angle_encode(x0: float) -> StateVector:
-    """Ry(2 acos(x0))|0> = (x0, sqrt(1 - x0^2)) on one qubit."""
-    if abs(x0) > 1.0:
-        raise DomainError(f"angle encoding needs |x0| <= 1, got {x0}")
-    return StateVector(np.array([x0, np.sqrt(1.0 - x0 * x0)], dtype=complex), 1)
+def angle_states(x0: np.ndarray) -> np.ndarray:
+    """Ry(2 acos(x0))|0> = (x0, sqrt(1 - x0^2)) as one row per entry of x0."""
+    x0 = np.asarray(x0, dtype=float)
+    outside = np.flatnonzero(np.abs(x0) > 1.0)
+    if outside.size:
+        raise DomainError(f"angle encoding needs |x0| <= 1, got {x0[outside[0]]}")
+    return np.stack([x0, np.sqrt(1.0 - x0 * x0)], axis=1).astype(complex)
 
 
 def pca_layer_states(
@@ -137,28 +145,53 @@ def pca_layer_states(
     return run_gates(cols, gates, theta, n)
 
 
-def pca_layer_encode(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
-    """Rx data loading, then alternating trainable Ry and ZZ coupler layers."""
-    cols, _ = pca_layer_states(np.asarray(x, dtype=float)[None], spec)
-    return StateVector(cols[:, 0], spec.n_qubits)
+def encode_rows(xs: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
+    """The states of the rows of xs, one row of amplitudes each, in one array pass.
+
+    amplitude: a row of at most 2**n_qubits features, normalized and zero
+    padded. angle: the first feature of each row. pca-layer: a row of
+    n_qubits features.
+    """
+    v = np.asarray(xs, dtype=float)
+    if spec.kind == "amplitude":
+        return amplitude_states(v, spec.n_qubits)
+    if spec.kind == "angle":
+        return angle_states(v.reshape(v.shape[0], -1)[:, 0])
+    return pca_layer_states(v, spec)[0].T
 
 
 def encode_point(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
-    if spec.kind == "amplitude":
-        return amplitude_encode(x, spec.n_qubits)
-    if spec.kind == "angle":
-        return angle_encode(float(np.asarray(x, dtype=float).ravel()[0]))
-    return pca_layer_encode(x, spec)
+    """The state of one point: the one-row case of encode_rows()."""
+    return StateVector(encode_rows(np.asarray(x, dtype=float)[None], spec)[0], spec.n_qubits)
+
+
+def amplitude_encode(x: np.ndarray, n_qubits: int) -> StateVector:
+    """Normalize x and pad with zeros to the full register dimension."""
+    return encode_point(x, EmbeddingSpec("amplitude", n_qubits))
+
+
+def angle_encode(x0: float) -> StateVector:
+    """Ry(2 acos(x0))|0> = (x0, sqrt(1 - x0^2)) on one qubit."""
+    return encode_point(x0, EmbeddingSpec("angle", 1))
+
+
+def pca_layer_encode(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
+    """Rx data loading, then alternating trainable Ry and ZZ coupler layers."""
+    return encode_point(x, spec)
 
 
 def embed_dataset(
     data: list[tuple[np.ndarray, int]], spec: EmbeddingSpec
 ) -> list[EmbeddedSample]:
-    """Encode every (x, y) pair, preserving order; both classes required."""
+    """Encode every (x, y) pair in one batch, preserving order; both classes required."""
     check_labels([y for _, y in data])
+    rows = [np.asarray(x, dtype=float) for x, _ in data]
+    if len({r.shape for r in rows}) > 1:
+        raise DimError("the rows of a dataset must all have one width")
+    states = encode_rows(np.array(rows), spec)
     return [
-        EmbeddedSample(encode_point(x, spec), int(y), m)
-        for m, (x, y) in enumerate(data)
+        EmbeddedSample(StateVector(psi, spec.n_qubits), int(y), m)
+        for m, (psi, (_, y)) in enumerate(zip(states, data))
     ]
 
 

@@ -50,6 +50,12 @@ class RegisterTooLarge(QFilterError):
     """A simulation would exceed its memory budget."""
 
 
+# Largest working set one run may hold: the PCA covariance, the analytic
+# path's gate tape and the register-level twin's buffer. A bigger input
+# raises RegisterTooLarge before any of it is built.
+MAX_BUFFER_BYTES = 2**28
+
+
 class ShapeError(QFilterError):
     """Array argument has the wrong shape."""
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .embedding import EmbeddedSample
 from .errors import (
+    MAX_BUFFER_BYTES,
     ClassAnnihilated,
     DimError,
     FilterAnnihilated,
@@ -29,10 +30,6 @@ from .quantum import (
 )
 
 EPS_ANNIHILATION = 1e-12
-# Largest working set one run may hold, on the analytic path and on the
-# register-level one; a bigger model raises RegisterTooLarge before any of
-# it is built.
-MAX_BUFFER_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -206,6 +203,12 @@ def _sample_columns(samples: list[EmbeddedSample]) -> tuple[np.ndarray, np.ndarr
     return psi, labels, samples[0].state.n_qubits
 
 
+def check_class_mass(label: int, mass: float) -> None:
+    """Raise ClassAnnihilated for a class of filtered mass sum_m p_s(x_m) <= EPS_ANNIHILATION."""
+    if mass <= EPS_ANNIHILATION:
+        raise ClassAnnihilated(f"class {label:+d} annihilated by the filter")
+
+
 @dataclass(frozen=True)
 class ClassMoments:
     """Unnormalized class second moments A+- = sum_{m in +-} |psi_m><psi_m|.
@@ -243,8 +246,7 @@ def filter_moments(
     for label, a in ((+1, moments.pos), (-1, moments.neg)):
         total = k @ a @ k.conj().T
         mass = float(np.real(np.trace(total)))
-        if mass <= EPS_ANNIHILATION:
-            raise ClassAnnihilated(f"class {label:+d} annihilated by the filter")
+        check_class_mass(label, mass)
         m = total / mass
         out.append((DensityMatrix((m + m.conj().T) / 2, moments.n_qubits), mass))
     (pos, mass_pos), (neg, mass_neg) = out

@@ -25,14 +25,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedSample
-from .errors import ClassAnnihilated, DimError, FilterAnnihilated, RegisterTooLarge
-from .featuremap import MAX_BUFFER_BYTES, FeatureMapCircuit, _check_theta, circuit_unitary
+from .errors import (
+    MAX_BUFFER_BYTES,
+    DimError,
+    FilterAnnihilated,
+    RegisterTooLarge,
+)
+from .featuremap import (
+    EPS_ANNIHILATION,
+    FeatureMapCircuit,
+    _check_theta,
+    check_class_mass,
+    circuit_unitary,
+)
 from .quantum import StateVector
 
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit index assignment for one protocol instance."""
+    """Qubit index assignment for one protocol instance.
+
+    label[i] is the label qubit of data register i; the classifier's test
+    register, the last data register, has none. samples is M, the index
+    branches in use per copy, which scales a label cell's probability to
+    its class mass.
+    """
 
     index: tuple[int, ...]
     data: tuple[tuple[int, ...], ...]   # one tuple per data register
@@ -40,6 +57,7 @@ class RegisterLayout:
     swap: int
     filter_ancilla: tuple[int, ...]     # one per data register
     n_qubits: int
+    samples: int
 
     def __post_init__(self) -> None:
         used = list(self.index) + [q for d in self.data for q in d]
@@ -66,6 +84,7 @@ def classifier_layout(m: int, n_data: int) -> RegisterLayout:
         swap=swap,
         filter_ancilla=(label + 1, label + 2),
         n_qubits=label + 3,
+        samples=m,
     )
 
 
@@ -83,13 +102,19 @@ def risk_layout(m: int, n_data: int) -> RegisterLayout:
         swap=swap,
         filter_ancilla=(swap + 1, swap + 2),
         n_qubits=swap + 3,
+        samples=m,
     )
 
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """Post-selection probability plus label/swap statistics.
+    """Post-selection probabilities plus label/swap statistics.
 
+    p_postselect is the joint probability of every ancilla outcome 0, the
+    product of p_registers, each data register's own post-selection
+    probability in layout order: (training, test) for the classifier
+    circuit, whose test entry is p_s of the test point, and one mean
+    success probability per copy for the risk circuit.
     p_class indexes label-register outcomes (2 cells for the classifier
     circuit, 4 for the two-copy risk circuit, row-major). p_swap_given_class
     holds [cell, swap outcome]. shots = 0 means exact probabilities; sampled
@@ -102,6 +127,7 @@ class ProtocolOutcome:
     derived_value: float
     shots: int = 0
     counts: np.ndarray | None = None
+    p_registers: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         pc = np.asarray(self.p_class, dtype=float)
@@ -189,13 +215,22 @@ def apply_feature_maps_postselect(
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
     layout: RegisterLayout,
-) -> tuple[StateVector, float]:
+) -> tuple[StateVector, float, tuple[float, ...]]:
     """Run V(theta) on every (data register, ancilla in |0>) pair, keep ancilla 0.
 
     state holds the qubits of layout before its ancillas, which never join
     it: each ancilla's outcome-0 slice is kept right after its V(theta).
-    Returns the renormalized surviving state, on the qubits of state, and
-    the joint probability of all ancilla outcomes being 0.
+    Returns the renormalized surviving state, on the qubits of state, the
+    joint probability of all ancilla outcomes being 0, and each data
+    register's own post-selection probability.
+
+    A training copy (a data register with a label qubit) is checked class
+    by class: M p(ancilla 0, label cell) is the filtered class mass
+    sum_{m in class} p_s(x_m), and one at most EPS_ANNIHILATION raises
+    ClassAnnihilated, as the analytic path's filter_moments() does. Only
+    after that may the classifier's test register, which has no label
+    qubit, raise FilterAnnihilated for a probability at most
+    EPS_ANNIHILATION.
     """
     t = _check_theta(circuit, theta)
     if any(len(data) != circuit.n_system for data in layout.data):
@@ -208,13 +243,17 @@ def apply_feature_maps_postselect(
     _check_budget(state.n_qubits)
     # columns of V whose ancilla input is |0>; rows are (data out, ancilla out)
     half = circuit_unitary(circuit, t).entries[:, 0::2]
-    psi, p_post = state.amplitudes, 1.0
-    for data in layout.data:
+    psi, p_post, probs = state.amplitudes, 1.0, []
+    for i, data in enumerate(layout.data):
         psi, p = _postselect(psi, half, data, state.n_qubits)
+        if i < len(layout.label):  # a training copy: every class must survive
+            for sign, share in zip((+1, -1), _outcome_masses(psi, layout.label[i])):
+                check_class_mass(sign, layout.samples * p * share)
+        elif p <= EPS_ANNIHILATION:
+            raise FilterAnnihilated(f"post-selection probability {p:.3e}")
         p_post *= p
-    if p_post <= 1e-12:
-        raise FilterAnnihilated(f"post-selection probability {p_post:.3e}")
-    return StateVector(psi, state.n_qubits), p_post
+        probs.append(p)
+    return StateVector(psi, state.n_qubits), p_post, tuple(probs)
 
 
 def _postselect(
@@ -223,7 +262,7 @@ def _postselect(
     """One V(theta) on data and a fresh ancilla, then the renormalized ancilla-0 slice.
 
     The data axes move last, so the whole register is one 2-D product with
-    the half-column block of V.
+    the half-column block of V. A slice of probability 0 stays 0.
     """
     k = len(data)
     last = tuple(range(n_qubits - k, n_qubits))
@@ -231,10 +270,15 @@ def _postselect(
     out = (moved.reshape(-1, 2**k) @ half.T).reshape(moved.shape[: n_qubits - k] + (2**k, 2))
     kept = out[..., 0]
     p = float(np.vdot(kept, kept).real)
-    if p < 1e-300:
-        raise FilterAnnihilated("post-selection probability 0")
-    kept = np.moveaxis(kept.reshape(moved.shape), last, data) / math.sqrt(p)
-    return kept.ravel(), p
+    kept = np.moveaxis(kept.reshape(moved.shape), last, data)
+    return (kept / math.sqrt(p) if p > 0 else kept).ravel(), p
+
+
+def _outcome_masses(psi: np.ndarray, qubit: int) -> np.ndarray:
+    """p(qubit = 0) and p(qubit = 1) of a register state in layout order."""
+    runs = psi.reshape(2**qubit, 2, -1)  # runs of one outcome
+    # the last qubit's runs are single amplitudes, read in place by a strided dot
+    return np.array([np.vdot(runs[:, c], runs[:, c]).real for c in (0, 1)])
 
 
 def _swap_table(state: StateVector, layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -267,9 +311,7 @@ def _swap_table(state: StateVector, layout: RegisterLayout) -> tuple[np.ndarray,
     overlap = per_cell((t.conj() * st).real)
     # each is a sum of |t +- S t|^2 / 4, so only roundoff takes one below 0
     joint = np.maximum(np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1), 0.0)
-    p_class = joint.sum(axis=1)
-    if np.any(p_class <= 1e-12):
-        raise ClassAnnihilated("a label outcome has zero probability")
+    p_class = joint.sum(axis=1)  # > 0: apply_feature_maps_postselect checked each class
     return p_class, joint / p_class[:, None]
 
 
@@ -288,18 +330,6 @@ def _derived_value(cond: np.ndarray) -> float:
     return float(ov[0] + ov[3] - (ov[1] + ov[2]))
 
 
-def _filter_and_read(
-    state: StateVector,
-    layout: RegisterLayout,
-    circuit: FeatureMapCircuit,
-    theta: np.ndarray,
-) -> ProtocolOutcome:
-    """Post-select the prepared register, then read the swap test's table."""
-    filtered, p_post = apply_feature_maps_postselect(state, circuit, theta, layout)
-    p_class, cond = _swap_table(filtered, layout)
-    return ProtocolOutcome(p_post, p_class, cond, _derived_value(cond))
-
-
 def run_classifier_protocol(
     samples: list[EmbeddedSample],
     test: StateVector,
@@ -309,7 +339,9 @@ def run_classifier_protocol(
     """Full filtered classification circuit with exact conditional readout."""
     layout = classifier_layout(len(samples), samples[0].state.n_qubits)
     base = prepare_classifier_state(samples, test)
-    return _filter_and_read(base, layout, circuit, theta)
+    filtered, p_post, p_registers = apply_feature_maps_postselect(base, circuit, theta, layout)
+    p_class, cond = _swap_table(filtered, layout)
+    return ProtocolOutcome(p_post, p_class, cond, _derived_value(cond), p_registers=p_registers)
 
 
 def run_risk_protocol(
@@ -317,21 +349,40 @@ def run_risk_protocol(
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
 ) -> ProtocolOutcome:
-    """Two filtered risk-state copies and a swap test between their data."""
-    layout = risk_layout(len(samples), samples[0].state.n_qubits)
+    """Two filtered risk-state copies and a swap test between their data.
+
+    The copies and their filter ancillas are disjoint qubits, so the filtered
+    two-copy register is the filtered copy's outer product with itself: one
+    copy is post-selected, on its own nl + n + 1 qubits, and each copy's
+    post-selection probability is that copy's.
+    """
+    m = len(samples)
+    layout = risk_layout(m, samples[0].state.n_qubits)
     _check_budget(layout.swap)  # both copies; the swap qubit never joins them
-    one = prepare_risk_state(samples).amplitudes
-    two = StateVector(np.multiply.outer(one, one).ravel(), layout.swap)
-    return _filter_and_read(two, layout, circuit, theta)
+    per_copy = layout.swap // 2
+    # copy 1 alone; its swap and ancilla indices sit past its qubits, as in layout
+    copy = RegisterLayout(
+        index=layout.index[: len(layout.index) // 2],
+        data=layout.data[:1],
+        label=layout.label[:1],
+        swap=per_copy,
+        filter_ancilla=(per_copy + 1,),
+        n_qubits=per_copy + 2,
+        samples=m,
+    )
+    one, p, _ = apply_feature_maps_postselect(prepare_risk_state(samples), circuit, theta, copy)
+    two = StateVector(np.multiply.outer(one.amplitudes, one.amplitudes).ravel(), layout.swap)
+    p_class, cond = _swap_table(two, layout)
+    return ProtocolOutcome(p * p, p_class, cond, _derived_value(cond), p_registers=(p, p))
 
 
 def sample_outcomes(outcome: ProtocolOutcome, shots: int, seed: int) -> ProtocolOutcome:
     """Multinomial shot noise over the joint (class, swap) cells.
 
-    Shots model post-selected repetitions: p_postselect is carried over
-    exactly, and only the class/swap statistics become empirical. Cells never
-    drawn yield NaN conditionals; the derived value is NaN unless every class
-    cell was observed.
+    Shots model post-selected repetitions: p_postselect and p_registers are
+    carried over exactly, and only the class/swap statistics become
+    empirical. Cells never drawn yield NaN conditionals; the derived value
+    is NaN unless every class cell was observed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -342,4 +393,6 @@ def sample_outcomes(outcome: ProtocolOutcome, shots: int, seed: int) -> Protocol
     with np.errstate(invalid="ignore"):
         cond = counts / counts.sum(axis=1, keepdims=True)
     value = float("nan") if np.any(counts.sum(axis=1) == 0) else _derived_value(cond)
-    return ProtocolOutcome(outcome.p_postselect, p_class, cond, value, shots, counts)
+    return ProtocolOutcome(
+        outcome.p_postselect, p_class, cond, value, shots, counts, outcome.p_registers
+    )

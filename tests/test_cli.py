@@ -1,6 +1,8 @@
 """Command-line behavior: JSON/CSV artifacts, exit codes, reproducibility."""
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +99,132 @@ def test_classify_circuit_path_agrees_with_analytic(tmp_path, capsys):
     assert circuit["decision"] == analytic["decision"]
 
 
+def test_circuit_classify_takes_no_analytic_route(tmp_path, capsys, monkeypatch):
+    """The circuit path reads p_s_test from the test register's own
+    post-selection, so it never builds the Kraus pair or the ensembles."""
+    from qfilter import cli
+
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", "iris", "--epochs", "10", "--init-scale", "1.0",
+                 "--out", str(model)]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the circuit path took the analytic route")
+
+    monkeypatch.setattr(cli, "kraus_from_circuit", forbidden)
+    monkeypatch.setattr(cli, "transform_ensemble", forbidden)
+    argv = ["classify", "--model", str(model), "--input", "0.3,0.9", "--path", "circuit"]
+    for extra in ([], ["--shots", "200"]):
+        code, out = _run(argv + extra, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert "error" not in payload and 0 < payload["p_s_test"] <= 1
+
+
+@pytest.mark.parametrize("train_flags, point", [
+    (["--dataset", "iris", "--layers", "2", "--init-scale", "2.5"], "0.3,0.9"),
+    (["--dataset", "blobs", "--dims", "4", "--init-scale", "0.8"], "0.5,-0.2,0.1,0.9"),
+    (["--dataset", "blobs", "--dims", "4", "--embedding", "pca:2", "--init-scale", "0.8"],
+     "0.5,-0.2,0.1,0.9"),
+])
+def test_circuit_p_s_test_matches_the_analytic_path(tmp_path, capsys, train_flags, point):
+    model = tmp_path / "model.json"
+    assert main(["train", *train_flags, "--epochs", "15", "--out", str(model)]) == 0
+    argv = ["classify", "--model", str(model), "--input", point]
+    _, analytic = _run(argv, capsys)
+    _, circuit = _run(argv + ["--path", "circuit"], capsys)
+    analytic, circuit = json.loads(analytic), json.loads(circuit)
+    assert circuit["value"] == pytest.approx(analytic["value"], abs=1e-9)
+    assert circuit["p_s_test"] == pytest.approx(analytic["p_s_test"], abs=1e-10)
+    assert 0 < circuit["p_s_test"] < 1
+
+
+def test_the_cached_parser_leaks_no_flag_between_calls(tmp_path, capsys):
+    from qfilter.cli import build_parser
+
+    assert build_parser() is build_parser()
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)]) == 0
+    argv = ["classify", "--model", str(model), "--input", "0.3,0.9", "--path", "circuit"]
+    _, first = _run(argv + ["--shots", "5"], capsys)
+    _, second = _run(argv, capsys)
+    assert json.loads(first)["manifest"]["shots"] == 5
+    assert json.loads(second)["manifest"]["shots"] == 0
+    fit = ["train", "--dataset", "blobs", "--dims", "3", "--embedding", "pca:2", "--epochs", "1"]
+    _, co_trained = _run(fit + ["--co-train"], capsys)
+    _, plain = _run(fit, capsys)
+    assert json.loads(co_trained)["manifest"]["config"]["train"]["co_train_embedding"] is True
+    assert json.loads(plain)["manifest"]["config"]["train"]["co_train_embedding"] is False
+
+
+def _iris_model_with_theta(tmp_path, theta) -> str:
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    payload["theta_star"] = theta
+    model.write_text(json.dumps(payload))
+    return str(model)
+
+
+_PATHS = (["--path", "analytic"], ["--path", "circuit"], ["--path", "circuit", "--shots", "50"])
+
+
+@pytest.mark.parametrize("theta, point, lost", [
+    # Rx(pi) on the ancilla: every sample and the input fail the post-selection
+    ([0, math.pi, 0, 0, 0], "0.5,0.2", "+1"),
+    # CRx(pi) keeps only |0>: the -1 sample |1> and the input 0,1 (|1>) fail it
+    ([0, 0, 0, 0, math.pi], "0,1", "-1"),
+])
+def test_a_lost_class_fails_before_the_test_point_on_every_path(
+    tmp_path, capsys, theta, point, lost
+):
+    model = _iris_model_with_theta(tmp_path, theta)
+    for path in _PATHS:
+        assert main(["classify", "--model", model, "--input", point, *path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: class {lost} annihilated by the filter\n"
+        assert captured.out == ""
+
+
+def test_a_faint_class_that_survives_is_answered_on_every_path(tmp_path, capsys):
+    # CRx(pi) keeps only |0>: the -1 row keeps p_s = 1.96e-12, over
+    # EPS_ANNIHILATION, although its label cell holds a share of only 2e-13
+    csv_path = tmp_path / "faint.csv"
+    csv_path.write_text("a,b,label\n" + "1,0,1\n" * 10 + "1.4e-6,1,-1\n")
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", f"csv:{csv_path}", "--embedding", "amplitude",
+                 "--epochs", "0", "--out", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    payload["theta_star"] = [0, 0, 0, 0, math.pi]
+    model.write_text(json.dumps(payload))
+    answers = []
+    for path in _PATHS:
+        code, out = _run(["classify", "--model", str(model), "--input", "1,0.5", *path], capsys)
+        assert code == 0
+        answers.append(json.loads(out))
+    analytic, circuit, shots = answers
+    assert "error" not in analytic and "error" not in circuit and "error" not in shots
+    assert abs(circuit["value"] - analytic["value"]) <= 1e-9
+    for answer in (circuit, shots):
+        assert abs(answer["p_s_test"] - analytic["p_s_test"]) <= 1e-10
+
+
+def test_an_annihilated_test_point_is_an_answer_on_every_path(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", "blobs", "--epochs", "0", "--out", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    payload["theta_star"] = [0, 0, 0, 0, math.pi]  # CRx(pi): K = |0><0|
+    model.write_text(json.dumps(payload))
+    for point in ("0,1", "1e-7,1"):  # p_s = 0 and 1e-14
+        for path in _PATHS:
+            code, out = _run(["classify", "--model", str(model), "--input", point, *path],
+                             capsys)
+            assert code == 0
+            answer = json.loads(out)
+            assert answer["error"] == "filter-annihilated"
+            assert (answer["value"], answer["decision"], answer["p_s_test"]) == (None, None, 0.0)
+
+
 def test_classify_circuit_over_the_register_budget_exits_3(tmp_path, capsys, monkeypatch):
     from qfilter import protocol
 
@@ -188,18 +316,18 @@ def test_co_train_appends_embedding_angles(tmp_path):
 
 
 def test_co_train_embeds_the_data_once(tmp_path, monkeypatch):
-    """A co-trained fit embeds the rows point by point only for its final
-    ensemble, after training."""
+    """A co-trained fit embeds the dataset only for its final ensemble,
+    after training: one batch of all six rows at the trained angles."""
     from qfilter import embedding
 
     calls = []
-    encode = embedding.encode_point
+    embed = embedding.embed_dataset
 
-    def counted(x, spec):
-        calls.append(spec.params)
-        return encode(x, spec)
+    def counted(data, spec):
+        calls.append((len(data), spec.params))
+        return embed(data, spec)
 
-    monkeypatch.setattr(embedding, "encode_point", counted)
+    monkeypatch.setattr(embedding, "embed_dataset", counted)
     csv_path = tmp_path / "train.csv"
     rows = ["f0,f1,label"] + [f"{0.1 * i:.1f},{(-1) ** i * 0.3:.1f},{(-1) ** i}" for i in range(6)]
     csv_path.write_text("\n".join(rows) + "\n")
@@ -208,7 +336,7 @@ def test_co_train_embeds_the_data_once(tmp_path, monkeypatch):
     assert main(argv) == 0
     trained = tuple(json.loads((tmp_path / "m.json").read_text())
                     ["manifest"]["config"]["embedding"]["params"])
-    assert calls == [trained] * 6
+    assert calls == [(6, trained)]
 
 
 def test_compare_emits_json_and_csv(tmp_path):
@@ -350,6 +478,30 @@ def test_csv_without_a_feature_column_exits_3_naming_it(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"error: {data}: header has no feature column" in err
         assert "Traceback" not in err
+
+
+def test_all_ones_csv_labels_are_not_remapped(tmp_path, capsys):
+    data = tmp_path / "ones.csv"
+    data.write_text("a,label\n1,1\n2,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert main(["train", "--dataset", f"csv:{data}", "--epochs", "1"]) == 3
+    assert "need both labels +1 and -1, got [1]" in capsys.readouterr().err
+
+
+def test_pca_covariance_budget_exits_3_before_allocating(capsys, monkeypatch):
+    """pca:<k> refuses data whose d x d covariance is over budget."""
+    from qfilter import datasets
+
+    argv = ["train", "--dataset", "blobs", "--dims", "4", "--embedding", "pca:2",
+            "--epochs", "0"]
+    monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 4 * 4 * 8 - 1)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error: PCA of 4 features needs a 0.000122 MiB covariance" in err
+    assert "Traceback" not in err
+    monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 4 * 4 * 8)
+    assert main(argv) == 0
 
 
 def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch):

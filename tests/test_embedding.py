@@ -171,6 +171,43 @@ def test_encode_point_dispatch():
     )
 
 
+def test_batched_embedding_equals_the_per_point_encoding():
+    """One batch gives every row the bits of its own encoding: the norm is
+    the one np.linalg.norm forms, x0 and sqrt(1 - x0^2) are exact."""
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal((41, 3)) * 10.0 ** rng.integers(-6, 6, (41, 1))
+    data = [(x, (-1) ** m) for m, x in enumerate(xs)]
+    spec = EmbeddingSpec("amplitude", 2)
+    batch = embed_dataset(data, spec)
+    for x, sample in zip(xs, batch):
+        want = np.zeros(4, dtype=complex)
+        want[:3] = x / np.linalg.norm(x)
+        assert np.array_equal(sample.state.amplitudes, want)
+        assert np.array_equal(encode_point(x, spec).amplitudes, want)
+    x0 = rng.uniform(-1, 1, (41, 2))
+    batch = embed_dataset([(x, (-1) ** m) for m, x in enumerate(x0)], EmbeddingSpec("angle", 1))
+    for x, sample in zip(x0, batch):
+        want = np.array([x[0], np.sqrt(1.0 - x[0] * x[0])], dtype=complex)
+        assert np.array_equal(sample.state.amplitudes, want)
+        assert np.array_equal(encode_point(x, EmbeddingSpec("angle", 1)).amplitudes, want)
+
+
+def test_batched_embedding_raises_the_first_bad_row_error():
+    spec = EmbeddingSpec("amplitude", 1)
+    rows = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2), np.array([1e308, 1e308])]
+    data = [(x, (-1) ** m) for m, x in enumerate(rows)]
+    with pytest.raises(ZeroVectorError):
+        embed_dataset(data, spec)
+    with pytest.raises(DomainError, match="norm of the input is inf"):
+        embed_dataset(data[:2] + data[3:] + data[2:3], spec)
+    with pytest.raises(DimError):
+        embed_dataset([(np.ones(3), 1), (np.ones(3), -1)], spec)
+    with pytest.raises(DimError, match="one width"):
+        embed_dataset([(np.ones(2), 1), (np.ones(1), -1)], spec)
+    with pytest.raises(DomainError, match="got 1.5"):
+        embed_dataset([(np.array([0.5]), 1), (np.array([1.5]), -1)], EmbeddingSpec("angle", 1))
+
+
 def test_embed_dataset_preserves_order_and_labels():
     data = [
         (np.array([1.0, 0.0]), +1),

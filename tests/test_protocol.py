@@ -6,8 +6,9 @@ import pytest
 
 import oracles
 from oracles import basis_state
+from qfilter import protocol
 from qfilter.embedding import EmbeddedSample
-from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated
+from qfilter.errors import ClassAnnihilated, DimError
 from qfilter.featuremap import build_ansatz, circuit_unitary, kraus_from_circuit, transform_ensemble
 from qfilter.classifier import filtered_fidelity_classify
 from qfilter.protocol import (
@@ -64,7 +65,19 @@ def test_register_layout_rejects_gaps():
 
     with pytest.raises(DimError):
         RegisterLayout(index=(0,), data=((1,),), label=(3,), swap=4,
-                       filter_ancilla=(5,), n_qubits=6)
+                       filter_ancilla=(5,), n_qubits=6, samples=2)
+
+
+def test_outcome_masses_of_every_qubit():
+    # the last qubit's outcomes alternate: runs of one amplitude
+    from qfilter.protocol import _outcome_masses
+
+    n = 5
+    psi = random_state(4, n).amplitudes
+    probs = np.abs(psi.reshape([2] * n)) ** 2
+    for q in range(n):
+        want = probs.sum(axis=tuple(a for a in range(n) if a != q))
+        assert np.allclose(_outcome_masses(psi, q), want, rtol=0, atol=1e-14)
 
 
 def test_prepare_classifier_state_amplitudes():
@@ -126,7 +139,7 @@ def test_apply_feature_maps_postselect_matches_kraus_probability():
     theta = np.random.default_rng(12).uniform(-np.pi, np.pi, circ.n_params)
     layout = classifier_layout(2, 1)
     base = prepare_classifier_state(samples, random_state(13, 1))
-    out, p_post = apply_feature_maps_postselect(base, circ, theta, layout)
+    out, p_post, p_registers = apply_feature_maps_postselect(base, circ, theta, layout)
     assert out.n_qubits == base.n_qubits  # the ancillas never join the register
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
     # independent dense simulation with both ancillas appended in |0>
@@ -134,11 +147,14 @@ def test_apply_feature_maps_postselect_matches_kraus_probability():
     v = oracles.circuit_matrix(circ.gates, theta, 2)
     amps = oracles.lift(v, layout.data[0] + (layout.filter_ancilla[0],), layout.n_qubits) @ amps
     amps = oracles.lift(v, layout.data[1] + (layout.filter_ancilla[1],), layout.n_qubits) @ amps
-    want_p = 1.0
+    want_p, want_registers = 1.0, []
     for anc in layout.filter_ancilla:
         amps, p = oracles.project_bit(amps, anc, layout.n_qubits)
         want_p *= p
+        want_registers.append(p)
     assert p_post == pytest.approx(want_p, abs=1e-12)
+    # each register's own probability; the test register's is p_s of the test point
+    assert p_registers == pytest.approx(want_registers, abs=1e-12)
     # both ancillas are the last qubits and sit in |00>
     np.testing.assert_allclose(amps.reshape(-1, 4)[:, 1:], 0.0, atol=0)
     np.testing.assert_allclose(out.amplitudes, amps.reshape(-1, 4)[:, 0], atol=1e-10)
@@ -161,7 +177,8 @@ def test_apply_feature_maps_postselect_checks_the_register():
 
 def test_apply_feature_maps_postselect_annihilation():
     # Rx(pi) on the ancilla takes it to -i|1> always: the keep branch has
-    # probability cos(pi/2)**2, zero up to roundoff
+    # probability cos(pi/2)**2, zero up to roundoff, so the training
+    # register loses a class before the test register is read
     from qfilter.quantum import GateSpec
     from qfilter.featuremap import FeatureMapCircuit
 
@@ -170,7 +187,7 @@ def test_apply_feature_maps_postselect_annihilation():
         EmbeddedSample(basis_state(1, 0), +1, 0),
         EmbeddedSample(basis_state(1, 1), -1, 1),
     ]
-    with pytest.raises(FilterAnnihilated):
+    with pytest.raises(ClassAnnihilated):
         run_classifier_protocol(samples, basis_state(1, 0), circ, np.array([math.pi]))
 
 
@@ -212,6 +229,26 @@ def test_risk_protocol_against_dense_oracle():
     np.testing.assert_allclose(got.p_class, p_class, atol=1e-10)
     np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-10)
     assert got.derived_value == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (5, 2), (40, 2)])
+def test_risk_protocol_equals_filtering_both_copies_in_place(m, n):
+    # run_risk_protocol filters one copy and squares it; post-selecting each
+    # copy of the prepared two-copy register must give the same outcome
+    samples = _samples(81, m=m, n=n)
+    circ = build_ansatz(n, 1)
+    theta = np.random.default_rng(82).uniform(-np.pi, np.pi, circ.n_params)
+    layout = risk_layout(m, n)
+    one = prepare_risk_state(samples).amplitudes
+    two = StateVector(np.multiply.outer(one, one).ravel(), layout.swap)
+    filtered, p_post, p_registers = apply_feature_maps_postselect(two, circ, theta, layout)
+    got = run_risk_protocol(samples, circ, theta)
+    assert got.p_postselect == pytest.approx(p_post, abs=1e-12)
+    assert got.p_registers == pytest.approx(p_registers, abs=1e-12)
+    assert got.p_registers[0] == got.p_registers[1]
+    p_class, cond = protocol._swap_table(filtered, layout)
+    np.testing.assert_allclose(got.p_class, p_class, atol=1e-12)
+    np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
