@@ -32,11 +32,8 @@ from .datasets import (
 from .embedding import (
     EmbeddedSample,
     EmbeddingSpec,
-    amplitude_encode,
-    angle_encode,
     embed_dataset,
     encode_point,
-    pca_layer_encode,
 )
 from .featuremap import (
     FeatureMapCircuit,

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -248,7 +249,7 @@ def cmd_compare(args) -> int:
         },
     }
     _emit_json({"manifest": manifest, "rows": all_rows}, args.out)
-    csv_path = (args.out.rsplit(".", 1)[0] if args.out else "compare") + ".csv"
+    csv_path = (os.path.splitext(args.out)[0] if args.out else "compare") + ".csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         columns = ["condition", "d", "hs_distance", "p_succ_train", "p_succ_total", "accuracy"]
         writer = csv.writer(fh)
@@ -286,6 +287,7 @@ def _list_of(item):
 
 _COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SHOTS = _checked(int, lambda v: 0 <= v < 2**63, "an integer >= 0 and < 2**63")  # int64 draws
 _REAL = _checked(float, lambda v: True, "a finite number")
 _NON_NEGATIVE = _checked(float, lambda v: v >= 0, "a finite number >= 0")
 
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--input", type=_list_of(_REAL), required=True,
                        help="comma-separated features")
     p_cls.add_argument("--path", choices=("analytic", "circuit"), default="analytic")
-    p_cls.add_argument("--shots", type=_COUNT, default=0, help="0 = exact probabilities")
+    p_cls.add_argument("--shots", type=_SHOTS, default=0, help="0 = exact probabilities")
     p_cls.add_argument("--seed", type=_COUNT, default=0)
     p_cls.add_argument("--out", default=None)
     p_cls.set_defaults(func=cmd_classify)

@@ -155,16 +155,25 @@ def pca_project(model: PCAModel, features: np.ndarray) -> np.ndarray:
 
 
 def synthetic_blobs(seed: int, m_per_class: int, dims: int, separation: float) -> RawDataset:
-    """Two unit-variance Gaussian clusters split along the first axis."""
+    """Two unit-variance Gaussian clusters split along the first axis.
+
+    Raises RegisterTooLarge when the 2 m_per_class x dims features exceed
+    MAX_BUFFER_BYTES, before any is drawn.
+    """
     if m_per_class < 1:
         raise DimError("need at least one sample per class")
-    rng = np.random.default_rng(seed)
-    pos = rng.standard_normal((m_per_class, dims))
-    pos[:, 0] += separation / 2
-    neg = rng.standard_normal((m_per_class, dims))
-    neg[:, 0] -= separation / 2
+    need = 2 * m_per_class * dims * 8
+    if need > MAX_BUFFER_BYTES:
+        raise RegisterTooLarge(
+            f"{2 * m_per_class} blobs of {dims} features need {need / 2**20:.3g} MiB, "
+            f"over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
+        )
+    # one draw fills the +1 rows, then the -1 rows, as two draws would
+    features = np.random.default_rng(seed).standard_normal((2 * m_per_class, dims))
+    features[:m_per_class, 0] += separation / 2
+    features[m_per_class:, 0] -= separation / 2
     return RawDataset(
-        np.vstack([pos, neg]),
+        features,
         np.array([+1] * m_per_class + [-1] * m_per_class),
         name=f"blobs-s{seed}-m{m_per_class}-d{dims}-sep{separation:g}",
     )

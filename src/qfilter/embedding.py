@@ -165,21 +165,6 @@ def encode_point(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
     return StateVector(encode_rows(np.asarray(x, dtype=float)[None], spec)[0], spec.n_qubits)
 
 
-def amplitude_encode(x: np.ndarray, n_qubits: int) -> StateVector:
-    """Normalize x and pad with zeros to the full register dimension."""
-    return encode_point(x, EmbeddingSpec("amplitude", n_qubits))
-
-
-def angle_encode(x0: float) -> StateVector:
-    """Ry(2 acos(x0))|0> = (x0, sqrt(1 - x0^2)) on one qubit."""
-    return encode_point(x0, EmbeddingSpec("angle", 1))
-
-
-def pca_layer_encode(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
-    """Rx data loading, then alternating trainable Ry and ZZ coupler layers."""
-    return encode_point(x, spec)
-
-
 def embed_dataset(
     data: list[tuple[np.ndarray, int]], spec: EmbeddingSpec
 ) -> list[EmbeddedSample]:

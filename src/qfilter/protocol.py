@@ -6,16 +6,19 @@ probabilities) are produced here from explicit multi-qubit states, swap
 tests, and ancilla post-selection, and must agree with the density-matrix
 path to tight tolerance.
 
-Register order (big-endian, qubit 0 most significant):
+Register order of the paper's circuits (big-endian, qubit 0 most significant):
   classifier: [index | train data | test data | swap | label | F_T F_t]
   risk:       [index1 | data1 | label1 | index2 | data2 | label2 | swap | F1 F2]
 where each F is the feature-map ancilla of one data register.
 
-The simulated register holds every qubit before the ancillas, as one
-tensor in that order. An ancilla enters in |0> and is measured right after
-its V(theta), so only its outcome-0 slice is ever kept. The risk circuit's
-swap qubit never enters either: the swap test is read as a sum and a
-difference of the register and its data-swapped copy.
+The twin simulates a relabelling of these qubits. Each data register meets
+only its own ancilla, which enters in |0> and is measured right after its
+V(theta), so post-selection factorises over registers. The training copy
+[index | data | label] is filtered once; the classifier pairs it with the
+test register, filtered on its own, as [index | train | label | test], and
+the risk check pairs it with itself. Neither swap qubit is simulated: the
+swap test is read off the paired register as a sum and a difference of it
+and its data-swapped copy.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .errors import (
 from .featuremap import (
     EPS_ANNIHILATION,
     FeatureMapCircuit,
-    _check_theta,
     check_class_mass,
     circuit_unitary,
 )
@@ -43,12 +45,11 @@ from .quantum import StateVector
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit index assignment for one protocol instance.
+    """Qubit index assignment of one of the paper's circuits, ancillas included.
 
     label[i] is the label qubit of data register i; the classifier's test
-    register, the last data register, has none. samples is M, the index
-    branches in use per copy, which scales a label cell's probability to
-    its class mass.
+    register, the last data register, has none. The simulation never holds
+    these registers whole; see the module docstring.
     """
 
     index: tuple[int, ...]
@@ -57,7 +58,6 @@ class RegisterLayout:
     swap: int
     filter_ancilla: tuple[int, ...]     # one per data register
     n_qubits: int
-    samples: int
 
     def __post_init__(self) -> None:
         used = list(self.index) + [q for d in self.data for q in d]
@@ -84,7 +84,6 @@ def classifier_layout(m: int, n_data: int) -> RegisterLayout:
         swap=swap,
         filter_ancilla=(label + 1, label + 2),
         n_qubits=label + 3,
-        samples=m,
     )
 
 
@@ -102,7 +101,6 @@ def risk_layout(m: int, n_data: int) -> RegisterLayout:
         swap=swap,
         filter_ancilla=(swap + 1, swap + 2),
         n_qubits=swap + 3,
-        samples=m,
     )
 
 
@@ -112,9 +110,9 @@ class ProtocolOutcome:
 
     p_postselect is the joint probability of every ancilla outcome 0, the
     product of p_registers, each data register's own post-selection
-    probability in layout order: (training, test) for the classifier
-    circuit, whose test entry is p_s of the test point, and one mean
-    success probability per copy for the risk circuit.
+    probability: (training, test) for the classifier circuit, whose test
+    entry is p_s of the test point, and one mean success probability per
+    copy for the risk circuit.
     p_class indexes label-register outcomes (2 cells for the classifier
     circuit, 4 for the two-copy risk circuit, row-major). p_swap_given_class
     holds [cell, swap outcome]. shots = 0 means exact probabilities; sampled
@@ -156,10 +154,11 @@ def _check_samples(samples: list[EmbeddedSample]) -> int:
 
 
 def _check_budget(n_qubits: int) -> None:
-    """Refuse a register whose post-selection product would exceed MAX_BUFFER_BYTES.
+    """Refuse a register whose simulation would exceed MAX_BUFFER_BYTES.
 
-    The largest array the simulation holds is V(theta)'s output on the
-    register plus one ancilla: 2**(n_qubits + 1) amplitudes of 16 B.
+    Every step holds the register and one array of its size (a filtered
+    register, or the swap test's product with the swapped register):
+    2**(n_qubits + 1) amplitudes of 16 B.
     """
     need = 2 ** (n_qubits + 1) * 16
     if need > MAX_BUFFER_BYTES:
@@ -169,149 +168,103 @@ def _check_budget(n_qubits: int) -> None:
         )
 
 
-def _index_cells(samples: list[EmbeddedSample], nl: int, data: np.ndarray) -> np.ndarray:
-    """(index, *data axes, label) tensor: data[m] / sqrt(M) in cell (m, label_m).
+def _classifier_width(samples: list[EmbeddedSample], test: StateVector) -> int:
+    """Qubits of [index | train | label | test], checked against the budget."""
+    n = _check_samples(samples)
+    if test.n_qubits != n:
+        raise DimError("test register size differs from the samples")
+    width = index_register_width(len(samples)) + 2 * n + 1
+    _check_budget(width)
+    return width
 
-    Label +1 is the label qubit's |0>, -1 its |1>; index branches past M stay zero.
+
+def prepare_risk_state(samples: list[EmbeddedSample]) -> StateVector:
+    """(1/sqrt(M)) sum_m |m> |psi_m> |label_m>: one training copy.
+
+    Label +1 is the label qubit's |0>, -1 its |1>. Non-power-of-two M leaves
+    the unused index branches at amplitude zero.
     """
-    m = len(samples)
-    cells = np.zeros((2**nl, *data.shape[1:], 2), dtype=complex)
+    n = _check_samples(samples)
+    m, nl = len(samples), index_register_width(len(samples))
+    cells = np.zeros((2**nl, 2**n, 2), dtype=complex)
     labels = [0 if s.label == +1 else 1 for s in samples]
-    cells[np.arange(m), ..., labels] = data / math.sqrt(m)
-    return cells
+    cells[np.arange(m), :, labels] = np.array([s.state.amplitudes for s in samples]) / math.sqrt(m)
+    return StateVector(cells.ravel(), nl + n + 1)
 
 
 def prepare_classifier_state(
     samples: list[EmbeddedSample], test: StateVector
 ) -> StateVector:
-    """(1/sqrt(M)) sum_m |m> |psi_m> |psi_test> |0>_swap |label_m>.
-
-    Non-power-of-two M leaves the unused index branches at amplitude zero.
-    The filter ancillas are never part of the register; see
-    apply_feature_maps_postselect.
-    """
-    n = _check_samples(samples)
-    if test.n_qubits != n:
-        raise DimError("test register size differs from the samples")
-    nl = index_register_width(len(samples))
-    _check_budget(nl + 2 * n + 2)
-    train = np.array([s.state.amplitudes for s in samples])
-    data = np.zeros((len(samples), 2**n, 2**n, 2), dtype=complex)  # train, test, swap
-    data[..., 0] = train[:, :, None] * test.amplitudes
-    cells = _index_cells(samples, nl, data)
-    return StateVector(cells.ravel(), nl + 2 * n + 2)
+    """(1/sqrt(M)) sum_m |m> |psi_m> |label_m> |psi_test>, before any filter."""
+    width = _classifier_width(samples, test)
+    copy = prepare_risk_state(samples).amplitudes
+    return StateVector(np.multiply.outer(copy, test.amplitudes).ravel(), width)
 
 
-def prepare_risk_state(samples: list[EmbeddedSample]) -> StateVector:
-    """(1/sqrt(M)) sum_m |m> |psi_m> |label_m>; one copy only."""
-    n = _check_samples(samples)
-    nl = index_register_width(len(samples))
-    cells = _index_cells(samples, nl, np.array([s.state.amplitudes for s in samples]))
-    return StateVector(cells.ravel(), nl + n + 1)
+def _half_columns(circuit: FeatureMapCircuit, theta: np.ndarray) -> np.ndarray:
+    """Columns of V(theta) whose ancilla input is |0>; rows are (data out, ancilla out)."""
+    return circuit_unitary(circuit, theta).entries[:, 0::2]
 
 
 def apply_feature_maps_postselect(
-    state: StateVector,
-    circuit: FeatureMapCircuit,
-    theta: np.ndarray,
-    layout: RegisterLayout,
-) -> tuple[StateVector, float, tuple[float, ...]]:
-    """Run V(theta) on every (data register, ancilla in |0>) pair, keep ancilla 0.
+    state: StateVector, half: np.ndarray, data: tuple[int, ...]
+) -> tuple[StateVector, float]:
+    """Run V(theta) on one data register and a fresh ancilla in |0>, keep ancilla 0.
 
-    state holds the qubits of layout before its ancillas, which never join
-    it: each ancilla's outcome-0 slice is kept right after its V(theta).
-    Returns the renormalized surviving state, on the qubits of state, the
-    joint probability of all ancilla outcomes being 0, and each data
-    register's own post-selection probability.
-
-    A training copy (a data register with a label qubit) is checked class
-    by class: M p(ancilla 0, label cell) is the filtered class mass
-    sum_{m in class} p_s(x_m), and one at most EPS_ANNIHILATION raises
-    ClassAnnihilated, as the analytic path's filter_moments() does. Only
-    after that may the classifier's test register, which has no label
-    qubit, raise FilterAnnihilated for a probability at most
-    EPS_ANNIHILATION.
-    """
-    t = _check_theta(circuit, theta)
-    if any(len(data) != circuit.n_system for data in layout.data):
-        raise DimError("data register width differs from the circuit system size")
-    held = list(layout.index) + [q for d in layout.data for q in d] + list(layout.label)
-    if not max(held) < state.n_qubits <= min(layout.filter_ancilla):
-        raise DimError(
-            f"a {state.n_qubits}-qubit state does not hold the registers before the ancillas"
-        )
-    _check_budget(state.n_qubits)
-    # columns of V whose ancilla input is |0>; rows are (data out, ancilla out)
-    half = circuit_unitary(circuit, t).entries[:, 0::2]
-    psi, p_post, probs = state.amplitudes, 1.0, []
-    for i, data in enumerate(layout.data):
-        psi, p = _postselect(psi, half, data, state.n_qubits)
-        if i < len(layout.label):  # a training copy: every class must survive
-            for sign, share in zip((+1, -1), _outcome_masses(psi, layout.label[i])):
-                check_class_mass(sign, layout.samples * p * share)
-        elif p <= EPS_ANNIHILATION:
-            raise FilterAnnihilated(f"post-selection probability {p:.3e}")
-        p_post *= p
-        probs.append(p)
-    return StateVector(psi, state.n_qubits), p_post, tuple(probs)
-
-
-def _postselect(
-    psi: np.ndarray, half: np.ndarray, data: tuple[int, ...], n_qubits: int
-) -> tuple[np.ndarray, float]:
-    """One V(theta) on data and a fresh ancilla, then the renormalized ancilla-0 slice.
-
-    The data axes move last, so the whole register is one 2-D product with
-    the half-column block of V. A slice of probability 0 stays 0.
+    half is V(theta)'s half-columns, circuit_unitary(circuit, theta).entries[:, 0::2];
+    data is the register, a run of consecutive qubits of state. The ancilla
+    never joins the register. Returns the renormalized surviving state, on
+    the qubits of state, and the probability of ancilla outcome 0. A state
+    of probability 0 stays 0.
     """
     k = len(data)
-    last = tuple(range(n_qubits - k, n_qubits))
-    moved = np.moveaxis(psi.reshape([2] * n_qubits), data, last)
-    out = (moved.reshape(-1, 2**k) @ half.T).reshape(moved.shape[: n_qubits - k] + (2**k, 2))
-    kept = out[..., 0]
+    if half.shape != (2 ** (k + 1), 2**k):
+        raise DimError("data register width differs from the circuit system size")
+    if data != tuple(range(data[0], data[0] + k)) or data[0] < 0 or data[-1] >= state.n_qubits:
+        raise DimError(f"data qubits {data} are not a run of a {state.n_qubits}-qubit register")
+    _check_budget(state.n_qubits)
+    psi = state.amplitudes.reshape(2 ** data[0], 2**k, -1)
+    kept = np.matmul(half[0::2], psi)  # the rows of ancilla outcome 0
     p = float(np.vdot(kept, kept).real)
-    kept = np.moveaxis(kept.reshape(moved.shape), last, data)
-    return (kept / math.sqrt(p) if p > 0 else kept).ravel(), p
+    kept = kept / math.sqrt(p) if p > 0 else kept
+    return StateVector(kept.ravel(), state.n_qubits), p
 
 
-def _outcome_masses(psi: np.ndarray, qubit: int) -> np.ndarray:
-    """p(qubit = 0) and p(qubit = 1) of a register state in layout order."""
-    runs = psi.reshape(2**qubit, 2, -1)  # runs of one outcome
-    # the last qubit's runs are single amplitudes, read in place by a strided dot
-    return np.array([np.vdot(runs[:, c], runs[:, c]).real for c in (0, 1)])
+def _filtered_copy(samples: list[EmbeddedSample], half: np.ndarray) -> tuple[np.ndarray, float]:
+    """The filtered training copy as an (index, data, label) tensor, and its p.
 
-
-def _swap_table(state: StateVector, layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Exact p(label cell) and p(swap | label cell) of the swap test on the data.
-
-    With the swap qubit in |0>, H, the controlled swaps and H leave
-    (t + S t)/2 on swap outcome 0 and (t - S t)/2 on outcome 1, where S
-    swaps the two data registers (Buhrman, Cleve, Watrous & de Wolf, PRL 87,
-    167902, 2001). S keeps every label cell, so per cell the two masses are
-    (sum |t|^2 +- Re sum conj(t) S t) / 2, summed over the other registers.
+    M p(label cell) of the filtered copy is that class's filtered mass
+    sum_{m in class} p_s(x_m); one at most EPS_ANNIHILATION raises
+    ClassAnnihilated, as the analytic path's filter_moments() does.
     """
-    t = state.amplitudes.reshape([2] * state.n_qubits)
-    qubits = list(range(state.n_qubits))
-    if layout.swap < state.n_qubits:  # the classifier holds its swap qubit, in |0>
-        t = t[(slice(None),) * layout.swap + (0,)]
-        qubits.remove(layout.swap)
-    swapped = qubits.copy()
-    for qa, qb in zip(*layout.data):
-        ia, ib = qubits.index(qa), qubits.index(qb)
-        swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
-    st = t.transpose([qubits.index(q) for q in swapped])
-    cells = [qubits.index(q) for q in layout.label]
-    drop = tuple(i for i in range(t.ndim) if i not in cells)
-    order = np.argsort(np.argsort(cells))
+    nl, n = index_register_width(len(samples)), samples[0].state.n_qubits
+    filtered, p = apply_feature_maps_postselect(
+        prepare_risk_state(samples), half, tuple(range(nl, nl + n))
+    )
+    t = filtered.amplitudes.reshape(2**nl, 2**n, 2)
+    for sign, share in zip((+1, -1), (np.abs(t) ** 2).sum(axis=(0, 1))):
+        check_class_mass(sign, len(samples) * p * share)
+    return t, p
 
-    def per_cell(x: np.ndarray) -> np.ndarray:
-        return x.sum(axis=drop).transpose(order).ravel()
 
-    mass = per_cell(np.abs(t) ** 2)
-    overlap = per_cell((t.conj() * st).real)
+def _swap_table(
+    t: np.ndarray, a: int, b: int, label_axes: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact p(label cell) and p(swap | label cell) of the swap test on data axes a, b.
+
+    t is a paired register, one axis per register. With the swap qubit in
+    |0>, H, the controlled swaps and H leave (t + S t)/2 on swap outcome 0
+    and (t - S t)/2 on outcome 1, where S swaps axes a and b (Buhrman,
+    Cleve, Watrous & de Wolf, PRL 87, 167902, 2001). S keeps every label
+    cell, so per cell the two masses are (sum |t|^2 +- Re sum conj(t) S t) / 2,
+    summed over every axis but the label axes, cells in their axis order.
+    """
+    drop = tuple(i for i in range(t.ndim) if i not in label_axes)
+    mass = (np.abs(t) ** 2).sum(axis=drop).ravel()
+    overlap = (t.conj() * t.swapaxes(a, b)).real.sum(axis=drop).ravel()
     # each is a sum of |t +- S t|^2 / 4, so only roundoff takes one below 0
     joint = np.maximum(np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1), 0.0)
-    p_class = joint.sum(axis=1)  # > 0: apply_feature_maps_postselect checked each class
+    p_class = joint.sum(axis=1)  # > 0: _filtered_copy checked each class
     return p_class, joint / p_class[:, None]
 
 
@@ -336,12 +289,22 @@ def run_classifier_protocol(
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
 ) -> ProtocolOutcome:
-    """Full filtered classification circuit with exact conditional readout."""
-    layout = classifier_layout(len(samples), samples[0].state.n_qubits)
-    base = prepare_classifier_state(samples, test)
-    filtered, p_post, p_registers = apply_feature_maps_postselect(base, circuit, theta, layout)
-    p_class, cond = _swap_table(filtered, layout)
-    return ProtocolOutcome(p_post, p_class, cond, _derived_value(cond), p_registers=p_registers)
+    """Filtered classification circuit with exact conditional readout.
+
+    Every class of the training copy is checked before the test register,
+    which raises FilterAnnihilated for a probability at most EPS_ANNIHILATION.
+    """
+    _classifier_width(samples, test)
+    half = _half_columns(circuit, theta)
+    copy, p_train = _filtered_copy(samples, half)
+    kept, p_test = apply_feature_maps_postselect(test, half, tuple(range(test.n_qubits)))
+    if p_test <= EPS_ANNIHILATION:
+        raise FilterAnnihilated(f"post-selection probability {p_test:.3e}")
+    pair = np.multiply.outer(copy, kept.amplitudes)  # (index, train, label, test)
+    p_class, cond = _swap_table(pair, 1, 3, (2,))
+    return ProtocolOutcome(
+        p_train * p_test, p_class, cond, _derived_value(cond), p_registers=(p_train, p_test)
+    )
 
 
 def run_risk_protocol(
@@ -349,30 +312,12 @@ def run_risk_protocol(
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
 ) -> ProtocolOutcome:
-    """Two filtered risk-state copies and a swap test between their data.
-
-    The copies and their filter ancillas are disjoint qubits, so the filtered
-    two-copy register is the filtered copy's outer product with itself: one
-    copy is post-selected, on its own nl + n + 1 qubits, and each copy's
-    post-selection probability is that copy's.
-    """
-    m = len(samples)
-    layout = risk_layout(m, samples[0].state.n_qubits)
-    _check_budget(layout.swap)  # both copies; the swap qubit never joins them
-    per_copy = layout.swap // 2
-    # copy 1 alone; its swap and ancilla indices sit past its qubits, as in layout
-    copy = RegisterLayout(
-        index=layout.index[: len(layout.index) // 2],
-        data=layout.data[:1],
-        label=layout.label[:1],
-        swap=per_copy,
-        filter_ancilla=(per_copy + 1,),
-        n_qubits=per_copy + 2,
-        samples=m,
-    )
-    one, p, _ = apply_feature_maps_postselect(prepare_risk_state(samples), circuit, theta, copy)
-    two = StateVector(np.multiply.outer(one.amplitudes, one.amplitudes).ravel(), layout.swap)
-    p_class, cond = _swap_table(two, layout)
+    """Two filtered training copies and a swap test between their data."""
+    n = _check_samples(samples)
+    _check_budget(2 * (index_register_width(len(samples)) + n + 1))
+    copy, p = _filtered_copy(samples, _half_columns(circuit, theta))
+    pair = np.multiply.outer(copy, copy)  # (index1, data1, label1, index2, data2, label2)
+    p_class, cond = _swap_table(pair, 1, 4, (2, 5))
     return ProtocolOutcome(p * p, p_class, cond, _derived_value(cond), p_registers=(p, p))
 
 

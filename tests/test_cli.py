@@ -230,12 +230,12 @@ def test_classify_circuit_over_the_register_budget_exits_3(tmp_path, capsys, mon
 
     model = tmp_path / "model.json"
     assert main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)]) == 0
-    # iris: 2 samples of 1 qubit, a 5-qubit classifier register, 1 KiB product
-    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 512)
+    # iris: 2 samples of 1 qubit, a 4-qubit classifier register, 512 B buffer
+    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 511)
     argv = ["classify", "--model", str(model), "--input", "0.3,0.9"]
     assert main(argv + ["--path", "circuit"]) == 3
     captured = capsys.readouterr()
-    assert "error: a 5-qubit register needs" in captured.err
+    assert "error: a 4-qubit register needs" in captured.err
     assert "Traceback" not in captured.err
     assert main(argv) == 0  # the analytic path allocates no register
 
@@ -361,6 +361,15 @@ def test_compare_emits_json_and_csv(tmp_path):
     # repr round-trip: CSV floats reparse to the JSON values exactly
     for row, ref in zip(body, rows):
         assert float(row[2]) == ref["hs_distance"]
+
+
+def test_compare_csv_lands_beside_an_out_path_in_a_dotted_directory(tmp_path):
+    out = tmp_path / "res.v2" / "out"
+    out.parent.mkdir()
+    argv = ["compare", "--dataset", "blobs", "--per-class", "4", "--epochs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert (tmp_path / "res.v2" / "out.csv").exists()
+    assert not (tmp_path / "res.csv").exists()
 
 
 def test_compare_manifest_records_the_optimizer_flags(tmp_path):
@@ -493,14 +502,33 @@ def test_pca_covariance_budget_exits_3_before_allocating(capsys, monkeypatch):
     """pca:<k> refuses data whose d x d covariance is over budget."""
     from qfilter import datasets
 
-    argv = ["train", "--dataset", "blobs", "--dims", "4", "--embedding", "pca:2",
-            "--epochs", "0"]
+    # 2 x 4 features (64 B) fit the budget that their 4 x 4 covariance (128 B) exceeds
+    argv = ["train", "--dataset", "blobs", "--dims", "4", "--per-class", "1",
+            "--embedding", "pca:2", "--epochs", "0"]
     monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 4 * 4 * 8 - 1)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "error: PCA of 4 features needs a 0.000122 MiB covariance" in err
     assert "Traceback" not in err
     monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 4 * 4 * 8)
+    assert main(argv) == 0
+
+
+def test_blobs_budget_exits_3_before_allocating(capsys, monkeypatch):
+    """blobs refuses a feature matrix over budget before drawing it."""
+    from qfilter import datasets
+
+    argv = ["train", "--dataset", "blobs", "--dims", "4", "--per-class", "3", "--epochs", "0"]
+    monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 2 * 3 * 4 * 8 - 1)
+    drawn = []
+    with monkeypatch.context() as patch:
+        patch.setattr(datasets.np.random, "default_rng", lambda seed: drawn.append(seed))
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error: 6 blobs of 4 features need 0.000183 MiB" in err
+    assert "Traceback" not in err
+    assert drawn == []
+    monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 2 * 3 * 4 * 8)
     assert main(argv) == 0
 
 
@@ -579,6 +607,22 @@ def test_classify_single_shot_has_no_decision(tmp_path, capsys):
     assert payload["decision"] is None
     assert payload["tie_flag"] is False
     assert payload["p_s_test"] == pytest.approx(1.0)
+
+
+def test_classify_shots_past_int64_are_a_usage_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)])
+    argv = ["classify", "--model", str(model), "--input", "0.2,0.9", "--path", "circuit"]
+    for shots in (2**63, 10**20):  # past what the int64 multinomial draw takes
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--shots", str(shots)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --shots" in err
+        assert "Traceback" not in err
+    code, out = _run(argv + ["--shots", str(2**63 - 1)], capsys)
+    assert code == 0
+    assert json.loads(out)["manifest"]["shots"] == 2**63 - 1
 
 
 def test_classify_with_shots_on_a_training_point(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Built-in data, CSV loading, PCA, and synthetic blobs."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,17 @@ def test_synthetic_blobs_shape_and_separation():
     assert pos_mean - neg_mean == pytest.approx(4.0, abs=0.6)
     # other axes stay centered
     assert abs(ds.features[:, 1].mean()) < 0.5
+
+
+def test_synthetic_blobs_hold_one_feature_matrix():
+    # the budget check counts one 2 m x d matrix, so no second copy may be made
+    tracemalloc.start()
+    try:
+        ds = synthetic_blobs(0, 500, 20, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.features.nbytes
 
 
 def test_synthetic_blobs_determinism():

@@ -12,12 +12,9 @@ from qfilter.embedding import (
     EmbeddedSample,
     EmbeddingSpec,
     FeatureScaling,
-    amplitude_encode,
-    angle_encode,
     embed_dataset,
     encode_point,
     fit_rotation_scaling,
-    pca_layer_encode,
     pca_layer_states,
 )
 from qfilter.errors import (
@@ -30,28 +27,28 @@ from qfilter.errors import (
 
 
 def test_amplitude_encode_normalizes_and_pads():
-    s = amplitude_encode(np.array([3.0, 4.0]), 1)
+    s = encode_point(np.array([3.0, 4.0]), EmbeddingSpec("amplitude", 1))
     np.testing.assert_allclose(s.amplitudes, [0.6, 0.8])
-    s = amplitude_encode(np.array([1.0, 1.0, 1.0]), 2)
+    s = encode_point(np.array([1.0, 1.0, 1.0]), EmbeddingSpec("amplitude", 2))
     np.testing.assert_allclose(s.amplitudes, [1 / math.sqrt(3)] * 3 + [0.0])
     assert s.norm() == pytest.approx(1.0)
 
 
 def test_amplitude_encode_rejects_bad_input():
     with pytest.raises(DimError):
-        amplitude_encode(np.ones(5), 2)
+        encode_point(np.ones(5), EmbeddingSpec("amplitude", 2))
     with pytest.raises(DimError):
-        amplitude_encode(np.ones((2, 2)), 2)
+        encode_point(np.ones((2, 2)), EmbeddingSpec("amplitude", 2))
     with pytest.raises(ZeroVectorError):
-        amplitude_encode(np.zeros(2), 1)
+        encode_point(np.zeros(2), EmbeddingSpec("amplitude", 1))
     # finite entries whose norm overflows would encode as the zero vector
     with pytest.raises(DomainError, match="norm"):
-        amplitude_encode(np.array([1e308, 1e308]), 1)
+        encode_point(np.array([1e308, 1e308]), EmbeddingSpec("amplitude", 1))
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 def test_angle_encode_components(x0):
-    s = angle_encode(x0)
+    s = encode_point(x0, EmbeddingSpec("angle", 1))
     assert s.amplitudes[0].real == pytest.approx(x0, abs=1e-15)
     assert s.amplitudes[1].real == pytest.approx(math.sqrt(1 - x0 * x0), abs=1e-15)
     assert s.norm() == pytest.approx(1.0, abs=1e-12)
@@ -61,14 +58,15 @@ def test_angle_encode_equals_ry_rotation():
     # Ry(2 acos(x0)) |0> produces the same two real amplitudes
     x0 = 0.3
     want = oracles.ry(2 * math.acos(x0)) @ np.array([1.0, 0.0])
-    np.testing.assert_allclose(angle_encode(x0).amplitudes, want, atol=1e-12)
+    got = encode_point(x0, EmbeddingSpec("angle", 1)).amplitudes
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_angle_encode_domain():
     with pytest.raises(DomainError):
-        angle_encode(1.2)
+        encode_point(1.2, EmbeddingSpec("angle", 1))
     with pytest.raises(DomainError):
-        angle_encode(-1.0001)
+        encode_point(-1.0001, EmbeddingSpec("angle", 1))
 
 
 def test_embedding_spec_validation():
@@ -96,7 +94,7 @@ def test_pca_layer_param_count_chain_and_ring():
 def test_pca_layer_encode_matches_gate_sequence():
     spec = EmbeddingSpec("pca-layer", 2, params=(0.3, -0.4, 0.9))
     x = np.array([0.7, -1.1])
-    got = pca_layer_encode(x, spec).amplitudes
+    got = encode_point(x, spec).amplitudes
     want = np.array([1, 0, 0, 0], dtype=complex)
     want = oracles.lift(oracles.rx(0.7), (0,), 2) @ want
     want = oracles.lift(oracles.rx(-1.1), (1,), 2) @ want
@@ -110,7 +108,7 @@ def test_pca_layer_ring_closes_the_loop():
     n = 3
     spec = EmbeddingSpec("pca-layer", n, params=tuple(np.linspace(0.1, 0.6, 6)), ring=True)
     x = np.array([0.2, 0.4, 0.6])
-    got = pca_layer_encode(x, spec).amplitudes
+    got = encode_point(x, spec).amplitudes
     want = np.eye(8, dtype=complex)[:, 0]
     for q in range(n):
         want = oracles.lift(oracles.rx(x[q]), (q,), n) @ want
@@ -142,32 +140,32 @@ def test_pca_layer_encode_matches_gate_by_gate_oracle(k, layers, ring):
             want = oracles.lift(oracles.oracle_gate("Rx", x[q]), (q,), k) @ want
         for i, (kind, targets) in enumerate(gates * layers):
             want = oracles.lift(oracles.oracle_gate(kind, theta[i]), targets, k) @ want
-        np.testing.assert_allclose(pca_layer_encode(x, spec).amplitudes, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(encode_point(x, spec).amplitudes, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cols[:, m], want, rtol=0, atol=1e-12)
 
 
 def test_pca_layer_identity_at_zero_angles():
     spec = EmbeddingSpec("pca-layer", 2, params=(0.0, 0.0, 0.0))
-    got = pca_layer_encode(np.zeros(2), spec)
+    got = encode_point(np.zeros(2), spec)
     np.testing.assert_allclose(got.amplitudes, basis_state(2, 0).amplitudes, atol=1e-15)
 
 
 def test_pca_layer_rejects_bad_shapes():
     spec = EmbeddingSpec("pca-layer", 2, params=(0.0, 0.0, 0.0))
     with pytest.raises(DimError):
-        pca_layer_encode(np.zeros(3), spec)
+        encode_point(np.zeros(3), spec)
     with pytest.raises(ParamShapeError):
-        pca_layer_encode(np.zeros(2), EmbeddingSpec("pca-layer", 2, params=(0.0,)))
+        encode_point(np.zeros(2), EmbeddingSpec("pca-layer", 2, params=(0.0,)))
 
 
 def test_encode_point_dispatch():
     np.testing.assert_allclose(
         encode_point(np.array([0.5, 9.9]), EmbeddingSpec("angle", 1)).amplitudes,
-        angle_encode(0.5).amplitudes,
+        [0.5, math.sqrt(0.75)],  # angle reads the first feature only
     )
     np.testing.assert_allclose(
         encode_point(np.array([1.0, 1.0]), EmbeddingSpec("amplitude", 1)).amplitudes,
-        amplitude_encode(np.array([1.0, 1.0]), 1).amplitudes,
+        [1 / math.sqrt(2)] * 2,
     )
 
 

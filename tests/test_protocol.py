@@ -8,8 +8,8 @@ import oracles
 from oracles import basis_state
 from qfilter import protocol
 from qfilter.embedding import EmbeddedSample
-from qfilter.errors import ClassAnnihilated, DimError
-from qfilter.featuremap import build_ansatz, circuit_unitary, kraus_from_circuit, transform_ensemble
+from qfilter.errors import ClassAnnihilated, DimError, ParamShapeError
+from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.classifier import filtered_fidelity_classify
 from qfilter.protocol import (
     ProtocolOutcome,
@@ -65,19 +65,7 @@ def test_register_layout_rejects_gaps():
 
     with pytest.raises(DimError):
         RegisterLayout(index=(0,), data=((1,),), label=(3,), swap=4,
-                       filter_ancilla=(5,), n_qubits=6, samples=2)
-
-
-def test_outcome_masses_of_every_qubit():
-    # the last qubit's outcomes alternate: runs of one amplitude
-    from qfilter.protocol import _outcome_masses
-
-    n = 5
-    psi = random_state(4, n).amplitudes
-    probs = np.abs(psi.reshape([2] * n)) ** 2
-    for q in range(n):
-        want = probs.sum(axis=tuple(a for a in range(n) if a != q))
-        assert np.allclose(_outcome_masses(psi, q), want, rtol=0, atol=1e-14)
+                       filter_ancilla=(5,), n_qubits=6)
 
 
 def test_prepare_classifier_state_amplitudes():
@@ -87,13 +75,13 @@ def test_prepare_classifier_state_amplitudes():
         EmbeddedSample(basis_state(1, 1), -1, 1),
     ]
     state = prepare_classifier_state(samples, basis_state(1, 1))
-    # registers: index(1) train(1) test(1) swap(1) label(1)
-    assert state.n_qubits == 5
-    want = np.zeros(32, dtype=complex)
-    # branch m=0: |0>|0>|1>|0>|0>  -> index 0b00100
-    want[0b00100] = 1 / math.sqrt(2)
-    # branch m=1: |1>|1>|1>|0>|1>  -> index 0b11101
-    want[0b11101] = 1 / math.sqrt(2)
+    # registers: index(1) train(1) label(1) test(1)
+    assert state.n_qubits == 4
+    want = np.zeros(16, dtype=complex)
+    # branch m=0: |0>|0>|0>|1>  -> index 0b0001
+    want[0b0001] = 1 / math.sqrt(2)
+    # branch m=1: |1>|1>|1>|1>  -> index 0b1111
+    want[0b1111] = 1 / math.sqrt(2)
     np.testing.assert_allclose(state.amplitudes, want, atol=1e-15)
 
 
@@ -135,44 +123,45 @@ def test_prepare_state_non_power_of_two_branch_count():
 
 def test_apply_feature_maps_postselect_matches_kraus_probability():
     samples = _samples(11, m=2, n=1)
+    test = random_state(13, 1)
     circ = build_ansatz(1, 1)
     theta = np.random.default_rng(12).uniform(-np.pi, np.pi, circ.n_params)
-    layout = classifier_layout(2, 1)
-    base = prepare_classifier_state(samples, random_state(13, 1))
-    out, p_post, p_registers = apply_feature_maps_postselect(base, circ, theta, layout)
-    assert out.n_qubits == base.n_qubits  # the ancillas never join the register
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
-    # independent dense simulation with both ancillas appended in |0>
-    amps = np.kron(base.amplitudes, np.array([1, 0, 0, 0], dtype=complex))
+    half = protocol._half_columns(circ, theta)
     v = oracles.circuit_matrix(circ.gates, theta, 2)
-    amps = oracles.lift(v, layout.data[0] + (layout.filter_ancilla[0],), layout.n_qubits) @ amps
-    amps = oracles.lift(v, layout.data[1] + (layout.filter_ancilla[1],), layout.n_qubits) @ amps
-    want_p, want_registers = 1.0, []
-    for anc in layout.filter_ancilla:
-        amps, p = oracles.project_bit(amps, anc, layout.n_qubits)
-        want_p *= p
-        want_registers.append(p)
-    assert p_post == pytest.approx(want_p, abs=1e-12)
-    # each register's own probability; the test register's is p_s of the test point
-    assert p_registers == pytest.approx(want_registers, abs=1e-12)
-    # both ancillas are the last qubits and sit in |00>
-    np.testing.assert_allclose(amps.reshape(-1, 4)[:, 1:], 0.0, atol=0)
-    np.testing.assert_allclose(out.amplitudes, amps.reshape(-1, 4)[:, 0], atol=1e-10)
+    keep = kraus_from_circuit(circ, theta).keep
+    # p of the training register is the mean p_s of its samples; of the test register, p_s(test)
+    p_s = [np.linalg.norm(keep @ x) ** 2 for x in [s.state.amplitudes for s in samples]]
+    want_p = (np.mean(p_s), np.linalg.norm(keep @ test.amplitudes) ** 2)
+    state = prepare_classifier_state(samples, test)  # [index | train | label | test]
+    for data, p_s_register in zip(((1,), (3,)), want_p):
+        out, p = apply_feature_maps_postselect(state, half, data)
+        assert out.n_qubits == state.n_qubits  # the ancilla never joins the register
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert p == pytest.approx(p_s_register, abs=1e-12)
+        # independent dense simulation with the ancilla appended in |0>
+        n = state.n_qubits + 1
+        amps = oracles.lift(v, data + (n - 1,), n) @ np.kron(state.amplitudes, [1, 0])
+        amps, dense_p = oracles.project_bit(amps, n - 1, n)
+        assert p == pytest.approx(dense_p, abs=1e-12)
+        np.testing.assert_allclose(amps.reshape(-1, 2)[:, 1], 0.0, atol=0)
+        np.testing.assert_allclose(out.amplitudes, amps.reshape(-1, 2)[:, 0], atol=1e-10)
+        state = out
 
 
 def test_apply_feature_maps_postselect_checks_the_register():
     samples = _samples(14, m=2, n=1)
-    circ = build_ansatz(1, 1)
-    layout = classifier_layout(2, 1)
-    base = prepare_classifier_state(samples, random_state(15, 1))
-    with_ancillas = StateVector(np.kron(base.amplitudes, [1, 0, 0, 0]), layout.n_qubits)
-    with pytest.raises(DimError):
-        apply_feature_maps_postselect(with_ancillas, circ, circ.zero_theta(), layout)
-    with pytest.raises(DimError):
-        apply_feature_maps_postselect(basis_state(2, 0), circ, circ.zero_theta(), layout)
+    base = prepare_classifier_state(samples, random_state(15, 1))  # 4 qubits
+    half = protocol._half_columns(build_ansatz(1, 1), build_ansatz(1, 1).zero_theta())
+    for data in ((), (1, 2), (-1,), (4,)):
+        with pytest.raises(DimError):
+            apply_feature_maps_postselect(base, half, data)
     wide = build_ansatz(2, 1)
-    with pytest.raises(DimError):
-        apply_feature_maps_postselect(base, wide, np.zeros(wide.n_params), layout)
+    wide_half = protocol._half_columns(wide, wide.zero_theta())
+    for data in ((1, 3), (3, 4)):  # not a run; past the register
+        with pytest.raises(DimError):
+            apply_feature_maps_postselect(base, wide_half, data)
+    with pytest.raises(ParamShapeError):
+        protocol._half_columns(wide, np.zeros(3))
 
 
 def test_apply_feature_maps_postselect_annihilation():
@@ -231,22 +220,54 @@ def test_risk_protocol_against_dense_oracle():
     assert got.derived_value == pytest.approx(value, abs=1e-9)
 
 
+def _filter_in_place(state, circ, theta, registers):
+    """Post-select each data register of one prepared register, in place."""
+    half = protocol._half_columns(circ, theta)
+    p_registers = []
+    for data in registers:
+        state, p = apply_feature_maps_postselect(state, half, data)
+        p_registers.append(p)
+    return state.amplitudes, tuple(p_registers)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (5, 2), (40, 2)])
+def test_classifier_protocol_equals_filtering_both_registers_in_place(m, n):
+    # run_classifier_protocol filters the training copy and the test register
+    # apart; post-selecting both in the prepared joint register must agree
+    samples = _samples(83, m=m, n=n)
+    test = random_state(84, n)
+    circ = build_ansatz(n, 1)
+    theta = np.random.default_rng(85).uniform(-np.pi, np.pi, circ.n_params)
+    nl = index_register_width(m)
+    train_q, test_q = tuple(range(nl, nl + n)), tuple(range(nl + n + 1, nl + 2 * n + 1))
+    joint = prepare_classifier_state(samples, test)  # [index | train | label | test]
+    amps, p_registers = _filter_in_place(joint, circ, theta, (train_q, test_q))
+    got = run_classifier_protocol(samples, test, circ, theta)
+    assert got.p_registers == pytest.approx(p_registers, abs=1e-12)
+    assert got.p_postselect == pytest.approx(p_registers[0] * p_registers[1], abs=1e-12)
+    p_class, cond = protocol._swap_table(amps.reshape(2**nl, 2**n, 2, 2**n), 1, 3, (2,))
+    np.testing.assert_allclose(got.p_class, p_class, atol=1e-12)
+    np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-12)
+
+
 @pytest.mark.parametrize("m, n", [(2, 1), (5, 2), (40, 2)])
 def test_risk_protocol_equals_filtering_both_copies_in_place(m, n):
-    # run_risk_protocol filters one copy and squares it; post-selecting each
-    # copy of the prepared two-copy register must give the same outcome
+    # run_risk_protocol filters one copy and pairs it with itself;
+    # post-selecting each copy of the prepared two-copy register must agree
     samples = _samples(81, m=m, n=n)
     circ = build_ansatz(n, 1)
     theta = np.random.default_rng(82).uniform(-np.pi, np.pi, circ.n_params)
     layout = risk_layout(m, n)
     one = prepare_risk_state(samples).amplitudes
     two = StateVector(np.multiply.outer(one, one).ravel(), layout.swap)
-    filtered, p_post, p_registers = apply_feature_maps_postselect(two, circ, theta, layout)
+    amps, p_registers = _filter_in_place(two, circ, theta, layout.data)
     got = run_risk_protocol(samples, circ, theta)
-    assert got.p_postselect == pytest.approx(p_post, abs=1e-12)
     assert got.p_registers == pytest.approx(p_registers, abs=1e-12)
+    assert got.p_postselect == pytest.approx(p_registers[0] * p_registers[1], abs=1e-12)
     assert got.p_registers[0] == got.p_registers[1]
-    p_class, cond = protocol._swap_table(filtered, layout)
+    nl = index_register_width(m)
+    tensor = amps.reshape(2**nl, 2**n, 2, 2**nl, 2**n, 2)
+    p_class, cond = protocol._swap_table(tensor, 1, 4, (2, 5))
     np.testing.assert_allclose(got.p_class, p_class, atol=1e-12)
     np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-12)
 
@@ -310,24 +331,33 @@ def test_protocols_use_no_analytic_route(monkeypatch):
 
 
 def test_register_budget_is_checked_before_allocating(monkeypatch):
-    from qfilter import protocol
     from qfilter.errors import RegisterTooLarge
 
     samples = _samples(71, m=2, n=1)
     test = random_state(72, 1)
     circ = build_ansatz(1, 1)
     theta = circ.zero_theta()
-    # classifier register 5 qubits, risk register 6: products of 2**6 and 2**7 amplitudes
-    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 2**6 * 16)
+    half = protocol._half_columns(circ, theta)
+    # classifier register 4 qubits, risk register 6: buffers of 2**5 and 2**7 amplitudes
+    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 2**5 * 16)
     run_classifier_protocol(samples, test, circ, theta)
-    with pytest.raises(RegisterTooLarge, match="budget"):
+    with pytest.raises(RegisterTooLarge, match="a 6-qubit register"):
         run_risk_protocol(samples, circ, theta)
-    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 2**6 * 16 - 1)
+    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 2**5 * 16 - 1)
     with pytest.raises(RegisterTooLarge):
         prepare_classifier_state(samples, test)
-    base = StateVector(np.eye(32, dtype=complex)[0], 5)
     with pytest.raises(RegisterTooLarge):
-        apply_feature_maps_postselect(base, circ, theta, classifier_layout(2, 1))
+        apply_feature_maps_postselect(StateVector(np.eye(16)[0], 4), half, (1,))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(protocol, "prepare_risk_state", forbidden)
+    monkeypatch.setattr(protocol, "circuit_unitary", forbidden)
+    with pytest.raises(RegisterTooLarge, match="a 4-qubit register"):
+        run_classifier_protocol(samples, test, circ, theta)
+    with pytest.raises(RegisterTooLarge, match="a 6-qubit register"):
+        run_risk_protocol(samples, circ, theta)
 
 
 def test_protocol_identity_filter_postselects_with_certainty():
