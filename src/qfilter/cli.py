@@ -234,6 +234,8 @@ def cmd_compare(args) -> int:
         "command": "compare",
         "artifact_version": __version__,
         "seed": args.seed,
+        # every descriptor has the same kind, so the last pipe speaks for all
+        "accuracy_on": pipe.scored_on,
         "config": {
             "datasets": descriptors,
             "embedding": embedding,

@@ -258,6 +258,11 @@ class Pipeline:
             raise DimError(f"the input has {x.size} features, the model's data {d}")
         return encode_point(self.preprocess(x[None, :])[0], self.spec)
 
+    @property
+    def scored_on(self) -> str:
+        """"train" when test_samples() are the training rows (CSV data), else "test"."""
+        return "train" if self.descriptor["kind"] == "csv" else "test"
+
     def test_samples(self) -> list[EmbeddedSample]:
         """The samples compare scores on.
 
@@ -265,12 +270,12 @@ class Pipeline:
         the training rows.
         """
         d = self.descriptor
+        if self.scored_on == "train":
+            return self.samples()
         if d["kind"] == "blobs":
             return self.samples(data=load_dataset({**d, "seed": d["seed"] + 1}))
-        if d["kind"] == "iris":
-            _, (x, y) = iris_builtin()
-            return [EmbeddedSample(self.encode(x), y, 0)]
-        return self.samples()
+        _, (x, y) = iris_builtin()
+        return [EmbeddedSample(self.encode(x), y, 0)]
 
     def embedding_manifest(self, spec: EmbeddingSpec | None = None) -> dict:
         spec = spec or self.spec

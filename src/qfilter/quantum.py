@@ -47,6 +47,12 @@ class GateSpec:
             raise ValueError(f"duplicate targets {self.targets}")
 
 
+def _within(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """max |a - b| <= atol entrywise; False when a - b holds a NaN or an inf."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(np.abs(a - b).max(initial=0.0) <= atol)
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state on n_qubits qubits, stored as a dense complex vector."""
@@ -81,7 +87,7 @@ class DensityMatrix:
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise DimError(f"expected {(d, d)} matrix, got {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=ATOL_INVARIANT, rtol=0):
+        if not _within(m, m.conj().T, ATOL_INVARIANT):
             raise HermiticityError("density matrix is not Hermitian")
         tr = np.trace(m).real
         if abs(tr - 1.0) > ATOL_INVARIANT:
@@ -103,7 +109,9 @@ class UnitaryMatrix:
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise DimError(f"expected {(d, d)} matrix, got {m.shape}")
-        if not np.allclose(m.conj().T @ m, np.eye(d), atol=ATOL_INVARIANT, rtol=0):
+        with np.errstate(invalid="ignore"):  # an inf entry puts inf * 0 = NaN in the product
+            gram = m.conj().T @ m
+        if not _within(gram, np.eye(d), ATOL_INVARIANT):
             raise NormError("matrix is not unitary")
         object.__setattr__(self, "entries", m)
 
@@ -135,6 +143,15 @@ def _crx(t: float) -> np.ndarray:
 
 _ROTATIONS = {"Rx": _rx, "Ry": _ry, "Rz": _rz, "ZZ": _zz, "CRx": _crx}
 
+# The generator P of each rotation exp(-i t P / 2), control = first target.
+_GENERATORS = {
+    "Rx": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Ry": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Rz": np.diag([1, -1]).astype(complex),
+    "ZZ": np.diag([1, -1, -1, 1]).astype(complex),
+    "CRx": np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+
 
 def gate_array(kind: str, theta: float) -> np.ndarray:
     """Dense matrix of one rotation at angle theta, control = first target for CRx."""
@@ -148,11 +165,17 @@ def _apply_to_columns(
 ) -> np.ndarray:
     """Apply a k-qubit gate to the given qubits of every column of block.
 
-    block has shape (2**n_qubits, tail); tail = 1 treats it as a state.
+    block has shape (2**n_qubits, tail); tail = 1 treats it as a state. On
+    an ascending run of qubits q..q+k-1 the gate is one broadcast matmul
+    over the 2**q leading blocks; any other targets are transposed to the
+    front and back.
     """
     tail = block.shape[1]
     k = len(targets)
-    rest = [q for q in range(n_qubits) if q not in targets]
+    q = targets[0]
+    if targets == tuple(range(q, q + k)):
+        return np.matmul(local, block.reshape(2**q, 2**k, -1)).reshape(2**n_qubits, tail)
+    rest = [r for r in range(n_qubits) if r not in targets]
     perm = list(targets) + rest + [n_qubits]
     t = block.reshape([2] * n_qubits + [tail]).transpose(perm)
     t = local @ t.reshape(2**k, -1)
@@ -167,28 +190,27 @@ def run_gates(
 
     Each gate takes its angle from theta[param_index]. Also returns the
     pullback that maps a cotangent Y to the gradient of 2 Re <Y, cols(theta)>
-    in one backward pass of adjoint products (Jones & Gacon, arXiv:2009.02823),
-        d/dtheta_j = 2 Re <Y, G_L ... G_{j+1} G_j' G_{j-1} ... G_1 cols>,
-    with G' = (G(t + pi) - G(t - pi)) / 4 for every exp(-i t P / 2) gate;
-    for that the forward pass keeps the input of every gate.
+    in one backward pass of adjoint products (Jones & Gacon, arXiv:2009.02823).
+    Every gate G_j = exp(-i t P_j / 2) has dG_j/dt = -(i/2) P_j G_j, so
+        d/dtheta_j = Im <G_{j+1}+ ... G_L+ Y, P_j out_j>,
+    where out_j = G_j ... G_1 cols is the output of gate j; for that the
+    forward pass keeps the output of every gate.
     """
     t = np.asarray(theta, dtype=float)
-    arrays, before = [], []
+    arrays, outs = [], []
     for spec in gates:
         if not all(0 <= q < n_qubits for q in spec.targets):
             raise IndexError(f"targets {spec.targets} outside register of {n_qubits}")
         arrays.append(gate_array(spec.kind, float(t[spec.param_index])))
-        before.append(cols)
         cols = _apply_to_columns(cols, arrays[-1], spec.targets, n_qubits)
+        outs.append(cols)
 
     def pullback(adj: np.ndarray) -> np.ndarray:
-        # adj holds (Y+ G_L ... G_{j+1})+ while gate j is visited
+        # adj holds G_{j+1}+ ... G_L+ Y while gate j is visited
         grad = np.zeros(t.shape[0])
-        for spec, g, b in zip(reversed(gates), reversed(arrays), reversed(before)):
-            a = float(t[spec.param_index])
-            dg = (gate_array(spec.kind, a + np.pi) - gate_array(spec.kind, a - np.pi)) / 4
-            moved = _apply_to_columns(b, dg, spec.targets, n_qubits)
-            grad[spec.param_index] += 2 * np.real(np.vdot(adj, moved))
+        for spec, g, out in zip(reversed(gates), reversed(arrays), reversed(outs)):
+            moved = _apply_to_columns(out, _GENERATORS[spec.kind], spec.targets, n_qubits)
+            grad[spec.param_index] += np.imag(np.vdot(adj, moved))
             adj = _apply_to_columns(adj, g.conj().T, spec.targets, n_qubits)
         return grad
 
@@ -222,7 +244,7 @@ def trace_norm(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimError(f"expected a square matrix, got {m.shape}")
-    if not np.allclose(m, m.conj().T, atol=ATOL_INPUT, rtol=0):
+    if not _within(m, m.conj().T, ATOL_INPUT):
         raise HermiticityError("trace norm input is not Hermitian")
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 

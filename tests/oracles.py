@@ -107,6 +107,33 @@ def circuit_matrix(gate_list, theta, n):
     return u
 
 
+def shift_rule_pullback(cols, gate_list, theta, n):
+    """Gradient of 2 Re <Y, C(theta) cols> as a function of the cotangent Y.
+
+    The shift rule: every exp(-i t P / 2) gate G has the derivative
+    G' = (G(t + pi) - G(t - pi)) / 4, put in place of gate j between the
+    lifted gates before and after it, one backward pass over the inputs
+    of every gate.
+    """
+    lifted, before = [], []
+    for spec in gate_list:
+        lifted.append(lift(oracle_gate(spec.kind, theta[spec.param_index]), spec.targets, n))
+        before.append(cols)
+        cols = lifted[-1] @ cols
+
+    def pullback(y):
+        grad = np.zeros(len(theta))
+        adj = y
+        for spec, g, b in reversed(list(zip(gate_list, lifted, before))):
+            t = theta[spec.param_index]
+            dg = (oracle_gate(spec.kind, t + np.pi) - oracle_gate(spec.kind, t - np.pi)) / 4
+            grad[spec.param_index] += 2 * np.real(np.vdot(adj, lift(dg, spec.targets, n) @ b))
+            adj = g.conj().T @ adj
+        return grad
+
+    return pullback
+
+
 def kraus_blocks(v):
     """keep/discard blocks for an ancilla prepared in |0> as the last qubit."""
     return v[0::2, 0::2], v[1::2, 0::2]

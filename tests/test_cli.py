@@ -385,6 +385,27 @@ def test_compare_manifest_records_the_optimizer_flags(tmp_path):
     assert config["ring"] is True
 
 
+TINY_CSV = (
+    "f0,f1,f2,label\n0.9,0.1,0.2,1\n-0.8,0.3,0.1,-1\n0.7,-0.2,0.4,1\n"
+    "-0.9,0.1,-0.3,-1\n0.6,0.2,0.1,1\n-0.7,-0.1,0.2,-1\n"
+)
+
+
+@pytest.mark.parametrize("dataset,scored_on", [("csv", "train"), ("blobs", "test"), ("iris", "test")])
+def test_compare_manifest_says_which_rows_it_scored_on(tmp_path, dataset, scored_on):
+    """CSV data is scored on its training rows, blobs and iris on held-out points."""
+    if dataset == "csv":
+        (tmp_path / "tiny.csv").write_text(TINY_CSV)
+        dataset = f"csv:{tmp_path / 'tiny.csv'}"
+    out = tmp_path / "cmp.json"
+    argv = ["compare", "--dataset", dataset, "--epochs", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["manifest"]["accuracy_on"] == scored_on
+    # the label lives in the manifest only: the CSV header is unchanged
+    with open(tmp_path / "cmp.csv", newline="") as fh:
+        assert "accuracy_on" not in next(csv.reader(fh))
+
+
 def test_compare_needs_two_conditions():
     code = main(["compare", "--dataset", "iris", "--conditions", "c=0", "--epochs", "1"])
     assert code == 3

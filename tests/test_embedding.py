@@ -24,6 +24,8 @@ from qfilter.errors import (
     ParamShapeError,
     ZeroVectorError,
 )
+from qfilter.quantum import GateSpec
+from qfilter.training import gradient
 
 
 def test_amplitude_encode_normalizes_and_pads():
@@ -142,6 +144,38 @@ def test_pca_layer_encode_matches_gate_by_gate_oracle(k, layers, ring):
             want = oracles.lift(oracles.oracle_gate(kind, theta[i]), targets, k) @ want
         np.testing.assert_allclose(encode_point(x, spec).amplitudes, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cols[:, m], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,layers", [(3, 1), (3, 2), (4, 2)])
+def test_pca_layer_ring_pullback_matches_the_shift_rule(k, layers):
+    """The embedding pullback with --ring's closing ZZ (k-1, 0), which takes
+    the transposing path, against the shift rule and finite differences."""
+    rng = np.random.default_rng(k + 10 * layers)
+    count = EmbeddingSpec("pca-layer", k, layers=layers, ring=True).param_count()
+    theta = rng.uniform(-np.pi, np.pi, count)
+    xs = rng.uniform(-np.pi, np.pi, (3, k))
+
+    def states(t):
+        return pca_layer_states(xs, EmbeddingSpec("pca-layer", k, tuple(t), layers, True))
+
+    y = rng.standard_normal((2**k, 3)) + 1j * rng.standard_normal((2**k, 3))
+    y /= np.linalg.norm(y)
+    got = states(theta)[1](y)
+
+    loaded = np.ones((1, 3), dtype=complex)
+    for q in range(k):
+        kets = np.stack([oracles.rx(x)[:, 0] for x in xs[:, q]], axis=1)
+        loaded = np.einsum("am,bm->abm", loaded, kets).reshape(-1, 3)
+    pairs = [(q, q + 1) for q in range(k - 1)] + [(k - 1, 0)]
+    layer = [("Ry", (q,)) for q in range(k)] + [("ZZ", pair) for pair in pairs]
+    gates = [GateSpec(kind, t, param_index=i) for i, (kind, t) in enumerate(layer * layers)]
+    want = oracles.shift_rule_pullback(loaded, gates, theta, k)(y)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def scalar(t):
+        return 2 * np.real(np.vdot(y, states(t)[0]))
+
+    np.testing.assert_allclose(got, gradient(scalar, theta), rtol=0, atol=1e-8)
 
 
 def test_pca_layer_identity_at_zero_angles():

@@ -217,6 +217,32 @@ def test_kraus_pullback_matches_finite_differences():
     np.testing.assert_allclose(pullback(x), gradient(scalar, theta), rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_kraus_pullback_matches_the_shift_rule(seed):
+    """The generator-form pullback of 2 Re tr[X K(theta)] on a random ansatz,
+    against the shift rule G' = (G(t + pi) - G(t - pi)) / 4 and against
+    finite differences. X has unit norm, so 1e-12 is a roundoff bound."""
+    rng = np.random.default_rng(seed)
+    circ = build_ansatz(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+    theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+    dim = 2**circ.n_system
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x /= np.linalg.norm(x)
+    _, pullback = kraus_with_pullback(circ, theta)
+    got = pullback(x)
+    # tr[X K] = <X+, K>, and K is the even rows of V on the ancilla-|0> columns
+    y = np.zeros((2 * dim, dim), dtype=complex)
+    y[0::2] = x.conj().T
+    isometry = np.eye(2 * dim, dtype=complex)[:, 0::2]
+    want = oracles.shift_rule_pullback(isometry, circ.gates, theta, circ.n_qubits)(y)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def scalar(t):
+        return 2 * np.real(np.trace(x @ kraus_from_circuit(circ, t).keep))
+
+    np.testing.assert_allclose(got, gradient(scalar, theta), rtol=0, atol=1e-8)
+
+
 def test_identity_filter_reproduces_baseline_ensembles_bitwise():
     samples = _two_class_samples(m=4, seed=6)
     pair = KrausPair.identity(2)

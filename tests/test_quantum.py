@@ -13,7 +13,11 @@ from qfilter.errors import (
     ShapeError,
     UnsupportedGate,
 )
+from qfilter import quantum
 from qfilter.quantum import (
+    ATOL_INPUT,
+    ATOL_INVARIANT,
+    GATE_ARITY,
     DensityMatrix,
     GateSpec,
     StateVector,
@@ -109,8 +113,6 @@ def test_crx_control_is_first_target():
     st.integers(min_value=0, max_value=10_000),
 )
 def test_run_gates_matches_dense_lift(n, kind, theta, seed):
-    from qfilter.quantum import GATE_ARITY
-
     k = GATE_ARITY[kind]
     if k > n:
         n = k
@@ -121,6 +123,50 @@ def test_run_gates_matches_dense_lift(n, kind, theta, seed):
     got, _ = run_gates(cols, [spec], [theta], n)
     want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _count_transposes(monkeypatch):
+    """Count the gates that take the transposing path (its one np.argsort call)."""
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(quantum.np, "argsort", lambda a: calls.append(1) or argsort(a))
+    return calls
+
+
+def test_adjacent_runs_match_the_lift_without_a_transpose(monkeypatch):
+    """A gate on qubits q..q+k-1 (the last qubit included, where the ansatz
+    keeps its ancilla) is one broadcast matmul and matches the lifted gate."""
+    transposes = _count_transposes(monkeypatch)
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        for kind in ("Rx", "Ry", "Rz", "ZZ", "CRx"):
+            k = GATE_ARITY[kind]
+            for q in range(n - k + 1):
+                for tail in (1, 3):
+                    theta = rng.uniform(-np.pi, np.pi)
+                    cols = rng.standard_normal((2**n, tail)) + 1j * rng.standard_normal((2**n, tail))
+                    targets = tuple(range(q, q + k))
+                    got, _ = run_gates(cols, [GateSpec(kind, targets, 0)], [theta], n)
+                    want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert transposes == []
+
+
+def test_other_targets_take_the_transposing_path(monkeypatch):
+    """--ring's closing ZZ (n-1, 0) and a descending CRx (q+1, q) are not
+    ascending runs: each is transposed, and each matches the lifted gate."""
+    transposes = _count_transposes(monkeypatch)
+    rng = np.random.default_rng(6)
+    cases = [(n, "ZZ", (n - 1, 0)) for n in range(3, 6)]
+    cases += [(n, "CRx", (q + 1, q)) for n in range(2, 6) for q in range(n - 1)]
+    for n, kind, targets in cases:
+        for tail in (1, 3):
+            theta = rng.uniform(-np.pi, np.pi)
+            cols = rng.standard_normal((2**n, tail)) + 1j * rng.standard_normal((2**n, tail))
+            got, _ = run_gates(cols, [GateSpec(kind, targets, 0)], [theta], n)
+            want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert len(transposes) == 2 * len(cases)
 
 
 def test_run_gates_rejects_out_of_range_target():
@@ -205,6 +251,54 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(2) / 2, 2)
     rho = DensityMatrix(np.eye(2) / 2, 1)
     assert overlap(rho, rho) == pytest.approx(0.5)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def test_density_matrix_checks_at_their_tolerances():
+    """Asymmetry 2e-10 fails, asymmetry exactly ATOL_INVARIANT passes, and a
+    NaN or an inf anywhere (symmetric off-diagonal pairs too) fails typed."""
+    with pytest.raises(HermiticityError):
+        DensityMatrix(np.array([[0.5, 2 * ATOL_INVARIANT], [0.0, 0.5]]), 1)
+    DensityMatrix(np.array([[0.5, ATOL_INVARIANT], [0.0, 0.5]]), 1)
+    for value in NON_FINITE:
+        for cells in ([(0, 0)], [(0, 1)], [(0, 1), (1, 0)]):
+            m = np.eye(2, dtype=complex) / 2
+            for cell in cells:
+                m[cell] = value
+            with pytest.raises(HermiticityError):
+                DensityMatrix(m, 1)
+
+
+def test_unitary_matrix_checks_at_their_tolerances():
+    """U+U - I off by 2e-10 fails, off by exactly ATOL_INVARIANT passes
+    (U = [[1, e], [0, 1]] gives U+U - I = [[0, e], [e, e^2]], e^2 below the
+    ulp of 1), and a NaN or an inf fails typed."""
+    with pytest.raises(NormError):
+        UnitaryMatrix(np.array([[1.0, 2 * ATOL_INVARIANT], [0.0, 1.0]]), 1)
+    UnitaryMatrix(np.array([[1.0, ATOL_INVARIANT], [0.0, 1.0]]), 1)
+    for value in NON_FINITE:
+        for cell in ((0, 0), (0, 1)):
+            u = np.eye(2, dtype=complex)
+            u[cell] = value
+            with pytest.raises(NormError):
+                UnitaryMatrix(u, 1)
+
+
+def test_trace_norm_checks_at_their_tolerances():
+    """Asymmetry 2e-8 fails, asymmetry exactly ATOL_INPUT passes, and a NaN
+    or an inf anywhere fails typed instead of returning NaN."""
+    with pytest.raises(HermiticityError):
+        trace_norm(np.array([[0.5, 2 * ATOL_INPUT], [0.0, -0.5]]))
+    assert trace_norm(np.array([[0.5, ATOL_INPUT], [0.0, -0.5]])) == pytest.approx(1.0)
+    for value in NON_FINITE:
+        for cells in ([(0, 0)], [(0, 1)], [(0, 1), (1, 0)]):
+            m = np.diag([0.5, -0.5]).astype(complex)
+            for cell in cells:
+                m[cell] = value
+            with pytest.raises(HermiticityError):
+                trace_norm(m)
 
 
 def test_pure_to_density_requires_normalization():
