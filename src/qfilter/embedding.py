@@ -26,7 +26,6 @@ from .errors import (
     DimError,
     DomainError,
     ModelError,
-    ParamShapeError,
     ZeroVectorError,
 )
 from .quantum import GateSpec, StateVector, run_gates
@@ -125,24 +124,19 @@ def pca_layer_states(
 
     Rx data loading makes the product state (cos(x_q/2), -i sin(x_q/2))
     over the qubits, so only the trainable layers (an Ry on every qubit,
-    then the ZZ couplers, angle i from params[i]) run through run_gates().
+    then the ZZ couplers, gate i taking params[i]) run through run_gates().
     """
     v = np.asarray(xs, dtype=float)
     n = spec.n_qubits
     if v.ndim != 2 or v.shape[1] != n:
         raise DimError(f"inputs of shape {v.shape} do not match {n} qubits")
-    theta = np.asarray(spec.params, dtype=float)
-    if theta.shape[0] != spec.param_count():
-        raise ParamShapeError(
-            f"expected {spec.param_count()} parameters, got {theta.shape[0]}"
-        )
     cols = np.ones((1, v.shape[0]), dtype=complex)
     for q in range(n):
         ket = np.stack([np.cos(v[:, q] / 2), -1j * np.sin(v[:, q] / 2)])
         cols = (cols[:, None, :] * ket[None, :, :]).reshape(-1, v.shape[0])
-    layer = [("Ry", (q,)) for q in range(n)] + [("ZZ", p) for p in _coupler_pairs(n, spec.ring)]
-    gates = [GateSpec(kind, t, param_index=i) for i, (kind, t) in enumerate(layer * spec.layers)]
-    return run_gates(cols, gates, theta, n)
+    layer = [GateSpec("Ry", (q,)) for q in range(n)]
+    layer += [GateSpec("ZZ", p) for p in _coupler_pairs(n, spec.ring)]
+    return run_gates(cols, layer * spec.layers, spec.params, n)
 
 
 def encode_rows(xs: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
@@ -314,28 +308,38 @@ class TrainedModel:
     fingerprint: dict
 
 
+def _finite(name: str, values: list) -> np.ndarray:
+    """values as a float array; a null, NaN or infinite entry raises ModelError."""
+    out = np.array(values, dtype=float)
+    if not np.isfinite(out).all():
+        raise ModelError(f"malformed model: {name} holds a non-finite number")
+    return out
+
+
 def restore_model(result: dict) -> TrainedModel:
     """Rebuild a train result; a malformed one raises ModelError.
 
     The PCA, the scaling and the trained embedding angles come from the
-    manifest as saved, not refitted. The dataset, rebuilt from its
-    descriptor, must still match the fingerprint the model was trained on.
+    manifest as saved, not refitted; every number in them and in theta_star
+    must be finite. The dataset, rebuilt from its descriptor, must still
+    match the fingerprint the model was trained on.
     """
     try:
         manifest = result["manifest"]
         cfg = manifest["config"]
         d, e = cfg["dataset"], cfg["embedding"]
         if e["kind"] == "pca-layer":
-            spec = EmbeddingSpec(
-                "pca-layer", e["n_qubits"], tuple(e["params"]), e["layers"], e["ring"]
+            params = tuple(_finite("params", e["params"]).tolist())
+            spec = EmbeddingSpec("pca-layer", e["n_qubits"], params, e["layers"], e["ring"])
+            comps = _finite("pca_components", e["pca_components"])
+            pca = PCAModel(_finite("pca_mean", e["pca_mean"]), comps, np.zeros(comps.shape[1]))
+            center, factor = (
+                tuple(_finite(k, e[k]).tolist()) for k in ("scale_center", "scale_factor")
             )
-            comps = np.array(e["pca_components"], dtype=float)
-            pca = PCAModel(np.array(e["pca_mean"], dtype=float), comps, np.zeros(comps.shape[1]))
-            center, factor = (tuple(map(float, e[k])) for k in ("scale_center", "scale_factor"))
             pipe = Pipeline(d, load_dataset(d), spec, pca, FeatureScaling(center, factor))
         else:
             pipe = Pipeline.fit(d, e["kind"])
-        layers, theta = cfg["ansatz_layers"], np.array(result["theta_star"], dtype=float)
+        layers, theta = cfg["ansatz_layers"], _finite("theta_star", result["theta_star"])
         if not isinstance(layers, int) or theta.ndim != 1:
             raise ModelError("malformed model: ansatz_layers or theta_star has the wrong type")
         saved = manifest["dataset_fingerprint"]

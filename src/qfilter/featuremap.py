@@ -18,7 +18,6 @@ from .errors import (
     ClassAnnihilated,
     DimError,
     FilterAnnihilated,
-    ParamShapeError,
     RegisterTooLarge,
 )
 from .quantum import (
@@ -34,16 +33,18 @@ EPS_ANNIHILATION = 1e-12
 
 @dataclass(frozen=True)
 class FeatureMapCircuit:
-    """Gate sequence over n_system + 1 qubits; identity at theta = 0."""
+    """Gate sequence over n_system + 1 qubits, one angle per gate; identity at theta = 0."""
 
     n_system: int
-    layers: int
     gates: tuple[GateSpec, ...]
-    n_params: int
 
     @property
     def n_qubits(self) -> int:
         return self.n_system + 1
+
+    @property
+    def n_params(self) -> int:
+        return len(self.gates)
 
     def zero_theta(self) -> np.ndarray:
         return np.zeros(self.n_params)
@@ -95,47 +96,31 @@ def build_ansatz(n_system: int, layers: int) -> FeatureMapCircuit:
 
     The chain couples qubit q to q+1, ending on the ancilla, so every system
     qubit can influence the measured branch. All angles are trainable.
-    Raises RegisterTooLarge when circuit_unitary()'s tape (one
-    2**(n+1)-square matrix per gate, plus the output) exceeds MAX_BUFFER_BYTES.
+    Raises RegisterTooLarge, before building any gate, when run_gates()'s
+    tape for circuit_unitary() (one 2**(n+1)-square output per gate, plus
+    the input) exceeds MAX_BUFFER_BYTES.
     """
     if n_system < 1 or layers < 1:
         raise ValueError("need n_system >= 1 and layers >= 1")
     n_total = n_system + 1
-    gates: list[GateSpec] = []
-    p = 0
-    for _ in range(layers):
-        for q in range(n_total):
-            gates.append(GateSpec("Rx", (q,), param_index=p))
-            p += 1
-        for q in range(n_total):
-            gates.append(GateSpec("Rz", (q,), param_index=p))
-            p += 1
-        for q in range(n_total - 1):
-            gates.append(GateSpec("CRx", (q, q + 1), param_index=p))
-            p += 1
-    need = (len(gates) + 1) * 4**n_total * 16
+    need = ((2 * n_total + n_system) * layers + 1) * 4**n_total * 16
     if need > MAX_BUFFER_BYTES:
         raise RegisterTooLarge(
             f"a {n_system}-qubit, {layers}-layer filter needs {need / 2**20:.3g} MiB "
             f"for its gate tape, over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
         )
-    return FeatureMapCircuit(n_system, layers, tuple(gates), p)
-
-
-def _check_theta(circuit: FeatureMapCircuit, theta: np.ndarray) -> np.ndarray:
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (circuit.n_params,):
-        raise ParamShapeError(
-            f"circuit takes {circuit.n_params} parameters, got shape {t.shape}"
-        )
-    return t
+    layer = (
+        [GateSpec("Rx", (q,)) for q in range(n_total)]
+        + [GateSpec("Rz", (q,)) for q in range(n_total)]
+        + [GateSpec("CRx", (q, q + 1)) for q in range(n_system)]
+    )
+    return FeatureMapCircuit(n_system, tuple(layer) * layers)
 
 
 def circuit_unitary(circuit: FeatureMapCircuit, theta: np.ndarray) -> UnitaryMatrix:
     """Dense matrix of the full gate sequence, first gate applied first."""
-    t = _check_theta(circuit, theta)
     n = circuit.n_qubits
-    return UnitaryMatrix(run_gates(np.eye(2**n, dtype=complex), circuit.gates, t, n)[0], n)
+    return UnitaryMatrix(run_gates(np.eye(2**n, dtype=complex), circuit.gates, theta, n)[0], n)
 
 
 def kraus_from_circuit(circuit: FeatureMapCircuit, theta: np.ndarray) -> KrausPair:
@@ -162,10 +147,9 @@ def kraus_with_pullback(
     gradient of 2 Re tr[X K(theta)]: the backward pass of run_gates() with
     X+ in the even rows of its cotangent.
     """
-    t = _check_theta(circuit, theta)
     dim = 2**circuit.n_system
     cols, run_back = run_gates(
-        np.eye(2 * dim, dtype=complex)[:, 0::2], circuit.gates, t, circuit.n_qubits
+        np.eye(2 * dim, dtype=complex)[:, 0::2], circuit.gates, theta, circuit.n_qubits
     )
 
     def pullback(x: np.ndarray) -> np.ndarray:

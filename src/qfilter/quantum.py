@@ -16,6 +16,7 @@ from .errors import (
     DimError,
     HermiticityError,
     NormError,
+    ParamShapeError,
     ShapeError,
     UnsupportedGate,
 )
@@ -24,16 +25,38 @@ from .errors import (
 ATOL_INVARIANT = 1e-10
 ATOL_INPUT = 1e-8
 
-GATE_ARITY = {"Rx": 1, "Ry": 1, "Rz": 1, "ZZ": 2, "CRx": 2}
+# The generator P of each rotation exp(-i t P / 2), control = first target.
+_GENERATORS = {
+    "Rx": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Ry": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Rz": np.diag([1, -1]).astype(complex),
+    "ZZ": np.diag([1, -1, -1, 1]).astype(complex),
+    "CRx": np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+
+GATE_ARITY = {kind: p.shape[0].bit_length() - 1 for kind, p in _GENERATORS.items()}
+
+# Every generator has P^3 = P, so exp(-i t P / 2) = (I - P^2) + cos(t/2) P^2
+# - i sin(t/2) P; these are its three fixed parts.
+_GATE_PARTS = {
+    kind: (np.eye(p.shape[0]) - p @ p, p @ p, -1j * p) for kind, p in _GENERATORS.items()
+}
+
+
+def gate_array(kind: str, theta: float) -> np.ndarray:
+    """Dense matrix of one rotation at angle theta, control = first target for CRx."""
+    if kind not in _GATE_PARTS:
+        raise UnsupportedGate(f"unknown gate kind {kind!r}")
+    fixed, square, minus_i_p = _GATE_PARTS[kind]
+    return fixed + np.cos(theta / 2) * square + np.sin(theta / 2) * minus_i_p
 
 
 @dataclass(frozen=True)
 class GateSpec:
-    """One rotation: kind, target qubits, and where in theta its angle is."""
+    """One rotation exp(-i t P / 2): its kind, which names P, and its target qubits."""
 
     kind: str
     targets: tuple[int, ...]
-    param_index: int
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_ARITY:
@@ -116,50 +139,6 @@ class UnitaryMatrix:
         object.__setattr__(self, "entries", m)
 
 
-def _rx(t: float) -> np.ndarray:
-    c, s = np.cos(t / 2), np.sin(t / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def _ry(t: float) -> np.ndarray:
-    c, s = np.cos(t / 2), np.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(t: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
-
-
-def _zz(t: float) -> np.ndarray:
-    e_m, e_p = np.exp(-1j * t / 2), np.exp(1j * t / 2)
-    return np.diag([e_m, e_p, e_p, e_m])
-
-
-def _crx(t: float) -> np.ndarray:
-    out = np.eye(4, dtype=complex)
-    out[2:, 2:] = _rx(t)
-    return out
-
-
-_ROTATIONS = {"Rx": _rx, "Ry": _ry, "Rz": _rz, "ZZ": _zz, "CRx": _crx}
-
-# The generator P of each rotation exp(-i t P / 2), control = first target.
-_GENERATORS = {
-    "Rx": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Ry": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Rz": np.diag([1, -1]).astype(complex),
-    "ZZ": np.diag([1, -1, -1, 1]).astype(complex),
-    "CRx": np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-}
-
-
-def gate_array(kind: str, theta: float) -> np.ndarray:
-    """Dense matrix of one rotation at angle theta, control = first target for CRx."""
-    if kind not in _ROTATIONS:
-        raise UnsupportedGate(f"unknown gate kind {kind!r}")
-    return _ROTATIONS[kind](theta)
-
-
 def _apply_to_columns(
     block: np.ndarray, local: np.ndarray, targets: tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
@@ -188,30 +167,35 @@ def run_gates(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Apply a gate list to every column of cols (2**n_qubits x k), first gate first.
 
-    Each gate takes its angle from theta[param_index]. Also returns the
-    pullback that maps a cotangent Y to the gradient of 2 Re <Y, cols(theta)>
-    in one backward pass of adjoint products (Jones & Gacon, arXiv:2009.02823).
-    Every gate G_j = exp(-i t P_j / 2) has dG_j/dt = -(i/2) P_j G_j, so
+    Gate j takes the angle theta[j], so theta holds one entry per gate. Also
+    returns the pullback that maps a cotangent Y to the gradient of
+    2 Re <Y, cols(theta)> in one backward pass of adjoint products (Jones &
+    Gacon, arXiv:2009.02823). Every gate G_j = exp(-i t P_j / 2) has
+    dG_j/dt = -(i/2) P_j G_j, so
         d/dtheta_j = Im <G_{j+1}+ ... G_L+ Y, P_j out_j>,
     where out_j = G_j ... G_1 cols is the output of gate j; for that the
     forward pass keeps the output of every gate.
     """
     t = np.asarray(theta, dtype=float)
+    if t.shape != (len(gates),):
+        raise ParamShapeError(f"{len(gates)} gates take {len(gates)} angles, got shape {t.shape}")
     arrays, outs = [], []
-    for spec in gates:
+    for spec, angle in zip(gates, t.tolist()):
         if not all(0 <= q < n_qubits for q in spec.targets):
             raise IndexError(f"targets {spec.targets} outside register of {n_qubits}")
-        arrays.append(gate_array(spec.kind, float(t[spec.param_index])))
+        arrays.append(gate_array(spec.kind, angle))
         cols = _apply_to_columns(cols, arrays[-1], spec.targets, n_qubits)
         outs.append(cols)
 
     def pullback(adj: np.ndarray) -> np.ndarray:
         # adj holds G_{j+1}+ ... G_L+ Y while gate j is visited
-        grad = np.zeros(t.shape[0])
-        for spec, g, out in zip(reversed(gates), reversed(arrays), reversed(outs)):
-            moved = _apply_to_columns(out, _GENERATORS[spec.kind], spec.targets, n_qubits)
-            grad[spec.param_index] += np.imag(np.vdot(adj, moved))
-            adj = _apply_to_columns(adj, g.conj().T, spec.targets, n_qubits)
+        grad = np.zeros(len(gates))
+        for j in reversed(range(len(gates))):
+            spec = gates[j]
+            moved = _apply_to_columns(outs[j], _GENERATORS[spec.kind], spec.targets, n_qubits)
+            grad[j] = np.imag(np.vdot(adj, moved))
+            if j:  # past the first gate the adjoint feeds no gradient
+                adj = _apply_to_columns(adj, arrays[j].conj().T, spec.targets, n_qubits)
         return grad
 
     return cols, pullback

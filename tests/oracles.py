@@ -102,8 +102,8 @@ def lift(gate, targets, n):
 def circuit_matrix(gate_list, theta, n):
     """Product of lifted gates, first gate applied first."""
     u = np.eye(2**n, dtype=complex)
-    for spec in gate_list:
-        u = lift(oracle_gate(spec.kind, theta[spec.param_index]), spec.targets, n) @ u
+    for spec, t in zip(gate_list, theta, strict=True):
+        u = lift(oracle_gate(spec.kind, t), spec.targets, n) @ u
     return u
 
 
@@ -116,19 +116,19 @@ def shift_rule_pullback(cols, gate_list, theta, n):
     of every gate.
     """
     lifted, before = [], []
-    for spec in gate_list:
-        lifted.append(lift(oracle_gate(spec.kind, theta[spec.param_index]), spec.targets, n))
+    for spec, t in zip(gate_list, theta, strict=True):
+        lifted.append(lift(oracle_gate(spec.kind, t), spec.targets, n))
         before.append(cols)
         cols = lifted[-1] @ cols
 
     def pullback(y):
         grad = np.zeros(len(theta))
         adj = y
-        for spec, g, b in reversed(list(zip(gate_list, lifted, before))):
-            t = theta[spec.param_index]
+        for j in reversed(range(len(gate_list))):
+            spec, t = gate_list[j], theta[j]
             dg = (oracle_gate(spec.kind, t + np.pi) - oracle_gate(spec.kind, t - np.pi)) / 4
-            grad[spec.param_index] += 2 * np.real(np.vdot(adj, lift(dg, spec.targets, n) @ b))
-            adj = g.conj().T @ adj
+            grad[j] = 2 * np.real(np.vdot(adj, lift(dg, spec.targets, n) @ before[j]))
+            adj = lifted[j].conj().T @ adj
         return grad
 
     return pullback

@@ -413,8 +413,10 @@ def test_compare_needs_two_conditions():
 
 def test_selftest_fault_injection_fails(monkeypatch, capsys):
     """Negative control: a non-unitary Rx fails the suites that build circuits."""
-    rx = quantum._ROTATIONS["Rx"]
-    monkeypatch.setitem(quantum._ROTATIONS, "Rx", lambda t: 1.001 * rx(t))
+    gate_array = quantum.gate_array
+    monkeypatch.setattr(
+        quantum, "gate_array", lambda kind, t: (1.001 if kind == "Rx" else 1) * gate_array(kind, t)
+    )
     code, out = _run(["selftest"], capsys)
     assert code == 1
     payload = json.loads(out)
@@ -593,6 +595,46 @@ def test_malformed_model_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error: malformed model" in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def pca_model_text(tmp_path_factory):
+    """A saved pca:2 model on TINY_CSV, as JSON text."""
+    folder = tmp_path_factory.mktemp("pca_model")
+    (folder / "tiny.csv").write_text(TINY_CSV)
+    model = folder / "model.json"
+    assert main(["train", "--dataset", f"csv:{folder / 'tiny.csv'}", "--embedding", "pca:2",
+                 "--epochs", "3", "--out", str(model)]) == 0
+    return model.read_text()
+
+
+@pytest.mark.parametrize("path", ["analytic", "circuit"])
+@pytest.mark.parametrize("number", ["null", "1e400"])
+@pytest.mark.parametrize(
+    "field", ["theta_star", "params", "scale_center", "scale_factor", "pca_mean", "pca_components"]
+)
+def test_a_non_finite_model_number_exits_3(tmp_path, capsys, pca_model_text, field, number, path):
+    """A null or an overflowing number (1e400 reads as inf) in any saved
+    array is a malformed model, on both classify paths."""
+    content = json.loads(pca_model_text)
+    holder = content if field == "theta_star" else content["manifest"]["config"]["embedding"]
+    row = holder[field][0] if field == "pca_components" else holder[field]
+    row[0] = "NUMBER"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(content).replace('"NUMBER"', number))
+    argv = ["classify", "--model", str(model), "--input", "0.5,0.1,0.2", "--path", path]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed model: {field} holds a non-finite number")
+    assert "Traceback" not in err
+
+
+def test_a_layer_count_past_the_budget_exits_3(capsys):
+    """10**9 layers are refused from the gate count, before any gate is built."""
+    assert main(["train", "--dataset", "iris", "--layers", "1000000000", "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 1-qubit, 1000000000-layer filter needs")
+    assert "Traceback" not in err
 
 
 def test_classify_rejects_a_changed_dataset(tmp_path, capsys):

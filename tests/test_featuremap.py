@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import basis_state
-from qfilter.embedding import EmbeddedSample
+from qfilter.embedding import EmbeddedSample, EmbeddingSpec, pca_layer_states
 from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated, ParamShapeError
 from qfilter.featuremap import (
     FeatureMapCircuit,
@@ -29,6 +29,7 @@ from qfilter.quantum import (
     hs_distance,
     pure_to_density,
     random_state,
+    run_gates,
 )
 
 
@@ -38,16 +39,16 @@ def test_build_ansatz_structure():
         n_total = n + 1
         assert circ.n_system == n
         assert circ.n_qubits == n_total
-        assert circ.n_params == layers * (2 * n_total + n)
-        assert len(circ.gates) == circ.n_params
+        assert len(circ.gates) == layers * (2 * n_total + n)
+        assert circ.n_params == len(circ.gates)
         per_layer = circ.gates[: 2 * n_total + n]
         kinds = [g.kind for g in per_layer]
         assert kinds == ["Rx"] * n_total + ["Rz"] * n_total + ["CRx"] * n
         # the CRx chain walks q -> q+1 and ends on the ancilla
         chain = [g.targets for g in per_layer if g.kind == "CRx"]
         assert chain == [(q, q + 1) for q in range(n)]
-        # every parameter index is used exactly once
-        assert sorted(g.param_index for g in circ.gates) == list(range(circ.n_params))
+        # every layer is the first one again
+        assert circ.gates == per_layer * layers
 
 
 def test_build_ansatz_rejects_degenerate_sizes():
@@ -193,20 +194,21 @@ def test_transform_ensemble_matches_hand_accumulation():
 def test_kraus_pullback_matches_finite_differences():
     """Adjoint gradient of 2 Re tr[X K(theta)] for a random cotangent X.
 
-    The circuit holds every gate kind, and parameters 0 and 1 each drive
-    two gates.
+    The circuit holds every gate kind, each with its own angle, and the
+    non-adjacent ZZ (0, 2) and CRx (2, 0).
     """
     gates = (
-        GateSpec("Rx", (0,), param_index=1),
-        GateSpec("Ry", (0,), param_index=0),
-        GateSpec("ZZ", (0, 2), param_index=1),
-        GateSpec("CRx", (1, 2), param_index=0),
-        GateSpec("Rz", (1,), param_index=3),
-        GateSpec("Rx", (2,), param_index=2),
+        GateSpec("Rx", (0,)),
+        GateSpec("Ry", (0,)),
+        GateSpec("ZZ", (0, 2)),
+        GateSpec("CRx", (1, 2)),
+        GateSpec("CRx", (2, 0)),
+        GateSpec("Rz", (1,)),
+        GateSpec("Rx", (2,)),
     )
-    circ = FeatureMapCircuit(2, 1, gates, 4)
+    circ = FeatureMapCircuit(2, gates)
     rng = np.random.default_rng(4)
-    theta = rng.uniform(-np.pi, np.pi, 4)
+    theta = rng.uniform(-np.pi, np.pi, circ.n_params)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     pair, pullback = kraus_with_pullback(circ, theta)
     np.testing.assert_allclose(pair.keep, kraus_from_circuit(circ, theta).keep, rtol=0, atol=1e-14)
@@ -309,7 +311,38 @@ def test_build_ansatz_checks_the_gate_tape_budget(monkeypatch):
         build_ansatz(1, 1)
 
 
+def test_build_ansatz_checks_its_budget_before_building_a_gate(monkeypatch):
+    """10**12 layers are 5e12 gates: the gate count alone refuses them."""
+    from qfilter import featuremap
+    from qfilter.errors import RegisterTooLarge
+
+    built = []
+    monkeypatch.setattr(featuremap, "GateSpec", lambda *a: built.append(a))
+    with pytest.raises(RegisterTooLarge, match="a 1-qubit, 1000000000000-layer filter"):
+        build_ansatz(1, 10**12)
+    assert built == []
+
+
+_ANSATZ = build_ansatz(1, 1)  # 5 gates
+
+
+@pytest.mark.parametrize("n_gates, run", [
+    (5, lambda t: run_gates(np.eye(4, dtype=complex), _ANSATZ.gates, t, 2)),
+    (5, lambda t: circuit_unitary(_ANSATZ, t)),
+    (5, lambda t: kraus_with_pullback(_ANSATZ, t)),
+    # 2 ring layers of 3 Ry and 3 ZZ gates
+    (12, lambda t: pca_layer_states(
+        np.zeros((2, 3)), EmbeddingSpec("pca-layer", 3, tuple(t), layers=2, ring=True))),
+], ids=["run_gates", "circuit_unitary", "kraus_with_pullback", "pca_layer_states"])
+def test_a_gate_list_takes_one_angle_per_gate(n_gates, run):
+    """Gate j takes theta[j]: one angle too few or too many raises ParamShapeError."""
+    run(np.zeros(n_gates))
+    for count in (n_gates - 1, n_gates + 1):
+        with pytest.raises(ParamShapeError, match=f"{n_gates} gates take {n_gates} angles"):
+            run(np.zeros(count))
+
+
 def test_feature_map_circuit_zero_theta_shape():
-    circ = FeatureMapCircuit(1, 1, build_ansatz(1, 1).gates, 5)
+    circ = FeatureMapCircuit(1, build_ansatz(1, 1).gates)
     assert circ.zero_theta().shape == (5,)
     assert circ.n_qubits == 2

@@ -171,7 +171,7 @@ def test_apply_feature_maps_postselect_annihilation():
     from qfilter.quantum import GateSpec
     from qfilter.featuremap import FeatureMapCircuit
 
-    circ = FeatureMapCircuit(1, 1, (GateSpec("Rx", (1,), param_index=0),), 1)
+    circ = FeatureMapCircuit(1, (GateSpec("Rx", (1,)),))
     samples = [
         EmbeddedSample(basis_state(1, 0), +1, 0),
         EmbeddedSample(basis_state(1, 1), -1, 1),
@@ -375,7 +375,7 @@ def test_class_annihilation_readout():
 
     # CRx(pi) with control = data qubit rotates ancilla |0> -> -i|1> exactly
     # when the data qubit is |1>, so post-selecting ancilla 0 kills |1> data
-    circ = FeatureMapCircuit(1, 1, (GateSpec("CRx", (0, 1), param_index=0),), 1)
+    circ = FeatureMapCircuit(1, (GateSpec("CRx", (0, 1)),))
     samples = [
         EmbeddedSample(basis_state(1, 0), +1, 0),
         EmbeddedSample(basis_state(1, 1), -1, 1),

@@ -62,11 +62,11 @@ def test_unknown_gate_kind_rejected():
     with pytest.raises(UnsupportedGate):
         gate_array("Toffoli", 0.0)
     with pytest.raises(UnsupportedGate):
-        GateSpec("Toffoli", (0, 1, 2), param_index=0)
+        GateSpec("Toffoli", (0, 1, 2))
     # every gate is a rotation: no fixed gates
     for kind in ("H", "X"):
         with pytest.raises(UnsupportedGate):
-            GateSpec(kind, (0,), param_index=0)
+            GateSpec(kind, (0,))
 
 
 def _run(state, *gates, theta=()):
@@ -77,26 +77,24 @@ def _run(state, *gates, theta=()):
 
 def test_gate_spec_arity_and_angle_rules():
     with pytest.raises(ShapeError):
-        GateSpec("Rx", (0, 1), param_index=0)
+        GateSpec("Rx", (0, 1))
     with pytest.raises(ValueError):
-        GateSpec("CRx", (1, 1), param_index=0)  # duplicate targets
-    with pytest.raises(TypeError):
-        GateSpec("Rx", (0,))  # a rotation without its parameter
-    # the angle is theta[param_index]
-    out = _run(basis_state(1, 0), GateSpec("Rx", (0,), param_index=2), theta=[0.0, 0.0, 0.4])
+        GateSpec("CRx", (1, 1))  # duplicate targets
+    # gate j takes theta[j]: Rz(0) is the identity, then Rx(0.4)
+    out = _run(basis_state(1, 0), GateSpec("Rz", (0,)), GateSpec("Rx", (0,)), theta=[0.0, 0.4])
     np.testing.assert_allclose(out, oracles.rx(0.4)[:, 0], atol=1e-15)
 
 
 def test_qubit_zero_is_most_significant():
     # Rx(pi) = -iX on qubit 0 of |00> lands on basis index 2, not 1
-    out = _run(basis_state(2, 0), GateSpec("Rx", (0,), param_index=0), theta=[np.pi])
+    out = _run(basis_state(2, 0), GateSpec("Rx", (0,)), theta=[np.pi])
     np.testing.assert_allclose(out, [0, 0, -1j, 0], atol=1e-15)
-    out = _run(basis_state(2, 0), GateSpec("Rx", (1,), param_index=0), theta=[np.pi])
+    out = _run(basis_state(2, 0), GateSpec("Rx", (1,)), theta=[np.pi])
     np.testing.assert_allclose(out, [0, -1j, 0, 0], atol=1e-15)
 
 
 def test_crx_control_is_first_target():
-    crx = GateSpec("CRx", (0, 1), param_index=0)
+    crx = GateSpec("CRx", (0, 1))
     # control |0>: nothing happens to the target
     out = _run(basis_state(2, 0), crx, theta=[np.pi])
     np.testing.assert_allclose(out, [1, 0, 0, 0], atol=1e-15)
@@ -119,7 +117,7 @@ def test_run_gates_matches_dense_lift(n, kind, theta, seed):
     rng = np.random.default_rng(seed)
     targets = tuple(rng.permutation(n)[:k].tolist())
     cols = np.stack([random_state(seed, n).amplitudes, random_state(seed + 1, n).amplitudes], 1)
-    spec = GateSpec(kind, targets, param_index=0)
+    spec = GateSpec(kind, targets)
     got, _ = run_gates(cols, [spec], [theta], n)
     want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -146,7 +144,7 @@ def test_adjacent_runs_match_the_lift_without_a_transpose(monkeypatch):
                     theta = rng.uniform(-np.pi, np.pi)
                     cols = rng.standard_normal((2**n, tail)) + 1j * rng.standard_normal((2**n, tail))
                     targets = tuple(range(q, q + k))
-                    got, _ = run_gates(cols, [GateSpec(kind, targets, 0)], [theta], n)
+                    got, _ = run_gates(cols, [GateSpec(kind, targets)], [theta], n)
                     want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert transposes == []
@@ -163,7 +161,7 @@ def test_other_targets_take_the_transposing_path(monkeypatch):
         for tail in (1, 3):
             theta = rng.uniform(-np.pi, np.pi)
             cols = rng.standard_normal((2**n, tail)) + 1j * rng.standard_normal((2**n, tail))
-            got, _ = run_gates(cols, [GateSpec(kind, targets, 0)], [theta], n)
+            got, _ = run_gates(cols, [GateSpec(kind, targets)], [theta], n)
             want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert len(transposes) == 2 * len(cases)
@@ -171,28 +169,28 @@ def test_other_targets_take_the_transposing_path(monkeypatch):
 
 def test_run_gates_rejects_out_of_range_target():
     with pytest.raises(IndexError):
-        _run(basis_state(1, 0), GateSpec("Ry", (1,), param_index=0), theta=[0.0])
+        _run(basis_state(1, 0), GateSpec("Ry", (1,)), theta=[0.0])
 
 
 def test_run_gates_pullback_matches_finite_differences():
     """Adjoint gradient of 2 Re <Y, run_gates(cols)> for a random cotangent Y.
 
-    The list holds every gate kind; parameters 0 and 1 each drive two
-    gates and parameter 4 none.
+    The list holds every gate kind, each with its own angle, and the
+    non-adjacent ZZ (0, 2) and CRx (2, 0), which take the transposing path.
     """
     from qfilter.training import gradient
 
     gates = (
-        GateSpec("Rx", (0,), param_index=1),
-        GateSpec("Ry", (0,), param_index=0),
-        GateSpec("ZZ", (0, 2), param_index=1),
-        GateSpec("CRx", (1, 2), param_index=0),
-        GateSpec("CRx", (2, 0), param_index=3),
-        GateSpec("Rz", (1,), param_index=3),
-        GateSpec("Rx", (2,), param_index=2),
+        GateSpec("Rx", (0,)),
+        GateSpec("Ry", (0,)),
+        GateSpec("ZZ", (0, 2)),
+        GateSpec("CRx", (1, 2)),
+        GateSpec("CRx", (2, 0)),
+        GateSpec("Rz", (1,)),
+        GateSpec("Rx", (2,)),
     )
     rng = np.random.default_rng(4)
-    theta = rng.uniform(-np.pi, np.pi, 5)
+    theta = rng.uniform(-np.pi, np.pi, len(gates))
     cols = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     out, pullback = run_gates(cols, gates, theta, 3)
@@ -203,7 +201,21 @@ def test_run_gates_pullback_matches_finite_differences():
 
     got = pullback(y)
     np.testing.assert_allclose(got, gradient(scalar, theta), rtol=0, atol=1e-8)
-    assert got[4] == 0.0
+
+
+def test_run_gates_backward_pass_skips_the_unused_last_product(monkeypatch):
+    """Over L gates the pullback applies L generators and L - 1 adjoint gates:
+    the adjoint of the first gate would feed no gradient."""
+    calls = []
+    apply = quantum._apply_to_columns
+    monkeypatch.setattr(quantum, "_apply_to_columns", lambda *a: calls.append(1) or apply(*a))
+    rng = np.random.default_rng(8)
+    for gates in ([GateSpec("Rx", (0,))], [GateSpec("Ry", (1,)), GateSpec("ZZ", (0, 1))] * 3):
+        theta = rng.uniform(-np.pi, np.pi, len(gates))
+        _, pullback = run_gates(np.eye(4, dtype=complex)[:, :2], gates, theta, 2)
+        calls.clear()
+        pullback(np.ones((4, 2), dtype=complex))
+        assert len(calls) == 2 * len(gates) - 1
 
 
 def test_state_vector_validation_and_helpers():
@@ -221,9 +233,9 @@ def test_basis_states():
     # Rx(pi) = -iX on qubits 0 and 2 of |000> gives -|101>
     flips = _run(
         basis_state(3, 0),
-        GateSpec("Rx", (0,), param_index=0),
-        GateSpec("Rx", (2,), param_index=0),
-        theta=[np.pi],
+        GateSpec("Rx", (0,)),
+        GateSpec("Rx", (2,)),
+        theta=[np.pi, np.pi],
     )
     np.testing.assert_allclose(flips, -basis_state(3, 0b101).amplitudes, atol=1e-15)
 
@@ -231,7 +243,7 @@ def test_basis_states():
 def test_project_bit_probability_and_renormalization():
     # the post-selection reference the protocol oracles use
     # Ry(pi/2) takes |0> to (|0> + |1>) / sqrt 2, as H does
-    amps = _run(basis_state(2, 0), GateSpec("Ry", (0,), param_index=0), theta=[np.pi / 2])
+    amps = _run(basis_state(2, 0), GateSpec("Ry", (0,)), theta=[np.pi / 2])
     kept, p = oracles.project_bit(amps, 0, 2, outcome=1)
     assert p == pytest.approx(0.5)
     np.testing.assert_allclose(kept, [0, 0, 1, 0], atol=1e-15)

@@ -56,8 +56,10 @@ def test_contractivity_suite_small_run():
 
 def test_suite_reports_failing_case_on_injected_fault(monkeypatch):
     """A non-unitary Rx fails the circuit suites, each naming its first case."""
-    rx = quantum._ROTATIONS["Rx"]
-    monkeypatch.setitem(quantum._ROTATIONS, "Rx", lambda t: 1.001 * rx(t))
+    gate_array = quantum.gate_array
+    monkeypatch.setattr(
+        quantum, "gate_array", lambda kind, t: (1.001 if kind == "Rx" else 1) * gate_array(kind, t)
+    )
     suites = {s.name: s for s in run_all()}
     assert suites["contractivity"].passed()
     corrupted = suites["kraus-completeness"]

@@ -150,7 +150,7 @@ def test_cost_is_baseline_risk_at_zero_theta():
 
 def test_cost_sentinel_on_class_annihilation():
     # CRx(pi) filter kills |1>; the -1 class is exactly |1>
-    circuit = FeatureMapCircuit(1, 1, (GateSpec("CRx", (0, 1), param_index=0),), 1)
+    circuit = FeatureMapCircuit(1, (GateSpec("CRx", (0, 1)),))
     samples = [
         EmbeddedSample(basis_state(1, 0), +1, 0),
         EmbeddedSample(basis_state(1, 1), -1, 1),
