@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,10 +83,9 @@ def fidelity_classify(
 def filtered_fidelity_classify(
     ens: TransformedEnsembles, pair: KrausPair, test: DensityMatrix
 ) -> ClassifierOutput:
-    """Filter the test state, then classify against the filtered ensembles."""
+    """Filter the test state, then classify it against the filtered ensembles."""
     test_f, p_s = apply_filter(pair, test)
-    value = overlap(ens.pos, test_f) - overlap(ens.neg, test_f)
-    return decide(value, p_s)
+    return replace(fidelity_classify(ens.pos, ens.neg, test_f), p_s_test=p_s)
 
 
 def filtered_class_weights(labels: np.ndarray, p_s: np.ndarray) -> np.ndarray:

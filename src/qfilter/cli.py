@@ -97,6 +97,12 @@ def _embedding(args) -> str:
     return args.embedding or ("angle" if args.dataset == "iris" else "amplitude")
 
 
+def _config_manifest(config: TrainConfig) -> dict:
+    """Every TrainConfig field but the seed, which a manifest holds on its own."""
+    fields = dataclasses.asdict(config)
+    return {("lambda" if k == "lam" else k): v for k, v in fields.items() if k != "seed"}
+
+
 def _train_config(args, **train_only) -> TrainConfig:
     """The optimizer flags train and compare share, plus train's own."""
     return TrainConfig(
@@ -134,13 +140,8 @@ def cmd_train(args) -> int:
             "dataset": descriptor,
             "embedding": pipe.embedding_manifest(spec),
             "ansatz_layers": args.layers,
-            # every TrainConfig field but the seed, which the manifest holds
-            # above, and whether the embedding angles were trained too
-            "train": {
-                ("lambda" if k == "lam" else k): v
-                for k, v in dataclasses.asdict(config).items()
-                if k != "seed"
-            } | {"co_train_embedding": args.co_train},
+            # the optimizer settings, and whether the embedding angles were trained too
+            "train": _config_manifest(config) | {"co_train_embedding": args.co_train},
         },
         "dataset_fingerprint": fingerprint(pipe.dataset),
     }
@@ -241,13 +242,10 @@ def cmd_compare(args) -> int:
             "embedding": embedding,
             "ansatz_layers": args.layers,
             "conditions": args.conditions,
-            "lambda": getattr(args, "lambda"),
-            "epochs": args.epochs,
-            "learning_rate": args.lr,
-            "optimizer": args.optimizer,
-            "init_scale": args.init_scale,
             "embed_layers": args.embed_layers,
             "ring": args.ring,
+            # each condition sets its own cutoff
+            **{k: v for k, v in _config_manifest(config).items() if k != "cutoff"},
         },
     }
     _emit_json({"manifest": manifest, "rows": all_rows}, args.out)

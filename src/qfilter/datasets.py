@@ -8,13 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    MAX_BUFFER_BYTES,
     ClassBalanceError,
     CsvError,
     DimError,
     DomainError,
-    RegisterTooLarge,
     ShapeError,
+    check_budget,
 )
 
 
@@ -120,18 +119,13 @@ def pca_fit(dataset: RawDataset, k: int) -> PCAModel:
     """Top-k eigenvectors of the sample covariance, deterministic signs.
 
     Each component is flipped so its largest-magnitude entry is positive.
-    Raises RegisterTooLarge when the d x d covariance exceeds MAX_BUFFER_BYTES.
+    Raises RegisterTooLarge when the d x d covariance is over the memory budget.
     """
     x = dataset.features
     m, d = x.shape
     if not 1 <= k <= min(m, d):
         raise DimError(f"k={k} outside [1, min(M={m}, d={d})]")
-    need = d * d * 8
-    if need > MAX_BUFFER_BYTES:
-        raise RegisterTooLarge(
-            f"PCA of {d} features needs a {need / 2**20:.3g} MiB covariance, "
-            f"over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
-        )
+    check_budget(d * d * 8, f"PCA of {d} features needs a {{}} MiB covariance")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
         xc = x - mean
@@ -157,19 +151,15 @@ def pca_project(model: PCAModel, features: np.ndarray) -> np.ndarray:
 def synthetic_blobs(seed: int, m_per_class: int, dims: int, separation: float) -> RawDataset:
     """Two unit-variance Gaussian clusters split along the first axis.
 
-    Raises RegisterTooLarge when the 2 m_per_class x dims features exceed
-    MAX_BUFFER_BYTES, before any is drawn.
+    Raises RegisterTooLarge when the 2 m_per_class x dims features are over
+    the memory budget, before any is drawn.
     """
     if m_per_class < 1:
         raise DimError("need at least one sample per class")
-    need = 2 * m_per_class * dims * 8
-    if need > MAX_BUFFER_BYTES:
-        raise RegisterTooLarge(
-            f"{2 * m_per_class} blobs of {dims} features need {need / 2**20:.3g} MiB, "
-            f"over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
-        )
+    rows = 2 * m_per_class
+    check_budget(rows * dims * 8, f"{rows} blobs of {dims} features need {{}} MiB")
     # one draw fills the +1 rows, then the -1 rows, as two draws would
-    features = np.random.default_rng(seed).standard_normal((2 * m_per_class, dims))
+    features = np.random.default_rng(seed).standard_normal((rows, dims))
     features[:m_per_class, 0] += separation / 2
     features[m_per_class:, 0] -= separation / 2
     return RawDataset(

@@ -6,6 +6,7 @@ the embedding spec.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from collections.abc import Callable
@@ -27,8 +28,9 @@ from .errors import (
     DomainError,
     ModelError,
     ZeroVectorError,
+    check_budget,
 )
-from .quantum import GateSpec, StateVector, run_gates
+from .quantum import GateSpec, StateVector, run_gates, tape_bytes
 
 EMBEDDING_KINDS = ("amplitude", "angle", "pca-layer")
 
@@ -53,16 +55,23 @@ class EmbeddingSpec:
     def __post_init__(self) -> None:
         if self.kind not in EMBEDDING_KINDS:
             raise ValueError(f"unknown embedding kind {self.kind!r}")
+        for name in ("n_qubits", "layers"):  # exact types: a saved true is not a count
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.ring) is not bool:
+            raise TypeError(f"ring must be true or false, got {self.ring!r}")
         if self.kind == "angle" and self.n_qubits != 1:
             raise DimError("angle embedding is single-qubit")
         if self.n_qubits < 1:
             raise DimError("need at least one qubit")
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
     def param_count(self) -> int:
         if self.kind != "pca-layer":
             return 0
-        return self.layers * (self.n_qubits + len(_coupler_pairs(self.n_qubits, self.ring)))
+        return self.layers * len(_pca_layer(self.n_qubits, self.ring))
 
 
 @dataclass(frozen=True)
@@ -78,11 +87,12 @@ class EmbeddedSample:
             raise ValueError(f"label must be +1 or -1, got {self.label}")
 
 
-def _coupler_pairs(n_qubits: int, ring: bool) -> list[tuple[int, int]]:
+def _pca_layer(n_qubits: int, ring: bool) -> list[GateSpec]:
+    """One trainable pca-layer layer: an Ry on every qubit, then the ZZ couplers."""
     pairs = [(q, q + 1) for q in range(n_qubits - 1)]
     if ring and n_qubits > 2:
         pairs.append((n_qubits - 1, 0))
-    return pairs
+    return [GateSpec("Ry", (q,)) for q in range(n_qubits)] + [GateSpec("ZZ", p) for p in pairs]
 
 
 def amplitude_states(xs: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -123,8 +133,8 @@ def pca_layer_states(
     """pca-layer states of the rows of xs as columns, and their pullback in spec.params.
 
     Rx data loading makes the product state (cos(x_q/2), -i sin(x_q/2))
-    over the qubits, so only the trainable layers (an Ry on every qubit,
-    then the ZZ couplers, gate i taking params[i]) run through run_gates().
+    over the qubits, so only the trainable layers (_pca_layer() repeated,
+    gate i taking params[i]) run through run_gates().
     """
     v = np.asarray(xs, dtype=float)
     n = spec.n_qubits
@@ -134,9 +144,14 @@ def pca_layer_states(
     for q in range(n):
         ket = np.stack([np.cos(v[:, q] / 2), -1j * np.sin(v[:, q] / 2)])
         cols = (cols[:, None, :] * ket[None, :, :]).reshape(-1, v.shape[0])
-    layer = [GateSpec("Ry", (q,)) for q in range(n)]
-    layer += [GateSpec("ZZ", p) for p in _coupler_pairs(n, spec.ring)]
-    return run_gates(cols, layer * spec.layers, spec.params, n)
+    return run_gates(cols, _pca_layer(n, spec.ring) * spec.layers, spec.params, n)
+
+
+def _check_tape_budget(spec: EmbeddingSpec, rows: int) -> None:
+    """Refuse a pca-layer spec whose run_gates() tape over rows inputs is over the budget."""
+    n, layers = spec.n_qubits, spec.layers
+    what = f"a {n}-qubit, {layers}-layer embedding of {rows} rows needs {{}} MiB for its gate tape"
+    check_budget(tape_bytes(spec.param_count(), n, rows), what)
 
 
 def encode_rows(xs: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
@@ -222,8 +237,9 @@ class Pipeline:
         k = int(embedding[len("pca:") :])
         pca = pca_fit(dataset, k)
         scaling = fit_rotation_scaling(pca_project(pca, dataset.features))
-        count = EmbeddingSpec("pca-layer", k, layers=embed_layers, ring=ring).param_count()
-        spec = EmbeddingSpec("pca-layer", k, params=(0.0,) * count, layers=embed_layers, ring=ring)
+        spec = EmbeddingSpec("pca-layer", k, layers=embed_layers, ring=ring)
+        _check_tape_budget(spec, dataset.features.shape[0])
+        spec = dataclasses.replace(spec, params=(0.0,) * spec.param_count())
         return cls(descriptor, dataset, spec, pca, scaling)
 
     def preprocess(self, features: np.ndarray) -> np.ndarray:
@@ -321,8 +337,9 @@ def restore_model(result: dict) -> TrainedModel:
 
     The PCA, the scaling and the trained embedding angles come from the
     manifest as saved, not refitted; every number in them and in theta_star
-    must be finite. The dataset, rebuilt from its descriptor, must still
-    match the fingerprint the model was trained on.
+    must be finite, and the embedding's gate tape must fit the memory
+    budget. The dataset, rebuilt from its descriptor, must still match the
+    fingerprint the model was trained on.
     """
     try:
         manifest = result["manifest"]
@@ -336,12 +353,16 @@ def restore_model(result: dict) -> TrainedModel:
             center, factor = (
                 tuple(_finite(k, e[k]).tolist()) for k in ("scale_center", "scale_factor")
             )
-            pipe = Pipeline(d, load_dataset(d), spec, pca, FeatureScaling(center, factor))
+            dataset = load_dataset(d)
+            _check_tape_budget(spec, dataset.features.shape[0])
+            pipe = Pipeline(d, dataset, spec, pca, FeatureScaling(center, factor))
         else:
             pipe = Pipeline.fit(d, e["kind"])
         layers, theta = cfg["ansatz_layers"], _finite("theta_star", result["theta_star"])
-        if not isinstance(layers, int) or theta.ndim != 1:
-            raise ModelError("malformed model: ansatz_layers or theta_star has the wrong type")
+        if type(layers) is not int or layers < 1:
+            raise ModelError(f"malformed model: ansatz_layers {layers!r} is not an integer >= 1")
+        if theta.ndim != 1:
+            raise ModelError("malformed model: theta_star has the wrong type")
         saved = manifest["dataset_fingerprint"]
     except KeyError as exc:
         raise ModelError(f"model has no entry {exc}") from exc

@@ -50,10 +50,18 @@ class RegisterTooLarge(QFilterError):
     """A simulation would exceed its memory budget."""
 
 
-# Largest working set one run may hold: the PCA covariance, the analytic
-# path's gate tape and the register-level twin's buffer. A bigger input
-# raises RegisterTooLarge before any of it is built.
+# Largest buffer one run may hold: the blob features, the PCA covariance,
+# the filter's and the pca-layer embedding's gate tapes and the
+# register-level twin's buffer. check_budget() refuses a bigger one before
+# it is built.
 MAX_BUFFER_BYTES = 2**28
+
+
+def check_budget(need_bytes: int, what: str) -> None:
+    """Raise RegisterTooLarge if need_bytes exceeds MAX_BUFFER_BYTES; what has {} for its MiB."""
+    if need_bytes > MAX_BUFFER_BYTES:
+        need, budget = (f"{b / 2**20:.3g}" for b in (need_bytes, MAX_BUFFER_BYTES))
+        raise RegisterTooLarge(f"{what.format(need)}, over the {budget} MiB budget")
 
 
 class ShapeError(QFilterError):

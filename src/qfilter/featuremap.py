@@ -13,19 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedSample
-from .errors import (
-    MAX_BUFFER_BYTES,
-    ClassAnnihilated,
-    DimError,
-    FilterAnnihilated,
-    RegisterTooLarge,
-)
+from .errors import ClassAnnihilated, DimError, FilterAnnihilated, check_budget
 from .quantum import (
     ATOL_INVARIANT,
     DensityMatrix,
     GateSpec,
     UnitaryMatrix,
     run_gates,
+    tape_bytes,
 )
 
 EPS_ANNIHILATION = 1e-12
@@ -97,18 +92,15 @@ def build_ansatz(n_system: int, layers: int) -> FeatureMapCircuit:
     The chain couples qubit q to q+1, ending on the ancilla, so every system
     qubit can influence the measured branch. All angles are trainable.
     Raises RegisterTooLarge, before building any gate, when run_gates()'s
-    tape for circuit_unitary() (one 2**(n+1)-square output per gate, plus
-    the input) exceeds MAX_BUFFER_BYTES.
+    tape for circuit_unitary() is over the memory budget.
     """
     if n_system < 1 or layers < 1:
         raise ValueError("need n_system >= 1 and layers >= 1")
     n_total = n_system + 1
-    need = ((2 * n_total + n_system) * layers + 1) * 4**n_total * 16
-    if need > MAX_BUFFER_BYTES:
-        raise RegisterTooLarge(
-            f"a {n_system}-qubit, {layers}-layer filter needs {need / 2**20:.3g} MiB "
-            f"for its gate tape, over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
-        )
+    check_budget(
+        tape_bytes((2 * n_total + n_system) * layers, n_total, 2**n_total),
+        f"a {n_system}-qubit, {layers}-layer filter needs {{}} MiB for its gate tape",
+    )
     layer = (
         [GateSpec("Rx", (q,)) for q in range(n_total)]
         + [GateSpec("Rz", (q,)) for q in range(n_total)]

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedSample
-from .errors import (
-    MAX_BUFFER_BYTES,
-    DimError,
-    FilterAnnihilated,
-    RegisterTooLarge,
-)
+from .errors import DimError, FilterAnnihilated, check_budget
 from .featuremap import (
     EPS_ANNIHILATION,
     FeatureMapCircuit,
@@ -154,18 +149,8 @@ def _check_samples(samples: list[EmbeddedSample]) -> int:
 
 
 def _check_budget(n_qubits: int) -> None:
-    """Refuse a register whose simulation would exceed MAX_BUFFER_BYTES.
-
-    Every step holds the register and one array of its size (a filtered
-    register, or the swap test's product with the swapped register):
-    2**(n_qubits + 1) amplitudes of 16 B.
-    """
-    need = 2 ** (n_qubits + 1) * 16
-    if need > MAX_BUFFER_BYTES:
-        raise RegisterTooLarge(
-            f"a {n_qubits}-qubit register needs a {need / 2**20:.3g} MiB buffer, "
-            f"over the {MAX_BUFFER_BYTES / 2**20:.3g} MiB budget"
-        )
+    """Each step holds the register and one array of its size: 2**(n_qubits + 1) amplitudes."""
+    check_budget(2 ** (n_qubits + 1) * 16, f"a {n_qubits}-qubit register needs a {{}} MiB buffer")
 
 
 def _classifier_width(samples: list[EmbeddedSample], test: StateVector) -> int:

@@ -162,6 +162,11 @@ def _apply_to_columns(
     return t.reshape(2**n_qubits, tail)
 
 
+def tape_bytes(n_gates: int, n_qubits: int, columns: int) -> int:
+    """Bytes of run_gates()' tape: each gate's output plus the input, 2**n_qubits x columns."""
+    return (n_gates + 1) * 2**n_qubits * columns * 16
+
+
 def run_gates(
     cols: np.ndarray, gates: Sequence[GateSpec], theta: np.ndarray, n_qubits: int
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:

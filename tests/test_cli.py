@@ -226,16 +226,18 @@ def test_an_annihilated_test_point_is_an_answer_on_every_path(tmp_path, capsys):
 
 
 def test_classify_circuit_over_the_register_budget_exits_3(tmp_path, capsys, monkeypatch):
-    from qfilter import protocol
+    from qfilter import errors
 
     model = tmp_path / "model.json"
-    assert main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)]) == 0
-    # iris: 2 samples of 1 qubit, a 4-qubit classifier register, 512 B buffer
-    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 511)
+    assert main(["train", "--dataset", "blobs", "--dims", "2", "--per-class", "4",
+                 "--epochs", "0", "--out", str(model)]) == 0
+    # 8 samples of 1 qubit, a 6-qubit classifier register, 2048 B buffer; the
+    # filter's tape (1536 B) fits, and iris's 4-qubit register never binds
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2047)
     argv = ["classify", "--model", str(model), "--input", "0.3,0.9"]
     assert main(argv + ["--path", "circuit"]) == 3
     captured = capsys.readouterr()
-    assert "error: a 4-qubit register needs" in captured.err
+    assert "error: a 6-qubit register needs" in captured.err
     assert "Traceback" not in captured.err
     assert main(argv) == 0  # the analytic path allocates no register
 
@@ -523,26 +525,27 @@ def test_all_ones_csv_labels_are_not_remapped(tmp_path, capsys):
 
 def test_pca_covariance_budget_exits_3_before_allocating(capsys, monkeypatch):
     """pca:<k> refuses data whose d x d covariance is over budget."""
-    from qfilter import datasets
+    from qfilter import datasets, errors
 
     # 2 x 4 features (64 B) fit the budget that their 4 x 4 covariance (128 B) exceeds
     argv = ["train", "--dataset", "blobs", "--dims", "4", "--per-class", "1",
             "--embedding", "pca:2", "--epochs", "0"]
-    monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 4 * 4 * 8 - 1)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 4 * 4 * 8 - 1)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "error: PCA of 4 features needs a 0.000122 MiB covariance" in err
     assert "Traceback" not in err
-    monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 4 * 4 * 8)
-    assert main(argv) == 0
+    # at 128 B the covariance fits; the command's larger buffers would not
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 4 * 4 * 8)
+    datasets.pca_fit(datasets.synthetic_blobs(0, 1, 4, 2.0), 2)
 
 
 def test_blobs_budget_exits_3_before_allocating(capsys, monkeypatch):
     """blobs refuses a feature matrix over budget before drawing it."""
-    from qfilter import datasets
+    from qfilter import datasets, errors
 
     argv = ["train", "--dataset", "blobs", "--dims", "4", "--per-class", "3", "--epochs", "0"]
-    monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 2 * 3 * 4 * 8 - 1)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2 * 3 * 4 * 8 - 1)
     drawn = []
     with monkeypatch.context() as patch:
         patch.setattr(datasets.np.random, "default_rng", lambda seed: drawn.append(seed))
@@ -551,18 +554,19 @@ def test_blobs_budget_exits_3_before_allocating(capsys, monkeypatch):
     assert "error: 6 blobs of 4 features need 0.000183 MiB" in err
     assert "Traceback" not in err
     assert drawn == []
-    monkeypatch.setattr(datasets, "MAX_BUFFER_BYTES", 2 * 3 * 4 * 8)
-    assert main(argv) == 0
+    # at 192 B the features fit; the command's filter tape would not
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2 * 3 * 4 * 8)
+    datasets.synthetic_blobs(0, 3, 4, 2.0)
 
 
 def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
     """train, compare and classify refuse a filter whose gate tape is over budget."""
-    from qfilter import featuremap
+    from qfilter import errors
 
     model = tmp_path / "model.json"
     assert main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)]) == 0
     # 1 system qubit, 1 layer: 5 gates, a tape of 6 matrices of 4 x 4, 1536 B
-    monkeypatch.setattr(featuremap, "MAX_BUFFER_BYTES", 1535)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 1535)
     for argv in (
         ["train", "--dataset", "iris", "--epochs", "1"],
         ["compare", "--dataset", "iris", "--epochs", "1"],
@@ -573,8 +577,61 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
         err = capsys.readouterr().err
         assert "error: a 1-qubit, 1-layer filter needs 0.00146 MiB" in err
         assert "Traceback" not in err
-    monkeypatch.setattr(featuremap, "MAX_BUFFER_BYTES", 1536)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 1536)
     assert main(["classify", "--model", str(model), "--input", "0.3,0.9"]) == 0
+
+
+@pytest.mark.parametrize("train, argv, need, message, allocator", [
+    # 100 blobs of 2 features, 1600 B; the filter's tape is 1536 B
+    (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "50"],
+     2 * 50 * 2 * 8, "100 blobs of 2 features need", ("numpy.random", "default_rng")),
+    # a 16 x 16 covariance, 2048 B, formed under np.errstate; the filter's tape
+    # is 1536 B, the features 256 B, the embedding's tape 128 B
+    (None, ["train", "--dataset", "blobs", "--dims", "16", "--per-class", "1",
+            "--embedding", "pca:1"],
+     16 * 16 * 8, "PCA of 16 features needs a", ("numpy", "errstate")),
+    # 1 system qubit, 1 layer: 5 gates, a tape of 6 matrices of 4 x 4
+    (None, ["train", "--dataset", "iris"],
+     6 * 4 * 4 * 16, "a 1-qubit, 1-layer filter needs", ("qfilter.featuremap", "GateSpec")),
+    # 8 samples of 1 qubit: a 6-qubit classifier register and one more array
+    (["--dataset", "blobs", "--dims", "2", "--per-class", "4"],
+     ["classify", "--input", "0.3,0.9", "--path", "circuit"],
+     2**7 * 16, "a 6-qubit register needs", ("qfilter.protocol", "_half_columns")),
+    # 8 layers of 3 gates on 6 rows: 25 arrays of 4 x 6; the filter's tape is 9216 B
+    (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "3",
+            "--embedding", "pca:2", "--embed-layers", "8"],
+     25 * 4 * 6 * 16, "a 2-qubit, 8-layer embedding of 6 rows needs",
+     ("qfilter.embedding", "run_gates")),
+], ids=["blobs", "pca-covariance", "filter-tape", "twin-register", "pca-layer-tape"])
+def test_a_buffer_fits_a_budget_of_its_size_and_no_less(
+    tmp_path, capsys, monkeypatch, train, argv, need, message, allocator
+):
+    """The one budget admits each buffer at exactly its size; one byte less
+    exits 3 before the buffer is allocated."""
+    import importlib
+
+    from qfilter import errors
+
+    if train is None:
+        argv = argv + ["--epochs", "0"]
+    else:
+        model = tmp_path / "model.json"
+        assert main(["train", *train, "--epochs", "0", "--out", str(model)]) == 0
+        argv = argv + ["--model", str(model)]
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", need)
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", need - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module(allocator[0]), allocator[1], forbidden)
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
 
 
 def test_model_without_manifest_entries_exits_3(tmp_path, capsys):
@@ -629,12 +686,42 @@ def test_a_non_finite_model_number_exits_3(tmp_path, capsys, pca_model_text, fie
     assert "Traceback" not in err
 
 
-def test_a_layer_count_past_the_budget_exits_3(capsys):
-    """10**9 layers are refused from the gate count, before any gate is built."""
-    assert main(["train", "--dataset", "iris", "--layers", "1000000000", "--epochs", "1"]) == 3
+@pytest.mark.parametrize("path", ["analytic", "circuit"])
+@pytest.mark.parametrize("field, value", [
+    ("layers", "2"), ("layers", 2.0), ("n_qubits", 2.0), ("ring", "yes"),
+    ("ansatz_layers", 0), ("ansatz_layers", -1), ("ansatz_layers", True),
+    ("layers", 10**12),  # a gate tape over the budget, refused before any gate is built
+])
+def test_a_malformed_model_count_exits_3(tmp_path, capsys, pca_model_text, field, value, path):
+    """A count that is not an integer in range, or a ring flag that is not a
+    bool, is a malformed model on both classify paths."""
+    content = json.loads(pca_model_text)
+    config = content["manifest"]["config"]
+    (config if field == "ansatz_layers" else config["embedding"])[field] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(content))
+    argv = ["classify", "--model", str(model), "--input", "0.5,0.1,0.2", "--path", path]
+    assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: a 1-qubit, 1000000000-layer filter needs")
+    assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_a_layer_count_past_the_budget_exits_3(tmp_path, capsys):
+    """10**9 filter layers are refused from the gate count, before any gate is
+    built, and 10**12 embedding layers before their angles are built."""
+    (tmp_path / "tiny.csv").write_text(TINY_CSV)
+    for argv, message in (
+        (["--dataset", "iris", "--layers", "1000000000"],
+         "a 1-qubit, 1000000000-layer filter needs"),
+        (["--dataset", f"csv:{tmp_path / 'tiny.csv'}", "--embedding", "pca:2",
+          "--embed-layers", str(10**12)],
+         "a 2-qubit, 1000000000000-layer embedding of 6 rows needs"),
+    ):
+        assert main(["train", *argv, "--epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
 
 
 def test_classify_rejects_a_changed_dataset(tmp_path, capsys):

@@ -78,6 +78,13 @@ def test_embedding_spec_validation():
         EmbeddingSpec("angle", 2)
     with pytest.raises(DimError):
         EmbeddingSpec("amplitude", 0)
+    # a saved model's counts and flag must have their JSON types
+    for kwargs in ({"n_qubits": 2.0}, {"n_qubits": True}, {"layers": "2"}, {"layers": 2.0},
+                   {"layers": True}, {"ring": "yes"}, {"ring": 1}):
+        with pytest.raises(TypeError):
+            EmbeddingSpec("pca-layer", **{"n_qubits": 2, **kwargs})
+    with pytest.raises(ValueError, match="layers must be >= 0"):
+        EmbeddingSpec("pca-layer", 2, layers=-1)
 
 
 def test_pca_layer_param_count_chain_and_ring():

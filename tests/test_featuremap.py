@@ -295,7 +295,7 @@ def test_annihilated_single_sample_is_harmless_if_class_survives():
 
 
 def test_build_ansatz_checks_the_gate_tape_budget(monkeypatch):
-    from qfilter import featuremap
+    from qfilter import errors
     from qfilter.errors import RegisterTooLarge
 
     # 1 layer: 3n + 2 gates; circuit_unitary keeps 3n + 3 matrices of 4**(n+1) x 16 B
@@ -304,9 +304,9 @@ def test_build_ansatz_checks_the_gate_tape_budget(monkeypatch):
         build_ansatz(9, 1)
     with pytest.raises(RegisterTooLarge):
         build_ansatz(8, 3)
-    monkeypatch.setattr(featuremap, "MAX_BUFFER_BYTES", 6 * 16 * 16)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 6 * 16 * 16)
     build_ansatz(1, 1)
-    monkeypatch.setattr(featuremap, "MAX_BUFFER_BYTES", 6 * 16 * 16 - 1)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 6 * 16 * 16 - 1)
     with pytest.raises(RegisterTooLarge, match="budget"):
         build_ansatz(1, 1)
 

@@ -331,6 +331,7 @@ def test_protocols_use_no_analytic_route(monkeypatch):
 
 
 def test_register_budget_is_checked_before_allocating(monkeypatch):
+    from qfilter import errors
     from qfilter.errors import RegisterTooLarge
 
     samples = _samples(71, m=2, n=1)
@@ -339,11 +340,11 @@ def test_register_budget_is_checked_before_allocating(monkeypatch):
     theta = circ.zero_theta()
     half = protocol._half_columns(circ, theta)
     # classifier register 4 qubits, risk register 6: buffers of 2**5 and 2**7 amplitudes
-    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 2**5 * 16)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2**5 * 16)
     run_classifier_protocol(samples, test, circ, theta)
     with pytest.raises(RegisterTooLarge, match="a 6-qubit register"):
         run_risk_protocol(samples, circ, theta)
-    monkeypatch.setattr(protocol, "MAX_BUFFER_BYTES", 2**5 * 16 - 1)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2**5 * 16 - 1)
     with pytest.raises(RegisterTooLarge):
         prepare_classifier_state(samples, test)
     with pytest.raises(RegisterTooLarge):
