@@ -15,7 +15,6 @@ from .classifier import (
     RiskReport,
     build_ensembles,
     constrained_risk,
-    decide,
     fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,

@@ -17,24 +17,22 @@ SENTINEL_COST = 2.0
 
 @dataclass(frozen=True)
 class ClassifierOutput:
-    """Classifier value with its sign decision; ties go to +1 but are flagged.
-
-    A non-finite value (shot noise that never drew a class) has no decision.
-    """
+    """Classifier value and the test point's success probability p_s_test."""
 
     value: float
-    decision: int | None
-    tie: bool
     p_s_test: float = 1.0
 
+    @property
+    def tie(self) -> bool:
+        """|value| <= TIE_EPS; a tie decides +1."""
+        return abs(self.value) <= TIE_EPS
 
-def decide(value: float, p_s_test: float = 1.0) -> ClassifierOutput:
-    """The one sign rule: +1, -1, or +1 flagged as a tie within TIE_EPS."""
-    if not math.isfinite(value):
-        return ClassifierOutput(value, None, False, p_s_test)
-    if abs(value) <= TIE_EPS:
-        return ClassifierOutput(value, +1, True, p_s_test)
-    return ClassifierOutput(value, +1 if value > 0 else -1, False, p_s_test)
+    @property
+    def decision(self) -> int | None:
+        """The one sign rule: +1, -1, +1 on a tie; None for a non-finite value (unsampled shots)."""
+        if not math.isfinite(self.value):
+            return None
+        return +1 if self.tie or self.value > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,7 @@ def fidelity_classify(
     rho: DensityMatrix, sigma: DensityMatrix, test: DensityMatrix
 ) -> ClassifierOutput:
     """tr[(rho - sigma) test]: positive favors the +1 class."""
-    value = overlap(rho, test) - overlap(sigma, test)
-    return decide(value)
+    return ClassifierOutput(overlap(rho, test) - overlap(sigma, test))
 
 
 def filtered_fidelity_classify(

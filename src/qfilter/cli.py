@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classifier import decide, filtered_fidelity_classify
+from .classifier import ClassifierOutput, filtered_fidelity_classify
 from .embedding import Pipeline, fingerprint, restore_model
 from .errors import (
     ClassAnnihilated,
@@ -192,12 +192,11 @@ def cmd_classify(args) -> int:
             if args.shots > 0:
                 outcome = sample_outcomes(outcome, args.shots, args.seed)
             # p_s of the test point: its own register's post-selection
-            out = decide(outcome.derived_value, outcome.p_registers[1])
+            out = ClassifierOutput(outcome.derived_value, outcome.p_registers[1])
     except FilterAnnihilated:
-        out, extra = decide(math.nan, 0.0), {"error": "filter-annihilated"}
-    fields = dataclasses.asdict(out)
-    fields["tie_flag"] = fields.pop("tie")
-    _emit_json({"manifest": out_manifest, **fields, **extra}, args.out)
+        out, extra = ClassifierOutput(math.nan, 0.0), {"error": "filter-annihilated"}
+    fields = {"value": out.value, "decision": out.decision, "tie_flag": out.tie}
+    _emit_json({"manifest": out_manifest, **fields, "p_s_test": out.p_s_test, **extra}, args.out)
     return 0
 
 
@@ -387,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "co_train", False) and not (args.embedding or "").startswith("pca:"):
         parser.error("--co-train requires a pca:<k> embedding")
+    # compare's CSV path is --out with its extension replaced by .csv
+    if args.command == "compare" and os.path.splitext(args.out or "")[1] == ".csv":
+        parser.error(f"--out {args.out} is also the path of compare's CSV; name the JSON otherwise")
     try:
         return args.func(args)
     except DATA_ERRORS as exc:

@@ -60,7 +60,11 @@ MAX_BUFFER_BYTES = 2**28
 def check_budget(need_bytes: int, what: str) -> None:
     """Raise RegisterTooLarge if need_bytes exceeds MAX_BUFFER_BYTES; what has {} for its MiB."""
     if need_bytes > MAX_BUFFER_BYTES:
-        need, budget = (f"{b / 2**20:.3g}" for b in (need_bytes, MAX_BUFFER_BYTES))
+        # the fewest digits, at least 3, that print the need above the budget
+        for digits in range(3, 18):  # 17 tell any two doubles apart
+            need, budget = (f"{b / 2**20:.{digits}g}" for b in (need_bytes, MAX_BUFFER_BYTES))
+            if float(need) > float(budget):
+                break
         raise RegisterTooLarge(f"{what.format(need)}, over the {budget} MiB budget")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .quantum import (
     DensityMatrix,
     GateSpec,
     UnitaryMatrix,
+    _within,
     run_gates,
     tape_bytes,
 )
@@ -57,11 +59,11 @@ class KrausPair:
         k0 = np.asarray(self.discard, dtype=complex)
         if k.shape != k0.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise DimError(f"mismatched Kraus shapes {k.shape} vs {k0.shape}")
-        resid = k.conj().T @ k + k0.conj().T @ k0 - np.eye(k.shape[0])
-        if np.abs(resid).max() > ATOL_INVARIANT:
-            raise ValueError(
-                f"Kraus completeness residual {np.abs(resid).max():.3e}"
-            )
+        eye = np.eye(k.shape[0])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 = NaN in the products
+            gram = k.conj().T @ k + k0.conj().T @ k0
+        if not _within(gram, eye, ATOL_INVARIANT):
+            raise ValueError(f"Kraus completeness residual {np.abs(gram - eye).max():.3e}")
         object.__setattr__(self, "keep", k)
         object.__setattr__(self, "discard", k0)
 
@@ -72,18 +74,24 @@ class KrausPair:
 
 @dataclass(frozen=True)
 class TransformedEnsembles:
-    """Class ensembles after filtering, with per-sample success bookkeeping.
+    """Class ensembles after filtering, with per-sample success probabilities p_s.
 
     pos/neg are the renormalized filtered mixtures of the +1 and -1 classes.
-    p_succ is the mean per-sample success probability; p_joint, the product,
-    is reported for diagnostics only (it decays quickly with sample count).
     """
 
     pos: DensityMatrix
     neg: DensityMatrix
     p_s: np.ndarray
-    p_succ: float
-    p_joint: float
+
+    @property
+    def p_succ(self) -> float:
+        """The mean per-sample success probability."""
+        return float(self.p_s.mean())
+
+    @property
+    def p_joint(self) -> float:
+        """The product of p_s, for diagnostics only (it decays fast with the sample count)."""
+        return float(np.prod(self.p_s))
 
 
 def build_ansatz(n_system: int, layers: int) -> FeatureMapCircuit:
@@ -152,31 +160,35 @@ def kraus_with_pullback(
     return KrausPair(cols[0::2], cols[1::2]), pullback
 
 
-def filter_probability(pair: KrausPair, rho: DensityMatrix) -> float:
-    """Success probability tr[K+K rho]."""
-    k = pair.keep
-    if k.shape[0] != rho.entries.shape[0]:
-        raise DimError("Kraus operator and state dimensions differ")
-    return float(np.real(np.trace(k.conj().T @ k @ rho.entries)))
+def _filtered(
+    k: np.ndarray, a: np.ndarray, n_qubits: int, check: Callable[[float], None]
+) -> tuple[DensityMatrix, float]:
+    """The filter step: K a K+ / mass and its mass tr[K a K+], which check() sees first."""
+    total = k @ a @ k.conj().T
+    mass = float(np.real(np.trace(total)))
+    check(mass)
+    m = total / mass
+    return DensityMatrix((m + m.conj().T) / 2, n_qubits), mass  # scrub roundoff asymmetry
+
+
+def _check_success(p_s: float) -> None:
+    if p_s <= EPS_ANNIHILATION:
+        raise FilterAnnihilated(f"success probability {p_s:.3e} below {EPS_ANNIHILATION:.0e}")
 
 
 def apply_filter(pair: KrausPair, rho: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K+K rho]."""
-    p_s = filter_probability(pair, rho)
-    if p_s <= EPS_ANNIHILATION:
-        raise FilterAnnihilated(f"success probability {p_s:.3e} below {EPS_ANNIHILATION:.0e}")
-    out = pair.keep @ rho.entries @ pair.keep.conj().T / p_s
-    out = (out + out.conj().T) / 2  # scrub roundoff asymmetry before validation
-    return DensityMatrix(out, rho.n_qubits), p_s
+    """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K rho K+]."""
+    if pair.keep.shape[0] != rho.entries.shape[0]:
+        raise DimError("Kraus operator and state dimensions differ")
+    return _filtered(pair.keep, rho.entries, rho.n_qubits, _check_success)
 
 
-def _sample_columns(samples: list[EmbeddedSample]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Amplitudes as the columns of a (dim, M) matrix, the labels, the qubit count."""
+def _sample_columns(samples: list[EmbeddedSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes as the columns of a (dim, M) matrix, and the labels."""
     if not samples:
         raise ClassAnnihilated("no samples")
     psi = np.stack([s.state.amplitudes for s in samples], axis=1)
-    labels = np.array([s.label for s in samples])
-    return psi, labels, samples[0].state.n_qubits
+    return psi, np.array([s.label for s in samples])
 
 
 def check_class_mass(label: int, mass: float) -> None:
@@ -196,13 +208,16 @@ class ClassMoments:
     pos: np.ndarray
     neg: np.ndarray
     count: int
-    n_qubits: int
+
+    @property
+    def n_qubits(self) -> int:
+        return self.pos.shape[0].bit_length() - 1
 
 
-def column_moments(psi: np.ndarray, labels: np.ndarray, n: int) -> ClassMoments:
+def column_moments(psi: np.ndarray, labels: np.ndarray) -> ClassMoments:
     """Class moments of the columns of psi, labelled +1 or -1."""
     pos, neg = (psi[:, labels == y] @ psi[:, labels == y].conj().T for y in (+1, -1))
-    return ClassMoments(pos, neg, psi.shape[1], n)
+    return ClassMoments(pos, neg, psi.shape[1])
 
 
 def class_moments(samples: list[EmbeddedSample]) -> ClassMoments:
@@ -217,15 +232,10 @@ def filter_moments(
     Dividing each class sum once by its mass keeps annihilated samples
     harmless as long as the class as a whole survives.
     """
-    k = pair.keep
-    out = []
-    for label, a in ((+1, moments.pos), (-1, moments.neg)):
-        total = k @ a @ k.conj().T
-        mass = float(np.real(np.trace(total)))
-        check_class_mass(label, mass)
-        m = total / mass
-        out.append((DensityMatrix((m + m.conj().T) / 2, moments.n_qubits), mass))
-    (pos, mass_pos), (neg, mass_neg) = out
+    (pos, mass_pos), (neg, mass_neg) = (
+        _filtered(pair.keep, a, moments.n_qubits, partial(check_class_mass, label))
+        for label, a in ((+1, moments.pos), (-1, moments.neg))
+    )
     return pos, neg, mass_pos, mass_neg
 
 
@@ -237,14 +247,7 @@ def transform_ensemble(pair: KrausPair, samples: list[EmbeddedSample]) -> Transf
     filter_moments(), which raises ClassAnnihilated for a class the filter
     annihilates. Per-sample p_s are the squared column norms of K Psi.
     """
-    psi, labels, n = _sample_columns(samples)
+    psi, labels = _sample_columns(samples)
     kpsi = pair.keep @ psi
-    p_s = np.sum(kpsi.real**2 + kpsi.imag**2, axis=0)
-    pos, neg, _, _ = filter_moments(pair, column_moments(psi, labels, n))
-    return TransformedEnsembles(
-        pos=pos,
-        neg=neg,
-        p_s=p_s,
-        p_succ=float(p_s.mean()),
-        p_joint=float(np.prod(p_s)),
-    )
+    pos, neg, _, _ = filter_moments(pair, column_moments(psi, labels))
+    return TransformedEnsembles(pos, neg, np.sum(kpsi.real**2 + kpsi.imag**2, axis=0))

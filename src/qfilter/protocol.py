@@ -35,7 +35,7 @@ from .featuremap import (
     check_class_mass,
     circuit_unitary,
 )
-from .quantum import StateVector
+from .quantum import StateVector, _within
 
 
 @dataclass(frozen=True)
@@ -101,42 +101,60 @@ def risk_layout(m: int, n_data: int) -> RegisterLayout:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """Post-selection probabilities plus label/swap statistics.
+    """What a circuit measured: post-selection and label/swap statistics.
 
-    p_postselect is the joint probability of every ancilla outcome 0, the
-    product of p_registers, each data register's own post-selection
-    probability: (training, test) for the classifier circuit, whose test
-    entry is p_s of the test point, and one mean success probability per
-    copy for the risk circuit.
-    p_class indexes label-register outcomes (2 cells for the classifier
-    circuit, 4 for the two-copy risk circuit, row-major). p_swap_given_class
-    holds [cell, swap outcome]. shots = 0 means exact probabilities; sampled
-    outcomes may contain NaN conditionals for cells that were never drawn.
+    p_registers holds each data register's own post-selection probability:
+    (training, test) for the classifier circuit, whose test entry is p_s of
+    the test point, and one mean success probability per copy for the risk
+    circuit. p_class indexes label-register outcomes (2 cells for the
+    classifier circuit, 4 for the two-copy risk circuit, row-major), and
+    p_swap_given_class holds [cell, swap outcome]. counts holds sampled
+    [cell, swap outcome] counts, None if exact; an undrawn cell's row is NaN.
     """
 
-    p_postselect: float
+    p_registers: tuple[float, ...]
     p_class: np.ndarray
     p_swap_given_class: np.ndarray
-    derived_value: float
-    shots: int = 0
     counts: np.ndarray | None = None
-    p_registers: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         pc = np.asarray(self.p_class, dtype=float)
         psc = np.asarray(self.p_swap_given_class, dtype=float)
         if psc.shape != pc.shape + (2,):
             raise DimError(f"conditional table {psc.shape} does not match {pc.shape}")
-        if not -1e-9 <= self.p_postselect <= 1 + 1e-9:
-            raise ValueError(f"p_postselect {self.p_postselect} outside [0,1]")
-        if abs(pc.sum() - 1.0) > 1e-10:
+        p = np.asarray(self.p_registers, dtype=float)
+        if not np.all((p >= -1e-9) & (p <= 1 + 1e-9)):  # both False for NaN
+            raise ValueError(f"register probabilities {self.p_registers} outside [0,1]")
+        if not _within(pc.sum(), 1.0, 1e-10):
             raise ValueError(f"class probabilities sum to {pc.sum()}")
-        for cell in range(pc.shape[0]):
-            row = psc[cell]
-            if not np.any(np.isnan(row)) and abs(row.sum() - 1.0) > 1e-10:
-                raise ValueError(f"conditional row {cell} sums to {row.sum()}")
+        rows = psc.sum(axis=1)  # a NaN row is a sampled cell never drawn
+        if not _within(rows[~np.isnan(rows)], 1.0, 1e-10):
+            raise ValueError(f"conditional rows sum to {rows}")
         object.__setattr__(self, "p_class", pc)
         object.__setattr__(self, "p_swap_given_class", psc)
+
+    @property
+    def p_postselect(self) -> float:
+        """The joint probability of every ancilla outcome 0: the product of p_registers."""
+        return math.prod(self.p_registers)
+
+    @property
+    def shots(self) -> int:
+        """0 for exact probabilities, else the number of sampled repetitions."""
+        return 0 if self.counts is None else int(self.counts.sum())
+
+    @property
+    def derived_value(self) -> float:
+        """sum_cell s(cell) [p(S=0|cell) - p(S=1|cell)], s = (+1, -1) per label axis.
+
+        A cell's swap contrast is the overlap of the swapped states given its
+        labels, so this is tr[rt test] - tr[st test], the filtered classifier
+        value, for the classifier circuit and tr{(rt - st)^2}, the filtered
+        Hilbert-Schmidt distance, for the risk circuit. A NaN row gives NaN.
+        """
+        contrast = self.p_swap_given_class[:, 0] - self.p_swap_given_class[:, 1]
+        signs = [(-1) ** bin(cell).count("1") for cell in range(contrast.shape[0])]
+        return float(np.dot(signs, contrast))
 
 
 def _check_samples(samples: list[EmbeddedSample]) -> int:
@@ -253,21 +271,6 @@ def _swap_table(
     return p_class, joint / p_class[:, None]
 
 
-def _derived_value(cond: np.ndarray) -> float:
-    """The derived value of a conditional swap table, by its number of rows.
-
-    2 rows (label C): [p(S=0|C=0) - p(S=1|C=0)] - [p(S=0|C=1) - p(S=1|C=1)],
-    the filtered fidelity classifier value.
-    4 rows (C1, C2 row-major: 00, 01, 10, 11): each cell gives one overlap
-    via 2 p(S=0|cell) - 1, combined into tr{rt^2} + tr{st^2} - 2 tr{rt st},
-    the Hilbert-Schmidt distance of the filtered ensembles.
-    """
-    if cond.shape[0] == 2:
-        return float((cond[0, 0] - cond[0, 1]) - (cond[1, 0] - cond[1, 1]))
-    ov = 2.0 * cond[:, 0] - 1.0
-    return float(ov[0] + ov[3] - (ov[1] + ov[2]))
-
-
 def run_classifier_protocol(
     samples: list[EmbeddedSample],
     test: StateVector,
@@ -287,9 +290,7 @@ def run_classifier_protocol(
         raise FilterAnnihilated(f"post-selection probability {p_test:.3e}")
     pair = np.multiply.outer(copy, kept.amplitudes)  # (index, train, label, test)
     p_class, cond = _swap_table(pair, 1, 3, (2,))
-    return ProtocolOutcome(
-        p_train * p_test, p_class, cond, _derived_value(cond), p_registers=(p_train, p_test)
-    )
+    return ProtocolOutcome((p_train, p_test), p_class, cond)
 
 
 def run_risk_protocol(
@@ -303,16 +304,16 @@ def run_risk_protocol(
     copy, p = _filtered_copy(samples, _half_columns(circuit, theta))
     pair = np.multiply.outer(copy, copy)  # (index1, data1, label1, index2, data2, label2)
     p_class, cond = _swap_table(pair, 1, 4, (2, 5))
-    return ProtocolOutcome(p * p, p_class, cond, _derived_value(cond), p_registers=(p, p))
+    return ProtocolOutcome((p, p), p_class, cond)
 
 
 def sample_outcomes(outcome: ProtocolOutcome, shots: int, seed: int) -> ProtocolOutcome:
     """Multinomial shot noise over the joint (class, swap) cells.
 
-    Shots model post-selected repetitions: p_postselect and p_registers are
-    carried over exactly, and only the class/swap statistics become
-    empirical. Cells never drawn yield NaN conditionals; the derived value
-    is NaN unless every class cell was observed.
+    Shots model post-selected repetitions: p_registers are carried over
+    exactly, and only the class/swap statistics become empirical. Cells
+    never drawn yield NaN conditionals, so the derived value is NaN unless
+    every class cell was observed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -322,7 +323,4 @@ def sample_outcomes(outcome: ProtocolOutcome, shots: int, seed: int) -> Protocol
     p_class = counts.sum(axis=1) / shots
     with np.errstate(invalid="ignore"):
         cond = counts / counts.sum(axis=1, keepdims=True)
-    value = float("nan") if np.any(counts.sum(axis=1) == 0) else _derived_value(cond)
-    return ProtocolOutcome(
-        outcome.p_postselect, p_class, cond, value, shots, counts, outcome.p_registers
-    )
+    return ProtocolOutcome(outcome.p_registers, p_class, cond, counts)

@@ -68,7 +68,6 @@ class TrainResult:
     cost_trace: np.ndarray
     p_succ_trace: np.ndarray
     report: RiskReport
-    seed: int
     wall_time: float
 
 
@@ -204,7 +203,7 @@ def co_train(
     def evaluate(t: np.ndarray) -> tuple[RiskReport, np.ndarray]:
         psi, embed_pullback = pca_layer_states(xs, replace(spec, params=tuple(t[n_ansatz:])))
         pair, pullback = kraus_with_pullback(ansatz, t[:n_ansatz])
-        moments = column_moments(psi, labels, spec.n_qubits)
+        moments = column_moments(psi, labels)
         report, x, w = moment_cost(pair, moments, config.lam, config.cutoff)
         k = pair.keep
         adj = np.empty_like(psi)
@@ -258,7 +257,6 @@ def _descend(
         cost_trace=np.array(cost_trace),
         p_succ_trace=np.array(p_succ_trace),
         report=best,
-        seed=config.seed,
         wall_time=time.perf_counter() - start,
     )
 
@@ -267,8 +265,7 @@ def _filtered_eval(
     ens, pair: KrausPair, test_samples: list[EmbeddedSample]
 ) -> tuple[float, float]:
     """(accuracy among filter successes, mean test p_s)."""
-    hits = 0
-    successes = 0
+    hits = successes = 0
     p_sum = 0.0
     for s in test_samples:
         try:
@@ -277,8 +274,7 @@ def _filtered_eval(
             continue
         successes += 1
         p_sum += out.p_s_test
-        if out.decision == s.label:
-            hits += 1
+        hits += out.decision == s.label
     if successes == 0:
         return float("nan"), 0.0
     return hits / successes, p_sum / len(test_samples)

@@ -231,8 +231,7 @@ def classifier_protocol_oracle(states, labels, test, v, n):
     joint = marginal_joint(amps, (label_q, swap_q), n_tot)
     p_class = joint.sum(axis=1)
     cond = joint / p_class[:, None]
-    value = (cond[0, 0] - cond[0, 1]) - (cond[1, 0] - cond[1, 1])
-    return p_post, p_class, cond, float(value)
+    return p_post, p_class, cond, classifier_value_from_table(cond)
 
 
 def risk_protocol_oracle(states, labels, v, n):
@@ -273,9 +272,26 @@ def risk_protocol_oracle(states, labels, v, n):
     joint = marginal_joint(amps, (label1, label2, swap_q), n_tot).reshape(4, 2)
     p_class = joint.sum(axis=1)
     cond = joint / p_class[:, None]
+    return p_post, p_class, cond, hs_distance_from_table(cond)
+
+
+def classifier_value_from_table(cond):
+    """[p(S=0|C=0) - p(S=1|C=0)] - [p(S=0|C=1) - p(S=1|C=1)] of a 2-row swap table.
+
+    Label cell C = 0 is the +1 class; each bracket is the overlap of the
+    class's filtered state with the test state, so this is the filtered
+    fidelity classifier value.
+    """
+    return float((cond[0, 0] - cond[0, 1]) - (cond[1, 0] - cond[1, 1]))
+
+
+def hs_distance_from_table(cond):
+    """tr{rt^2} + tr{st^2} - 2 tr{rt st} from a 4-row swap table (C1 C2: 00, 01, 10, 11).
+
+    Each cell gives one overlap as 2 p(S=0|cell) - 1.
+    """
     ov = 2.0 * cond[:, 0] - 1.0
-    value = ov[0] + ov[3] - (ov[1] + ov[2])
-    return p_post, p_class, cond, float(value)
+    return float(ov[0] + ov[3] - (ov[1] + ov[2]))
 
 
 # Frozen two-flower constants. With one training point per class, angle

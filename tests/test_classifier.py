@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 import oracles
 from oracles import basis_state
 from qfilter.classifier import (
+    ClassifierOutput,
     RiskReport,
     build_ensembles,
     constrained_risk,
-    decide,
     fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
@@ -74,14 +74,16 @@ def test_fidelity_classify_tie_goes_positive_and_flags():
     assert out.tie
 
 
-def test_decide_gives_no_decision_for_a_non_finite_value():
+def test_classifier_output_has_no_decision_for_a_non_finite_value():
     for value in (float("nan"), float("inf"), -float("inf")):
-        out = decide(value, 0.25)
+        out = ClassifierOutput(value, 0.25)
         assert out.decision is None
         assert out.tie is False
         assert out.p_s_test == 0.25
-    assert decide(-1e-13).decision == +1 and decide(-1e-13).tie
-    assert decide(-2e-12).decision == -1 and not decide(-2e-12).tie
+    assert ClassifierOutput(-1e-13).decision == +1 and ClassifierOutput(-1e-13).tie
+    assert ClassifierOutput(-2e-12).decision == -1 and not ClassifierOutput(-2e-12).tie
+    assert ClassifierOutput(1e-12).tie and not ClassifierOutput(1.0000001e-12).tie
+    assert ClassifierOutput(0.5).decision == +1 and ClassifierOutput(0.5).p_s_test == 1.0
 
 
 def test_filtered_fidelity_classify_records_test_success():

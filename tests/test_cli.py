@@ -2,10 +2,13 @@
 import csv
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfilter import quantum
 from qfilter.cli import main
@@ -374,6 +377,24 @@ def test_compare_csv_lands_beside_an_out_path_in_a_dotted_directory(tmp_path):
     assert not (tmp_path / "res.csv").exists()
 
 
+def test_compare_out_that_is_its_own_csv_path_exits_2(tmp_path, capsys, monkeypatch):
+    """--out res.csv would have the CSV overwrite the JSON: refused before training."""
+    from qfilter import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("trained before the usage check")
+
+    monkeypatch.setattr(cli, "compare_conditions", forbidden)
+    for out in (tmp_path / "res.csv", tmp_path / "res.v2" / "out.csv"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--dataset", "iris", "--epochs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "compare's CSV" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_compare_manifest_records_the_optimizer_flags(tmp_path):
     out = tmp_path / "cmp.json"
     code = main(["compare", "--dataset", "blobs", "--per-class", "3", "--epochs", "2",
@@ -575,7 +596,8 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
     ):
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "error: a 1-qubit, 1-layer filter needs 0.00146 MiB" in err
+        assert "error: a 1-qubit, 1-layer filter needs 0.001465 MiB" in err
+        assert "over the 0.001464 MiB budget" in err
         assert "Traceback" not in err
     monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 1536)
     assert main(["classify", "--model", str(model), "--input", "0.3,0.9"]) == 0
@@ -722,6 +744,33 @@ def test_a_layer_count_past_the_budget_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
+
+
+def test_a_need_just_over_the_budget_prints_above_it(tmp_path, capsys):
+    """233017 layers of a 6-row pca:2 embedding need 268,435,968 B, 512 B over
+    the 256 MiB budget; at 3 digits both would read 256 MiB."""
+    (tmp_path / "tiny.csv").write_text(TINY_CSV)
+    argv = ["train", "--dataset", f"csv:{tmp_path / 'tiny.csv'}", "--embedding", "pca:2",
+            "--embed-layers", "233017", "--epochs", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: a 2-qubit, 233017-layer embedding of 6 rows needs 256.0005 MiB for its gate"
+        " tape, over the 256 MiB budget\n"
+    )
+
+
+@given(st.integers(1, 2**40), st.integers(1, 2**20))
+def test_an_over_budget_message_never_prints_the_need_at_or_below_the_budget(budget, over):
+    from unittest import mock
+
+    from qfilter import errors
+
+    with mock.patch.object(errors, "MAX_BUFFER_BYTES", budget):
+        with pytest.raises(errors.RegisterTooLarge) as exc:
+            errors.check_budget(budget + over, "needs {} MiB")
+    need, cap = re.fullmatch(r"needs (\S+) MiB, over the (\S+) MiB budget", str(exc.value)).groups()
+    assert float(need) > float(cap)
 
 
 def test_classify_rejects_a_changed_dataset(tmp_path, capsys):

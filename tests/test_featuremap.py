@@ -1,4 +1,6 @@
 """Ansatz structure, Kraus extraction, and post-selected filtering."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from oracles import basis_state
 from qfilter.embedding import EmbeddedSample, EmbeddingSpec, pca_layer_states
 from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated, ParamShapeError
 from qfilter.featuremap import (
+    ClassMoments,
     FeatureMapCircuit,
     KrausPair,
     apply_filter,
@@ -16,7 +19,6 @@ from qfilter.featuremap import (
     circuit_unitary,
     class_moments,
     filter_moments,
-    filter_probability,
     kraus_from_circuit,
     kraus_with_pullback,
     transform_ensemble,
@@ -118,19 +120,38 @@ def test_kraus_identity_at_zero_theta():
 def test_kraus_pair_validates_completeness():
     with pytest.raises(ValueError):
         KrausPair(np.eye(2) * 0.9, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        KrausPair(np.eye(2) * (1 + 2e-10), np.zeros((2, 2)))
     with pytest.raises(DimError):
         KrausPair(np.eye(2), np.zeros((3, 3)))
     pair = KrausPair.identity(4)
     np.testing.assert_allclose(pair.keep, np.eye(4))
 
 
-def test_filter_probability_and_apply_filter():
+def test_kraus_pair_rejects_a_nan_block():
+    with pytest.raises(ValueError):
+        KrausPair(np.full((2, 2), np.nan), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        KrausPair(np.eye(2), np.diag([np.nan, 0.0]))
+
+
+def test_kraus_pair_rejects_an_inf_entry_without_a_warning():
+    keep = np.eye(2, dtype=complex)
+    keep[0, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            KrausPair(keep, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            KrausPair(np.zeros((2, 2)), keep)
+
+
+def test_apply_filter_success_probability_and_state():
     # projector-style pair: keep |0><0|, discard |1><1|
     keep = np.diag([1.0, 0.0]).astype(complex)
     discard = np.diag([0.0, 1.0]).astype(complex)
     pair = KrausPair(keep, discard)
     rho = DensityMatrix(np.array([[0.25, 0.0], [0.0, 0.75]]), 1)
-    assert filter_probability(pair, rho) == pytest.approx(0.25)
     out, p_s = apply_filter(pair, rho)
     assert p_s == pytest.approx(0.25)
     np.testing.assert_allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-12)
@@ -154,10 +175,25 @@ def test_apply_filter_annihilation():
         apply_filter(pair, rho)
 
 
-def test_filter_probability_dimension_check():
+def test_apply_filter_dimension_check():
     pair = KrausPair.identity(2)
     with pytest.raises(DimError):
-        filter_probability(pair, DensityMatrix(np.eye(4) / 4, 2))
+        apply_filter(pair, DensityMatrix(np.eye(4) / 4, 2))
+
+
+def test_apply_filter_is_filter_moments_on_one_state():
+    """A state filtered alone and as a class moment: the same step, bit for bit."""
+    circ = build_ansatz(2, 1)
+    theta = np.random.default_rng(21).uniform(-np.pi, np.pi, circ.n_params)
+    pair = kraus_from_circuit(circ, theta)
+    rho, sigma = (pure_to_density(random_state(seed, 2)) for seed in (22, 23))
+    moments = ClassMoments(rho.entries, sigma.entries, 2)
+    assert moments.n_qubits == 2
+    pos, neg, mass_pos, mass_neg = filter_moments(pair, moments)
+    for state, want, mass in ((rho, pos, mass_pos), (sigma, neg, mass_neg)):
+        got, p_s = apply_filter(pair, state)
+        np.testing.assert_array_equal(got.entries, want.entries)
+        assert p_s == mass
 
 
 def _two_class_samples(n_qubits=1, m=4, seed=0):

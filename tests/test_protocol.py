@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from oracles import basis_state
@@ -386,24 +388,60 @@ def test_class_annihilation_readout():
 
 
 def test_protocol_outcome_validation():
+    even = np.ones((2, 2)) / 2
     with pytest.raises(DimError):
-        ProtocolOutcome(0.5, np.array([0.5, 0.5]), np.ones((3, 2)) / 2, 0.0)
+        ProtocolOutcome((0.5,), np.array([0.5, 0.5]), np.ones((3, 2)) / 2)
     with pytest.raises(ValueError):
-        ProtocolOutcome(0.5, np.array([0.7, 0.7]), np.ones((2, 2)) / 2, 0.0)
+        ProtocolOutcome((0.5,), np.array([0.7, 0.7]), even)
+    for p_registers in ((1.5,), (0.5, 1.5), (-0.1, 0.5), (math.nan, 0.5), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            ProtocolOutcome(p_registers, np.array([0.5, 0.5]), even)
+    for p_class in ([math.nan, 0.5], [math.nan, math.nan], [math.inf, 0.0]):
+        with pytest.raises(ValueError):
+            ProtocolOutcome((0.5,), np.array(p_class), even)
     with pytest.raises(ValueError):
-        ProtocolOutcome(1.5, np.array([0.5, 0.5]), np.ones((2, 2)) / 2, 0.0)
+        ProtocolOutcome((0.5,), np.array([0.5, 0.5]), np.array([[0.9, 0.3], [0.5, 0.5]]))
     with pytest.raises(ValueError):
-        ProtocolOutcome(
-            0.5, np.array([0.5, 0.5]), np.array([[0.9, 0.3], [0.5, 0.5]]), 0.0
-        )
+        ProtocolOutcome((0.5,), np.array([0.5, 0.5]), np.array([[math.inf, 0.0], [0.5, 0.5]]))
+    # the range check allows the same 1e-9 of roundoff on each register
+    edge = ProtocolOutcome((1 + 1e-9, -1e-9), np.array([0.5, 0.5]), even)
+    assert edge.p_postselect == (1 + 1e-9) * -1e-9
     # NaN conditional rows are tolerated (unobserved sampled cells)
     out = ProtocolOutcome(
-        0.5,
+        (0.5, 0.25),
         np.array([1.0, 0.0]),
         np.array([[0.5, 0.5], [math.nan, math.nan]]),
-        math.nan,
     )
     assert math.isnan(out.derived_value)
+    assert out.p_postselect == 0.125
+    assert out.shots == 0 and out.counts is None
+
+
+def _swap_tables(rows):
+    """p_class and a conditional swap table built as the circuits build it, joint / p_class.
+
+    A swap test of two states never favours outcome 1, so each row's
+    p(S=0) is at least its p(S=1).
+    """
+    joint = st.lists(st.floats(0.0, 1.0), min_size=2 * rows, max_size=2 * rows).map(
+        lambda v: -np.sort(-np.array(v).reshape(rows, 2), axis=1)
+    ).filter(lambda j: (j.sum(axis=1) > 0).all())
+    return joint.map(lambda j: (j.sum(axis=1) / j.sum(), j / j.sum(axis=1)[:, None]))
+
+
+@given(st.sampled_from([2, 4]).flatmap(_swap_tables), st.integers(0, 3))
+def test_signed_contrast_is_the_classifier_value_and_the_distance(table, nan_row):
+    """One signed swap contrast reproduces both circuits' former readouts."""
+    p_class, cond = table
+    out = ProtocolOutcome((1.0,), p_class, cond)
+    if cond.shape[0] == 2:
+        want = oracles.classifier_value_from_table(cond)
+    else:
+        want = oracles.hs_distance_from_table(cond)
+    assert abs(out.derived_value - want) <= 1e-15
+    cond = cond.copy()
+    cond[nan_row % cond.shape[0]] = math.nan
+    assert math.isnan(ProtocolOutcome((1.0,), p_class, cond).derived_value)
 
 
 def test_sample_outcomes_statistics_and_determinism():
@@ -427,13 +465,14 @@ def test_sample_outcomes_statistics_and_determinism():
 
 def test_sample_outcomes_nan_for_undrawn_cells():
     skewed = ProtocolOutcome(
-        1.0,
+        (1.0, 1.0),
         np.array([1.0 - 1e-12, 1e-12]),
         np.array([[1.0, 0.0], [0.5, 0.5]]),
-        2.0,
     )
+    assert skewed.derived_value == 1.0
     sampled = sample_outcomes(skewed, shots=5, seed=0)
     assert math.isnan(sampled.derived_value)
     assert np.isnan(sampled.p_swap_given_class[1]).all()
+    assert sampled.shots == 5 and sampled.p_registers == (1.0, 1.0)
     with pytest.raises(ValueError):
         sample_outcomes(skewed, shots=0, seed=0)
