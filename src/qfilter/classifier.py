@@ -37,25 +37,22 @@ class ClassifierOutput:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Cutoff-constrained cost and its parts.
+    """Cutoff-constrained cost: what was measured or set, and the parts it derives."""
 
-    risk = -hs_distance + penalty and penalty = lam * max(0, cutoff - p_succ)
-    must hold to 1e-12; both are checked here so a report cannot go stale.
-    """
-
-    risk: float
     hs_distance: float
     p_succ: float
-    penalty: float
     lam: float
     cutoff: float
 
-    def __post_init__(self) -> None:
-        expected_pen = self.lam * max(0.0, self.cutoff - self.p_succ)
-        if abs(self.penalty - expected_pen) > 1e-12:
-            raise ValueError(f"penalty {self.penalty} != {expected_pen}")
-        if abs(self.risk - (-self.hs_distance + self.penalty)) > 1e-12:
-            raise ValueError("risk does not decompose into -hs_distance + penalty")
+    @property
+    def penalty(self) -> float:
+        """lam * max(0, cutoff - p_succ)."""
+        return self.lam * max(0.0, self.cutoff - self.p_succ)
+
+    @property
+    def risk(self) -> float:
+        """-hs_distance + penalty."""
+        return -self.hs_distance + self.penalty
 
 
 def build_ensembles(samples: list[EmbeddedSample]) -> tuple[DensityMatrix, DensityMatrix]:
@@ -121,16 +118,19 @@ def constrained_risk(risk: float, p_succ: float, lam: float, cutoff: float) -> R
         raise DomainError(f"cutoff must be in [0, 1], got {cutoff}")
     if not -1e-9 <= p_succ <= 1.0 + 1e-9:
         raise DomainError(f"p_succ must be in [0, 1], got {p_succ}")
-    p = min(max(p_succ, 0.0), 1.0)
-    penalty = lam * max(0.0, cutoff - p)
-    return RiskReport(risk + penalty, -risk, p, penalty, lam, cutoff)
+    return RiskReport(-risk, min(max(p_succ, 0.0), 1.0), lam, cutoff)
 
 
 def sentinel_report(lam: float, cutoff: float) -> RiskReport:
-    """Worst-case stand-in when a filter annihilates an entire class.
+    """Stand-in when a filter annihilates an entire class: cost +2, p_succ 0.
 
-    Cost pinned at +2 (no feasible objective exceeds it), p_succ at 0;
-    hs_distance is back-derived so the RiskReport identities still hold.
+    A feasible cost -hs_distance + penalty lies in [-2, lam * cutoff], so +2
+    exceeds every one only while lam * cutoff < 2. hs_distance = penalty - 2
+    is back-derived so that the derived risk reads exactly +2; DomainError
+    where floating point cannot give that (a penalty from about 2**54 on).
     """
     penalty = lam * max(0.0, cutoff)
-    return RiskReport(SENTINEL_COST, penalty - SENTINEL_COST, 0.0, penalty, lam, cutoff)
+    report = RiskReport(penalty - SENTINEL_COST, 0.0, lam, cutoff)
+    if report.risk != SENTINEL_COST:
+        raise DomainError(f"a penalty of {penalty:.3e} leaves no exact +2 sentinel cost")
+    return report

@@ -20,39 +20,12 @@ import numpy as np
 from . import __version__
 from .classifier import ClassifierOutput, filtered_fidelity_classify
 from .embedding import Pipeline, fingerprint, restore_model
-from .errors import (
-    ClassAnnihilated,
-    ClassBalanceError,
-    CsvError,
-    DimError,
-    DomainError,
-    FilterAnnihilated,
-    ModelError,
-    ParamShapeError,
-    RegisterTooLarge,
-    ShapeError,
-    ZeroVectorError,
-)
+from .errors import DomainError, FilterAnnihilated, QFilterError
 from .featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
 from .protocol import run_classifier_protocol, sample_outcomes
 from .quantum import pure_to_density
 from .selftest import run_all
 from .training import TrainConfig, co_train, compare_conditions, train
-
-DATA_ERRORS = (
-    CsvError,
-    ClassBalanceError,
-    DimError,
-    ShapeError,
-    ZeroVectorError,
-    DomainError,
-    ParamShapeError,
-    ClassAnnihilated,
-    ModelError,
-    RegisterTooLarge,
-    OSError,
-    json.JSONDecodeError,
-)
 
 
 def _sanitize(obj):
@@ -389,9 +362,10 @@ def main(argv: list[str] | None = None) -> int:
     # compare's CSV path is --out with its extension replaced by .csv
     if args.command == "compare" and os.path.splitext(args.out or "")[1] == ".csv":
         parser.error(f"--out {args.out} is also the path of compare's CSV; name the JSON otherwise")
+    # a data error is any library error, an unreadable file or a model that is not JSON
     try:
         return args.func(args)
-    except DATA_ERRORS as exc:
+    except (QFilterError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -106,7 +106,6 @@ class PCAModel:
 
     mean: np.ndarray
     components: np.ndarray
-    explained_variance: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.components, dtype=float)
@@ -136,12 +135,11 @@ def pca_fit(dataset: RawDataset, k: int) -> PCAModel:
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:k]
     comps = evecs[:, order]
-    var = evals[order]
     for j in range(k):
         pivot = np.argmax(np.abs(comps[:, j]))
         if comps[pivot, j] < 0:
             comps[:, j] = -comps[:, j]
-    return PCAModel(mean, comps, var)
+    return PCAModel(mean, comps)
 
 
 def pca_project(model: PCAModel, features: np.ndarray) -> np.ndarray:

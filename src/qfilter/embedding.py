@@ -349,7 +349,7 @@ def restore_model(result: dict) -> TrainedModel:
             params = tuple(_finite("params", e["params"]).tolist())
             spec = EmbeddingSpec("pca-layer", e["n_qubits"], params, e["layers"], e["ring"])
             comps = _finite("pca_components", e["pca_components"])
-            pca = PCAModel(_finite("pca_mean", e["pca_mean"]), comps, np.zeros(comps.shape[1]))
+            pca = PCAModel(_finite("pca_mean", e["pca_mean"]), comps)
             center, factor = (
                 tuple(_finite(k, e[k]).tolist()) for k in ("scale_center", "scale_factor")
             )

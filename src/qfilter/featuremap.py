@@ -171,7 +171,8 @@ def _filtered(
     return DensityMatrix((m + m.conj().T) / 2, n_qubits), mass  # scrub roundoff asymmetry
 
 
-def _check_success(p_s: float) -> None:
+def check_success(p_s: float) -> None:
+    """Raise FilterAnnihilated for a success probability p_s <= EPS_ANNIHILATION."""
     if p_s <= EPS_ANNIHILATION:
         raise FilterAnnihilated(f"success probability {p_s:.3e} below {EPS_ANNIHILATION:.0e}")
 
@@ -180,7 +181,7 @@ def apply_filter(pair: KrausPair, rho: DensityMatrix) -> tuple[DensityMatrix, fl
     """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K rho K+]."""
     if pair.keep.shape[0] != rho.entries.shape[0]:
         raise DimError("Kraus operator and state dimensions differ")
-    return _filtered(pair.keep, rho.entries, rho.n_qubits, _check_success)
+    return _filtered(pair.keep, rho.entries, rho.n_qubits, check_success)
 
 
 def _sample_columns(samples: list[EmbeddedSample]) -> tuple[np.ndarray, np.ndarray]:

@@ -28,13 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedSample
-from .errors import DimError, FilterAnnihilated, check_budget
-from .featuremap import (
-    EPS_ANNIHILATION,
-    FeatureMapCircuit,
-    check_class_mass,
-    circuit_unitary,
-)
+from .errors import DimError, check_budget
+from .featuremap import FeatureMapCircuit, check_class_mass, check_success, circuit_unitary
 from .quantum import StateVector, _within
 
 
@@ -123,11 +118,13 @@ class ProtocolOutcome:
         if psc.shape != pc.shape + (2,):
             raise DimError(f"conditional table {psc.shape} does not match {pc.shape}")
         p = np.asarray(self.p_registers, dtype=float)
-        if not np.all((p >= -1e-9) & (p <= 1 + 1e-9)):  # both False for NaN
-            raise ValueError(f"register probabilities {self.p_registers} outside [0,1]")
+        # a NaN conditional row is a sampled cell never drawn
+        for name, v in (("register", p), ("class", pc), ("conditional", psc[~np.isnan(psc)])):
+            if not np.all((v >= -1e-9) & (v <= 1 + 1e-9)):  # both False for NaN
+                raise ValueError(f"{name} probabilities {v} outside [0,1]")
         if not _within(pc.sum(), 1.0, 1e-10):
             raise ValueError(f"class probabilities sum to {pc.sum()}")
-        rows = psc.sum(axis=1)  # a NaN row is a sampled cell never drawn
+        rows = psc.sum(axis=1)
         if not _within(rows[~np.isnan(rows)], 1.0, 1e-10):
             raise ValueError(f"conditional rows sum to {rows}")
         object.__setattr__(self, "p_class", pc)
@@ -237,8 +234,8 @@ def _filtered_copy(samples: list[EmbeddedSample], half: np.ndarray) -> tuple[np.
     """The filtered training copy as an (index, data, label) tensor, and its p.
 
     M p(label cell) of the filtered copy is that class's filtered mass
-    sum_{m in class} p_s(x_m); one at most EPS_ANNIHILATION raises
-    ClassAnnihilated, as the analytic path's filter_moments() does.
+    sum_{m in class} p_s(x_m), which check_class_mass() sees, as in the
+    analytic path's filter_moments().
     """
     nl, n = index_register_width(len(samples)), samples[0].state.n_qubits
     filtered, p = apply_feature_maps_postselect(
@@ -280,14 +277,13 @@ def run_classifier_protocol(
     """Filtered classification circuit with exact conditional readout.
 
     Every class of the training copy is checked before the test register,
-    which raises FilterAnnihilated for a probability at most EPS_ANNIHILATION.
+    whose post-selection probability check_success() sees.
     """
     _classifier_width(samples, test)
     half = _half_columns(circuit, theta)
     copy, p_train = _filtered_copy(samples, half)
     kept, p_test = apply_feature_maps_postselect(test, half, tuple(range(test.n_qubits)))
-    if p_test <= EPS_ANNIHILATION:
-        raise FilterAnnihilated(f"post-selection probability {p_test:.3e}")
+    check_success(p_test)
     pair = np.multiply.outer(copy, kept.amplitudes)  # (index, train, label, test)
     p_class, cond = _swap_table(pair, 1, 3, (2,))
     return ProtocolOutcome((p_train, p_test), p_class, cond)

@@ -26,6 +26,11 @@ def basis_state(n, index):
     return StateVector(np.eye(2**n, dtype=complex)[index], n)
 
 
+def probabilities(state):
+    """Born-rule probabilities |amplitude|^2 of a StateVector."""
+    return np.abs(state.amplitudes) ** 2
+
+
 def rx(theta):
     return expm(-0.5j * theta * SX)
 

@@ -1,4 +1,6 @@
 """Fidelity classifier, class weights, and the risk/distance identities."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,12 +220,30 @@ def test_constrained_risk_domain_checks():
 
 
 def test_risk_report_enforces_identities():
-    with pytest.raises(ValueError):
-        RiskReport(risk=-1.0, hs_distance=0.5, p_succ=0.5, penalty=0.0, lam=1.0, cutoff=0.0)
-    with pytest.raises(ValueError):
-        RiskReport(risk=-1.0, hs_distance=1.0, p_succ=0.5, penalty=0.3, lam=1.0, cutoff=0.4)
-    ok = RiskReport(risk=-1.0, hs_distance=1.0, p_succ=0.5, penalty=0.0, lam=1.0, cutoff=0.2)
-    assert ok.risk == -1.0
+    """A report stores what was measured or set and derives risk and penalty from it."""
+    fields = [f.name for f in dataclasses.fields(RiskReport)]
+    assert fields == ["hs_distance", "p_succ", "lam", "cutoff"]
+    rep = RiskReport(hs_distance=1.0, p_succ=0.3, lam=2.0, cutoff=0.5)
+    assert rep.penalty == 2.0 * (0.5 - 0.3)
+    assert rep.risk == -1.0 + 2.0 * (0.5 - 0.3)
+    assert RiskReport(hs_distance=1.0, p_succ=0.6, lam=2.0, cutoff=0.5).penalty == 0.0
+    # neither derived part can be set apart from its inputs
+    for name in ("risk", "penalty"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 0.0)
+
+
+@given(
+    st.floats(0.0, 2.0),
+    st.floats(-1e-9, 1.0 + 1e-9),
+    st.floats(0.0, 1e6),
+    st.floats(0.0, 1.0),
+)
+def test_constrained_risk_parts_are_bitwise_the_hinge_formula(d, p, lam, c):
+    rep = constrained_risk(-d, p, lam, c)
+    penalty = lam * max(0.0, c - min(max(p, 0), 1))
+    assert rep.penalty.hex() == penalty.hex()
+    assert rep.risk.hex() == ((-d) + penalty).hex()
 
 
 def test_sentinel_report_shape():
@@ -233,3 +253,11 @@ def test_sentinel_report_shape():
     assert rep.penalty == pytest.approx(1.0)
     # the published identities still hold on the sentinel
     assert rep.risk == pytest.approx(-rep.hs_distance + rep.penalty)
+    # past a penalty of about 2**54, -(penalty - 2) + penalty is no longer 2
+    with pytest.raises(DomainError):
+        sentinel_report(lam=1e17, cutoff=1.0)
+
+
+@given(st.floats(0.0, 1e16), st.floats(0.0, 1.0))
+def test_sentinel_cost_is_exactly_two(lam, cutoff):
+    assert sentinel_report(lam, cutoff).risk == 2.0

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfilter import quantum
+from qfilter import errors, quantum
 from qfilter.cli import main
+from qfilter.errors import QFilterError
 
 
 def _run(argv, capsys=None):
@@ -243,6 +244,27 @@ def test_classify_circuit_over_the_register_budget_exits_3(tmp_path, capsys, mon
     assert "error: a 6-qubit register needs" in captured.err
     assert "Traceback" not in captured.err
     assert main(argv) == 0  # the analytic path allocates no register
+
+
+_LIBRARY_ERRORS = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, QFilterError)),
+    key=lambda c: c.__name__,
+)
+
+
+@pytest.mark.parametrize("error", _LIBRARY_ERRORS, ids=lambda c: c.__name__)
+def test_every_library_error_exits_3(error, capsys, monkeypatch):
+    """One rule: whatever QFilterError a command raises is a data error, not a traceback."""
+    from qfilter import cli
+
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "transform_ensemble", failing)
+    assert main(["train", "--dataset", "iris", "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: injected")
+    assert "Traceback" not in err
 
 
 def test_classify_with_shots_is_seeded(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_prepare_state_non_power_of_two_branch_count():
     state = prepare_risk_state(samples)
     # 2 index qubits, branch 3 stays empty
     assert state.n_qubits == 2 + 1 + 1
-    probs = state.probabilities().reshape(4, 4).sum(axis=1)
+    probs = oracles.probabilities(state).reshape(4, 4).sum(axis=1)
     np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
 
 
@@ -415,6 +415,22 @@ def test_protocol_outcome_validation():
     assert math.isnan(out.derived_value)
     assert out.p_postselect == 0.125
     assert out.shots == 0 and out.counts is None
+
+
+def test_protocol_outcome_checks_every_probability_range():
+    """Rows that sum to 1 are still rejected when an entry leaves [0, 1]."""
+    even = np.ones((2, 2)) / 2
+    with pytest.raises(ValueError, match="class probabilities"):
+        ProtocolOutcome((0.5,), np.array([1.5, -0.5]), even)
+    with pytest.raises(ValueError, match="conditional probabilities"):
+        ProtocolOutcome((0.5,), np.array([0.5, 0.5]), np.array([[1.5, -0.5], [0.5, 0.5]]))
+    # each range allows 1e-9 of roundoff, and a NaN row is still an undrawn cell
+    edge = ProtocolOutcome(
+        (0.5,),
+        np.array([1 + 1e-9, -1e-9]),
+        np.array([[1 + 1e-9, -1e-9], [math.nan, math.nan]]),
+    )
+    assert math.isnan(edge.derived_value)
 
 
 def _swap_tables(rows):

@@ -223,7 +223,7 @@ def test_state_vector_validation_and_helpers():
         StateVector(np.ones(3), 2)
     s = StateVector(np.array([3.0, 4.0]), 1)
     assert s.norm() == pytest.approx(5.0)
-    np.testing.assert_allclose(s.probabilities(), [9.0, 16.0])
+    np.testing.assert_allclose(oracles.probabilities(s), [9.0, 16.0])
 
 
 def test_basis_states():
