@@ -112,8 +112,8 @@ def weighted_empirical_risk(
 
 def constrained_risk(risk: float, p_succ: float, lam: float, cutoff: float) -> RiskReport:
     """Hinge-penalized objective: risk + lam * max(0, cutoff - p_succ)."""
-    if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lambda must be finite and >= 0, got {lam}")
     if not 0.0 <= cutoff <= 1.0:
         raise DomainError(f"cutoff must be in [0, 1], got {cutoff}")
     if not -1e-9 <= p_succ <= 1.0 + 1e-9:

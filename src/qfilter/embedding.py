@@ -30,7 +30,7 @@ from .errors import (
     ZeroVectorError,
     check_budget,
 )
-from .quantum import GateSpec, StateVector, run_gates, tape_bytes
+from .quantum import GateSpec, StateVector, gate_pass_bytes, run_gates
 
 EMBEDDING_KINDS = ("amplitude", "angle", "pca-layer")
 
@@ -147,11 +147,11 @@ def pca_layer_states(
     return run_gates(cols, _pca_layer(n, spec.ring) * spec.layers, spec.params, n)
 
 
-def _check_tape_budget(spec: EmbeddingSpec, rows: int) -> None:
-    """Refuse a pca-layer spec whose run_gates() tape over rows inputs is over the budget."""
+def _check_pass_budget(spec: EmbeddingSpec, rows: int) -> None:
+    """Refuse a pca-layer spec whose run_gates() pass over rows inputs is over the budget."""
     n, layers = spec.n_qubits, spec.layers
-    what = f"a {n}-qubit, {layers}-layer embedding of {rows} rows needs {{}} MiB for its gate tape"
-    check_budget(tape_bytes(spec.param_count(), n, rows), what)
+    what = f"a {n}-qubit, {layers}-layer embedding of {rows} rows needs {{}} MiB for its gate pass"
+    check_budget(gate_pass_bytes(spec.param_count(), n, rows), what)
 
 
 def encode_rows(xs: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
@@ -238,7 +238,7 @@ class Pipeline:
         pca = pca_fit(dataset, k)
         scaling = fit_rotation_scaling(pca_project(pca, dataset.features))
         spec = EmbeddingSpec("pca-layer", k, layers=embed_layers, ring=ring)
-        _check_tape_budget(spec, dataset.features.shape[0])
+        _check_pass_budget(spec, dataset.features.shape[0])
         spec = dataclasses.replace(spec, params=(0.0,) * spec.param_count())
         return cls(descriptor, dataset, spec, pca, scaling)
 
@@ -337,7 +337,7 @@ def restore_model(result: dict) -> TrainedModel:
 
     The PCA, the scaling and the trained embedding angles come from the
     manifest as saved, not refitted; every number in them and in theta_star
-    must be finite, and the embedding's gate tape must fit the memory
+    must be finite, and the embedding's gate pass must fit the memory
     budget. The dataset, rebuilt from its descriptor, must still match the
     fingerprint the model was trained on.
     """
@@ -354,7 +354,7 @@ def restore_model(result: dict) -> TrainedModel:
                 tuple(_finite(k, e[k]).tolist()) for k in ("scale_center", "scale_factor")
             )
             dataset = load_dataset(d)
-            _check_tape_budget(spec, dataset.features.shape[0])
+            _check_pass_budget(spec, dataset.features.shape[0])
             pipe = Pipeline(d, dataset, spec, pca, FeatureScaling(center, factor))
         else:
             pipe = Pipeline.fit(d, e["kind"])

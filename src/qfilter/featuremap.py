@@ -21,8 +21,8 @@ from .quantum import (
     GateSpec,
     UnitaryMatrix,
     _within,
+    gate_pass_bytes,
     run_gates,
-    tape_bytes,
 )
 
 EPS_ANNIHILATION = 1e-12
@@ -99,20 +99,21 @@ def build_ansatz(n_system: int, layers: int) -> FeatureMapCircuit:
 
     The chain couples qubit q to q+1, ending on the ancilla, so every system
     qubit can influence the measured branch. All angles are trainable.
-    Raises RegisterTooLarge, before building any gate, when run_gates()'s
-    tape for circuit_unitary() is over the memory budget.
+    Raises RegisterTooLarge, before the layer is repeated, when the gate
+    pass over V P0 (kraus_with_pullback()) is over the memory budget;
+    circuit_unitary(), over twice the columns, holds half as many arrays.
     """
     if n_system < 1 or layers < 1:
         raise ValueError("need n_system >= 1 and layers >= 1")
     n_total = n_system + 1
-    check_budget(
-        tape_bytes((2 * n_total + n_system) * layers, n_total, 2**n_total),
-        f"a {n_system}-qubit, {layers}-layer filter needs {{}} MiB for its gate tape",
-    )
     layer = (
         [GateSpec("Rx", (q,)) for q in range(n_total)]
         + [GateSpec("Rz", (q,)) for q in range(n_total)]
         + [GateSpec("CRx", (q, q + 1)) for q in range(n_system)]
+    )
+    check_budget(
+        gate_pass_bytes(len(layer) * layers, n_total, 2**n_system),
+        f"a {n_system}-qubit, {layers}-layer filter needs {{}} MiB for its gate pass",
     )
     return FeatureMapCircuit(n_system, tuple(layer) * layers)
 

@@ -159,9 +159,21 @@ def _apply_to_columns(
     return t.reshape(2**n_qubits, tail)
 
 
-def tape_bytes(n_gates: int, n_qubits: int, columns: int) -> int:
-    """Bytes of run_gates()' tape: each gate's output plus the input, 2**n_qubits x columns."""
-    return (n_gates + 1) * 2**n_qubits * columns * 16
+# Bytes a run_gates() pass holds per gate: its 2 x 2 or 4 x 4 matrix with
+# the array header, its angle and its list slots (measured: about 358 B of
+# peak RSS per gate under `qfilter train`; see README).
+GATE_BYTES = 384
+
+
+def gate_pass_bytes(n_gates: int, n_qubits: int, columns: int) -> int:
+    """Bytes a run_gates() pass of n_gates over 2**n_qubits x columns holds at its peak.
+
+    Its pullback holds 8 arrays of the register's size: the output and the
+    cotangent, their stack, and, while a gate acts on the stack, the
+    stack's transposed copy and the product (only the product for a gate
+    on adjacent qubits). Each gate adds GATE_BYTES.
+    """
+    return 8 * 2**n_qubits * columns * 16 + n_gates * GATE_BYTES
 
 
 def run_gates(
@@ -175,32 +187,40 @@ def run_gates(
     Gacon, arXiv:2009.02823). Every gate G_j = exp(-i t P_j / 2) has
     dG_j/dt = -(i/2) P_j G_j, so
         d/dtheta_j = Im <G_{j+1}+ ... G_L+ Y, P_j out_j>,
-    where out_j = G_j ... G_1 cols is the output of gate j; for that the
-    forward pass keeps the output of every gate.
+    where out_j = G_j ... G_1 cols is the output of gate j. The forward pass
+    keeps only the gate matrices: the backward pass stacks [out_L ; Y] as
+    one register with an extra leading qubit, and G_j+ on that stack
+    uncomputes out_{j-1} and carries the adjoint in one product.
     """
     t = np.asarray(theta, dtype=float)
     if t.shape != (len(gates),):
         raise ParamShapeError(f"{len(gates)} gates take {len(gates)} angles, got shape {t.shape}")
-    arrays, outs = [], []
+    arrays = []
     for spec, angle in zip(gates, t.tolist()):
         if not all(0 <= q < n_qubits for q in spec.targets):
             raise IndexError(f"targets {spec.targets} outside register of {n_qubits}")
         arrays.append(gate_array(spec.kind, angle))
         cols = _apply_to_columns(cols, arrays[-1], spec.targets, n_qubits)
-        outs.append(cols)
+    out = cols
 
     def pullback(adj: np.ndarray) -> np.ndarray:
-        # adj holds G_{j+1}+ ... G_L+ Y while gate j is visited
+        # the top half holds out_j and the bottom half G_{j+1}+ ... G_L+ Y
+        # while gate j is visited
+        stack = np.concatenate([out, adj])
+        half = out.shape[0]
         grad = np.zeros(len(gates))
         for j in reversed(range(len(gates))):
             spec = gates[j]
-            moved = _apply_to_columns(outs[j], _GENERATORS[spec.kind], spec.targets, n_qubits)
-            grad[j] = np.imag(np.vdot(adj, moved))
-            if j:  # past the first gate the adjoint feeds no gradient
-                adj = _apply_to_columns(adj, arrays[j].conj().T, spec.targets, n_qubits)
+            grad[j] = np.imag(np.vdot(
+                stack[half:],
+                _apply_to_columns(stack[:half], _GENERATORS[spec.kind], spec.targets, n_qubits),
+            ))
+            if j:  # past the first gate neither half feeds a gradient
+                shifted = tuple(q + 1 for q in spec.targets)
+                stack = _apply_to_columns(stack, arrays[j].conj().T, shifted, n_qubits + 1)
         return grad
 
-    return cols, pullback
+    return out, pullback
 
 
 def pure_to_density(state: StateVector) -> DensityMatrix:

@@ -1,6 +1,7 @@
 """Gradient training of the filter circuit on the analytic cost path."""
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -56,10 +57,12 @@ class TrainConfig:
             raise DomainError("epochs must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise DomainError(f"unknown optimizer {self.optimizer!r}")
-        if self.lam < 0:
-            raise DomainError("lambda must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise DomainError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.cutoff <= 1.0:
             raise DomainError("cutoff must be in [0, 1]")
+        if not 0 <= self.init_scale < math.inf:
+            raise DomainError(f"init_scale must be finite and >= 0, got {self.init_scale}")
 
 
 @dataclass(frozen=True)

@@ -233,15 +233,15 @@ def test_classify_circuit_over_the_register_budget_exits_3(tmp_path, capsys, mon
     from qfilter import errors
 
     model = tmp_path / "model.json"
-    assert main(["train", "--dataset", "blobs", "--dims", "2", "--per-class", "4",
+    assert main(["train", "--dataset", "blobs", "--dims", "2", "--per-class", "16",
                  "--epochs", "0", "--out", str(model)]) == 0
-    # 8 samples of 1 qubit, a 6-qubit classifier register, 2048 B buffer; the
-    # filter's tape (1536 B) fits, and iris's 4-qubit register never binds
-    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2047)
+    # 32 samples of 1 qubit, an 8-qubit classifier register, 8192 B buffer; the
+    # filter's gate pass (2944 B) fits, and iris's 4-qubit register never binds
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 8191)
     argv = ["classify", "--model", str(model), "--input", "0.3,0.9"]
     assert main(argv + ["--path", "circuit"]) == 3
     captured = capsys.readouterr()
-    assert "error: a 6-qubit register needs" in captured.err
+    assert "error: a 8-qubit register needs" in captured.err
     assert "Traceback" not in captured.err
     assert main(argv) == 0  # the analytic path allocates no register
 
@@ -597,19 +597,19 @@ def test_blobs_budget_exits_3_before_allocating(capsys, monkeypatch):
     assert "error: 6 blobs of 4 features need 0.000183 MiB" in err
     assert "Traceback" not in err
     assert drawn == []
-    # at 192 B the features fit; the command's filter tape would not
+    # at 192 B the features fit; the command's filter gate pass would not
     monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2 * 3 * 4 * 8)
     datasets.synthetic_blobs(0, 3, 4, 2.0)
 
 
 def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
-    """train, compare and classify refuse a filter whose gate tape is over budget."""
+    """train, compare and classify refuse a filter whose gate pass is over budget."""
     from qfilter import errors
 
     model = tmp_path / "model.json"
     assert main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)]) == 0
-    # 1 system qubit, 1 layer: 5 gates, a tape of 6 matrices of 4 x 4, 1536 B
-    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 1535)
+    # 1 system qubit, 1 layer: 8 arrays of 4 x 2 and 5 gates, 1024 + 5 x 384 = 2944 B
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2943)
     for argv in (
         ["train", "--dataset", "iris", "--epochs", "1"],
         ["compare", "--dataset", "iris", "--epochs", "1"],
@@ -618,33 +618,36 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
     ):
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "error: a 1-qubit, 1-layer filter needs 0.001465 MiB" in err
-        assert "over the 0.001464 MiB budget" in err
+        assert "error: a 1-qubit, 1-layer filter needs 0.002808 MiB" in err
+        assert "over the 0.002807 MiB budget" in err
         assert "Traceback" not in err
-    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 1536)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 2944)
     assert main(["classify", "--model", str(model), "--input", "0.3,0.9"]) == 0
 
 
 @pytest.mark.parametrize("train, argv, need, message, allocator", [
-    # 100 blobs of 2 features, 1600 B; the filter's tape is 1536 B
-    (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "50"],
-     2 * 50 * 2 * 8, "100 blobs of 2 features need", ("numpy.random", "default_rng")),
-    # a 16 x 16 covariance, 2048 B, formed under np.errstate; the filter's tape
-    # is 1536 B, the features 256 B, the embedding's tape 128 B
-    (None, ["train", "--dataset", "blobs", "--dims", "16", "--per-class", "1",
+    # 200 blobs of 2 features, 3200 B; the filter's gate pass is 2944 B
+    (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "100"],
+     2 * 100 * 2 * 8, "200 blobs of 2 features need", ("numpy.random", "default_rng")),
+    # a 20 x 20 covariance, 3200 B, formed under np.errstate; the filter's gate
+    # pass is 2944 B, the features 320 B, the embedding's gate pass 896 B
+    (None, ["train", "--dataset", "blobs", "--dims", "20", "--per-class", "1",
             "--embedding", "pca:1"],
-     16 * 16 * 8, "PCA of 16 features needs a", ("numpy", "errstate")),
-    # 1 system qubit, 1 layer: 5 gates, a tape of 6 matrices of 4 x 4
+     20 * 20 * 8, "PCA of 20 features needs a", ("numpy", "errstate")),
+    # 1 system qubit, 1 layer: 8 arrays of 4 x 2 and 5 gates
     (None, ["train", "--dataset", "iris"],
-     6 * 4 * 4 * 16, "a 1-qubit, 1-layer filter needs", ("qfilter.featuremap", "GateSpec")),
-    # 8 samples of 1 qubit: a 6-qubit classifier register and one more array
-    (["--dataset", "blobs", "--dims", "2", "--per-class", "4"],
+     8 * 4 * 2 * 16 + 5 * quantum.GATE_BYTES, "a 1-qubit, 1-layer filter needs",
+     ("qfilter.featuremap", "run_gates")),
+    # 32 samples of 1 qubit: an 8-qubit classifier register and one more array;
+    # the filter's gate pass is 2944 B
+    (["--dataset", "blobs", "--dims", "2", "--per-class", "16"],
      ["classify", "--input", "0.3,0.9", "--path", "circuit"],
-     2**7 * 16, "a 6-qubit register needs", ("qfilter.protocol", "_half_columns")),
-    # 8 layers of 3 gates on 6 rows: 25 arrays of 4 x 6; the filter's tape is 9216 B
+     2**9 * 16, "a 8-qubit register needs", ("qfilter.protocol", "_half_columns")),
+    # 8 layers of 3 gates on 6 rows: 8 arrays of 4 x 6 and 24 gates; the
+    # filter's gate pass is 7168 B
     (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "3",
             "--embedding", "pca:2", "--embed-layers", "8"],
-     25 * 4 * 6 * 16, "a 2-qubit, 8-layer embedding of 6 rows needs",
+     8 * 4 * 6 * 16 + 24 * quantum.GATE_BYTES, "a 2-qubit, 8-layer embedding of 6 rows needs",
      ("qfilter.embedding", "run_gates")),
 ], ids=["blobs", "pca-covariance", "filter-tape", "twin-register", "pca-layer-tape"])
 def test_a_buffer_fits_a_budget_of_its_size_and_no_less(
@@ -734,7 +737,7 @@ def test_a_non_finite_model_number_exits_3(tmp_path, capsys, pca_model_text, fie
 @pytest.mark.parametrize("field, value", [
     ("layers", "2"), ("layers", 2.0), ("n_qubits", 2.0), ("ring", "yes"),
     ("ansatz_layers", 0), ("ansatz_layers", -1), ("ansatz_layers", True),
-    ("layers", 10**12),  # a gate tape over the budget, refused before any gate is built
+    ("layers", 10**12),  # a gate pass over the budget, refused before any gate is built
 ])
 def test_a_malformed_model_count_exits_3(tmp_path, capsys, pca_model_text, field, value, path):
     """A count that is not an integer in range, or a ring flag that is not a
@@ -769,16 +772,16 @@ def test_a_layer_count_past_the_budget_exits_3(tmp_path, capsys):
 
 
 def test_a_need_just_over_the_budget_prints_above_it(tmp_path, capsys):
-    """233017 layers of a 6-row pca:2 embedding need 268,435,968 B, 512 B over
+    """233015 layers of a 6-row pca:2 embedding need 268,436,352 B, 896 B over
     the 256 MiB budget; at 3 digits both would read 256 MiB."""
     (tmp_path / "tiny.csv").write_text(TINY_CSV)
     argv = ["train", "--dataset", f"csv:{tmp_path / 'tiny.csv'}", "--embedding", "pca:2",
-            "--embed-layers", "233017", "--epochs", "1"]
+            "--embed-layers", "233015", "--epochs", "1"]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err == (
-        "error: a 2-qubit, 233017-layer embedding of 6 rows needs 256.0005 MiB for its gate"
-        " tape, over the 256 MiB budget\n"
+        "error: a 2-qubit, 233015-layer embedding of 6 rows needs 256.001 MiB for its gate"
+        " pass, over the 256 MiB budget\n"
     )
 
 

@@ -26,6 +26,7 @@ from qfilter.featuremap import (
 from qfilter.classifier import build_ensembles
 from qfilter.training import gradient
 from qfilter.quantum import (
+    GATE_BYTES,
     DensityMatrix,
     GateSpec,
     hs_distance,
@@ -334,21 +335,23 @@ def test_build_ansatz_checks_the_gate_tape_budget(monkeypatch):
     from qfilter import errors
     from qfilter.errors import RegisterTooLarge
 
-    # 1 layer: 3n + 2 gates; circuit_unitary keeps 3n + 3 matrices of 4**(n+1) x 16 B
-    build_ansatz(8, 1)  # 27 x 4 MiB
-    with pytest.raises(RegisterTooLarge, match="a 9-qubit, 1-layer filter needs 480 MiB"):
-        build_ansatz(9, 1)
-    with pytest.raises(RegisterTooLarge):
-        build_ansatz(8, 3)
-    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 6 * 16 * 16)
+    # 1 layer: 3n + 2 gates of GATE_BYTES and 8 arrays of 2**(n+1) x 2**n x 16 B
+    build_ansatz(9, 1)  # 8 x 8 MiB
+    with pytest.raises(RegisterTooLarge, match="a 10-qubit, 1-layer filter needs 256.01 MiB"):
+        build_ansatz(10, 1)
+    # 64 MiB of registers leave 192 MiB for 18078 layers of 29 gates
+    assert len(build_ansatz(9, 18078).gates) == 18078 * 29
+    with pytest.raises(RegisterTooLarge, match="a 9-qubit, 18079-layer filter"):
+        build_ansatz(9, 18079)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 8 * 4 * 2 * 16 + 5 * GATE_BYTES)
     build_ansatz(1, 1)
-    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 6 * 16 * 16 - 1)
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 8 * 4 * 2 * 16 + 5 * GATE_BYTES - 1)
     with pytest.raises(RegisterTooLarge, match="budget"):
         build_ansatz(1, 1)
 
 
-def test_build_ansatz_checks_its_budget_before_building_a_gate(monkeypatch):
-    """10**12 layers are 5e12 gates: the gate count alone refuses them."""
+def test_build_ansatz_checks_its_budget_before_repeating_its_layer(monkeypatch):
+    """10**12 layers are 5e12 gates: one layer's gate count refuses them."""
     from qfilter import featuremap
     from qfilter.errors import RegisterTooLarge
 
@@ -356,7 +359,65 @@ def test_build_ansatz_checks_its_budget_before_building_a_gate(monkeypatch):
     monkeypatch.setattr(featuremap, "GateSpec", lambda *a: built.append(a))
     with pytest.raises(RegisterTooLarge, match="a 1-qubit, 1000000000000-layer filter"):
         build_ansatz(1, 10**12)
-    assert built == []
+    assert len(built) == 5  # one layer
+
+
+def test_a_gate_pass_keeps_no_register_per_gate():
+    """The tracemalloc peak of kraus_with_pullback() and its pullback grows
+    by at most GATE_BYTES per added gate; a tape of gate outputs would add
+    a 32 x 16 register, 8 KiB, per gate."""
+    import tracemalloc
+
+    peaks = []
+    for layers in (20, 200):
+        circ = build_ansatz(4, layers)
+        theta = np.random.default_rng(layers).uniform(-np.pi, np.pi, circ.n_params)
+        x = np.eye(16, dtype=complex)
+        tracemalloc.start()
+        try:
+            _, pullback = kraus_with_pullback(circ, theta)
+            pullback(x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    added = (200 - 20) * (3 * 4 + 2)
+    assert (peaks[1] - peaks[0]) / added <= GATE_BYTES
+
+
+@pytest.mark.parametrize("kind", ["ansatz", "pca-layer-ring"])
+def test_a_deep_pullback_matches_the_shift_rule(kind):
+    """Over 1,000+ gates the backward pass uncomputes every gate output from
+    the last one; the gradient still matches the dense shift-rule route to
+    the roundoff bound of 1e-12 (unit-norm cotangent)."""
+    rng = np.random.default_rng(16)
+    if kind == "ansatz":
+        circ = build_ansatz(2, 130)  # 1040 gates
+        gates, n = circ.gates, circ.n_qubits
+        cols = np.eye(8, dtype=complex)[:, 0::2]
+        theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+        _, run_back = kraus_with_pullback(circ, theta)
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        x /= np.linalg.norm(x)
+        y = np.zeros((8, 4), dtype=complex)
+        y[0::2] = x.conj().T
+        got = run_back(x)
+    else:
+        spec = EmbeddingSpec("pca-layer", 3, layers=170, ring=True)  # 1020 gates
+        theta = rng.uniform(-np.pi, np.pi, spec.param_count())
+        xs = rng.uniform(-np.pi, np.pi, (3, 3))
+        cols = np.ones((1, 3), dtype=complex)
+        for q in range(3):
+            kets = np.stack([oracles.rx(v)[:, 0] for v in xs[:, q]], axis=1)
+            cols = np.einsum("am,bm->abm", cols, kets).reshape(-1, 3)
+        layer = [GateSpec("Ry", (q,)) for q in range(3)]
+        layer += [GateSpec("ZZ", p) for p in ((0, 1), (1, 2), (2, 0))]
+        gates, n = layer * 170, 3
+        y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        y /= np.linalg.norm(y)
+        _, run_back = pca_layer_states(xs, EmbeddingSpec("pca-layer", 3, tuple(theta), 170, True))
+        got = run_back(y)
+    want = oracles.shift_rule_pullback(cols, gates, theta, n)(y)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 _ANSATZ = build_ansatz(1, 1)  # 5 gates

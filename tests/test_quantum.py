@@ -199,8 +199,13 @@ def test_run_gates_pullback_matches_finite_differences():
     def scalar(t):
         return 2 * np.real(np.vdot(y, run_gates(cols, gates, t, 3)[0]))
 
+    kept = out.copy()
     got = pullback(y)
     np.testing.assert_allclose(got, gradient(scalar, theta), rtol=0, atol=1e-8)
+    # the backward pass uncomputes a copy: out is left as it was, and a
+    # second call gives the same gradient
+    assert np.array_equal(out, kept)
+    assert np.array_equal(pullback(y), got)
 
 
 def test_run_gates_backward_pass_skips_the_unused_last_product(monkeypatch):

@@ -186,6 +186,23 @@ def test_train_config_validation():
         TrainConfig(cutoff=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", math.inf), ("lam", math.nan),
+    ("init_scale", -1.0), ("init_scale", math.nan), ("init_scale", math.inf),
+])
+def test_a_non_finite_penalty_or_a_bad_init_scale_is_refused(field, value):
+    """A non-finite lambda would put inf * 0 = NaN in the hinge, and a
+    negative or NaN init_scale would read as 0: TrainConfig refuses both,
+    and constrained_risk refuses a non-finite lambda."""
+    with pytest.raises(DomainError, match=f"{field.replace('lam', 'lambda')} must be finite"):
+        TrainConfig(**{field: value})
+    if field == "lam":
+        from qfilter.classifier import constrained_risk
+
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            constrained_risk(-1.0, 0.7, lam=value, cutoff=0.5)
+
+
 def _iris_samples():
     from qfilter.datasets import iris_builtin
 
