@@ -128,13 +128,15 @@ def angle_states(x0: np.ndarray) -> np.ndarray:
 
 
 def pca_layer_states(
-    xs: np.ndarray, spec: EmbeddingSpec
+    xs: np.ndarray, spec: EmbeddingSpec, params: np.ndarray | None = None
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """pca-layer states of the rows of xs as columns, and their pullback in spec.params.
+    """pca-layer states of the rows of xs as columns, and their pullback in the angles.
 
     Rx data loading makes the product state (cos(x_q/2), -i sin(x_q/2))
     over the qubits, so only the trainable layers (_pca_layer() repeated,
-    gate i taking params[i]) run through run_gates().
+    gate i taking params[i]) run through run_gates(). params, an array of
+    spec.param_count() angles, stands in for spec.params, so that a
+    training loop need not rebuild the spec's tuple at every step.
     """
     v = np.asarray(xs, dtype=float)
     n = spec.n_qubits
@@ -144,7 +146,8 @@ def pca_layer_states(
     for q in range(n):
         ket = np.stack([np.cos(v[:, q] / 2), -1j * np.sin(v[:, q] / 2)])
         cols = (cols[:, None, :] * ket[None, :, :]).reshape(-1, v.shape[0])
-    return run_gates(cols, _pca_layer(n, spec.ring) * spec.layers, spec.params, n)
+    angles = spec.params if params is None else params
+    return run_gates(cols, _pca_layer(n, spec.ring) * spec.layers, angles, n)
 
 
 def _check_pass_budget(spec: EmbeddingSpec, rows: int) -> None:

@@ -139,14 +139,18 @@ def kraus_from_circuit(circuit: FeatureMapCircuit, theta: np.ndarray) -> KrausPa
 
 def kraus_with_pullback(
     circuit: FeatureMapCircuit, theta: np.ndarray
-) -> tuple[KrausPair, Callable[[np.ndarray], np.ndarray]]:
-    """kraus_from_circuit() and the adjoint of its derivative.
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The raw block V(theta) P0 and the adjoint of the derivative of K.
 
     Here the gates act only on the columns of V(theta) whose ancilla input
     is |0>: the (2 dim, dim) isometry V P0, whose even rows are K and odd
-    rows K0. The returned pullback maps a cotangent X (dim x dim) to the
-    gradient of 2 Re tr[X K(theta)]: the backward pass of run_gates() with
-    X+ in the even rows of its cotangent.
+    rows K0, the pair kraus_from_circuit() returns. The block is not checked:
+    it is a block of a product of unitary gate matrices, so
+    (V P0)+ (V P0) = I by construction (the kraus-completeness selftest and
+    the tests measure it), and run_gates() has checked theta's shape;
+    training checks that theta is finite. The returned pullback maps a
+    cotangent X (dim x dim) to the gradient of 2 Re tr[X K(theta)]: the
+    backward pass of run_gates() with X+ in the even rows of its cotangent.
     """
     dim = 2**circuit.n_system
     cols, run_back = run_gates(
@@ -158,18 +162,22 @@ def kraus_with_pullback(
         adj[0::2] = np.asarray(x).conj().T
         return run_back(adj)
 
-    return KrausPair(cols[0::2], cols[1::2]), pullback
+    return cols, pullback
 
 
 def _filtered(
-    k: np.ndarray, a: np.ndarray, n_qubits: int, check: Callable[[float], None]
-) -> tuple[DensityMatrix, float]:
-    """The filter step: K a K+ / mass and its mass tr[K a K+], which check() sees first."""
+    k: np.ndarray, a: np.ndarray, check: Callable[[float], None]
+) -> tuple[np.ndarray, float]:
+    """The filter step: K a K+ / mass and its mass tr[K a K+], which check() sees first.
+
+    For a PSD a the result is PSD with unit trace by construction; the
+    boundary callers wrap it in a DensityMatrix, which checks that.
+    """
     total = k @ a @ k.conj().T
     mass = float(np.real(np.trace(total)))
     check(mass)
     m = total / mass
-    return DensityMatrix((m + m.conj().T) / 2, n_qubits), mass  # scrub roundoff asymmetry
+    return (m + m.conj().T) / 2, mass  # scrub roundoff asymmetry
 
 
 def check_success(p_s: float) -> None:
@@ -182,7 +190,8 @@ def apply_filter(pair: KrausPair, rho: DensityMatrix) -> tuple[DensityMatrix, fl
     """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K rho K+]."""
     if pair.keep.shape[0] != rho.entries.shape[0]:
         raise DimError("Kraus operator and state dimensions differ")
-    return _filtered(pair.keep, rho.entries, rho.n_qubits, check_success)
+    m, p_s = _filtered(pair.keep, rho.entries, check_success)
+    return DensityMatrix(m, rho.n_qubits), p_s
 
 
 def _sample_columns(samples: list[EmbeddedSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -227,15 +236,17 @@ def class_moments(samples: list[EmbeddedSample]) -> ClassMoments:
 
 
 def filter_moments(
-    pair: KrausPair, moments: ClassMoments
-) -> tuple[DensityMatrix, DensityMatrix, float, float]:
-    """Filtered class states K A+- K+ / P+- and the masses P+- = tr[K A+- K+].
+    k: np.ndarray, moments: ClassMoments
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Filtered class states K A+- K+ / P+- as arrays, and the masses P+- = tr[K A+- K+].
 
     Dividing each class sum once by its mass keeps annihilated samples
-    harmless as long as the class as a whole survives.
+    harmless as long as the class as a whole survives. The states are not
+    wrapped in DensityMatrix: K A K+ / tr is PSD with unit trace by
+    construction, and transform_ensemble() checks them where they leave.
     """
     (pos, mass_pos), (neg, mass_neg) = (
-        _filtered(pair.keep, a, moments.n_qubits, partial(check_class_mass, label))
+        _filtered(k, a, partial(check_class_mass, label))
         for label, a in ((+1, moments.pos), (-1, moments.neg))
     )
     return pos, neg, mass_pos, mass_neg
@@ -251,5 +262,10 @@ def transform_ensemble(pair: KrausPair, samples: list[EmbeddedSample]) -> Transf
     """
     psi, labels = _sample_columns(samples)
     kpsi = pair.keep @ psi
-    pos, neg, _, _ = filter_moments(pair, column_moments(psi, labels))
-    return TransformedEnsembles(pos, neg, np.sum(kpsi.real**2 + kpsi.imag**2, axis=0))
+    moments = column_moments(psi, labels)
+    pos, neg, _, _ = filter_moments(pair.keep, moments)
+    return TransformedEnsembles(
+        DensityMatrix(pos, moments.n_qubits),
+        DensityMatrix(neg, moments.n_qubits),
+        np.sum(kpsi.real**2 + kpsi.imag**2, axis=0),
+    )

@@ -18,7 +18,7 @@ from .classifier import (
 )
 from .datasets import check_labels
 from .embedding import EmbeddedSample, EmbeddingSpec, pca_layer_states
-from .errors import ClassAnnihilated, DomainError, FilterAnnihilated
+from .errors import ClassAnnihilated, DomainError, FilterAnnihilated, check_budget
 from .featuremap import (
     ClassMoments,
     FeatureMapCircuit,
@@ -30,7 +30,7 @@ from .featuremap import (
     kraus_with_pullback,
     transform_ensemble,
 )
-from .quantum import hs_distance, pure_to_density
+from .quantum import gate_pass_bytes, hs_distance, pure_to_density
 
 # train() kicks instead of stepping when the gradient norm is at most this:
 # at a stationary point, such as the identity start, the exact gradient
@@ -38,6 +38,12 @@ from .quantum import hs_distance, pure_to_density
 STATIONARY_GRADIENT_NORM = 1e-12
 # length of that seeded kick
 KICK_STEP = 1e-5
+# Bytes a co-trained fit holds per embedding angle on top of the embedding's
+# gate pass: the optimizer's arrays (theta, the best theta, the gradient,
+# Adam's m and v and their temporaries) and the angle's share of the saved
+# model, whose theta_star holds every angle (measured: about 190 B of peak
+# RSS per angle; see README)
+CO_TRAIN_ANGLE_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ class TrainResult:
 
 
 def moment_cost(
-    pair: KrausPair, moments: ClassMoments, lam: float, cutoff: float
+    k: np.ndarray, moments: ClassMoments, lam: float, cutoff: float
 ) -> tuple[RiskReport, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Constrained risk of the filtered class moments, and its cotangents.
 
@@ -86,22 +92,25 @@ def moment_cost(
     hinge on p_succ = (P+ + P-) / M is active, and X = sum_s A_s K+ W_s gives
     d risk = 2 Re tr[X dK]. Returns the report, X and (W+, W-); a class
     annihilated by the filter gives the +2 sentinel and zero cotangents.
+
+    K and the states are plain arrays, as in the training loop: K is a block
+    of an isometry by construction, and the values are those hs_distance()
+    gives on the checked states (see filter_moments()).
     """
-    k = pair.keep
     try:
-        pos, neg, mass_pos, mass_neg = filter_moments(pair, moments)
+        pos, neg, mass_pos, mass_neg = filter_moments(k, moments)
     except ClassAnnihilated:
         zero = np.zeros_like(k)
         return sentinel_report(lam, cutoff), zero, (zero, zero)
     p_succ = (mass_pos + mass_neg) / moments.count
-    report = constrained_risk(-hs_distance(pos, neg), p_succ, lam, cutoff)
-    delta = pos.entries - neg.entries
+    delta = pos - neg
+    report = constrained_risk(-float(np.sum(np.abs(delta) ** 2)), p_succ, lam, cutoff)
     k_dag = k.conj().T
     eye = np.eye(k.shape[0])
     x = np.zeros_like(k)
     w = []
     for sign, rho, mass, a in ((1, pos, mass_pos, moments.pos), (-1, neg, mass_neg, moments.neg)):
-        g = delta - np.real(np.vdot(rho.entries, delta)) * eye
+        g = delta - np.real(np.vdot(rho, delta)) * eye
         x -= (2 * sign / mass) * (a @ k_dag @ g)
         w.append((-2 * sign / mass) * g)
     if report.penalty > 0:
@@ -122,7 +131,8 @@ def cost(
     An empty sample list has no classes to filter and raises
     ClassAnnihilated.
     """
-    return moment_cost(kraus_from_circuit(ansatz, theta), class_moments(samples), lam, cutoff)[0]
+    k = kraus_from_circuit(ansatz, theta).keep
+    return moment_cost(k, class_moments(samples), lam, cutoff)[0]
 
 
 def value_and_gradient(
@@ -138,8 +148,8 @@ def value_and_gradient(
     gradient (adjoint products), whatever the number of parameters. The
     sentinel has a zero gradient.
     """
-    pair, pullback = kraus_with_pullback(ansatz, theta)
-    report, x, _ = moment_cost(pair, moments, lam, cutoff)
+    block, pullback = kraus_with_pullback(ansatz, theta)
+    report, x, _ = moment_cost(block[0::2], moments, lam, cutoff)
     return report, pullback(x)
 
 
@@ -200,15 +210,22 @@ def co_train(
         raise DomainError("co-training needs an embedding with trainable angles")
     labels = np.array([y for _, y in raw_data])
     check_labels(labels.tolist())
+    n_angles, n_ansatz, rows = spec.param_count(), ansatz.n_params, len(raw_data)
+    # the gate pass, the states and their cotangent, and the per-angle state
+    check_budget(
+        gate_pass_bytes(n_angles, spec.n_qubits, rows)
+        + 2 * 2**spec.n_qubits * rows * 16
+        + n_angles * CO_TRAIN_ANGLE_BYTES,
+        f"co-training a {spec.n_qubits}-qubit, {spec.layers}-layer embedding of {rows} rows"
+        " needs {} MiB for its gate pass and optimizer state",
+    )
     xs = np.array([x for x, _ in raw_data])
-    n_ansatz = ansatz.n_params
 
     def evaluate(t: np.ndarray) -> tuple[RiskReport, np.ndarray]:
-        psi, embed_pullback = pca_layer_states(xs, replace(spec, params=tuple(t[n_ansatz:])))
-        pair, pullback = kraus_with_pullback(ansatz, t[:n_ansatz])
-        moments = column_moments(psi, labels)
-        report, x, w = moment_cost(pair, moments, config.lam, config.cutoff)
-        k = pair.keep
+        psi, embed_pullback = pca_layer_states(xs, spec, t[n_ansatz:])
+        block, pullback = kraus_with_pullback(ansatz, t[:n_ansatz])
+        k = block[0::2]
+        report, x, w = moment_cost(k, column_moments(psi, labels), config.lam, config.cutoff)
         adj = np.empty_like(psi)
         for label, w_s in zip((+1, -1), w):
             adj[:, labels == label] = k.conj().T @ w_s @ k @ psi[:, labels == label]

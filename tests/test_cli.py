@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfilter import errors, quantum
+from qfilter import errors, quantum, training
 from qfilter.cli import main
 from qfilter.errors import QFilterError
 
@@ -649,7 +649,16 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
             "--embedding", "pca:2", "--embed-layers", "8"],
      8 * 4 * 6 * 16 + 24 * quantum.GATE_BYTES, "a 2-qubit, 8-layer embedding of 6 rows needs",
      ("qfilter.embedding", "run_gates")),
-], ids=["blobs", "pca-covariance", "filter-tape", "twin-register", "pca-layer-tape"])
+    # co-training those 24 angles adds the states and their cotangent (2 more
+    # arrays of 4 x 6) and each angle's optimizer state; the embedding's gate
+    # pass alone is 12,288 B
+    (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "3",
+            "--embedding", "pca:2", "--embed-layers", "8", "--co-train"],
+     10 * 4 * 6 * 16 + 24 * (quantum.GATE_BYTES + training.CO_TRAIN_ANGLE_BYTES),
+     "co-training a 2-qubit, 8-layer embedding of 6 rows needs",
+     ("qfilter.training", "pca_layer_states")),
+], ids=["blobs", "pca-covariance", "filter-tape", "twin-register", "pca-layer-tape",
+        "co-train-state"])
 def test_a_buffer_fits_a_budget_of_its_size_and_no_less(
     tmp_path, capsys, monkeypatch, train, argv, need, message, allocator
 ):

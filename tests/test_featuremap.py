@@ -190,10 +190,10 @@ def test_apply_filter_is_filter_moments_on_one_state():
     rho, sigma = (pure_to_density(random_state(seed, 2)) for seed in (22, 23))
     moments = ClassMoments(rho.entries, sigma.entries, 2)
     assert moments.n_qubits == 2
-    pos, neg, mass_pos, mass_neg = filter_moments(pair, moments)
+    pos, neg, mass_pos, mass_neg = filter_moments(pair.keep, moments)
     for state, want, mass in ((rho, pos, mass_pos), (sigma, neg, mass_neg)):
         got, p_s = apply_filter(pair, state)
-        np.testing.assert_array_equal(got.entries, want.entries)
+        np.testing.assert_array_equal(got.entries, want)
         assert p_s == mass
 
 
@@ -223,7 +223,7 @@ def test_transform_ensemble_matches_hand_accumulation():
         assert ens.p_succ == pytest.approx(np.mean(ps), abs=1e-15)
         assert ens.p_joint == pytest.approx(np.prod(ps), abs=1e-15)
         # the class masses tr[K A K+] the training cost divides by
-        _, _, mass_pos, mass_neg = filter_moments(pair, class_moments(samples))
+        _, _, mass_pos, mass_neg = filter_moments(pair.keep, class_moments(samples))
         assert mass_pos == pytest.approx(ps[labels == 1].sum(), abs=1e-14)
         assert mass_neg == pytest.approx(ps[labels == -1].sum(), abs=1e-14)
 
@@ -247,8 +247,10 @@ def test_kraus_pullback_matches_finite_differences():
     rng = np.random.default_rng(4)
     theta = rng.uniform(-np.pi, np.pi, circ.n_params)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    pair, pullback = kraus_with_pullback(circ, theta)
-    np.testing.assert_allclose(pair.keep, kraus_from_circuit(circ, theta).keep, rtol=0, atol=1e-14)
+    block, pullback = kraus_with_pullback(circ, theta)
+    pair = kraus_from_circuit(circ, theta)
+    np.testing.assert_allclose(block[0::2], pair.keep, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(block[1::2], pair.discard, rtol=0, atol=1e-14)
 
     def scalar(t):
         return 2 * np.real(np.trace(x @ kraus_from_circuit(circ, t).keep))

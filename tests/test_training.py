@@ -429,3 +429,50 @@ def test_compare_conditions_rows():
     assert fm["hs_distance"] >= emb["hs_distance"] - 1e-9
     assert 0.0 < fm["p_succ_train"] <= 1.0 + 1e-12
     assert set(fm) == {"condition", "hs_distance", "p_succ_train", "p_succ_total", "accuracy"}
+
+
+# the benchmark's train-sweep fit list: the blob grid at each cutoff, then iris
+TRAIN_SWEEP_FITS = [
+    ["--dataset", "blobs", "--embedding", "amplitude", "--dims", str(d), "--per-class", "20",
+     "--separation", "2.0", "--c", repr(c)]
+    for d in (2, 4, 5)
+    for c in (0.0, 0.5)
+] + [["--dataset", "iris", "--layers", "2", "--init-scale", "2.5"]]
+
+
+def test_every_training_epoch_passes_the_boundary_checks(monkeypatch, tmp_path):
+    """The training loop works on raw arrays; here the checks it leaves to
+    the boundary are made on every epoch of the train-sweep fits (200
+    epochs each) and of a co-trained fit: each block V P0 is an isometry,
+    (V P0)+ (V P0) = I within ATOL_INVARIANT, and each filtered class state
+    passes DensityMatrix's Hermiticity, trace and PSD checks."""
+    from qfilter.cli import main
+    from qfilter.quantum import ATOL_INVARIANT, DensityMatrix
+
+    seen = {"blocks": 0, "states": 0}
+    unchecked_block, unchecked_states = training.kraus_with_pullback, training.filter_moments
+
+    def checked_block(circuit, theta):
+        block, pullback = unchecked_block(circuit, theta)
+        gram = block.conj().T @ block
+        assert np.abs(gram - np.eye(gram.shape[0])).max() <= ATOL_INVARIANT
+        seen["blocks"] += 1
+        return block, pullback
+
+    def checked_states(k, moments):
+        pos, neg, mass_pos, mass_neg = unchecked_states(k, moments)
+        for state in (pos, neg):
+            DensityMatrix(state, moments.n_qubits)
+        seen["states"] += 2
+        return pos, neg, mass_pos, mass_neg
+
+    monkeypatch.setattr(training, "kraus_with_pullback", checked_block)
+    monkeypatch.setattr(training, "filter_moments", checked_states)
+    for argv in TRAIN_SWEEP_FITS:
+        assert main(["train", *argv, "--out", str(tmp_path / "m.json")]) == 0
+    raw = [(np.array([0.9, 0.1]), +1), (np.array([-0.8, 0.3]), -1),
+           (np.array([0.7, -0.2]), +1), (np.array([-0.9, 0.1]), -1)]
+    spec = EmbeddingSpec("pca-layer", 2, (0.1, -0.2, 0.3) * 2, 2)
+    co_train(TrainConfig(init_scale=1.0), raw, spec, build_ansatz(2, 1))
+    epochs = (len(TRAIN_SWEEP_FITS) + 1) * 201
+    assert seen == {"blocks": epochs, "states": 2 * epochs}
