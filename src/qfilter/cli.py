@@ -45,12 +45,14 @@ def _sanitize(obj):
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True)
+    """The payload as indented JSON plus a newline: streamed to out_path, or one stdout write."""
+    clean = _sanitize(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            json.dump(clean, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     else:
-        print(text)
+        print(json.dumps(clean, indent=2, sort_keys=True))
 
 
 def _descriptors(args, dims: list[int]) -> list[dict]:
@@ -359,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "co_train", False) and not (args.embedding or "").startswith("pca:"):
         parser.error("--co-train requires a pca:<k> embedding")
+    # shots sample the circuit's outcomes; the analytic path has none to sample
+    if args.command == "classify" and args.path == "analytic" and args.shots > 0:
+        parser.error("--shots samples the circuit path; use --path circuit or --shots 0")
     # compare's CSV path is --out with its extension replaced by .csv
     if args.command == "compare" and os.path.splitext(args.out or "")[1] == ".csv":
         parser.error(f"--out {args.out} is also the path of compare's CSV; name the JSON otherwise")

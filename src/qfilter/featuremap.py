@@ -7,7 +7,7 @@ of the full circuit gives K+K + K0+K0 = I.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -166,18 +166,21 @@ def kraus_with_pullback(
 
 
 def _filtered(
-    k: np.ndarray, a: np.ndarray, check: Callable[[float], None]
-) -> tuple[np.ndarray, float]:
-    """The filter step: K a K+ / mass and its mass tr[K a K+], which check() sees first.
+    k: np.ndarray, a: np.ndarray, checks: Sequence[Callable[[float], None]]
+) -> tuple[np.ndarray, list[float]]:
+    """The filter step on a stack a of matrices: each K a_i K+ / mass_i, in one batched product.
 
-    For a PSD a the result is PSD with unit trace by construction; the
-    boundary callers wrap it in a DensityMatrix, which checks that.
+    Returns the stack of filtered states and the masses tr[K a_i K+], which
+    checks[i] sees before anything is divided by them. For a PSD a_i the
+    state is PSD with unit trace by construction; the boundary callers wrap
+    it in a DensityMatrix, which checks that.
     """
     total = k @ a @ k.conj().T
-    mass = float(np.real(np.trace(total)))
-    check(mass)
-    m = total / mass
-    return (m + m.conj().T) / 2, mass  # scrub roundoff asymmetry
+    masses = total.trace(axis1=1, axis2=2).real
+    for check, mass in zip(checks, masses.tolist()):
+        check(mass)
+    m = total / masses[:, None, None]
+    return (m + m.conj().transpose(0, 2, 1)) / 2, masses.tolist()  # scrub roundoff asymmetry
 
 
 def check_success(p_s: float) -> None:
@@ -190,7 +193,7 @@ def apply_filter(pair: KrausPair, rho: DensityMatrix) -> tuple[DensityMatrix, fl
     """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K rho K+]."""
     if pair.keep.shape[0] != rho.entries.shape[0]:
         raise DimError("Kraus operator and state dimensions differ")
-    m, p_s = _filtered(pair.keep, rho.entries, check_success)
+    (m,), (p_s,) = _filtered(pair.keep, rho.entries[None], (check_success,))
     return DensityMatrix(m, rho.n_qubits), p_s
 
 
@@ -212,44 +215,41 @@ def check_class_mass(label: int, mass: float) -> None:
 class ClassMoments:
     """Unnormalized class second moments A+- = sum_{m in +-} |psi_m><psi_m|.
 
-    The filtered class sums are K A+- K+, so the training cost depends on
-    the data only through these two matrices and the sample count.
+    stack holds [A+, A-]. The filtered class sums are K A+- K+, so the
+    training cost depends on the data only through these two matrices and
+    the sample count.
     """
 
-    pos: np.ndarray
-    neg: np.ndarray
+    stack: np.ndarray
     count: int
 
     @property
     def n_qubits(self) -> int:
-        return self.pos.shape[0].bit_length() - 1
+        return self.stack.shape[1].bit_length() - 1
 
 
 def column_moments(psi: np.ndarray, labels: np.ndarray) -> ClassMoments:
     """Class moments of the columns of psi, labelled +1 or -1."""
-    pos, neg = (psi[:, labels == y] @ psi[:, labels == y].conj().T for y in (+1, -1))
-    return ClassMoments(pos, neg, psi.shape[1])
+    moments = [psi[:, labels == y] @ psi[:, labels == y].conj().T for y in (+1, -1)]
+    return ClassMoments(np.stack(moments), psi.shape[1])
 
 
 def class_moments(samples: list[EmbeddedSample]) -> ClassMoments:
     return column_moments(*_sample_columns(samples))
 
 
-def filter_moments(
-    k: np.ndarray, moments: ClassMoments
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Filtered class states K A+- K+ / P+- as arrays, and the masses P+- = tr[K A+- K+].
+def filter_moments(k: np.ndarray, moments: ClassMoments) -> tuple[np.ndarray, list[float]]:
+    """Filtered class states [rho+, rho-] = K A+- K+ / P+- as one array, and the masses P+-.
 
+    Both classes go through one batched product, and P+- = tr[K A+- K+].
     Dividing each class sum once by its mass keeps annihilated samples
     harmless as long as the class as a whole survives. The states are not
     wrapped in DensityMatrix: K A K+ / tr is PSD with unit trace by
     construction, and transform_ensemble() checks them where they leave.
     """
-    (pos, mass_pos), (neg, mass_neg) = (
-        _filtered(k, a, partial(check_class_mass, label))
-        for label, a in ((+1, moments.pos), (-1, moments.neg))
+    return _filtered(
+        k, moments.stack, (partial(check_class_mass, +1), partial(check_class_mass, -1))
     )
-    return pos, neg, mass_pos, mass_neg
 
 
 def transform_ensemble(pair: KrausPair, samples: list[EmbeddedSample]) -> TransformedEnsembles:
@@ -263,7 +263,7 @@ def transform_ensemble(pair: KrausPair, samples: list[EmbeddedSample]) -> Transf
     psi, labels = _sample_columns(samples)
     kpsi = pair.keep @ psi
     moments = column_moments(psi, labels)
-    pos, neg, _, _ = filter_moments(pair.keep, moments)
+    (pos, neg), _ = filter_moments(pair.keep, moments)
     return TransformedEnsembles(
         DensityMatrix(pos, moments.n_qubits),
         DensityMatrix(neg, moments.n_qubits),

@@ -82,7 +82,7 @@ class TrainResult:
 
 def moment_cost(
     k: np.ndarray, moments: ClassMoments, lam: float, cutoff: float
-) -> tuple[RiskReport, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[RiskReport, np.ndarray, np.ndarray]:
     """Constrained risk of the filtered class moments, and its cotangents.
 
     With the filtered class sums N+- = K A+- K+, their masses P+- = tr N+-,
@@ -90,7 +90,7 @@ def moment_cost(
     changes by dD = sum_s tr[G_s dN_s], G+- = +-2 (Delta - tr[Delta rho+-]) / P+-.
     So d risk = sum_s tr[W_s dN_s] with W_s = -G_s, less lam I / M while the
     hinge on p_succ = (P+ + P-) / M is active, and X = sum_s A_s K+ W_s gives
-    d risk = 2 Re tr[X dK]. Returns the report, X and (W+, W-); a class
+    d risk = 2 Re tr[X dK]. Returns the report, X and [W+, W-] as one array; a class
     annihilated by the filter gives the +2 sentinel and zero cotangents.
 
     K and the states are plain arrays, as in the training loop: K is a block
@@ -98,25 +98,26 @@ def moment_cost(
     gives on the checked states (see filter_moments()).
     """
     try:
-        pos, neg, mass_pos, mass_neg = filter_moments(k, moments)
+        rho, masses = filter_moments(k, moments)
     except ClassAnnihilated:
         zero = np.zeros_like(k)
-        return sentinel_report(lam, cutoff), zero, (zero, zero)
-    p_succ = (mass_pos + mass_neg) / moments.count
-    delta = pos - neg
+        return sentinel_report(lam, cutoff), zero, np.stack([zero, zero])
+    p_succ = (masses[0] + masses[1]) / moments.count
+    delta = rho[0] - rho[1]
     report = constrained_risk(-float(np.sum(np.abs(delta) ** 2)), p_succ, lam, cutoff)
     k_dag = k.conj().T
     eye = np.eye(k.shape[0])
-    x = np.zeros_like(k)
-    w = []
-    for sign, rho, mass, a in ((1, pos, mass_pos, moments.pos), (-1, neg, mass_neg, moments.neg)):
-        g = delta - np.real(np.vdot(rho, delta)) * eye
-        x -= (2 * sign / mass) * (a @ k_dag @ g)
-        w.append((-2 * sign / mass) * g)
+    # both classes at once: g_s = Delta - tr[Delta rho_s] I, so G_s = scale_s g_s with
+    # scale = (2 / P+, -2 / P-), W_s = -G_s and X = -sum_s scale_s A_s K+ g_s
+    g = delta - np.array([np.vdot(r, delta).real for r in rho])[:, None, None] * eye
+    scale = np.array([2 / masses[0], -2 / masses[1]])[:, None, None]
+    parts = scale * (moments.stack @ k_dag @ g)
+    x = -(parts[0] + parts[1])
+    w = -scale * g
     if report.penalty > 0:
-        x -= (lam / moments.count) * ((moments.pos + moments.neg) @ k_dag)
-        w = [w_s - (lam / moments.count) * eye for w_s in w]
-    return report, x, tuple(w)
+        x -= (lam / moments.count) * ((moments.stack[0] + moments.stack[1]) @ k_dag)
+        w = w - (lam / moments.count) * eye
+    return report, x, w
 
 
 def cost(

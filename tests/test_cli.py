@@ -460,7 +460,8 @@ def test_selftest_fault_injection_fails(monkeypatch, capsys):
     """Negative control: a non-unitary Rx fails the suites that build circuits."""
     gate_array = quantum.gate_array
     monkeypatch.setattr(
-        quantum, "gate_array", lambda kind, t: (1.001 if kind == "Rx" else 1) * gate_array(kind, t)
+        quantum, "gate_array",
+        lambda kind, c, s: (1.001 if kind == "Rx" else 1) * gate_array(kind, c, s),
     )
     code, out = _run(["selftest"], capsys)
     assert code == 1
@@ -856,6 +857,50 @@ def test_classify_shots_past_int64_are_a_usage_error(tmp_path, capsys):
     code, out = _run(argv + ["--shots", str(2**63 - 1)], capsys)
     assert code == 0
     assert json.loads(out)["manifest"]["shots"] == 2**63 - 1
+
+
+def test_classify_shots_on_the_analytic_path_are_a_usage_error(tmp_path, capsys, monkeypatch):
+    """The analytic path has no outcomes to sample: --shots > 0 on it exits 2
+    before any work, so no artifact records shots that were never drawn."""
+    from qfilter import cli
+
+    model = tmp_path / "model.json"
+    main(["train", "--dataset", "iris", "--epochs", "0", "--out", str(model)])
+    out = tmp_path / "answer.json"
+    argv = ["classify", "--model", str(model), "--input", "0.2,0.9", "--out", str(out)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classified before the usage check")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "restore_model", forbidden)
+        for path in ([], ["--path", "analytic"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + path + ["--shots", "4096"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err and "--shots" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+    assert main(argv + ["--path", "analytic", "--shots", "0"]) == 0
+    assert json.loads(out.read_text())["manifest"]["shots"] == 0
+
+
+def test_an_out_file_holds_the_bytes_stdout_gets(tmp_path, capsys, monkeypatch):
+    """--out streams the JSON to its file; the bytes are those a stdout run
+    prints. train's clock is frozen so that its wall_time_s repeats too."""
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(training, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    model, answer = tmp_path / "model.json", tmp_path / "answer.json"
+    train = ["train", "--dataset", "blobs", "--dims", "3", "--epochs", "3", "--init-scale", "1"]
+    classify = ["classify", "--model", str(model), "--input", "0.1,0.4,-0.2"]
+    for argv, path in ((train, model), (classify, answer)):
+        assert main(argv + ["--out", str(path)]) == 0
+        code, printed = _run(argv, capsys)
+        assert code == 0
+        assert path.read_bytes() == printed.encode("utf-8")
+        assert printed.endswith("}\n")
 
 
 def test_classify_with_shots_on_a_training_point(tmp_path, capsys):

@@ -188,10 +188,10 @@ def test_apply_filter_is_filter_moments_on_one_state():
     theta = np.random.default_rng(21).uniform(-np.pi, np.pi, circ.n_params)
     pair = kraus_from_circuit(circ, theta)
     rho, sigma = (pure_to_density(random_state(seed, 2)) for seed in (22, 23))
-    moments = ClassMoments(rho.entries, sigma.entries, 2)
+    moments = ClassMoments(np.stack([rho.entries, sigma.entries]), 2)
     assert moments.n_qubits == 2
-    pos, neg, mass_pos, mass_neg = filter_moments(pair.keep, moments)
-    for state, want, mass in ((rho, pos, mass_pos), (sigma, neg, mass_neg)):
+    states, masses = filter_moments(pair.keep, moments)
+    for state, want, mass in zip((rho, sigma), states, masses):
         got, p_s = apply_filter(pair, state)
         np.testing.assert_array_equal(got.entries, want)
         assert p_s == mass
@@ -223,7 +223,7 @@ def test_transform_ensemble_matches_hand_accumulation():
         assert ens.p_succ == pytest.approx(np.mean(ps), abs=1e-15)
         assert ens.p_joint == pytest.approx(np.prod(ps), abs=1e-15)
         # the class masses tr[K A K+] the training cost divides by
-        _, _, mass_pos, mass_neg = filter_moments(pair.keep, class_moments(samples))
+        _, (mass_pos, mass_neg) = filter_moments(pair.keep, class_moments(samples))
         assert mass_pos == pytest.approx(ps[labels == 1].sum(), abs=1e-14)
         assert mass_neg == pytest.approx(ps[labels == -1].sum(), abs=1e-14)
 

@@ -47,12 +47,14 @@ angles = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi, allow_nan=False)
 def test_rotation_gates_match_exponential_form(theta):
     for kind in ("Rx", "Ry", "Rz", "ZZ", "CRx"):
         np.testing.assert_allclose(
-            gate_array(kind, theta), oracles.oracle_gate(kind, theta), atol=1e-12
+            gate_array(kind, np.cos(theta / 2), np.sin(theta / 2)),
+            oracles.oracle_gate(kind, theta),
+            atol=1e-12,
         )
 
 
 def test_unitary_matrix_validates_unitarity():
-    u = UnitaryMatrix(gate_array("Rx", 0.7), 1)
+    u = UnitaryMatrix(gate_array("Rx", np.cos(0.35), np.sin(0.35)), 1)
     assert u.n_qubits == 1
     with pytest.raises(NormError):
         UnitaryMatrix(np.array([[1, 0], [0, 2]], dtype=complex), 1)
@@ -60,7 +62,7 @@ def test_unitary_matrix_validates_unitarity():
 
 def test_unknown_gate_kind_rejected():
     with pytest.raises(UnsupportedGate):
-        gate_array("Toffoli", 0.0)
+        gate_array("Toffoli", 1.0, 0.0)
     with pytest.raises(UnsupportedGate):
         GateSpec("Toffoli", (0, 1, 2))
     # every gate is a rotation: no fixed gates

@@ -58,7 +58,8 @@ def test_suite_reports_failing_case_on_injected_fault(monkeypatch):
     """A non-unitary Rx fails the circuit suites, each naming its first case."""
     gate_array = quantum.gate_array
     monkeypatch.setattr(
-        quantum, "gate_array", lambda kind, t: (1.001 if kind == "Rx" else 1) * gate_array(kind, t)
+        quantum, "gate_array",
+        lambda kind, c, s: (1.001 if kind == "Rx" else 1) * gate_array(kind, c, s),
     )
     suites = {s.name: s for s in run_all()}
     assert suites["contractivity"].passed()
