@@ -14,10 +14,13 @@ where each F is the feature-map ancilla of one data register.
 The twin simulates a relabelling of these qubits. Each data register meets
 only its own ancilla, which enters in |0> and is measured right after its
 V(theta), so post-selection factorises over registers. The training copy
-[index | data | label] is filtered once; the classifier pairs it with the
-test register, filtered on its own, as [index | train | label | test], and
-the risk check pairs it with itself. Neither swap qubit is simulated: the
-swap test is read off the paired register as a sum and a difference of it
+[index | data | label] is filtered once and relabelled [label | index | data].
+Each paired register puts its labels first: the classifier pairs the copy
+with the test register, filtered on its own, as [label | index | train | test],
+and the risk check pairs it with itself as
+[label1 | label2 | index1 | data1 | index2 | data2]. Neither swap qubit is
+simulated: the swap test is read off the paired register one label cell at
+a time, each cell a contiguous block, as a sum and a difference of the cell
 and its data-swapped copy.
 """
 from __future__ import annotations
@@ -164,7 +167,11 @@ def _check_samples(samples: list[EmbeddedSample]) -> int:
 
 
 def _check_budget(n_qubits: int) -> None:
-    """Each step holds the register and one array of its size: 2**(n_qubits + 1) amplitudes."""
+    """Refuse a register over the budget at two arrays of its size: 2**(n_qubits + 1) amplitudes.
+
+    A step holds the register and at most one array of its size. The swap
+    readout holds the paired register and one label cell, at most half of it.
+    """
     check_budget(2 ** (n_qubits + 1) * 16, f"a {n_qubits}-qubit register needs a {{}} MiB buffer")
 
 
@@ -231,7 +238,7 @@ def apply_feature_maps_postselect(
 
 
 def _filtered_copy(samples: list[EmbeddedSample], half: np.ndarray) -> tuple[np.ndarray, float]:
-    """The filtered training copy as an (index, data, label) tensor, and its p.
+    """The filtered training copy as a contiguous (label, index, data) tensor, and its p.
 
     M p(label cell) of the filtered copy is that class's filtered mass
     sum_{m in class} p_s(x_m), which check_class_mass() sees, as in the
@@ -241,8 +248,8 @@ def _filtered_copy(samples: list[EmbeddedSample], half: np.ndarray) -> tuple[np.
     filtered, p = apply_feature_maps_postselect(
         prepare_risk_state(samples), half, tuple(range(nl, nl + n))
     )
-    t = filtered.amplitudes.reshape(2**nl, 2**n, 2)
-    for sign, share in zip((+1, -1), (np.abs(t) ** 2).sum(axis=(0, 1))):
+    t = np.ascontiguousarray(filtered.amplitudes.reshape(2**nl, 2**n, 2).transpose(2, 0, 1))
+    for sign, share in zip((+1, -1), (np.abs(t) ** 2).sum(axis=(1, 2))):
         check_class_mass(sign, len(samples) * p * share)
     return t, p
 
@@ -256,14 +263,22 @@ def _swap_table(
     |0>, H, the controlled swaps and H leave (t + S t)/2 on swap outcome 0
     and (t - S t)/2 on outcome 1, where S swaps axes a and b (Buhrman,
     Cleve, Watrous & de Wolf, PRL 87, 167902, 2001). S keeps every label
-    cell, so per cell the two masses are (sum |t|^2 +- Re sum conj(t) S t) / 2,
-    summed over every axis but the label axes, cells in their axis order.
+    cell c, so per cell the two masses are (<c|c> +- Re <c|S c>) / 2, cells
+    in their axis order. A t whose labels lead is read one contiguous cell
+    at a time, and only S c is copied; other orders are transposed first.
     """
-    drop = tuple(i for i in range(t.ndim) if i not in label_axes)
-    mass = (np.abs(t) ** 2).sum(axis=drop).ravel()
-    overlap = (t.conj() * t.swapaxes(a, b)).real.sum(axis=drop).ravel()
-    # each is a sum of |t +- S t|^2 / 4, so only roundoff takes one below 0
-    joint = np.maximum(np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1), 0.0)
+    order = sorted(label_axes) + [i for i in range(t.ndim) if i not in label_axes]
+    k = len(label_axes)
+    t = t.transpose(order)
+    cells = t.reshape((-1,) + t.shape[k:])
+    a, b = order.index(a) - k, order.index(b) - k
+    joint = np.empty((cells.shape[0], 2))
+    for row, cell in zip(joint, cells):
+        mass = np.vdot(cell, cell).real
+        overlap = np.vdot(cell, cell.swapaxes(a, b)).real  # vdot copies S c contiguous
+        row[:] = (mass + overlap) / 2, (mass - overlap) / 2
+    # each is a sum of |c +- S c|^2 / 4, so only roundoff takes one below 0
+    joint = np.maximum(joint, 0.0)
     p_class = joint.sum(axis=1)  # > 0: _filtered_copy checked each class
     return p_class, joint / p_class[:, None]
 
@@ -284,8 +299,8 @@ def run_classifier_protocol(
     copy, p_train = _filtered_copy(samples, half)
     kept, p_test = apply_feature_maps_postselect(test, half, tuple(range(test.n_qubits)))
     check_success(p_test)
-    pair = np.multiply.outer(copy, kept.amplitudes)  # (index, train, label, test)
-    p_class, cond = _swap_table(pair, 1, 3, (2,))
+    pair = np.multiply.outer(copy, kept.amplitudes)  # (label, index, train, test)
+    p_class, cond = _swap_table(pair, 2, 3, (0,))
     return ProtocolOutcome((p_train, p_test), p_class, cond)
 
 
@@ -298,8 +313,9 @@ def run_risk_protocol(
     n = _check_samples(samples)
     _check_budget(2 * (index_register_width(len(samples)) + n + 1))
     copy, p = _filtered_copy(samples, _half_columns(circuit, theta))
-    pair = np.multiply.outer(copy, copy)  # (index1, data1, label1, index2, data2, label2)
-    p_class, cond = _swap_table(pair, 1, 4, (2, 5))
+    # (label1, label2, index1, data1, index2, data2) in one product
+    pair = copy[:, None, :, :, None, None] * copy[None, :, None, None, :, :]
+    p_class, cond = _swap_table(pair, 3, 5, (0, 1))
     return ProtocolOutcome((p, p), p_class, cond)
 
 

@@ -280,6 +280,20 @@ def risk_protocol_oracle(states, labels, v, n):
     return p_post, p_class, cond, hs_distance_from_table(cond)
 
 
+def swap_table_oracle(t, a, b, label_axes):
+    """The swap-test table (p_class, p_swap_given_class) as strided sums over the whole pair.
+
+    Per label cell, cells in axis order, the swap outcomes carry
+    (sum |t|^2 +- Re sum conj(t) S t) / 2, with S swapping axes a and b.
+    """
+    drop = tuple(i for i in range(t.ndim) if i not in label_axes)
+    mass = (np.abs(t) ** 2).sum(axis=drop).ravel()
+    overlap = (t.conj() * t.swapaxes(a, b)).real.sum(axis=drop).ravel()
+    joint = np.maximum(np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1), 0.0)
+    p_class = joint.sum(axis=1)
+    return p_class, joint / p_class[:, None]
+
+
 def classifier_value_from_table(cond):
     """[p(S=0|C=0) - p(S=1|C=0)] - [p(S=0|C=1) - p(S=1|C=1)] of a 2-row swap table.
 

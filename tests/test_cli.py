@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfilter import errors, quantum, training
+from qfilter import embedding, errors, quantum, training
 from qfilter.cli import main
 from qfilter.errors import QFilterError
 
@@ -233,15 +233,15 @@ def test_classify_circuit_over_the_register_budget_exits_3(tmp_path, capsys, mon
     from qfilter import errors
 
     model = tmp_path / "model.json"
-    assert main(["train", "--dataset", "blobs", "--dims", "2", "--per-class", "16",
+    assert main(["train", "--dataset", "blobs", "--dims", "4", "--per-class", "16",
                  "--epochs", "0", "--out", str(model)]) == 0
-    # 32 samples of 1 qubit, an 8-qubit classifier register, 8192 B buffer; the
-    # filter's gate pass (2944 B) fits, and iris's 4-qubit register never binds
-    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 8191)
-    argv = ["classify", "--model", str(model), "--input", "0.3,0.9"]
+    # 32 samples of 2 qubits, a 10-qubit classifier register, 32768 B buffer; the
+    # sample list (14,848 B) and the filter's gate pass (7168 B) fit
+    monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 32767)
+    argv = ["classify", "--model", str(model), "--input", "0.3,0.9,0.1,0.2"]
     assert main(argv + ["--path", "circuit"]) == 3
     captured = capsys.readouterr()
-    assert "error: a 8-qubit register needs" in captured.err
+    assert "error: a 10-qubit register needs" in captured.err
     assert "Traceback" not in captured.err
     assert main(argv) == 0  # the analytic path allocates no register
 
@@ -345,8 +345,6 @@ def test_co_train_appends_embedding_angles(tmp_path):
 def test_co_train_embeds_the_data_once(tmp_path, monkeypatch):
     """A co-trained fit embeds the dataset only for its final ensemble,
     after training: one batch of all six rows at the trained angles."""
-    from qfilter import embedding
-
     calls = []
     embed = embedding.embed_dataset
 
@@ -627,9 +625,15 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("train, argv, need, message, allocator", [
-    # 200 blobs of 2 features, 3200 B; the filter's gate pass is 2944 B
+    # 200 blobs of 128 features, 204,800 B; the covariance is 131,072 B, the
+    # sample list 86,400 B, the embedding's gate pass 51,584 B
+    (None, ["train", "--dataset", "blobs", "--dims", "128", "--per-class", "100",
+            "--embedding", "pca:1"],
+     2 * 100 * 128 * 8, "200 blobs of 128 features need", ("numpy.random", "default_rng")),
+    # 200 embedded 1-qubit rows; the features are 3200 B, the filter's gate pass 2944 B
     (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "100"],
-     2 * 100 * 2 * 8, "200 blobs of 2 features need", ("numpy.random", "default_rng")),
+     200 * (embedding.SAMPLE_BYTES + 2 * 16), "200 embedded 1-qubit rows need",
+     ("qfilter.embedding", "encode_rows")),
     # a 20 x 20 covariance, 3200 B, formed under np.errstate; the filter's gate
     # pass is 2944 B, the features 320 B, the embedding's gate pass 896 B
     (None, ["train", "--dataset", "blobs", "--dims", "20", "--per-class", "1",
@@ -639,11 +643,11 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
     (None, ["train", "--dataset", "iris"],
      8 * 4 * 2 * 16 + 5 * quantum.GATE_BYTES, "a 1-qubit, 1-layer filter needs",
      ("qfilter.featuremap", "run_gates")),
-    # 32 samples of 1 qubit: an 8-qubit classifier register and one more array;
-    # the filter's gate pass is 2944 B
-    (["--dataset", "blobs", "--dims", "2", "--per-class", "16"],
-     ["classify", "--input", "0.3,0.9", "--path", "circuit"],
-     2**9 * 16, "a 8-qubit register needs", ("qfilter.protocol", "_half_columns")),
+    # 32 samples of 2 qubits: a 10-qubit classifier register and one more array;
+    # the sample list is 14,848 B, the filter's gate pass 7168 B
+    (["--dataset", "blobs", "--dims", "4", "--per-class", "16"],
+     ["classify", "--input", "0.3,0.9,0.1,0.2", "--path", "circuit"],
+     2**11 * 16, "a 10-qubit register needs", ("qfilter.protocol", "_half_columns")),
     # 8 layers of 3 gates on 6 rows: 8 arrays of 4 x 6 and 24 gates; the
     # filter's gate pass is 7168 B
     (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "3",
@@ -658,8 +662,8 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
      10 * 4 * 6 * 16 + 24 * (quantum.GATE_BYTES + training.CO_TRAIN_ANGLE_BYTES),
      "co-training a 2-qubit, 8-layer embedding of 6 rows needs",
      ("qfilter.training", "pca_layer_states")),
-], ids=["blobs", "pca-covariance", "filter-tape", "twin-register", "pca-layer-tape",
-        "co-train-state"])
+], ids=["blobs", "sample-list", "pca-covariance", "filter-tape", "twin-register",
+        "pca-layer-tape", "co-train-state"])
 def test_a_buffer_fits_a_budget_of_its_size_and_no_less(
     tmp_path, capsys, monkeypatch, train, argv, need, message, allocator
 ):

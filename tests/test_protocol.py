@@ -274,6 +274,42 @@ def test_risk_protocol_equals_filtering_both_copies_in_place(m, n):
     np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape, a, b, label_axes", [
+    ((2, 8, 4, 4), 2, 3, (0,)),                 # classifier pair, labels leading
+    ((8, 4, 2, 4), 1, 3, (2,)),                 # classifier pair, the paper's order
+    ((2, 2, 8, 4, 8, 4), 3, 5, (0, 1)),         # risk pair, labels leading
+    ((8, 4, 2, 8, 4, 2), 1, 4, (2, 5)),         # risk pair, the paper's order
+], ids=["classifier-label-major", "classifier-paper", "risk-label-major", "risk-paper"])
+def test_swap_table_matches_the_strided_sum_oracle(shape, a, b, label_axes):
+    rng = np.random.default_rng(len(shape) + label_axes[0])
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t /= np.linalg.norm(t)
+    want = oracles.swap_table_oracle(t, a, b, label_axes)
+    for axes in ((a, b), (b, a)):
+        p_class, cond = protocol._swap_table(t, *axes, label_axes)
+        np.testing.assert_allclose(p_class, want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cond, want[1], rtol=0, atol=1e-12)
+
+
+def test_risk_readout_holds_the_pair_and_one_label_cell():
+    """The 18-qubit risk pair (M = 40, n = 2) peaks under 1.5 arrays of its size:
+    the pair, one cell-sized swapped copy and the small filtered copy."""
+    import tracemalloc
+
+    samples = _samples(91, m=40, n=2)
+    circ = build_ansatz(2, 1)
+    theta = np.random.default_rng(92).uniform(-np.pi, np.pi, circ.n_params)
+    pair_bytes = 2 ** (2 * (index_register_width(40) + 2 + 1)) * 16
+    run_risk_protocol(samples, circ, theta)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        run_risk_protocol(samples, circ, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * pair_bytes, f"peak {peak / pair_bytes:.2f} pair-sized arrays"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("m", [2, 3, 5, 40])
 def test_protocol_matches_analytic_path(m, n):
