@@ -36,9 +36,9 @@ def run_once(samples, test_rho, layers, epochs, seed, init_scale, cutoff, lam):
     )
     ansatz = build_ansatz(1, layers)
     res = train(config, samples, ansatz)
-    pair = kraus_from_circuit(ansatz, res.theta_star)
-    ens = transform_ensemble(pair, samples)
-    out = filtered_fidelity_classify(ens, pair, test_rho)
+    k = kraus_from_circuit(ansatz, res.theta_star)
+    ens = transform_ensemble(k, samples)
+    out = filtered_fidelity_classify(ens, k, test_rho)
     return res, ens, out
 
 

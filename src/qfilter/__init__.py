@@ -36,7 +36,6 @@ from .embedding import (
 )
 from .featuremap import (
     FeatureMapCircuit,
-    KrausPair,
     TransformedEnsembles,
     apply_filter,
     build_ansatz,

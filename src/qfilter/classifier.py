@@ -8,7 +8,7 @@ import numpy as np
 
 from .embedding import EmbeddedSample
 from .errors import ClassBalanceError, DomainError, ShapeError
-from .featuremap import KrausPair, TransformedEnsembles, apply_filter, transform_ensemble
+from .featuremap import TransformedEnsembles, apply_filter, transform_ensemble
 from .quantum import DensityMatrix, overlap
 
 TIE_EPS = 1e-12
@@ -63,7 +63,7 @@ def build_ensembles(samples: list[EmbeddedSample]) -> tuple[DensityMatrix, Densi
     """
     if {s.label for s in samples} != {+1, -1}:
         raise ClassBalanceError("both classes are required to build ensembles")
-    ens = transform_ensemble(KrausPair.identity(2 ** samples[0].state.n_qubits), samples)
+    ens = transform_ensemble(np.eye(2 ** samples[0].state.n_qubits, dtype=complex), samples)
     return ens.pos, ens.neg
 
 
@@ -75,10 +75,10 @@ def fidelity_classify(
 
 
 def filtered_fidelity_classify(
-    ens: TransformedEnsembles, pair: KrausPair, test: DensityMatrix
+    ens: TransformedEnsembles, k: np.ndarray, test: DensityMatrix
 ) -> ClassifierOutput:
-    """Filter the test state, then classify it against the filtered ensembles."""
-    test_f, p_s = apply_filter(pair, test)
+    """Filter the test state with K, then classify it against the filtered ensembles."""
+    test_f, p_s = apply_filter(k, test)
     return replace(fidelity_classify(ens.pos, ens.neg, test_f), p_s_test=p_s)
 
 

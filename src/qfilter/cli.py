@@ -104,8 +104,8 @@ def cmd_train(args) -> int:
     else:
         spec, samples = pipe.spec, pipe.samples()
         result = train(config, samples, ansatz)
-    pair = kraus_from_circuit(ansatz, result.theta_star[: ansatz.n_params])
-    ens = transform_ensemble(pair, samples)
+    k = kraus_from_circuit(ansatz, result.theta_star[: ansatz.n_params])
+    ens = transform_ensemble(k, samples)
 
     manifest = {
         "command": "train",
@@ -159,9 +159,9 @@ def cmd_classify(args) -> int:
     extra: dict = {}
     try:
         if args.path == "analytic":
-            pair = kraus_from_circuit(ansatz, theta)
-            ens = transform_ensemble(pair, samples)
-            out = filtered_fidelity_classify(ens, pair, pure_to_density(test_state))
+            k = kraus_from_circuit(ansatz, theta)
+            ens = transform_ensemble(k, samples)
+            out = filtered_fidelity_classify(ens, k, pure_to_density(test_state))
         else:
             outcome = run_classifier_protocol(samples, test_state, ansatz, theta)
             if args.shots > 0:

@@ -86,7 +86,6 @@ class EmbeddedSample:
 
     state: StateVector
     label: int
-    source_index: int
 
     def __post_init__(self) -> None:
         if self.label not in (+1, -1):
@@ -202,8 +201,8 @@ def embed_dataset(
         raise DimError("the rows of a dataset must all have one width")
     states = encode_rows(np.array(rows), spec)
     return [
-        EmbeddedSample(StateVector(psi, spec.n_qubits), int(y), m)
-        for m, (psi, (_, y)) in enumerate(zip(states, data))
+        EmbeddedSample(StateVector(psi, spec.n_qubits), int(y))
+        for psi, (_, y) in zip(states, data)
     ]
 
 
@@ -303,7 +302,7 @@ class Pipeline:
         if d["kind"] == "blobs":
             return self.samples(data=load_dataset({**d, "seed": d["seed"] + 1}))
         _, (x, y) = iris_builtin()
-        return [EmbeddedSample(self.encode(x), y, 0)]
+        return [EmbeddedSample(self.encode(x), y)]
 
     def embedding_manifest(self, spec: EmbeddingSpec | None = None) -> dict:
         spec = spec or self.spec

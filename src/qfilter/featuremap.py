@@ -1,4 +1,4 @@
-"""Parameterized ancilla circuit, its Kraus pair, and post-selected filtering.
+"""Parameterized ancilla circuit, its kept Kraus branch, and post-selected filtering.
 
 The trainable unitary acts on the system qubits plus a single ancilla kept
 as the last (least significant) qubit. Keeping ancilla outcome 0 realizes
@@ -15,15 +15,7 @@ import numpy as np
 
 from .embedding import EmbeddedSample
 from .errors import ClassAnnihilated, DimError, FilterAnnihilated, check_budget
-from .quantum import (
-    ATOL_INVARIANT,
-    DensityMatrix,
-    GateSpec,
-    UnitaryMatrix,
-    _within,
-    gate_pass_bytes,
-    run_gates,
-)
+from .quantum import DensityMatrix, GateSpec, UnitaryMatrix, gate_pass_bytes, run_gates
 
 EPS_ANNIHILATION = 1e-12
 
@@ -45,31 +37,6 @@ class FeatureMapCircuit:
 
     def zero_theta(self) -> np.ndarray:
         return np.zeros(self.n_params)
-
-
-@dataclass(frozen=True)
-class KrausPair:
-    """Kept and discarded branches of a single-ancilla measurement."""
-
-    keep: np.ndarray
-    discard: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = np.asarray(self.keep, dtype=complex)
-        k0 = np.asarray(self.discard, dtype=complex)
-        if k.shape != k0.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise DimError(f"mismatched Kraus shapes {k.shape} vs {k0.shape}")
-        eye = np.eye(k.shape[0])
-        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 = NaN in the products
-            gram = k.conj().T @ k + k0.conj().T @ k0
-        if not _within(gram, eye, ATOL_INVARIANT):
-            raise ValueError(f"Kraus completeness residual {np.abs(gram - eye).max():.3e}")
-        object.__setattr__(self, "keep", k)
-        object.__setattr__(self, "discard", k0)
-
-    @classmethod
-    def identity(cls, dim: int) -> "KrausPair":
-        return cls(np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -124,17 +91,14 @@ def circuit_unitary(circuit: FeatureMapCircuit, theta: np.ndarray) -> UnitaryMat
     return UnitaryMatrix(run_gates(np.eye(2**n, dtype=complex), circuit.gates, theta, n)[0], n)
 
 
-def kraus_from_circuit(circuit: FeatureMapCircuit, theta: np.ndarray) -> KrausPair:
-    """Extract both ancilla branches of V(theta) with ancilla prepared in |0>.
+def kraus_from_circuit(circuit: FeatureMapCircuit, theta: np.ndarray) -> np.ndarray:
+    """The kept branch K of V(theta) with the ancilla prepared in |0>, a (dim, dim) array.
 
-    With the ancilla as least significant bit, V reshaped to
-    (dim, 2, dim, 2) indexes [system_out, ancilla_out, system_in, ancilla_in],
-    so keep = V[:, 0, :, 0] and discard = V[:, 1, :, 0].
+    With the ancilla as least significant bit, K is the even rows of V's
+    even columns; the odd rows are the discarded branch K0. UnitaryMatrix
+    has checked V+V = I, whose ancilla-|0> block is K+K + K0+K0 = I.
     """
-    v = circuit_unitary(circuit, theta).entries
-    dim = 2**circuit.n_system
-    blocks = v.reshape(dim, 2, dim, 2)
-    return KrausPair(blocks[:, 0, :, 0], blocks[:, 1, :, 0])
+    return circuit_unitary(circuit, theta).entries[0::2, 0::2]
 
 
 def kraus_with_pullback(
@@ -143,8 +107,8 @@ def kraus_with_pullback(
     """The raw block V(theta) P0 and the adjoint of the derivative of K.
 
     Here the gates act only on the columns of V(theta) whose ancilla input
-    is |0>: the (2 dim, dim) isometry V P0, whose even rows are K and odd
-    rows K0, the pair kraus_from_circuit() returns. The block is not checked:
+    is |0>: the (2 dim, dim) isometry V P0, whose even rows are K (what
+    kraus_from_circuit() returns) and odd rows K0. The block is not checked:
     it is a block of a product of unitary gate matrices, so
     (V P0)+ (V P0) = I by construction (the kraus-completeness selftest and
     the tests measure it), and run_gates() has checked theta's shape;
@@ -189,11 +153,11 @@ def check_success(p_s: float) -> None:
         raise FilterAnnihilated(f"success probability {p_s:.3e} below {EPS_ANNIHILATION:.0e}")
 
 
-def apply_filter(pair: KrausPair, rho: DensityMatrix) -> tuple[DensityMatrix, float]:
+def apply_filter(k: np.ndarray, rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K rho K+]."""
-    if pair.keep.shape[0] != rho.entries.shape[0]:
+    if k.shape[0] != rho.entries.shape[0]:
         raise DimError("Kraus operator and state dimensions differ")
-    (m,), (p_s,) = _filtered(pair.keep, rho.entries[None], (check_success,))
+    (m,), (p_s,) = _filtered(k, rho.entries[None], (check_success,))
     return DensityMatrix(m, rho.n_qubits), p_s
 
 
@@ -252,7 +216,7 @@ def filter_moments(k: np.ndarray, moments: ClassMoments) -> tuple[np.ndarray, li
     )
 
 
-def transform_ensemble(pair: KrausPair, samples: list[EmbeddedSample]) -> TransformedEnsembles:
+def transform_ensemble(k: np.ndarray, samples: list[EmbeddedSample]) -> TransformedEnsembles:
     """Filter every sample and rebuild the two class ensembles.
 
     Each class mixture weights sample m by p_s(x_m) / p_s(class), which is
@@ -261,9 +225,9 @@ def transform_ensemble(pair: KrausPair, samples: list[EmbeddedSample]) -> Transf
     annihilates. Per-sample p_s are the squared column norms of K Psi.
     """
     psi, labels = _sample_columns(samples)
-    kpsi = pair.keep @ psi
+    kpsi = k @ psi
     moments = column_moments(psi, labels)
-    (pos, neg), _ = filter_moments(pair.keep, moments)
+    (pos, neg), _ = filter_moments(k, moments)
     return TransformedEnsembles(
         DensityMatrix(pos, moments.n_qubits),
         DensityMatrix(neg, moments.n_qubits),

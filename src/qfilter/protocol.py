@@ -139,11 +139,6 @@ class ProtocolOutcome:
         return math.prod(self.p_registers)
 
     @property
-    def shots(self) -> int:
-        """0 for exact probabilities, else the number of sampled repetitions."""
-        return 0 if self.counts is None else int(self.counts.sum())
-
-    @property
     def derived_value(self) -> float:
         """sum_cell s(cell) [p(S=0|cell) - p(S=1|cell)], s = (+1, -1) per label axis.
 

@@ -21,7 +21,7 @@ from .classifier import (
     weighted_empirical_risk,
 )
 from .embedding import EmbeddedSample
-from .featuremap import KrausPair, build_ansatz, kraus_from_circuit, transform_ensemble
+from .featuremap import build_ansatz, kraus_from_circuit, kraus_with_pullback, transform_ensemble
 from .protocol import run_classifier_protocol, run_risk_protocol
 from .quantum import (
     apply_channel,
@@ -118,7 +118,11 @@ def suite_contractivity(count: int = 100) -> SuiteResult:
 
 
 def suite_kraus_completeness(count: int = 1000) -> SuiteResult:
-    """K+K + K0+K0 = I across ansatz sizes and random angles."""
+    """K+K + K0+K0 = I across ansatz sizes and random angles.
+
+    Measured as B+B = I on the block B = V(theta) P0 that training uses
+    (kraus_with_pullback()): its even rows are K and its odd rows K0.
+    """
 
     def one(i: int) -> tuple[float, dict]:
         n_system = 1 + i % 4
@@ -126,9 +130,8 @@ def suite_kraus_completeness(count: int = 1000) -> SuiteResult:
         ansatz = build_ansatz(n_system, layers)
         rng = np.random.default_rng(5000 + i)
         theta = rng.uniform(-np.pi, np.pi, ansatz.n_params)
-        pair = kraus_from_circuit(ansatz, theta)
-        eye = np.eye(2**n_system)
-        resid = pair.keep.conj().T @ pair.keep + pair.discard.conj().T @ pair.discard - eye
+        block, _ = kraus_with_pullback(ansatz, theta)
+        resid = block.conj().T @ block - np.eye(2**n_system)
         return float(np.abs(resid).max()), {
             "seed": i,
             "n_system": n_system,
@@ -144,7 +147,7 @@ def random_embedded_set(seed: int, m: int, n_qubits: int) -> list[EmbeddedSample
     rng = np.random.default_rng(seed)
     labels = [+1, -1] + [int(rng.choice([+1, -1])) for _ in range(m - 2)]
     return [
-        EmbeddedSample(random_state(seed * 10_000 + j, n_qubits), labels[j], j)
+        EmbeddedSample(random_state(seed * 10_000 + j, n_qubits), labels[j])
         for j in range(m)
     ]
 
@@ -164,11 +167,11 @@ def suite_risk_identities(count: int = 100) -> SuiteResult:
         rng = np.random.default_rng(7000 + i)
         theta = rng.uniform(-np.pi, np.pi, ansatz.n_params)
         res = 0.0
-        for pair in (KrausPair.identity(2**n), kraus_from_circuit(ansatz, theta)):
-            ens = transform_ensemble(pair, samples)
+        for k in (np.eye(2**n, dtype=complex), kraus_from_circuit(ansatz, theta)):
+            ens = transform_ensemble(k, samples)
             values = np.array(
                 [
-                    filtered_fidelity_classify(ens, pair, pure_to_density(s.state)).value
+                    filtered_fidelity_classify(ens, k, pure_to_density(s.state)).value
                     for s in samples
                 ]
             )
@@ -197,10 +200,10 @@ def suite_path_equivalence(count: int = 100) -> list[SuiteResult]:
         ansatz = build_ansatz(n, 1)
         rng = np.random.default_rng(10_000 + i)
         theta = rng.uniform(-np.pi, np.pi, ansatz.n_params)
-        pair = kraus_from_circuit(ansatz, theta)
-        ens = transform_ensemble(pair, samples)
+        k = kraus_from_circuit(ansatz, theta)
+        ens = transform_ensemble(k, samples)
 
-        analytic = filtered_fidelity_classify(ens, pair, pure_to_density(test))
+        analytic = filtered_fidelity_classify(ens, k, pure_to_density(test))
         cls = run_classifier_protocol(samples, test, ansatz, theta)
         rsk = run_risk_protocol(samples, ansatz, theta)
 

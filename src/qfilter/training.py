@@ -10,9 +10,7 @@ import numpy as np
 
 from .classifier import (
     RiskReport,
-    build_ensembles,
     constrained_risk,
-    fidelity_classify,
     filtered_fidelity_classify,
     sentinel_report,
 )
@@ -22,7 +20,6 @@ from .errors import ClassAnnihilated, DomainError, FilterAnnihilated, check_budg
 from .featuremap import (
     ClassMoments,
     FeatureMapCircuit,
-    KrausPair,
     class_moments,
     column_moments,
     filter_moments,
@@ -132,7 +129,7 @@ def cost(
     An empty sample list has no classes to filter and raises
     ClassAnnihilated.
     """
-    k = kraus_from_circuit(ansatz, theta).keep
+    k = kraus_from_circuit(ansatz, theta)
     return moment_cost(k, class_moments(samples), lam, cutoff)[0]
 
 
@@ -283,14 +280,14 @@ def _descend(
 
 
 def _filtered_eval(
-    ens, pair: KrausPair, test_samples: list[EmbeddedSample]
+    ens, k: np.ndarray, test_samples: list[EmbeddedSample]
 ) -> tuple[float, float]:
-    """(accuracy among filter successes, mean test p_s)."""
+    """(accuracy among filter successes, mean test p_s) of the filter K."""
     hits = successes = 0
     p_sum = 0.0
     for s in test_samples:
         try:
-            out = filtered_fidelity_classify(ens, pair, pure_to_density(s.state))
+            out = filtered_fidelity_classify(ens, k, pure_to_density(s.state))
         except FilterAnnihilated:
             continue
         successes += 1
@@ -310,38 +307,32 @@ def compare_conditions(
 ) -> list[dict]:
     """Seed-matched arms sharing one dataset; rows are CSV/JSON friendly.
 
-    An arm is its cutoff: None is the embedding-only arm, without a filter,
-    and c is a filter trained with config at cutoff c.
+    An arm is its cutoff: None is the embedding-only arm, the identity
+    filter K = I, and c is a filter trained with config at cutoff c. Every
+    arm is scored the same way, on the ensembles its K gives.
     """
     rows = []
     for c in cutoffs:
         if c is None:
-            rho, sigma = build_ensembles(samples)
-            hits = sum(
-                fidelity_classify(rho, sigma, pure_to_density(s.state)).decision == s.label
-                for s in test_samples
-            )
-            rows.append(
-                {
-                    "condition": "embedding-only",
-                    "hs_distance": hs_distance(rho, sigma),
-                    "p_succ_train": 1.0,
-                    "p_succ_total": 1.0,
-                    "accuracy": hits / len(test_samples) if test_samples else float("nan"),
-                }
-            )
-            continue
-        result = train(replace(config, cutoff=c), samples, ansatz)
-        pair = kraus_from_circuit(ansatz, result.theta_star)
-        ens = transform_ensemble(pair, samples)
-        accuracy, mean_test_p = _filtered_eval(ens, pair, test_samples)
-        rows.append(
-            {
+            k = np.eye(2**ansatz.n_system, dtype=complex)
+        else:
+            result = train(replace(config, cutoff=c), samples, ansatz)
+            k = kraus_from_circuit(ansatz, result.theta_star)
+        ens = transform_ensemble(k, samples)
+        accuracy, mean_test_p = _filtered_eval(ens, k, test_samples)
+        if c is None:
+            row = {
+                "condition": "embedding-only",
+                "hs_distance": hs_distance(ens.pos, ens.neg),
+                "p_succ_train": 1.0,
+                "p_succ_total": 1.0,
+            }
+        else:
+            row = {
                 "condition": f"feature-map-c{c:g}",
                 "hs_distance": result.report.hs_distance,
                 "p_succ_train": result.report.p_succ,
                 "p_succ_total": result.report.p_succ * mean_test_p,
-                "accuracy": accuracy,
             }
-        )
+        rows.append(row | {"accuracy": accuracy})
     return rows

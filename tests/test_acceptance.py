@@ -132,9 +132,9 @@ def test_criterion_06_iris_trained():
 
     ansatz = build_ansatz(1, IRIS_TRAINED_LAYERS)
     res = train(IRIS_TRAINED_CONFIG, samples, ansatz)
-    pair = kraus_from_circuit(ansatz, res.theta_star)
-    ens = transform_ensemble(pair, samples)
-    out = filtered_fidelity_classify(ens, pair, test_rho)
+    k = kraus_from_circuit(ansatz, res.theta_star)
+    ens = transform_ensemble(k, samples)
+    out = filtered_fidelity_classify(ens, k, test_rho)
     dt = time.perf_counter() - t0
 
     assert res.report.risk < baseline_risk - 0.1

@@ -34,16 +34,16 @@ def _samples(seed, m=4, n=1):
     rng = np.random.default_rng(seed)
     labels = [+1, -1] + [int(rng.choice([+1, -1])) for _ in range(m - 2)]
     return [
-        EmbeddedSample(random_state(seed * 1000 + j, n), labels[j], j)
+        EmbeddedSample(random_state(seed * 1000 + j, n), labels[j])
         for j in range(m)
     ]
 
 
 def test_build_ensembles_uniform_mixture():
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), +1, 1),
-        EmbeddedSample(basis_state(1, 0), -1, 2),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), +1),
+        EmbeddedSample(basis_state(1, 0), -1),
     ]
     rho, sigma = build_ensembles(samples)
     np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
@@ -52,7 +52,7 @@ def test_build_ensembles_uniform_mixture():
 
 def test_build_ensembles_requires_both_classes():
     with pytest.raises(ClassBalanceError):
-        build_ensembles([EmbeddedSample(basis_state(1, 0), +1, 0)])
+        build_ensembles([EmbeddedSample(basis_state(1, 0), +1)])
 
 
 def test_fidelity_classify_sign_and_value():
@@ -92,12 +92,11 @@ def test_filtered_fidelity_classify_records_test_success():
     samples = _samples(3)
     ansatz = build_ansatz(1, 1)
     theta = np.random.default_rng(4).uniform(-np.pi, np.pi, ansatz.n_params)
-    pair = kraus_from_circuit(ansatz, theta)
-    ens = transform_ensemble(pair, samples)
+    k = kraus_from_circuit(ansatz, theta)
+    ens = transform_ensemble(k, samples)
     test = pure_to_density(random_state(99, 1))
-    out = filtered_fidelity_classify(ens, pair, test)
+    out = filtered_fidelity_classify(ens, k, test)
     # p_s_test is the test point's own filter probability
-    k = pair.keep
     want_p = float(np.real(np.trace(k.conj().T @ k @ test.entries)))
     assert out.p_s_test == pytest.approx(want_p, abs=1e-12)
     # classifying against the filtered test state by hand
@@ -169,11 +168,11 @@ def test_filtered_risk_identity(seed, m, n):
     labels = np.array([s.label for s in samples])
     ansatz = build_ansatz(n, 1)
     theta = np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, ansatz.n_params)
-    pair = kraus_from_circuit(ansatz, theta)
-    ens = transform_ensemble(pair, samples)
+    k = kraus_from_circuit(ansatz, theta)
+    ens = transform_ensemble(k, samples)
     values = np.array(
         [
-            filtered_fidelity_classify(ens, pair, pure_to_density(s.state)).value
+            filtered_fidelity_classify(ens, k, pure_to_density(s.state)).value
             for s in samples
         ]
     )
@@ -183,10 +182,8 @@ def test_filtered_risk_identity(seed, m, n):
 
 def test_risk_from_ensembles_matches_distance():
     samples = _samples(17)
-    pair = kraus_from_circuit(
-        build_ansatz(1, 1), np.random.default_rng(18).uniform(-1, 1, 5)
-    )
-    ens = transform_ensemble(pair, samples)
+    k = kraus_from_circuit(build_ansatz(1, 1), np.random.default_rng(18).uniform(-1, 1, 5))
+    ens = transform_ensemble(k, samples)
     assert oracles.risk_from_ensembles(ens) == pytest.approx(
         -hs_distance(ens.pos, ens.neg), abs=1e-15
     )

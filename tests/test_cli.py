@@ -105,7 +105,7 @@ def test_classify_circuit_path_agrees_with_analytic(tmp_path, capsys):
 
 def test_circuit_classify_takes_no_analytic_route(tmp_path, capsys, monkeypatch):
     """The circuit path reads p_s_test from the test register's own
-    post-selection, so it never builds the Kraus pair or the ensembles."""
+    post-selection, so it never builds K or the ensembles."""
     from qfilter import cli
 
     model = tmp_path / "model.json"
@@ -474,7 +474,12 @@ def test_selftest_fault_injection_fails(monkeypatch, capsys):
         "path-equivalence-probs",
     ]
     assert suites["contractivity"]["failures"] == 0
-    for name in ("kraus-completeness", "path-equivalence-values", "path-equivalence-probs"):
+    # the unchecked block V P0: a finite residual on every instance
+    completeness = suites["kraus-completeness"]
+    assert completeness["failures"] == completeness["instances"]
+    assert completeness["tolerance"] < completeness["max_residual"]
+    assert isinstance(completeness["failing_case"]["seed"], int)
+    for name in ("risk-identities", "path-equivalence-values", "path-equivalence-probs"):
         suite = suites[name]
         assert suite["failures"] == suite["instances"]
         assert suite["max_residual"] is None  # inf, written as null

@@ -255,7 +255,6 @@ def test_embed_dataset_preserves_order_and_labels():
     ]
     samples = embed_dataset(data, EmbeddingSpec("amplitude", 1))
     assert [s.label for s in samples] == [+1, -1, +1]
-    assert [s.source_index for s in samples] == [0, 1, 2]
     np.testing.assert_allclose(samples[2].state.amplitudes, [1, 1] / np.sqrt(2))
 
 
@@ -269,7 +268,7 @@ def test_embed_dataset_requires_both_classes():
 
 def test_embedded_sample_label_validation():
     with pytest.raises(ValueError):
-        EmbeddedSample(basis_state(1, 0), 0, 0)
+        EmbeddedSample(basis_state(1, 0), 0)
 
 
 def test_fit_rotation_scaling_maps_train_range_into_pi():

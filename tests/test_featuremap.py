@@ -1,5 +1,4 @@
 """Ansatz structure, Kraus extraction, and post-selected filtering."""
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated, ParamS
 from qfilter.featuremap import (
     ClassMoments,
     FeatureMapCircuit,
-    KrausPair,
     apply_filter,
     build_ansatz,
     circuit_unitary,
@@ -91,13 +89,8 @@ def test_circuit_unitary_checks_theta_shape():
 def test_kraus_completeness_property(n, layers, seed):
     circ = build_ansatz(n, layers)
     theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, circ.n_params)
-    pair = kraus_from_circuit(circ, theta)
-    dim = 2**n
-    resid = (
-        pair.keep.conj().T @ pair.keep
-        + pair.discard.conj().T @ pair.discard
-        - np.eye(dim)
-    )
+    keep, discard = oracles.kraus_blocks(circuit_unitary(circ, theta).entries)
+    resid = keep.conj().T @ keep + discard.conj().T @ discard - np.eye(2**n)
     assert np.abs(resid).max() < 1e-10
 
 
@@ -105,55 +98,22 @@ def test_kraus_blocks_match_slicing_oracle():
     circ = build_ansatz(2, 1)
     theta = np.random.default_rng(11).uniform(-np.pi, np.pi, circ.n_params)
     v = circuit_unitary(circ, theta).entries
-    keep, discard = oracles.kraus_blocks(v)
-    pair = kraus_from_circuit(circ, theta)
-    np.testing.assert_allclose(pair.keep, keep, atol=0)
-    np.testing.assert_allclose(pair.discard, discard, atol=0)
+    keep, _ = oracles.kraus_blocks(v)
+    np.testing.assert_array_equal(kraus_from_circuit(circ, theta), keep)
 
 
 def test_kraus_identity_at_zero_theta():
     circ = build_ansatz(2, 1)
-    pair = kraus_from_circuit(circ, circ.zero_theta())
-    np.testing.assert_allclose(pair.keep, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(pair.discard, np.zeros((4, 4)), atol=1e-12)
-
-
-def test_kraus_pair_validates_completeness():
-    with pytest.raises(ValueError):
-        KrausPair(np.eye(2) * 0.9, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        KrausPair(np.eye(2) * (1 + 2e-10), np.zeros((2, 2)))
-    with pytest.raises(DimError):
-        KrausPair(np.eye(2), np.zeros((3, 3)))
-    pair = KrausPair.identity(4)
-    np.testing.assert_allclose(pair.keep, np.eye(4))
-
-
-def test_kraus_pair_rejects_a_nan_block():
-    with pytest.raises(ValueError):
-        KrausPair(np.full((2, 2), np.nan), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        KrausPair(np.eye(2), np.diag([np.nan, 0.0]))
-
-
-def test_kraus_pair_rejects_an_inf_entry_without_a_warning():
-    keep = np.eye(2, dtype=complex)
-    keep[0, 1] = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError):
-            KrausPair(keep, np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            KrausPair(np.zeros((2, 2)), keep)
+    np.testing.assert_allclose(kraus_from_circuit(circ, circ.zero_theta()), np.eye(4), atol=1e-12)
+    _, discard = oracles.kraus_blocks(circuit_unitary(circ, circ.zero_theta()).entries)
+    np.testing.assert_allclose(discard, np.zeros((4, 4)), atol=1e-12)
 
 
 def test_apply_filter_success_probability_and_state():
-    # projector-style pair: keep |0><0|, discard |1><1|
+    # projector-style filter: keep |0><0| (and discard |1><1|)
     keep = np.diag([1.0, 0.0]).astype(complex)
-    discard = np.diag([0.0, 1.0]).astype(complex)
-    pair = KrausPair(keep, discard)
     rho = DensityMatrix(np.array([[0.25, 0.0], [0.0, 0.75]]), 1)
-    out, p_s = apply_filter(pair, rho)
+    out, p_s = apply_filter(keep, rho)
     assert p_s == pytest.approx(0.25)
     np.testing.assert_allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -161,38 +121,36 @@ def test_apply_filter_success_probability_and_state():
 def test_apply_filter_matches_oracle_on_random_instances():
     circ = build_ansatz(1, 1)
     theta = np.random.default_rng(3).uniform(-np.pi, np.pi, circ.n_params)
-    pair = kraus_from_circuit(circ, theta)
+    k = kraus_from_circuit(circ, theta)
     rho = pure_to_density(random_state(5, 1))
-    got, p_s = apply_filter(pair, rho)
-    want, p_want = oracles.filter_state(pair.keep, rho.entries)
+    got, p_s = apply_filter(k, rho)
+    want, p_want = oracles.filter_state(k, rho.entries)
     assert p_s == pytest.approx(p_want, abs=1e-12)
     np.testing.assert_allclose(got.entries, want, atol=1e-12)
 
 
 def test_apply_filter_annihilation():
-    pair = KrausPair(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     rho = DensityMatrix(np.diag([0.0, 1.0]), 1)
     with pytest.raises(FilterAnnihilated):
-        apply_filter(pair, rho)
+        apply_filter(np.diag([1.0, 0.0]).astype(complex), rho)
 
 
 def test_apply_filter_dimension_check():
-    pair = KrausPair.identity(2)
     with pytest.raises(DimError):
-        apply_filter(pair, DensityMatrix(np.eye(4) / 4, 2))
+        apply_filter(np.eye(2, dtype=complex), DensityMatrix(np.eye(4) / 4, 2))
 
 
 def test_apply_filter_is_filter_moments_on_one_state():
     """A state filtered alone and as a class moment: the same step, bit for bit."""
     circ = build_ansatz(2, 1)
     theta = np.random.default_rng(21).uniform(-np.pi, np.pi, circ.n_params)
-    pair = kraus_from_circuit(circ, theta)
+    k = kraus_from_circuit(circ, theta)
     rho, sigma = (pure_to_density(random_state(seed, 2)) for seed in (22, 23))
     moments = ClassMoments(np.stack([rho.entries, sigma.entries]), 2)
     assert moments.n_qubits == 2
-    states, masses = filter_moments(pair.keep, moments)
+    states, masses = filter_moments(k, moments)
     for state, want, mass in zip((rho, sigma), states, masses):
-        got, p_s = apply_filter(pair, state)
+        got, p_s = apply_filter(k, state)
         np.testing.assert_array_equal(got.entries, want)
         assert p_s == mass
 
@@ -200,7 +158,7 @@ def test_apply_filter_is_filter_moments_on_one_state():
 def _two_class_samples(n_qubits=1, m=4, seed=0):
     labels = [+1, -1, +1, -1][:m]
     return [
-        EmbeddedSample(random_state(seed * 100 + j, n_qubits), labels[j], j)
+        EmbeddedSample(random_state(seed * 100 + j, n_qubits), labels[j])
         for j in range(m)
     ]
 
@@ -208,14 +166,14 @@ def _two_class_samples(n_qubits=1, m=4, seed=0):
 def test_transform_ensemble_matches_hand_accumulation():
     for n, layers, m in [(1, 1, 4), (1, 2, 9), (2, 1, 12), (3, 2, 20)]:
         samples = [
-            EmbeddedSample(random_state(1000 * n + j, n), (+1, -1)[j % 3 == 0], j)
+            EmbeddedSample(random_state(1000 * n + j, n), (+1, -1)[j % 3 == 0])
             for j in range(m)
         ]
         circ = build_ansatz(n, layers)
         theta = np.random.default_rng(9 + m).uniform(-np.pi, np.pi, circ.n_params)
-        pair = kraus_from_circuit(circ, theta)
-        ens = transform_ensemble(pair, samples)
-        want_pos, want_neg, ps = oracles.ensemble_loop(pair.keep, samples)
+        k = kraus_from_circuit(circ, theta)
+        ens = transform_ensemble(k, samples)
+        want_pos, want_neg, ps = oracles.ensemble_loop(k, samples)
         labels = np.array([s.label for s in samples])
         np.testing.assert_allclose(ens.pos.entries, want_pos, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ens.neg.entries, want_neg, rtol=0, atol=1e-12)
@@ -223,7 +181,7 @@ def test_transform_ensemble_matches_hand_accumulation():
         assert ens.p_succ == pytest.approx(np.mean(ps), abs=1e-15)
         assert ens.p_joint == pytest.approx(np.prod(ps), abs=1e-15)
         # the class masses tr[K A K+] the training cost divides by
-        _, (mass_pos, mass_neg) = filter_moments(pair.keep, class_moments(samples))
+        _, (mass_pos, mass_neg) = filter_moments(k, class_moments(samples))
         assert mass_pos == pytest.approx(ps[labels == 1].sum(), abs=1e-14)
         assert mass_neg == pytest.approx(ps[labels == -1].sum(), abs=1e-14)
 
@@ -248,12 +206,12 @@ def test_kraus_pullback_matches_finite_differences():
     theta = rng.uniform(-np.pi, np.pi, circ.n_params)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     block, pullback = kraus_with_pullback(circ, theta)
-    pair = kraus_from_circuit(circ, theta)
-    np.testing.assert_allclose(block[0::2], pair.keep, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(block[1::2], pair.discard, rtol=0, atol=1e-14)
+    keep, discard = oracles.kraus_blocks(circuit_unitary(circ, theta).entries)
+    np.testing.assert_allclose(block[0::2], keep, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(block[1::2], discard, rtol=0, atol=1e-14)
 
     def scalar(t):
-        return 2 * np.real(np.trace(x @ kraus_from_circuit(circ, t).keep))
+        return 2 * np.real(np.trace(x @ kraus_from_circuit(circ, t)))
 
     np.testing.assert_allclose(pullback(x), gradient(scalar, theta), rtol=0, atol=1e-8)
 
@@ -279,15 +237,14 @@ def test_kraus_pullback_matches_the_shift_rule(seed):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def scalar(t):
-        return 2 * np.real(np.trace(x @ kraus_from_circuit(circ, t).keep))
+        return 2 * np.real(np.trace(x @ kraus_from_circuit(circ, t)))
 
     np.testing.assert_allclose(got, gradient(scalar, theta), rtol=0, atol=1e-8)
 
 
 def test_identity_filter_reproduces_baseline_ensembles_bitwise():
     samples = _two_class_samples(m=4, seed=6)
-    pair = KrausPair.identity(2)
-    ens = transform_ensemble(pair, samples)
+    ens = transform_ensemble(np.eye(2, dtype=complex), samples)
     rho, sigma = build_ensembles(samples)
     assert np.array_equal(ens.pos.entries, rho.entries)
     assert np.array_equal(ens.neg.entries, sigma.entries)
@@ -299,10 +256,10 @@ def test_identity_filter_reproduces_baseline_ensembles_bitwise():
 
 def test_identity_filter_is_exact_on_basis_samples():
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), -1, 1),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), -1),
     ]
-    ens = transform_ensemble(KrausPair.identity(2), samples)
+    ens = transform_ensemble(np.eye(2, dtype=complex), samples)
     assert ens.p_succ == 1.0
     assert ens.p_joint == 1.0
     np.testing.assert_array_equal(ens.p_s, [1.0, 1.0])
@@ -310,25 +267,25 @@ def test_identity_filter_is_exact_on_basis_samples():
 
 def test_transform_ensemble_class_annihilation():
     # keep branch kills |1>; make the -1 class pure |1>
-    pair = KrausPair(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    keep = np.diag([1.0, 0.0]).astype(complex)
     samples = [
-        EmbeddedSample(random_state(1, 1), +1, 0),
-        EmbeddedSample(basis_state(1, 1), -1, 1),  # exactly |1>
+        EmbeddedSample(random_state(1, 1), +1),
+        EmbeddedSample(basis_state(1, 1), -1),  # exactly |1>
     ]
     with pytest.raises(ClassAnnihilated):
-        transform_ensemble(pair, samples)
+        transform_ensemble(keep, samples)
     with pytest.raises(ClassAnnihilated):
-        transform_ensemble(pair, [])
+        transform_ensemble(keep, [])
 
 
 def test_annihilated_single_sample_is_harmless_if_class_survives():
-    pair = KrausPair(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    keep = np.diag([1.0, 0.0]).astype(complex)
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), +1, 1),  # killed, class survives
-        EmbeddedSample(random_state(4, 1), -1, 2),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), +1),  # killed, class survives
+        EmbeddedSample(random_state(4, 1), -1),
     ]
-    ens = transform_ensemble(pair, samples)
+    ens = transform_ensemble(keep, samples)
     assert ens.p_s[1] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(ens.pos.entries, np.diag([1.0, 0.0]), atol=1e-12)
 

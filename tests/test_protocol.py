@@ -31,7 +31,7 @@ from qfilter.quantum import StateVector, hs_distance, pure_to_density, random_st
 def _samples(seed, m=2, n=1):
     labels = [+1, -1] + [(-1) ** j for j in range(m - 2)]
     return [
-        EmbeddedSample(random_state(seed * 77 + j, n), labels[j], j)
+        EmbeddedSample(random_state(seed * 77 + j, n), labels[j])
         for j in range(m)
     ]
 
@@ -73,8 +73,8 @@ def test_register_layout_rejects_gaps():
 def test_prepare_classifier_state_amplitudes():
     # two one-qubit samples |0>(+1) and |1>(-1), test |1>
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), -1, 1),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), -1),
     ]
     state = prepare_classifier_state(samples, basis_state(1, 1))
     # registers: index(1) train(1) label(1) test(1)
@@ -89,22 +89,22 @@ def test_prepare_classifier_state_amplitudes():
 
 def test_prepare_classifier_state_checks_sizes():
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), -1, 1),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), -1),
     ]
     with pytest.raises(DimError):
         prepare_classifier_state(samples[:1], basis_state(1, 0))
     with pytest.raises(DimError):
         prepare_classifier_state(samples, basis_state(2, 0))
-    mixed = samples + [EmbeddedSample(basis_state(2, 0), +1, 2)]
+    mixed = samples + [EmbeddedSample(basis_state(2, 0), +1)]
     with pytest.raises(DimError):
         prepare_classifier_state(mixed, basis_state(1, 0))
 
 
 def test_prepare_risk_state_amplitudes():
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), -1, 1),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), -1),
     ]
     state = prepare_risk_state(samples)
     assert state.n_qubits == 3
@@ -130,7 +130,7 @@ def test_apply_feature_maps_postselect_matches_kraus_probability():
     theta = np.random.default_rng(12).uniform(-np.pi, np.pi, circ.n_params)
     half = protocol._half_columns(circ, theta)
     v = oracles.circuit_matrix(circ.gates, theta, 2)
-    keep = kraus_from_circuit(circ, theta).keep
+    keep = kraus_from_circuit(circ, theta)
     # p of the training register is the mean p_s of its samples; of the test register, p_s(test)
     p_s = [np.linalg.norm(keep @ x) ** 2 for x in [s.state.amplitudes for s in samples]]
     want_p = (np.mean(p_s), np.linalg.norm(keep @ test.amplitudes) ** 2)
@@ -175,8 +175,8 @@ def test_apply_feature_maps_postselect_annihilation():
 
     circ = FeatureMapCircuit(1, (GateSpec("Rx", (1,)),))
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), -1, 1),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), -1),
     ]
     with pytest.raises(ClassAnnihilated):
         run_classifier_protocol(samples, basis_state(1, 0), circ, np.array([math.pi]))
@@ -317,9 +317,9 @@ def test_protocol_matches_analytic_path(m, n):
     test = random_state(32, n)
     circ = build_ansatz(n, 1)
     theta = np.random.default_rng(33).uniform(-np.pi, np.pi, circ.n_params)
-    pair = kraus_from_circuit(circ, theta)
-    ens = transform_ensemble(pair, samples)
-    analytic = filtered_fidelity_classify(ens, pair, pure_to_density(test))
+    k = kraus_from_circuit(circ, theta)
+    ens = transform_ensemble(k, samples)
+    analytic = filtered_fidelity_classify(ens, k, pure_to_density(test))
 
     cls = run_classifier_protocol(samples, test, circ, theta)
     assert cls.derived_value == pytest.approx(analytic.value, abs=1e-9)
@@ -416,8 +416,8 @@ def test_class_annihilation_readout():
     # when the data qubit is |1>, so post-selecting ancilla 0 kills |1> data
     circ = FeatureMapCircuit(1, (GateSpec("CRx", (0, 1)),))
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), -1, 1),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), -1),
     ]
     with pytest.raises(ClassAnnihilated):
         run_classifier_protocol(samples, basis_state(1, 0), circ, np.array([math.pi]))
@@ -450,7 +450,7 @@ def test_protocol_outcome_validation():
     )
     assert math.isnan(out.derived_value)
     assert out.p_postselect == 0.125
-    assert out.shots == 0 and out.counts is None
+    assert out.counts is None
 
 
 def test_protocol_outcome_checks_every_probability_range():
@@ -505,7 +505,6 @@ def test_sample_outcomes_statistics_and_determinism():
     a = sample_outcomes(exact, shots=2000, seed=7)
     b = sample_outcomes(exact, shots=2000, seed=7)
     np.testing.assert_array_equal(a.counts, b.counts)
-    assert a.shots == 2000
     assert a.counts.sum() == 2000
     assert a.p_postselect == exact.p_postselect  # carried over exactly
     np.testing.assert_allclose(a.p_class, exact.p_class, atol=0.05)
@@ -525,6 +524,6 @@ def test_sample_outcomes_nan_for_undrawn_cells():
     sampled = sample_outcomes(skewed, shots=5, seed=0)
     assert math.isnan(sampled.derived_value)
     assert np.isnan(sampled.p_swap_given_class[1]).all()
-    assert sampled.shots == 5 and sampled.p_registers == (1.0, 1.0)
+    assert sampled.counts.sum() == 5 and sampled.p_registers == (1.0, 1.0)
     with pytest.raises(ValueError):
         sample_outcomes(skewed, shots=0, seed=0)

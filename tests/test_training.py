@@ -10,11 +10,11 @@ import sympy as sp
 import oracles
 from oracles import basis_state
 from qfilter import training
-from qfilter.classifier import build_ensembles
-from qfilter.embedding import EmbeddedSample, EmbeddingSpec, embed_dataset
+from qfilter.classifier import build_ensembles, fidelity_classify
+from qfilter.embedding import EmbeddedSample, EmbeddingSpec, Pipeline, embed_dataset
 from qfilter.errors import ClassAnnihilated, ClassBalanceError, DomainError
 from qfilter.featuremap import FeatureMapCircuit, build_ansatz, class_moments, kraus_from_circuit
-from qfilter.quantum import GateSpec, hs_distance, random_state
+from qfilter.quantum import GateSpec, hs_distance, pure_to_density, random_state
 from qfilter.training import (
     STATIONARY_GRADIENT_NORM,
     TrainConfig,
@@ -62,8 +62,8 @@ def test_cost_gradient_against_symbolic_circuit():
     psi_a = np.array([0.6, 0.8])
     psi_b = np.array([1.0, 0.0])
     samples = [
-        EmbeddedSample(__import__("qfilter").StateVector(psi_a, 1), +1, 0),
-        EmbeddedSample(__import__("qfilter").StateVector(psi_b, 1), -1, 1),
+        EmbeddedSample(__import__("qfilter").StateVector(psi_a, 1), +1),
+        EmbeddedSample(__import__("qfilter").StateVector(psi_b, 1), -1),
     ]
 
     t = sp.Symbol("t", real=True)
@@ -100,7 +100,7 @@ def test_cost_gradient_against_symbolic_circuit():
 
 def _random_samples(n_qubits, m, seed):
     return [
-        EmbeddedSample(random_state(seed * 1000 + j, n_qubits), (+1, -1)[j % 2], j)
+        EmbeddedSample(random_state(seed * 1000 + j, n_qubits), (+1, -1)[j % 2])
         for j in range(m)
     ]
 
@@ -129,7 +129,7 @@ def test_cost_matches_per_sample_oracle():
         ansatz = build_ansatz(n, layers)
         samples = _random_samples(n, 15, 7 + n)
         theta = np.random.default_rng(n + layers).uniform(-np.pi, np.pi, ansatz.n_params)
-        pos, neg, p_s = oracles.ensemble_loop(kraus_from_circuit(ansatz, theta).keep, samples)
+        pos, neg, p_s = oracles.ensemble_loop(kraus_from_circuit(ansatz, theta), samples)
         lam = 2.0
         want = -oracles.hs(pos, neg) + lam * max(0.0, c - p_s.mean())
         rep = cost(theta, samples, ansatz, lam, c)
@@ -139,8 +139,8 @@ def test_cost_matches_per_sample_oracle():
 
 def test_cost_is_baseline_risk_at_zero_theta():
     samples = [
-        EmbeddedSample(random_state(1, 1), +1, 0),
-        EmbeddedSample(random_state(2, 1), -1, 1),
+        EmbeddedSample(random_state(1, 1), +1),
+        EmbeddedSample(random_state(2, 1), -1),
     ]
     ansatz = build_ansatz(1, 1)
     rep = cost(ansatz.zero_theta(), samples, ansatz, lam=1.0, cutoff=0.0)
@@ -153,8 +153,8 @@ def test_cost_sentinel_on_class_annihilation():
     # CRx(pi) filter kills |1>; the -1 class is exactly |1>
     circuit = FeatureMapCircuit(1, (GateSpec("CRx", (0, 1)),))
     samples = [
-        EmbeddedSample(basis_state(1, 0), +1, 0),
-        EmbeddedSample(basis_state(1, 1), -1, 1),
+        EmbeddedSample(basis_state(1, 0), +1),
+        EmbeddedSample(basis_state(1, 1), -1),
     ]
     rep = cost(np.array([math.pi]), samples, circuit, lam=1.0, cutoff=0.5)
     assert rep.risk == 2.0
@@ -432,6 +432,33 @@ def test_compare_conditions_rows():
     assert set(fm) == {"condition", "hs_distance", "p_succ_train", "p_succ_total", "accuracy"}
 
 
+def _blobs(dims, per_class=20):
+    return {"kind": "blobs", "dims": dims, "seed": 0, "per_class": per_class, "separation": 2.0}
+
+
+@pytest.mark.parametrize(
+    "descriptor, embedding",
+    [(_blobs(d), "amplitude") for d in (2, 3, 4, 5)]
+    + [(_blobs(4, 200), "pca:2"), ({"kind": "iris"}, "angle")],
+    ids=["amplitude-d2", "amplitude-d3", "amplitude-d4", "amplitude-d5", "pca2", "iris"],
+)
+def test_embedding_only_row_is_the_unfiltered_classifier(descriptor, embedding):
+    """The identity-filter arm scores exactly as the unfiltered fidelity
+    classifier on the baseline ensembles does."""
+    pipe = Pipeline.fit(descriptor, embedding)
+    samples, test_samples = pipe.samples(), pipe.test_samples()
+    ansatz = build_ansatz(pipe.spec.n_qubits, 1)
+    (row,) = compare_conditions(samples, test_samples, [None], ansatz, TrainConfig(epochs=0))
+    rho, sigma = build_ensembles(samples)
+    assert row["hs_distance"] == hs_distance(rho, sigma)
+    hits = [
+        fidelity_classify(rho, sigma, pure_to_density(s.state)).decision == s.label
+        for s in test_samples
+    ]
+    assert row["accuracy"] == sum(hits) / len(hits)
+    assert row["p_succ_train"] == row["p_succ_total"] == 1.0
+
+
 # the benchmark's train-sweep fit list: the blob grid at each cutoff, then iris
 TRAIN_SWEEP_FITS = [
     ["--dataset", "blobs", "--embedding", "amplitude", "--dims", str(d), "--per-class", "20",
@@ -455,7 +482,7 @@ def test_final_cost_is_the_full_circuit_cost_at_theta_star(argv, tmp_path):
     saved = json.loads(path.read_text())
     model = restore_model(saved)
     ansatz = build_ansatz(model.pipeline.spec.n_qubits, model.ansatz_layers)
-    k = kraus_from_circuit(ansatz, model.theta_star[: ansatz.n_params]).keep
+    k = kraus_from_circuit(ansatz, model.theta_star[: ansatz.n_params])
     config = saved["manifest"]["config"]["train"]
     report, _, _ = training.moment_cost(
         k, class_moments(model.pipeline.samples()), config["lambda"], config["cutoff"]
