@@ -8,7 +8,9 @@ identity basin flips the test decision to +1, wide starts keep it at -1.
 """
 import argparse
 
-from qfilter.classifier import build_ensembles, fidelity_classify, filtered_fidelity_classify
+import numpy as np
+
+from qfilter.classifier import filtered_fidelity_classify
 from qfilter.datasets import iris_builtin
 from qfilter.embedding import EmbeddingSpec, embed_dataset, encode_point
 from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
@@ -55,9 +57,11 @@ def main():
     args = ap.parse_args()
 
     samples, test_rho, test_y = load()
-    rho, sigma = build_ensembles(samples)
-    base = fidelity_classify(rho, sigma, test_rho)
-    print(f"baseline   risk {-hs_distance(rho, sigma):+.6f}  "
+    # the baseline is the identity filter: the unfiltered class mixtures
+    identity = np.eye(2, dtype=complex)
+    plain = transform_ensemble(identity, samples)
+    base = filtered_fidelity_classify(plain, identity, test_rho)
+    print(f"baseline   risk {-hs_distance(plain.pos, plain.neg):+.6f}  "
           f"value {base.value:+.6f}  decision {base.decision:+d}  (truth {test_y:+d})")
 
     if args.sweep_init:

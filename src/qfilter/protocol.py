@@ -99,39 +99,30 @@ def risk_layout(m: int, n_data: int) -> RegisterLayout:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """What a circuit measured: post-selection and label/swap statistics.
+    """What a circuit measured: post-selection and the joint label/swap table.
 
     p_registers holds each data register's own post-selection probability:
     (training, test) for the classifier circuit, whose test entry is p_s of
     the test point, and one mean success probability per copy for the risk
-    circuit. p_class indexes label-register outcomes (2 cells for the
-    classifier circuit, 4 for the two-copy risk circuit, row-major), and
-    p_swap_given_class holds [cell, swap outcome]. counts holds sampled
-    [cell, swap outcome] counts, None if exact; an undrawn cell's row is NaN.
+    circuit. joint holds p(label cell, swap outcome) as [cell, swap outcome],
+    2 cells for the classifier circuit and 4, row-major, for the two-copy
+    risk circuit: exact, or the drawn shares of a sampled run, where an
+    undrawn cell's row is 0.
     """
 
     p_registers: tuple[float, ...]
-    p_class: np.ndarray
-    p_swap_given_class: np.ndarray
-    counts: np.ndarray | None = None
+    joint: np.ndarray
 
     def __post_init__(self) -> None:
-        pc = np.asarray(self.p_class, dtype=float)
-        psc = np.asarray(self.p_swap_given_class, dtype=float)
-        if psc.shape != pc.shape + (2,):
-            raise DimError(f"conditional table {psc.shape} does not match {pc.shape}")
-        p = np.asarray(self.p_registers, dtype=float)
-        # a NaN conditional row is a sampled cell never drawn
-        for name, v in (("register", p), ("class", pc), ("conditional", psc[~np.isnan(psc)])):
+        joint = np.asarray(self.joint, dtype=float)
+        if joint.ndim != 2 or joint.shape[1] != 2:
+            raise DimError(f"joint table {joint.shape} is not (cells, 2)")
+        for name, v in (("register", np.asarray(self.p_registers, dtype=float)), ("joint", joint)):
             if not np.all((v >= -1e-9) & (v <= 1 + 1e-9)):  # both False for NaN
                 raise ValueError(f"{name} probabilities {v} outside [0,1]")
-        if not _within(pc.sum(), 1.0, 1e-10):
-            raise ValueError(f"class probabilities sum to {pc.sum()}")
-        rows = psc.sum(axis=1)
-        if not _within(rows[~np.isnan(rows)], 1.0, 1e-10):
-            raise ValueError(f"conditional rows sum to {rows}")
-        object.__setattr__(self, "p_class", pc)
-        object.__setattr__(self, "p_swap_given_class", psc)
+        if not _within(joint.sum(), 1.0, 1e-10):
+            raise ValueError(f"joint probabilities sum to {joint.sum()}")
+        object.__setattr__(self, "joint", joint)
 
     @property
     def p_postselect(self) -> float:
@@ -145,9 +136,12 @@ class ProtocolOutcome:
         A cell's swap contrast is the overlap of the swapped states given its
         labels, so this is tr[rt test] - tr[st test], the filtered classifier
         value, for the classifier circuit and tr{(rt - st)^2}, the filtered
-        Hilbert-Schmidt distance, for the risk circuit. A NaN row gives NaN.
+        Hilbert-Schmidt distance, for the risk circuit. Each conditional is a
+        joint row over its own sum, so an undrawn cell (0/0) gives NaN.
         """
-        contrast = self.p_swap_given_class[:, 0] - self.p_swap_given_class[:, 1]
+        with np.errstate(invalid="ignore"):
+            cond = self.joint / self.joint.sum(axis=1, keepdims=True)
+        contrast = cond[:, 0] - cond[:, 1]
         signs = [(-1) ** bin(cell).count("1") for cell in range(contrast.shape[0])]
         return float(np.dot(signs, contrast))
 
@@ -249,33 +243,26 @@ def _filtered_copy(samples: list[EmbeddedSample], half: np.ndarray) -> tuple[np.
     return t, p
 
 
-def _swap_table(
-    t: np.ndarray, a: int, b: int, label_axes: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact p(label cell) and p(swap | label cell) of the swap test on data axes a, b.
+def _swap_table(t: np.ndarray, a: int, b: int, n_labels: int) -> np.ndarray:
+    """Exact joint p(label cell, swap outcome) of the swap test on data axes a, b.
 
-    t is a paired register, one axis per register. With the swap qubit in
-    |0>, H, the controlled swaps and H leave (t + S t)/2 on swap outcome 0
-    and (t - S t)/2 on outcome 1, where S swaps axes a and b (Buhrman,
-    Cleve, Watrous & de Wolf, PRL 87, 167902, 2001). S keeps every label
-    cell c, so per cell the two masses are (<c|c> +- Re <c|S c>) / 2, cells
-    in their axis order. A t whose labels lead is read one contiguous cell
-    at a time, and only S c is copied; other orders are transposed first.
+    t is a paired register, one axis per register, its n_labels label axes
+    first. With the swap qubit in |0>, H, the controlled swaps and H leave
+    (t + S t)/2 on swap outcome 0 and (t - S t)/2 on outcome 1, where S
+    swaps axes a and b (Buhrman, Cleve, Watrous & de Wolf, PRL 87, 167902,
+    2001). S keeps every label cell c, so per cell the two masses are
+    (<c|c> +- Re <c|S c>) / 2, cells in row-major label order. Each cell is
+    one contiguous block, and only S c is copied.
     """
-    order = sorted(label_axes) + [i for i in range(t.ndim) if i not in label_axes]
-    k = len(label_axes)
-    t = t.transpose(order)
-    cells = t.reshape((-1,) + t.shape[k:])
-    a, b = order.index(a) - k, order.index(b) - k
+    cells = t.reshape((-1,) + t.shape[n_labels:])
+    a, b = a - n_labels, b - n_labels
     joint = np.empty((cells.shape[0], 2))
     for row, cell in zip(joint, cells):
         mass = np.vdot(cell, cell).real
         overlap = np.vdot(cell, cell.swapaxes(a, b)).real  # vdot copies S c contiguous
         row[:] = (mass + overlap) / 2, (mass - overlap) / 2
     # each is a sum of |c +- S c|^2 / 4, so only roundoff takes one below 0
-    joint = np.maximum(joint, 0.0)
-    p_class = joint.sum(axis=1)  # > 0: _filtered_copy checked each class
-    return p_class, joint / p_class[:, None]
+    return np.maximum(joint, 0.0)
 
 
 def run_classifier_protocol(
@@ -284,7 +271,7 @@ def run_classifier_protocol(
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
 ) -> ProtocolOutcome:
-    """Filtered classification circuit with exact conditional readout.
+    """Filtered classification circuit with exact joint readout.
 
     Every class of the training copy is checked before the test register,
     whose post-selection probability check_success() sees.
@@ -295,8 +282,7 @@ def run_classifier_protocol(
     kept, p_test = apply_feature_maps_postselect(test, half, tuple(range(test.n_qubits)))
     check_success(p_test)
     pair = np.multiply.outer(copy, kept.amplitudes)  # (label, index, train, test)
-    p_class, cond = _swap_table(pair, 2, 3, (0,))
-    return ProtocolOutcome((p_train, p_test), p_class, cond)
+    return ProtocolOutcome((p_train, p_test), _swap_table(pair, 2, 3, 1))
 
 
 def run_risk_protocol(
@@ -310,24 +296,19 @@ def run_risk_protocol(
     copy, p = _filtered_copy(samples, _half_columns(circuit, theta))
     # (label1, label2, index1, data1, index2, data2) in one product
     pair = copy[:, None, :, :, None, None] * copy[None, :, None, None, :, :]
-    p_class, cond = _swap_table(pair, 3, 5, (0, 1))
-    return ProtocolOutcome((p, p), p_class, cond)
+    return ProtocolOutcome((p, p), _swap_table(pair, 3, 5, 2))
 
 
 def sample_outcomes(outcome: ProtocolOutcome, shots: int, seed: int) -> ProtocolOutcome:
-    """Multinomial shot noise over the joint (class, swap) cells.
+    """Multinomial shot noise over the joint (cell, swap) table.
 
     Shots model post-selected repetitions: p_registers are carried over
-    exactly, and only the class/swap statistics become empirical. Cells
-    never drawn yield NaN conditionals, so the derived value is NaN unless
-    every class cell was observed.
+    exactly, and the joint table becomes the drawn shares, counts / shots.
+    A cell never drawn has a zero row, so the derived value is NaN unless
+    every label cell was observed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    joint = outcome.p_class[:, None] * outcome.p_swap_given_class
-    counts = rng.multinomial(shots, joint.ravel()).reshape(joint.shape)
-    p_class = counts.sum(axis=1) / shots
-    with np.errstate(invalid="ignore"):
-        cond = counts / counts.sum(axis=1, keepdims=True)
-    return ProtocolOutcome(outcome.p_registers, p_class, cond, counts)
+    joint = outcome.joint
+    counts = np.random.default_rng(seed).multinomial(shots, joint.ravel()).reshape(joint.shape)
+    return ProtocolOutcome(outcome.p_registers, counts / shots)

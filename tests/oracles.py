@@ -203,7 +203,7 @@ def classifier_protocol_oracle(states, labels, test, v, n):
     """Dense end-to-end reference for the filtered swap-test classifier.
 
     Register order: index | train | test | swap | label | F_train F_test.
-    Returns (p_postselect, p_class, p_swap_given_class, derived value).
+    Returns (p_postselect, joint [label, swap] table, derived value).
     """
     m = len(states)
     nl = max(1, math.ceil(math.log2(m)))
@@ -234,16 +234,14 @@ def classifier_protocol_oracle(states, labels, test, v, n):
     amps = lift(HADAMARD, (swap_q,), n_tot) @ amps
 
     joint = marginal_joint(amps, (label_q, swap_q), n_tot)
-    p_class = joint.sum(axis=1)
-    cond = joint / p_class[:, None]
-    return p_post, p_class, cond, classifier_value_from_table(cond)
+    return p_post, joint, classifier_value_from_table(joint / joint.sum(axis=1)[:, None])
 
 
 def risk_protocol_oracle(states, labels, v, n):
     """Dense reference for the two-copy swap-test distance circuit.
 
     Register order: index1 | data1 | label1 | index2 | data2 | label2 |
-    swap | F1 F2. Returns (p_postselect, p_class 4-vector, conditional
+    swap | F1 F2. Returns (p_postselect, joint [label1 label2, swap]
     table, derived value).
     """
     m = len(states)
@@ -275,13 +273,11 @@ def risk_protocol_oracle(states, labels, v, n):
     amps = lift(HADAMARD, (swap_q,), n_tot) @ amps
 
     joint = marginal_joint(amps, (label1, label2, swap_q), n_tot).reshape(4, 2)
-    p_class = joint.sum(axis=1)
-    cond = joint / p_class[:, None]
-    return p_post, p_class, cond, hs_distance_from_table(cond)
+    return p_post, joint, hs_distance_from_table(joint / joint.sum(axis=1)[:, None])
 
 
 def swap_table_oracle(t, a, b, label_axes):
-    """The swap-test table (p_class, p_swap_given_class) as strided sums over the whole pair.
+    """The joint swap-test table p(label cell, swap) as strided sums over the whole pair.
 
     Per label cell, cells in axis order, the swap outcomes carry
     (sum |t|^2 +- Re sum conj(t) S t) / 2, with S swapping axes a and b.
@@ -289,9 +285,7 @@ def swap_table_oracle(t, a, b, label_axes):
     drop = tuple(i for i in range(t.ndim) if i not in label_axes)
     mass = (np.abs(t) ** 2).sum(axis=drop).ravel()
     overlap = (t.conj() * t.swapaxes(a, b)).real.sum(axis=drop).ravel()
-    joint = np.maximum(np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1), 0.0)
-    p_class = joint.sum(axis=1)
-    return p_class, joint / p_class[:, None]
+    return np.maximum(np.stack([(mass + overlap) / 2, (mass - overlap) / 2], axis=1), 0.0)
 
 
 def classifier_value_from_table(cond):

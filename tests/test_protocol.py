@@ -1,4 +1,5 @@
 """Register layouts, state preparation, and the swap-test circuits."""
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from oracles import basis_state
 from qfilter import protocol
 from qfilter.embedding import EmbeddedSample
 from qfilter.errors import ClassAnnihilated, DimError, ParamShapeError
-from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
+from qfilter.featuremap import apply_filter, build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.classifier import filtered_fidelity_classify
 from qfilter.protocol import (
     ProtocolOutcome,
@@ -191,7 +192,7 @@ def test_classifier_protocol_against_dense_oracle():
         theta = np.random.default_rng(500 + seed).uniform(-np.pi, np.pi, circ.n_params)
         got = run_classifier_protocol(samples, test, circ, theta)
         v = oracles.circuit_matrix(circ.gates, theta, 2)
-        p_post, p_class, cond, value = oracles.classifier_protocol_oracle(
+        p_post, joint, value = oracles.classifier_protocol_oracle(
             [s.state.amplitudes for s in samples],
             [s.label for s in samples],
             test.amplitudes,
@@ -199,8 +200,7 @@ def test_classifier_protocol_against_dense_oracle():
             1,
         )
         assert got.p_postselect == pytest.approx(p_post, abs=1e-10)
-        np.testing.assert_allclose(got.p_class, p_class, atol=1e-10)
-        np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-10)
+        np.testing.assert_allclose(got.joint, joint, atol=1e-10)
         assert got.derived_value == pytest.approx(value, abs=1e-9)
 
 
@@ -210,15 +210,14 @@ def test_risk_protocol_against_dense_oracle():
     theta = np.random.default_rng(22).uniform(-np.pi, np.pi, circ.n_params)
     got = run_risk_protocol(samples, circ, theta)
     v = oracles.circuit_matrix(circ.gates, theta, 2)
-    p_post, p_class, cond, value = oracles.risk_protocol_oracle(
+    p_post, joint, value = oracles.risk_protocol_oracle(
         [s.state.amplitudes for s in samples],
         [s.label for s in samples],
         v,
         1,
     )
     assert got.p_postselect == pytest.approx(p_post, abs=1e-10)
-    np.testing.assert_allclose(got.p_class, p_class, atol=1e-10)
-    np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-10)
+    np.testing.assert_allclose(got.joint, joint, atol=1e-10)
     assert got.derived_value == pytest.approx(value, abs=1e-9)
 
 
@@ -242,14 +241,13 @@ def test_classifier_protocol_equals_filtering_both_registers_in_place(m, n):
     theta = np.random.default_rng(85).uniform(-np.pi, np.pi, circ.n_params)
     nl = index_register_width(m)
     train_q, test_q = tuple(range(nl, nl + n)), tuple(range(nl + n + 1, nl + 2 * n + 1))
-    joint = prepare_classifier_state(samples, test)  # [index | train | label | test]
-    amps, p_registers = _filter_in_place(joint, circ, theta, (train_q, test_q))
+    prepared = prepare_classifier_state(samples, test)  # [index | train | label | test]
+    amps, p_registers = _filter_in_place(prepared, circ, theta, (train_q, test_q))
     got = run_classifier_protocol(samples, test, circ, theta)
     assert got.p_registers == pytest.approx(p_registers, abs=1e-12)
     assert got.p_postselect == pytest.approx(p_registers[0] * p_registers[1], abs=1e-12)
-    p_class, cond = protocol._swap_table(amps.reshape(2**nl, 2**n, 2, 2**n), 1, 3, (2,))
-    np.testing.assert_allclose(got.p_class, p_class, atol=1e-12)
-    np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-12)
+    want = oracles.swap_table_oracle(amps.reshape(2**nl, 2**n, 2, 2**n), 1, 3, (2,))
+    np.testing.assert_allclose(got.joint, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (5, 2), (40, 2)])
@@ -269,26 +267,22 @@ def test_risk_protocol_equals_filtering_both_copies_in_place(m, n):
     assert got.p_registers[0] == got.p_registers[1]
     nl = index_register_width(m)
     tensor = amps.reshape(2**nl, 2**n, 2, 2**nl, 2**n, 2)
-    p_class, cond = protocol._swap_table(tensor, 1, 4, (2, 5))
-    np.testing.assert_allclose(got.p_class, p_class, atol=1e-12)
-    np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-12)
+    want = oracles.swap_table_oracle(tensor, 1, 4, (2, 5))
+    np.testing.assert_allclose(got.joint, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape, a, b, label_axes", [
     ((2, 8, 4, 4), 2, 3, (0,)),                 # classifier pair, labels leading
-    ((8, 4, 2, 4), 1, 3, (2,)),                 # classifier pair, the paper's order
     ((2, 2, 8, 4, 8, 4), 3, 5, (0, 1)),         # risk pair, labels leading
-    ((8, 4, 2, 8, 4, 2), 1, 4, (2, 5)),         # risk pair, the paper's order
-], ids=["classifier-label-major", "classifier-paper", "risk-label-major", "risk-paper"])
+], ids=["classifier-label-major", "risk-label-major"])
 def test_swap_table_matches_the_strided_sum_oracle(shape, a, b, label_axes):
     rng = np.random.default_rng(len(shape) + label_axes[0])
     t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     t /= np.linalg.norm(t)
     want = oracles.swap_table_oracle(t, a, b, label_axes)
     for axes in ((a, b), (b, a)):
-        p_class, cond = protocol._swap_table(t, *axes, label_axes)
-        np.testing.assert_allclose(p_class, want[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(cond, want[1], rtol=0, atol=1e-12)
+        got = protocol._swap_table(t, *axes, len(label_axes))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_risk_readout_holds_the_pair_and_one_label_cell():
@@ -308,6 +302,37 @@ def test_risk_readout_holds_the_pair_and_one_label_cell():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * pair_bytes, f"peak {peak / pair_bytes:.2f} pair-sized arrays"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_joint_tables_have_the_closed_form_of_the_analytic_path(m, n):
+    """Both swap tables, cell by cell, from the filtered states and class shares.
+
+    With P+- each class's share of the filtered mass, the classifier table
+    is P_l (1 +- tr[rho'_l t']) / 2 and the risk table P_a P_b (1 +- tr[rho'_a rho'_b]) / 2.
+    """
+    samples = _samples(101 + 10 * m + n, m=m, n=n)
+    test = random_state(102 + 10 * m + n, n)
+    circ = build_ansatz(n, 2)
+    theta = np.random.default_rng(103 + 10 * m + n).uniform(-np.pi, np.pi, circ.n_params)
+    k = kraus_from_circuit(circ, theta)
+    ens = transform_ensemble(k, samples)
+    t, _ = apply_filter(k, pure_to_density(test))
+    labels = np.array([s.label for s in samples])
+    shares = np.array([ens.p_s[labels == y].sum() for y in (+1, -1)]) / ens.p_s.sum()
+    rhos = [ens.pos.entries, ens.neg.entries]
+    swap = np.array([1.0, -1.0])
+
+    overlaps = np.array([np.trace(r @ t.entries).real for r in rhos])
+    want = shares[:, None] * (1 + swap * overlaps[:, None]) / 2
+    got = run_classifier_protocol(samples, test, circ, theta).joint
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    overlaps = np.array([[np.trace(ra @ rb).real for rb in rhos] for ra in rhos]).ravel()
+    want = np.outer(shares, shares).ravel()[:, None] * (1 + swap * overlaps[:, None]) / 2
+    got = run_risk_protocol(samples, circ, theta).joint
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -361,10 +386,9 @@ def test_protocols_use_no_analytic_route(monkeypatch):
         (run_risk_protocol(samples, circ, theta),
          oracles.risk_protocol_oracle(states, labels, v, 1)),
     ):
-        p_post, p_class, cond, value = want
+        p_post, joint, value = want
         assert got.p_postselect == pytest.approx(p_post, abs=1e-10)
-        np.testing.assert_allclose(got.p_class, p_class, atol=1e-10)
-        np.testing.assert_allclose(got.p_swap_given_class, cond, atol=1e-10)
+        np.testing.assert_allclose(got.joint, joint, atol=1e-10)
         assert got.derived_value == pytest.approx(value, abs=1e-9)
 
 
@@ -424,76 +448,65 @@ def test_class_annihilation_readout():
 
 
 def test_protocol_outcome_validation():
-    even = np.ones((2, 2)) / 2
-    with pytest.raises(DimError):
-        ProtocolOutcome((0.5,), np.array([0.5, 0.5]), np.ones((3, 2)) / 2)
-    with pytest.raises(ValueError):
-        ProtocolOutcome((0.5,), np.array([0.7, 0.7]), even)
+    even = np.ones((2, 2)) / 4
+    assert [f.name for f in dataclasses.fields(ProtocolOutcome)] == ["p_registers", "joint"]
+    for shape in ((4,), (2, 3), (1, 2, 2)):
+        with pytest.raises(DimError):
+            ProtocolOutcome((0.5,), np.full(shape, 1 / 4))
+    with pytest.raises(ValueError, match="sum to"):
+        ProtocolOutcome((0.5,), np.array([[0.35, 0.35], [0.35, 0.35]]))
     for p_registers in ((1.5,), (0.5, 1.5), (-0.1, 0.5), (math.nan, 0.5), (0.5, math.inf)):
         with pytest.raises(ValueError):
-            ProtocolOutcome(p_registers, np.array([0.5, 0.5]), even)
-    for p_class in ([math.nan, 0.5], [math.nan, math.nan], [math.inf, 0.0]):
+            ProtocolOutcome(p_registers, even)
+    for row in ([math.nan, 0.5], [math.nan, math.nan], [math.inf, 0.0]):
         with pytest.raises(ValueError):
-            ProtocolOutcome((0.5,), np.array(p_class), even)
-    with pytest.raises(ValueError):
-        ProtocolOutcome((0.5,), np.array([0.5, 0.5]), np.array([[0.9, 0.3], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        ProtocolOutcome((0.5,), np.array([0.5, 0.5]), np.array([[math.inf, 0.0], [0.5, 0.5]]))
+            ProtocolOutcome((0.5,), np.array([row, [0.25, 0.25]]))
     # the range check allows the same 1e-9 of roundoff on each register
-    edge = ProtocolOutcome((1 + 1e-9, -1e-9), np.array([0.5, 0.5]), even)
+    edge = ProtocolOutcome((1 + 1e-9, -1e-9), even)
     assert edge.p_postselect == (1 + 1e-9) * -1e-9
-    # NaN conditional rows are tolerated (unobserved sampled cells)
-    out = ProtocolOutcome(
-        (0.5, 0.25),
-        np.array([1.0, 0.0]),
-        np.array([[0.5, 0.5], [math.nan, math.nan]]),
-    )
+    # a zero row is a sampled cell never drawn: its conditional is 0/0
+    out = ProtocolOutcome((0.5, 0.25), np.array([[0.5, 0.5], [0.0, 0.0]]))
     assert math.isnan(out.derived_value)
     assert out.p_postselect == 0.125
-    assert out.counts is None
 
 
 def test_protocol_outcome_checks_every_probability_range():
-    """Rows that sum to 1 are still rejected when an entry leaves [0, 1]."""
-    even = np.ones((2, 2)) / 2
-    with pytest.raises(ValueError, match="class probabilities"):
-        ProtocolOutcome((0.5,), np.array([1.5, -0.5]), even)
-    with pytest.raises(ValueError, match="conditional probabilities"):
-        ProtocolOutcome((0.5,), np.array([0.5, 0.5]), np.array([[1.5, -0.5], [0.5, 0.5]]))
-    # each range allows 1e-9 of roundoff, and a NaN row is still an undrawn cell
-    edge = ProtocolOutcome(
-        (0.5,),
-        np.array([1 + 1e-9, -1e-9]),
-        np.array([[1 + 1e-9, -1e-9], [math.nan, math.nan]]),
-    )
+    """A table that sums to 1 is still rejected when an entry leaves [0, 1]."""
+    with pytest.raises(ValueError, match="joint probabilities"):
+        ProtocolOutcome((0.5,), np.array([[1.5, -0.5], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="joint probabilities"):
+        ProtocolOutcome((0.5,), np.array([[0.75, 0.75], [-0.25, -0.25]]))
+    # each entry allows 1e-9 of roundoff, and a zero row is still an undrawn cell
+    edge = ProtocolOutcome((0.5,), np.array([[1 + 1e-9, -1e-9], [0.0, 0.0]]))
     assert math.isnan(edge.derived_value)
 
 
 def _swap_tables(rows):
-    """p_class and a conditional swap table built as the circuits build it, joint / p_class.
+    """A normalized joint swap table with no empty row.
 
     A swap test of two states never favours outcome 1, so each row's
     p(S=0) is at least its p(S=1).
     """
     joint = st.lists(st.floats(0.0, 1.0), min_size=2 * rows, max_size=2 * rows).map(
         lambda v: -np.sort(-np.array(v).reshape(rows, 2), axis=1)
-    ).filter(lambda j: (j.sum(axis=1) > 0).all())
-    return joint.map(lambda j: (j.sum(axis=1) / j.sum(), j / j.sum(axis=1)[:, None]))
+    ).filter(lambda j: j.sum() > 0)
+    return joint.map(lambda j: j / j.sum()).filter(lambda j: (j.sum(axis=1) > 0).all())
 
 
 @given(st.sampled_from([2, 4]).flatmap(_swap_tables), st.integers(0, 3))
-def test_signed_contrast_is_the_classifier_value_and_the_distance(table, nan_row):
+def test_signed_contrast_is_the_classifier_value_and_the_distance(joint, zero_row):
     """One signed swap contrast reproduces both circuits' former readouts."""
-    p_class, cond = table
-    out = ProtocolOutcome((1.0,), p_class, cond)
-    if cond.shape[0] == 2:
+    out = ProtocolOutcome((1.0,), joint)
+    cond = joint / joint.sum(axis=1)[:, None]
+    if joint.shape[0] == 2:
         want = oracles.classifier_value_from_table(cond)
     else:
         want = oracles.hs_distance_from_table(cond)
     assert abs(out.derived_value - want) <= 1e-15
-    cond = cond.copy()
-    cond[nan_row % cond.shape[0]] = math.nan
-    assert math.isnan(ProtocolOutcome((1.0,), p_class, cond).derived_value)
+    undrawn = joint.copy()
+    undrawn[zero_row % joint.shape[0]] = 0.0
+    undrawn /= undrawn.sum()
+    assert math.isnan(ProtocolOutcome((1.0,), undrawn).derived_value)
 
 
 def test_sample_outcomes_statistics_and_determinism():
@@ -504,26 +517,22 @@ def test_sample_outcomes_statistics_and_determinism():
 
     a = sample_outcomes(exact, shots=2000, seed=7)
     b = sample_outcomes(exact, shots=2000, seed=7)
-    np.testing.assert_array_equal(a.counts, b.counts)
-    assert a.counts.sum() == 2000
+    np.testing.assert_array_equal(a.joint, b.joint)
+    assert a.joint.sum() == pytest.approx(1.0, abs=1e-12)
+    counts = np.rint(a.joint * 2000)
+    np.testing.assert_allclose(a.joint * 2000, counts, rtol=0, atol=1e-9)  # multiples of 1/shots
+    assert counts.sum() == 2000
     assert a.p_postselect == exact.p_postselect  # carried over exactly
-    np.testing.assert_allclose(a.p_class, exact.p_class, atol=0.05)
-    np.testing.assert_allclose(
-        a.p_swap_given_class, exact.p_swap_given_class, atol=0.08
-    )
+    np.testing.assert_allclose(a.joint, exact.joint, atol=0.05)
     assert a.derived_value == pytest.approx(exact.derived_value, abs=0.2)
 
 
 def test_sample_outcomes_nan_for_undrawn_cells():
-    skewed = ProtocolOutcome(
-        (1.0, 1.0),
-        np.array([1.0 - 1e-12, 1e-12]),
-        np.array([[1.0, 0.0], [0.5, 0.5]]),
-    )
+    skewed = ProtocolOutcome((1.0, 1.0), np.array([[1.0 - 1e-12, 0.0], [5e-13, 5e-13]]))
     assert skewed.derived_value == 1.0
     sampled = sample_outcomes(skewed, shots=5, seed=0)
     assert math.isnan(sampled.derived_value)
-    assert np.isnan(sampled.p_swap_given_class[1]).all()
-    assert sampled.counts.sum() == 5 and sampled.p_registers == (1.0, 1.0)
+    np.testing.assert_array_equal(sampled.joint, [[1.0, 0.0], [0.0, 0.0]])
+    assert sampled.p_registers == (1.0, 1.0)
     with pytest.raises(ValueError):
         sample_outcomes(skewed, shots=0, seed=0)
