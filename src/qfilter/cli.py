@@ -97,12 +97,14 @@ def cmd_train(args) -> int:
     ansatz = build_ansatz(pipe.spec.n_qubits, args.layers)
     config = _train_config(args, cutoff=args.c)
     if args.co_train:
-        result = co_train(config, pipe.pairs(), pipe.spec, ansatz)
+        features = pipe.preprocess(pipe.dataset.features)
+        result = co_train(config, features, pipe.dataset.labels, pipe.spec, ansatz)
         # the trained embedding angles give the states the filter acts on
-        spec = dataclasses.replace(pipe.spec, params=tuple(result.theta_star[ansatz.n_params :]))
-        samples = pipe.samples(spec)
+        angles = tuple(result.theta_star[ansatz.n_params :])
+        pipe = dataclasses.replace(pipe, spec=dataclasses.replace(pipe.spec, params=angles))
+        samples = pipe.samples()
     else:
-        spec, samples = pipe.spec, pipe.samples()
+        samples = pipe.samples()
         result = train(config, samples, ansatz)
     k = kraus_from_circuit(ansatz, result.theta_star[: ansatz.n_params])
     ens = transform_ensemble(k, samples)
@@ -113,7 +115,7 @@ def cmd_train(args) -> int:
         "seed": args.seed,
         "config": {
             "dataset": descriptor,
-            "embedding": pipe.embedding_manifest(spec),
+            "embedding": pipe.embedding_manifest(),
             "ansatz_layers": args.layers,
             # the optimizer settings, and whether the embedding angles were trained too
             "train": _config_manifest(config) | {"co_train_embedding": args.co_train},

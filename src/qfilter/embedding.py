@@ -35,9 +35,9 @@ from .quantum import GateSpec, StateVector, gate_pass_bytes, run_gates
 EMBEDDING_KINDS = ("amplitude", "angle", "pca-layer")
 
 # Bytes an embedded row holds besides its amplitudes: its EmbeddedSample,
-# StateVector and amplitude-row view, and its source index and list slot
+# StateVector and amplitude-row view, and its list slot
 # (measured: 390 B of RSS per row under embed_dataset() at 1-3 qubits, 333 B
-# under tracemalloc; see README).
+# under tracemalloc; see CHANGES.md).
 SAMPLE_BYTES = 400
 
 
@@ -152,7 +152,7 @@ def pca_layer_states(
         ket = np.stack([np.cos(v[:, q] / 2), -1j * np.sin(v[:, q] / 2)])
         cols = (cols[:, None, :] * ket[None, :, :]).reshape(-1, v.shape[0])
     angles = spec.params if params is None else params
-    return run_gates(cols, _pca_layer(n, spec.ring) * spec.layers, angles, n)
+    return run_gates(cols, _pca_layer(n, spec.ring) * spec.layers, angles)
 
 
 def _check_pass_budget(spec: EmbeddingSpec, rows: int) -> None:
@@ -179,7 +179,7 @@ def encode_rows(xs: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
 
 def encode_point(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
     """The state of one point: the one-row case of encode_rows()."""
-    return StateVector(encode_rows(np.asarray(x, dtype=float)[None], spec)[0], spec.n_qubits)
+    return StateVector(encode_rows(np.asarray(x, dtype=float)[None], spec)[0])
 
 
 def embed_dataset(
@@ -200,10 +200,7 @@ def embed_dataset(
     if len({r.shape for r in rows}) > 1:
         raise DimError("the rows of a dataset must all have one width")
     states = encode_rows(np.array(rows), spec)
-    return [
-        EmbeddedSample(StateVector(psi, spec.n_qubits), int(y))
-        for psi, (_, y) in zip(states, data)
-    ]
+    return [EmbeddedSample(StateVector(psi), int(y)) for psi, (_, y) in zip(states, data)]
 
 
 @dataclass(frozen=True)
@@ -267,15 +264,11 @@ class Pipeline:
             out = self.scaling.apply(out)
         return out
 
-    def pairs(self, data: RawDataset | None = None) -> list[tuple[np.ndarray, int]]:
-        """Preprocessed (x, y) rows of the pipeline's dataset or of another one."""
+    def samples(self, data: RawDataset | None = None) -> list[EmbeddedSample]:
+        """The embedded, preprocessed rows of the pipeline's dataset or of another one."""
         data = self.dataset if data is None else data
-        return list(zip(self.preprocess(data.features), data.labels.tolist()))
-
-    def samples(
-        self, spec: EmbeddingSpec | None = None, data: RawDataset | None = None
-    ) -> list[EmbeddedSample]:
-        return embed_dataset(self.pairs(data), spec or self.spec)
+        rows = list(zip(self.preprocess(data.features), data.labels.tolist()))
+        return embed_dataset(rows, self.spec)
 
     def encode(self, x: np.ndarray) -> StateVector:
         """The state of one point, which must have the dataset's features."""
@@ -304,8 +297,8 @@ class Pipeline:
         _, (x, y) = iris_builtin()
         return [EmbeddedSample(self.encode(x), y)]
 
-    def embedding_manifest(self, spec: EmbeddingSpec | None = None) -> dict:
-        spec = spec or self.spec
+    def embedding_manifest(self) -> dict:
+        spec = self.spec
         out = {"kind": spec.kind, "n_qubits": spec.n_qubits}
         if spec.kind == "pca-layer":
             out["layers"] = spec.layers

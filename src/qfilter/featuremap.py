@@ -87,8 +87,8 @@ def build_ansatz(n_system: int, layers: int) -> FeatureMapCircuit:
 
 def circuit_unitary(circuit: FeatureMapCircuit, theta: np.ndarray) -> UnitaryMatrix:
     """Dense matrix of the full gate sequence, first gate applied first."""
-    n = circuit.n_qubits
-    return UnitaryMatrix(run_gates(np.eye(2**n, dtype=complex), circuit.gates, theta, n)[0], n)
+    eye = np.eye(2**circuit.n_qubits, dtype=complex)
+    return UnitaryMatrix(run_gates(eye, circuit.gates, theta)[0])
 
 
 def kraus_from_circuit(circuit: FeatureMapCircuit, theta: np.ndarray) -> np.ndarray:
@@ -117,9 +117,7 @@ def kraus_with_pullback(
     backward pass of run_gates() with X+ in the even rows of its cotangent.
     """
     dim = 2**circuit.n_system
-    cols, run_back = run_gates(
-        np.eye(2 * dim, dtype=complex)[:, 0::2], circuit.gates, theta, circuit.n_qubits
-    )
+    cols, run_back = run_gates(np.eye(2 * dim, dtype=complex)[:, 0::2], circuit.gates, theta)
 
     def pullback(x: np.ndarray) -> np.ndarray:
         adj = np.zeros_like(cols)
@@ -153,19 +151,25 @@ def check_success(p_s: float) -> None:
         raise FilterAnnihilated(f"success probability {p_s:.3e} below {EPS_ANNIHILATION:.0e}")
 
 
+def _check_kraus_shape(k: np.ndarray, dim: int) -> None:
+    """Raise DimError unless K is a (dim, dim) operator on states of dimension dim."""
+    if k.shape != (dim, dim):
+        raise DimError(f"a Kraus operator of shape {k.shape} does not act on dimension {dim}")
+
+
 def apply_filter(k: np.ndarray, rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K rho K+]."""
-    if k.shape[0] != rho.entries.shape[0]:
-        raise DimError("Kraus operator and state dimensions differ")
+    _check_kraus_shape(k, rho.entries.shape[0])
     (m,), (p_s,) = _filtered(k, rho.entries[None], (check_success,))
-    return DensityMatrix(m, rho.n_qubits), p_s
+    return DensityMatrix(m), p_s
 
 
 def _sample_columns(samples: list[EmbeddedSample]) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes as the columns of a (dim, M) matrix, and the labels."""
     if not samples:
         raise ClassAnnihilated("no samples")
-    psi = np.stack([s.state.amplitudes for s in samples], axis=1)
+    # one (M, dim) array and its transposed copy; np.stack would make a view per row
+    psi = np.ascontiguousarray(np.array([s.state.amplitudes for s in samples]).T)
     return psi, np.array([s.label for s in samples])
 
 
@@ -186,10 +190,6 @@ class ClassMoments:
 
     stack: np.ndarray
     count: int
-
-    @property
-    def n_qubits(self) -> int:
-        return self.stack.shape[1].bit_length() - 1
 
 
 def column_moments(psi: np.ndarray, labels: np.ndarray) -> ClassMoments:
@@ -225,11 +225,9 @@ def transform_ensemble(k: np.ndarray, samples: list[EmbeddedSample]) -> Transfor
     annihilates. Per-sample p_s are the squared column norms of K Psi.
     """
     psi, labels = _sample_columns(samples)
+    _check_kraus_shape(k, psi.shape[0])
     kpsi = k @ psi
-    moments = column_moments(psi, labels)
-    (pos, neg), _ = filter_moments(k, moments)
+    (pos, neg), _ = filter_moments(k, column_moments(psi, labels))
     return TransformedEnsembles(
-        DensityMatrix(pos, moments.n_qubits),
-        DensityMatrix(neg, moments.n_qubits),
-        np.sum(kpsi.real**2 + kpsi.imag**2, axis=0),
+        DensityMatrix(pos), DensityMatrix(neg), np.sum(kpsi.real**2 + kpsi.imag**2, axis=0)
     )

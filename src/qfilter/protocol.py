@@ -164,14 +164,12 @@ def _check_budget(n_qubits: int) -> None:
     check_budget(2 ** (n_qubits + 1) * 16, f"a {n_qubits}-qubit register needs a {{}} MiB buffer")
 
 
-def _classifier_width(samples: list[EmbeddedSample], test: StateVector) -> int:
-    """Qubits of [index | train | label | test], checked against the budget."""
+def _check_classifier(samples: list[EmbeddedSample], test: StateVector) -> None:
+    """Check that test matches the samples and [index | train | label | test] fits the budget."""
     n = _check_samples(samples)
     if test.n_qubits != n:
         raise DimError("test register size differs from the samples")
-    width = index_register_width(len(samples)) + 2 * n + 1
-    _check_budget(width)
-    return width
+    _check_budget(index_register_width(len(samples)) + 2 * n + 1)
 
 
 def prepare_risk_state(samples: list[EmbeddedSample]) -> StateVector:
@@ -185,16 +183,16 @@ def prepare_risk_state(samples: list[EmbeddedSample]) -> StateVector:
     cells = np.zeros((2**nl, 2**n, 2), dtype=complex)
     labels = [0 if s.label == +1 else 1 for s in samples]
     cells[np.arange(m), :, labels] = np.array([s.state.amplitudes for s in samples]) / math.sqrt(m)
-    return StateVector(cells.ravel(), nl + n + 1)
+    return StateVector(cells.ravel())
 
 
 def prepare_classifier_state(
     samples: list[EmbeddedSample], test: StateVector
 ) -> StateVector:
     """(1/sqrt(M)) sum_m |m> |psi_m> |label_m> |psi_test>, before any filter."""
-    width = _classifier_width(samples, test)
+    _check_classifier(samples, test)
     copy = prepare_risk_state(samples).amplitudes
-    return StateVector(np.multiply.outer(copy, test.amplitudes).ravel(), width)
+    return StateVector(np.multiply.outer(copy, test.amplitudes).ravel())
 
 
 def _half_columns(circuit: FeatureMapCircuit, theta: np.ndarray) -> np.ndarray:
@@ -223,7 +221,7 @@ def apply_feature_maps_postselect(
     kept = np.matmul(half[0::2], psi)  # the rows of ancilla outcome 0
     p = float(np.vdot(kept, kept).real)
     kept = kept / math.sqrt(p) if p > 0 else kept
-    return StateVector(kept.ravel(), state.n_qubits), p
+    return StateVector(kept.ravel()), p
 
 
 def _filtered_copy(samples: list[EmbeddedSample], half: np.ndarray) -> tuple[np.ndarray, float]:
@@ -276,7 +274,7 @@ def run_classifier_protocol(
     Every class of the training copy is checked before the test register,
     whose post-selection probability check_success() sees.
     """
-    _classifier_width(samples, test)
+    _check_classifier(samples, test)
     half = _half_columns(circuit, theta)
     copy, p_train = _filtered_copy(samples, half)
     kept, p_test = apply_feature_maps_postselect(test, half, tuple(range(test.n_qubits)))

@@ -89,19 +89,23 @@ def _within(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
         return bool(np.abs(a - b).max(initial=0.0) <= atol)
 
 
+def _register_width(shape: tuple[int, ...], axes: int) -> int:
+    """n for an array of `axes` axes of 2**n entries each; DimError for any other shape."""
+    if len(shape) != axes or shape[0] != shape[-1] or not shape[0] or shape[0] & (shape[0] - 1):
+        raise DimError(f"expected a {axes}-axis array of side 2**n, got shape {shape}")
+    return shape[0].bit_length() - 1
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state on n_qubits qubits, stored as a dense complex vector."""
+    """Pure state stored as a dense complex vector; n_qubits is log2 of its length."""
 
     amplitudes: np.ndarray
-    n_qubits: int
+    n_qubits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.shape[0] != 2**self.n_qubits:
-            raise DimError(
-                f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
+        object.__setattr__(self, "n_qubits", _register_width(amps.shape, 1))
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
@@ -113,13 +117,11 @@ class DensityMatrix:
     """Mixed state: Hermitian, unit trace, PSD up to -1e-10 eigenvalue slack."""
 
     entries: np.ndarray
-    n_qubits: int
+    n_qubits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=complex)
-        d = 2**self.n_qubits
-        if m.shape != (d, d):
-            raise DimError(f"expected {(d, d)} matrix, got {m.shape}")
+        object.__setattr__(self, "n_qubits", _register_width(m.shape, 2))
         if not _within(m, m.conj().T, ATOL_INVARIANT):
             raise HermiticityError("density matrix is not Hermitian")
         tr = np.trace(m).real
@@ -135,16 +137,14 @@ class UnitaryMatrix:
     """Unitary on n_qubits qubits; U+ U = I is checked on construction."""
 
     entries: np.ndarray
-    n_qubits: int
+    n_qubits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=complex)
-        d = 2**self.n_qubits
-        if m.shape != (d, d):
-            raise DimError(f"expected {(d, d)} matrix, got {m.shape}")
+        object.__setattr__(self, "n_qubits", _register_width(m.shape, 2))
         with np.errstate(invalid="ignore"):  # an inf entry puts inf * 0 = NaN in the product
             gram = m.conj().T @ m
-        if not _within(gram, np.eye(d), ATOL_INVARIANT):
+        if not _within(gram, np.eye(m.shape[0]), ATOL_INVARIANT):
             raise NormError("matrix is not unitary")
         object.__setattr__(self, "entries", m)
 
@@ -175,7 +175,7 @@ def _apply_to_columns(
 # Bytes a run_gates() pass holds per gate: its 2 x 2 or 4 x 4 matrix with
 # the array header and its list slot, and the angle with its cosine and
 # sine (measured: about 330 B of peak RSS per gate under `qfilter train`;
-# see README).
+# see CHANGES.md).
 GATE_BYTES = 384
 
 
@@ -191,7 +191,7 @@ def gate_pass_bytes(n_gates: int, n_qubits: int, columns: int) -> int:
 
 
 def run_gates(
-    cols: np.ndarray, gates: Sequence[GateSpec], theta: np.ndarray, n_qubits: int
+    cols: np.ndarray, gates: Sequence[GateSpec], theta: np.ndarray
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Apply a gate list to every column of cols (2**n_qubits x k), first gate first.
 
@@ -210,6 +210,7 @@ def run_gates(
     each gate's product takes its shape from the spec (GateSpec.adjacent),
     so nothing is re-derived per gate.
     """
+    n_qubits = _register_width(cols.shape[:1], 1)
     t = np.asarray(theta, dtype=float)
     if t.shape != (len(gates),):
         raise ParamShapeError(f"{len(gates)} gates take {len(gates)} angles, got shape {t.shape}")
@@ -243,7 +244,7 @@ def pure_to_density(state: StateVector) -> DensityMatrix:
     if abs(state.norm() - 1.0) > ATOL_INPUT:
         raise NormError(f"state norm {state.norm()} != 1")
     psi = state.amplitudes
-    return DensityMatrix(np.outer(psi, psi.conj()), state.n_qubits)
+    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -298,4 +299,4 @@ def random_state(seed: int, n_qubits: int) -> StateVector:
     rng = np.random.default_rng(seed)
     d = 2**n_qubits
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return StateVector(v / np.linalg.norm(v), n_qubits)
+    return StateVector(v / np.linalg.norm(v))

@@ -16,7 +16,7 @@ from .classifier import (
 )
 from .datasets import check_labels
 from .embedding import EmbeddedSample, EmbeddingSpec, pca_layer_states
-from .errors import ClassAnnihilated, DomainError, FilterAnnihilated, check_budget
+from .errors import ClassAnnihilated, DomainError, FilterAnnihilated, ShapeError, check_budget
 from .featuremap import (
     ClassMoments,
     FeatureMapCircuit,
@@ -39,7 +39,7 @@ KICK_STEP = 1e-5
 # gate pass: the optimizer's arrays (theta, the best theta, the gradient,
 # Adam's m and v and their temporaries) and the angle's share of the saved
 # model, whose theta_star holds every angle (measured: about 190 B of peak
-# RSS per angle; see README)
+# RSS per angle; see CHANGES.md)
 CO_TRAIN_ANGLE_BYTES = 256
 
 
@@ -194,21 +194,25 @@ def train(
 
 def co_train(
     config: TrainConfig,
-    raw_data: list[tuple[np.ndarray, int]],
+    features: np.ndarray,
+    labels: np.ndarray,
     spec: EmbeddingSpec,
     ansatz: FeatureMapCircuit,
 ) -> TrainResult:
     """train() with the trainable pca-layer angles of spec appended to theta.
 
-    The raw rows are re-embedded at every evaluation, and the angles'
-    gradient comes from the same backward pass as the filter's: sample m
-    of class s has the state cotangent (K+ W_s K) psi_m (see moment_cost()).
+    features holds the preprocessed rows and labels their +1/-1 labels. The
+    rows are re-embedded at every evaluation, and the angles' gradient
+    comes from the same backward pass as the filter's: sample m of class s
+    has the state cotangent (K+ W_s K) psi_m (see moment_cost()).
     """
     if spec.param_count() == 0:
         raise DomainError("co-training needs an embedding with trainable angles")
-    labels = np.array([y for _, y in raw_data])
+    xs, labels = np.asarray(features, dtype=float), np.asarray(labels)
+    if labels.shape != xs.shape[:1]:
+        raise ShapeError(f"features {xs.shape} vs labels {labels.shape}")
     check_labels(labels.tolist())
-    n_angles, n_ansatz, rows = spec.param_count(), ansatz.n_params, len(raw_data)
+    n_angles, n_ansatz, rows = spec.param_count(), ansatz.n_params, len(labels)
     # the gate pass, the states and their cotangent, and the per-angle state
     check_budget(
         gate_pass_bytes(n_angles, spec.n_qubits, rows)
@@ -217,7 +221,6 @@ def co_train(
         f"co-training a {spec.n_qubits}-qubit, {spec.layers}-layer embedding of {rows} rows"
         " needs {} MiB for its gate pass and optimizer state",
     )
-    xs = np.array([x for x, _ in raw_data])
 
     def evaluate(t: np.ndarray) -> tuple[RiskReport, np.ndarray]:
         psi, embed_pullback = pca_layer_states(xs, spec, t[n_ansatz:])

@@ -23,7 +23,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 def basis_state(n, index):
     """The computational basis state |index> on n qubits."""
-    return StateVector(np.eye(2**n, dtype=complex)[index], n)
+    return StateVector(np.eye(2**n, dtype=complex)[index])
 
 
 def probabilities(state):

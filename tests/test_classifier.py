@@ -56,8 +56,8 @@ def test_build_ensembles_requires_both_classes():
 
 
 def test_fidelity_classify_sign_and_value():
-    rho = DensityMatrix(np.diag([1.0, 0.0]), 1)
-    sigma = DensityMatrix(np.diag([0.0, 1.0]), 1)
+    rho = DensityMatrix(np.diag([1.0, 0.0]))
+    sigma = DensityMatrix(np.diag([0.0, 1.0]))
     up = pure_to_density(basis_state(1, 0))
     out = fidelity_classify(rho, sigma, up)
     assert out.value == pytest.approx(1.0)
@@ -69,7 +69,7 @@ def test_fidelity_classify_sign_and_value():
 
 
 def test_fidelity_classify_tie_goes_positive_and_flags():
-    rho = DensityMatrix(np.eye(2) / 2, 1)
+    rho = DensityMatrix(np.eye(2) / 2)
     out = fidelity_classify(rho, rho, pure_to_density(basis_state(1, 0)))
     assert out.value == 0.0
     assert out.decision == +1

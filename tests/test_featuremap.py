@@ -27,6 +27,8 @@ from qfilter.quantum import (
     GATE_BYTES,
     DensityMatrix,
     GateSpec,
+    StateVector,
+    UnitaryMatrix,
     hs_distance,
     pure_to_density,
     random_state,
@@ -112,7 +114,7 @@ def test_kraus_identity_at_zero_theta():
 def test_apply_filter_success_probability_and_state():
     # projector-style filter: keep |0><0| (and discard |1><1|)
     keep = np.diag([1.0, 0.0]).astype(complex)
-    rho = DensityMatrix(np.array([[0.25, 0.0], [0.0, 0.75]]), 1)
+    rho = DensityMatrix(np.array([[0.25, 0.0], [0.0, 0.75]]))
     out, p_s = apply_filter(keep, rho)
     assert p_s == pytest.approx(0.25)
     np.testing.assert_allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-12)
@@ -130,14 +132,58 @@ def test_apply_filter_matches_oracle_on_random_instances():
 
 
 def test_apply_filter_annihilation():
-    rho = DensityMatrix(np.diag([0.0, 1.0]), 1)
+    rho = DensityMatrix(np.diag([0.0, 1.0]))
     with pytest.raises(FilterAnnihilated):
         apply_filter(np.diag([1.0, 0.0]).astype(complex), rho)
 
 
 def test_apply_filter_dimension_check():
     with pytest.raises(DimError):
-        apply_filter(np.eye(2, dtype=complex), DensityMatrix(np.eye(4) / 4, 2))
+        apply_filter(np.eye(2, dtype=complex), DensityMatrix(np.eye(4) / 4))
+
+
+def _filter_two_qubits(via, shape):
+    """apply_filter or transform_ensemble with a K of the given shape on 2-qubit states."""
+    k = np.eye(*shape, dtype=complex)
+    samples = [EmbeddedSample(random_state(seed, 2), y) for seed, y in ((1, +1), (2, -1))]
+    if via == "apply_filter":
+        return apply_filter(k, pure_to_density(samples[0].state))
+    return transform_ensemble(k, samples)
+
+
+_SIZE_CASES = (
+    [(f"StateVector-{n}", lambda n=n: StateVector(np.eye(2**n)[0]), n) for n in range(4)]
+    + [(f"DensityMatrix-{n}", lambda n=n: DensityMatrix(np.eye(2**n) / 2**n), n) for n in range(4)]
+    + [(f"UnitaryMatrix-{n}", lambda n=n: UnitaryMatrix(np.eye(2**n)), n) for n in range(4)]
+    + [(f"StateVector-length-{d}", lambda d=d: StateVector(np.ones(d)), DimError) for d in (3, 6)]
+    + [
+        ("DensityMatrix-2x4", lambda: DensityMatrix(np.eye(2, 4)), DimError),
+        ("UnitaryMatrix-2x4", lambda: UnitaryMatrix(np.eye(2, 4)), DimError),
+        ("run_gates-3-rows",
+         lambda: run_gates(np.ones((3, 1), complex), [GateSpec("Rx", (0,))], [0.1]), DimError),
+        # 8 rows are 3 qubits, so qubit 3 is outside the register
+        ("run_gates-8-rows",
+         lambda: run_gates(np.eye(8, dtype=complex), [GateSpec("Rx", (3,))], [0.1]), IndexError),
+    ]
+    + [
+        (f"{via}-K{r}x{c}", lambda v=via, shape=(r, c): _filter_two_qubits(v, shape), DimError)
+        for via in ("apply_filter", "transform_ensemble")
+        for r, c in ((2, 4), (4, 2))
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "build, want", [case[1:] for case in _SIZE_CASES], ids=[case[0] for case in _SIZE_CASES]
+)
+def test_sizes_come_from_shapes(build, want):
+    """Each checked type reads n_qubits from its array alone; an array that
+    is no register, or a K that does not act on the states, raises."""
+    if isinstance(want, int):
+        assert build().n_qubits == want
+    else:
+        with pytest.raises(want):
+            build()
 
 
 def test_apply_filter_is_filter_moments_on_one_state():
@@ -147,7 +193,6 @@ def test_apply_filter_is_filter_moments_on_one_state():
     k = kraus_from_circuit(circ, theta)
     rho, sigma = (pure_to_density(random_state(seed, 2)) for seed in (22, 23))
     moments = ClassMoments(np.stack([rho.entries, sigma.entries]), 2)
-    assert moments.n_qubits == 2
     states, masses = filter_moments(k, moments)
     for state, want, mass in zip((rho, sigma), states, masses):
         got, p_s = apply_filter(k, state)
@@ -383,7 +428,7 @@ _ANSATZ = build_ansatz(1, 1)  # 5 gates
 
 
 @pytest.mark.parametrize("n_gates, run", [
-    (5, lambda t: run_gates(np.eye(4, dtype=complex), _ANSATZ.gates, t, 2)),
+    (5, lambda t: run_gates(np.eye(4, dtype=complex), _ANSATZ.gates, t)),
     (5, lambda t: circuit_unitary(_ANSATZ, t)),
     (5, lambda t: kraus_with_pullback(_ANSATZ, t)),
     # 2 ring layers of 3 Ry and 3 ZZ gates

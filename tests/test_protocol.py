@@ -259,7 +259,7 @@ def test_risk_protocol_equals_filtering_both_copies_in_place(m, n):
     theta = np.random.default_rng(82).uniform(-np.pi, np.pi, circ.n_params)
     layout = risk_layout(m, n)
     one = prepare_risk_state(samples).amplitudes
-    two = StateVector(np.multiply.outer(one, one).ravel(), layout.swap)
+    two = StateVector(np.multiply.outer(one, one).ravel())
     amps, p_registers = _filter_in_place(two, circ, theta, layout.data)
     got = run_risk_protocol(samples, circ, theta)
     assert got.p_registers == pytest.approx(p_registers, abs=1e-12)
@@ -410,7 +410,7 @@ def test_register_budget_is_checked_before_allocating(monkeypatch):
     with pytest.raises(RegisterTooLarge):
         prepare_classifier_state(samples, test)
     with pytest.raises(RegisterTooLarge):
-        apply_feature_maps_postselect(StateVector(np.eye(16)[0], 4), half, (1,))
+        apply_feature_maps_postselect(StateVector(np.eye(16)[0]), half, (1,))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("allocated before the budget check")

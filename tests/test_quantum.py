@@ -37,7 +37,7 @@ from qfilter.selftest import raw_random_density
 
 def random_density(seed, n_qubits):
     """A validated full-rank random state from the selftest generator."""
-    return DensityMatrix(raw_random_density(seed, 2**n_qubits), n_qubits)
+    return DensityMatrix(raw_random_density(seed, 2**n_qubits))
 
 
 angles = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi, allow_nan=False)
@@ -54,10 +54,10 @@ def test_rotation_gates_match_exponential_form(theta):
 
 
 def test_unitary_matrix_validates_unitarity():
-    u = UnitaryMatrix(gate_array("Rx", np.cos(0.35), np.sin(0.35)), 1)
+    u = UnitaryMatrix(gate_array("Rx", np.cos(0.35), np.sin(0.35)))
     assert u.n_qubits == 1
     with pytest.raises(NormError):
-        UnitaryMatrix(np.array([[1, 0], [0, 2]], dtype=complex), 1)
+        UnitaryMatrix(np.array([[1, 0], [0, 2]], dtype=complex))
 
 
 def test_unknown_gate_kind_rejected():
@@ -73,7 +73,7 @@ def test_unknown_gate_kind_rejected():
 
 def _run(state, *gates, theta=()):
     """Amplitudes after running the gates on one state."""
-    cols, _ = run_gates(state.amplitudes.reshape(-1, 1), gates, theta, state.n_qubits)
+    cols, _ = run_gates(state.amplitudes.reshape(-1, 1), gates, theta)
     return cols[:, 0]
 
 
@@ -120,7 +120,7 @@ def test_run_gates_matches_dense_lift(n, kind, theta, seed):
     targets = tuple(rng.permutation(n)[:k].tolist())
     cols = np.stack([random_state(seed, n).amplitudes, random_state(seed + 1, n).amplitudes], 1)
     spec = GateSpec(kind, targets)
-    got, _ = run_gates(cols, [spec], [theta], n)
+    got, _ = run_gates(cols, [spec], [theta])
     want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -146,7 +146,7 @@ def test_adjacent_runs_match_the_lift_without_a_transpose(monkeypatch):
                     theta = rng.uniform(-np.pi, np.pi)
                     cols = rng.standard_normal((2**n, tail)) + 1j * rng.standard_normal((2**n, tail))
                     targets = tuple(range(q, q + k))
-                    got, _ = run_gates(cols, [GateSpec(kind, targets)], [theta], n)
+                    got, _ = run_gates(cols, [GateSpec(kind, targets)], [theta])
                     want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert transposes == []
@@ -163,7 +163,7 @@ def test_other_targets_take_the_transposing_path(monkeypatch):
         for tail in (1, 3):
             theta = rng.uniform(-np.pi, np.pi)
             cols = rng.standard_normal((2**n, tail)) + 1j * rng.standard_normal((2**n, tail))
-            got, _ = run_gates(cols, [GateSpec(kind, targets)], [theta], n)
+            got, _ = run_gates(cols, [GateSpec(kind, targets)], [theta])
             want = oracles.lift(oracles.oracle_gate(kind, theta), targets, n) @ cols
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert len(transposes) == 2 * len(cases)
@@ -195,11 +195,11 @@ def test_run_gates_pullback_matches_finite_differences():
     theta = rng.uniform(-np.pi, np.pi, len(gates))
     cols = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    out, pullback = run_gates(cols, gates, theta, 3)
+    out, pullback = run_gates(cols, gates, theta)
     np.testing.assert_allclose(out, oracles.circuit_matrix(gates, theta, 3) @ cols, atol=1e-12)
 
     def scalar(t):
-        return 2 * np.real(np.vdot(y, run_gates(cols, gates, t, 3)[0]))
+        return 2 * np.real(np.vdot(y, run_gates(cols, gates, t)[0]))
 
     kept = out.copy()
     got = pullback(y)
@@ -219,16 +219,14 @@ def test_run_gates_backward_pass_skips_the_unused_last_product(monkeypatch):
     rng = np.random.default_rng(8)
     for gates in ([GateSpec("Rx", (0,))], [GateSpec("Ry", (1,)), GateSpec("ZZ", (0, 1))] * 3):
         theta = rng.uniform(-np.pi, np.pi, len(gates))
-        _, pullback = run_gates(np.eye(4, dtype=complex)[:, :2], gates, theta, 2)
+        _, pullback = run_gates(np.eye(4, dtype=complex)[:, :2], gates, theta)
         calls.clear()
         pullback(np.ones((4, 2), dtype=complex))
         assert len(calls) == 2 * len(gates) - 1
 
 
-def test_state_vector_validation_and_helpers():
-    with pytest.raises(DimError):
-        StateVector(np.ones(3), 2)
-    s = StateVector(np.array([3.0, 4.0]), 1)
+def test_state_vector_helpers():
+    s = StateVector(np.array([3.0, 4.0]))
     assert s.norm() == pytest.approx(5.0)
     np.testing.assert_allclose(oracles.probabilities(s), [9.0, 16.0])
 
@@ -261,14 +259,12 @@ def test_project_bit_probability_and_renormalization():
 
 def test_density_matrix_validation():
     with pytest.raises(HermiticityError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), 1)
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(NormError):
-        DensityMatrix(np.eye(2), 1)  # trace 2
+        DensityMatrix(np.eye(2))  # trace 2
     with pytest.raises(NormError):
-        DensityMatrix(np.diag([1.5, -0.5]), 1)  # negative eigenvalue
-    with pytest.raises(DimError):
-        DensityMatrix(np.eye(2) / 2, 2)
-    rho = DensityMatrix(np.eye(2) / 2, 1)
+        DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    rho = DensityMatrix(np.eye(2) / 2)
     assert overlap(rho, rho) == pytest.approx(0.5)
 
 
@@ -279,15 +275,15 @@ def test_density_matrix_checks_at_their_tolerances():
     """Asymmetry 2e-10 fails, asymmetry exactly ATOL_INVARIANT passes, and a
     NaN or an inf anywhere (symmetric off-diagonal pairs too) fails typed."""
     with pytest.raises(HermiticityError):
-        DensityMatrix(np.array([[0.5, 2 * ATOL_INVARIANT], [0.0, 0.5]]), 1)
-    DensityMatrix(np.array([[0.5, ATOL_INVARIANT], [0.0, 0.5]]), 1)
+        DensityMatrix(np.array([[0.5, 2 * ATOL_INVARIANT], [0.0, 0.5]]))
+    DensityMatrix(np.array([[0.5, ATOL_INVARIANT], [0.0, 0.5]]))
     for value in NON_FINITE:
         for cells in ([(0, 0)], [(0, 1)], [(0, 1), (1, 0)]):
             m = np.eye(2, dtype=complex) / 2
             for cell in cells:
                 m[cell] = value
             with pytest.raises(HermiticityError):
-                DensityMatrix(m, 1)
+                DensityMatrix(m)
 
 
 def test_unitary_matrix_checks_at_their_tolerances():
@@ -295,14 +291,14 @@ def test_unitary_matrix_checks_at_their_tolerances():
     (U = [[1, e], [0, 1]] gives U+U - I = [[0, e], [e, e^2]], e^2 below the
     ulp of 1), and a NaN or an inf fails typed."""
     with pytest.raises(NormError):
-        UnitaryMatrix(np.array([[1.0, 2 * ATOL_INVARIANT], [0.0, 1.0]]), 1)
-    UnitaryMatrix(np.array([[1.0, ATOL_INVARIANT], [0.0, 1.0]]), 1)
+        UnitaryMatrix(np.array([[1.0, 2 * ATOL_INVARIANT], [0.0, 1.0]]))
+    UnitaryMatrix(np.array([[1.0, ATOL_INVARIANT], [0.0, 1.0]]))
     for value in NON_FINITE:
         for cell in ((0, 0), (0, 1)):
             u = np.eye(2, dtype=complex)
             u[cell] = value
             with pytest.raises(NormError):
-                UnitaryMatrix(u, 1)
+                UnitaryMatrix(u)
 
 
 def test_trace_norm_checks_at_their_tolerances():
@@ -322,8 +318,8 @@ def test_trace_norm_checks_at_their_tolerances():
 
 def test_pure_to_density_requires_normalization():
     with pytest.raises(NormError):
-        pure_to_density(StateVector(np.array([1.0, 1.0]), 1))
-    rho = pure_to_density(StateVector(np.array([0.6, 0.8]), 1))
+        pure_to_density(StateVector(np.array([1.0, 1.0])))
+    rho = pure_to_density(StateVector(np.array([0.6, 0.8])))
     assert overlap(rho, rho) == pytest.approx(1.0)
 
 

@@ -12,7 +12,7 @@ from oracles import basis_state
 from qfilter import training
 from qfilter.classifier import build_ensembles, fidelity_classify
 from qfilter.embedding import EmbeddedSample, EmbeddingSpec, Pipeline, embed_dataset
-from qfilter.errors import ClassAnnihilated, ClassBalanceError, DomainError
+from qfilter.errors import ClassAnnihilated, ClassBalanceError, DomainError, ShapeError
 from qfilter.featuremap import FeatureMapCircuit, build_ansatz, class_moments, kraus_from_circuit
 from qfilter.quantum import GateSpec, hs_distance, pure_to_density, random_state
 from qfilter.training import (
@@ -62,8 +62,8 @@ def test_cost_gradient_against_symbolic_circuit():
     psi_a = np.array([0.6, 0.8])
     psi_b = np.array([1.0, 0.0])
     samples = [
-        EmbeddedSample(__import__("qfilter").StateVector(psi_a, 1), +1),
-        EmbeddedSample(__import__("qfilter").StateVector(psi_b, 1), -1),
+        EmbeddedSample(__import__("qfilter").StateVector(psi_a), +1),
+        EmbeddedSample(__import__("qfilter").StateVector(psi_b), -1),
     ]
 
     t = sp.Symbol("t", real=True)
@@ -296,16 +296,11 @@ def test_cutoff_penalty_keeps_success_probability_up():
 
 
 def test_co_training_extends_the_parameter_vector():
-    raw = [
-        (np.array([0.3]), +1),
-        (np.array([-0.9]), -1),
-        (np.array([0.5]), +1),
-        (np.array([-0.2]), -1),
-    ]
+    features, labels = np.array([[0.3], [-0.9], [0.5], [-0.2]]), np.array([+1, -1, +1, -1])
     spec = EmbeddingSpec("pca-layer", 1, params=(0.0,))
     ansatz = build_ansatz(1, 1)
     cfg = TrainConfig(epochs=5, seed=1, init_scale=0.3)
-    res = co_train(cfg, raw, spec, ansatz)
+    res = co_train(cfg, features, labels, spec, ansatz)
     assert res.theta_star.shape == (ansatz.n_params + 1,)
     assert res.report.risk == min(res.cost_trace)
 
@@ -324,24 +319,25 @@ def test_overflowing_parameters_raise_a_domain_error():
     sgd = TrainConfig(epochs=3, optimizer="sgd", learning_rate=1e308)
     with pytest.raises(DomainError, match="overflow"):
         training._descend(sgd, lambda t: (report, np.ones_like(t)), np.zeros(2))
-    raw = [(np.array([0.3]), +1), (np.array([-0.9]), -1)]
+    features, labels = np.array([[0.3], [-0.9]]), np.array([+1, -1])
     spec = EmbeddingSpec("pca-layer", 1, params=(0.0,))
     with pytest.raises(DomainError, match="overflow"):
-        co_train(TrainConfig(epochs=1, init_scale=1.7e308), raw, spec, ansatz)
+        co_train(TrainConfig(epochs=1, init_scale=1.7e308), features, labels, spec, ansatz)
 
 
 def test_co_training_never_embeds_point_by_point(monkeypatch):
-    """co_train reads the labels from the raw rows and embeds them in one
-    batch, so the per-point encoder is never called."""
+    """co_train embeds its feature rows in one batch, so the per-point
+    encoder is never called."""
     from qfilter import embedding
 
     def refuse(*args):
         raise AssertionError("encode_point called")
 
     monkeypatch.setattr(embedding, "encode_point", refuse)
-    raw = [(np.array([0.3, -0.4]), +1), (np.array([-0.9, 0.2]), -1), (np.array([0.5, 0.1]), +1)]
+    features, labels = np.array([[0.3, -0.4], [-0.9, 0.2], [0.5, 0.1]]), np.array([+1, -1, +1])
     spec = EmbeddingSpec("pca-layer", 2, params=(0.0,) * 3)
-    res = co_train(TrainConfig(epochs=3, seed=1, init_scale=0.3), raw, spec, build_ansatz(2, 1))
+    cfg = TrainConfig(epochs=3, seed=1, init_scale=0.3)
+    res = co_train(cfg, features, labels, spec, build_ansatz(2, 1))
     assert len(res.cost_trace) == 4
 
 
@@ -354,18 +350,19 @@ def test_co_training_gradient_matches_finite_differences(k, embed_layers, ring, 
     the full cost, with the data re-embedded at every evaluation; at
     c = 0.9 the success-probability hinge is active."""
     rng = np.random.default_rng(10 * k + embed_layers)
-    raw = [(rng.uniform(-np.pi, np.pi, k), (+1, -1)[m % 2]) for m in range(6)]
+    features, labels = rng.uniform(-np.pi, np.pi, (6, k)), np.array([+1, -1] * 3)
     count = EmbeddingSpec("pca-layer", k, layers=embed_layers, ring=ring).param_count()
     angles = tuple(rng.uniform(-1.0, 1.0, count))
     spec = EmbeddingSpec("pca-layer", k, params=angles, layers=embed_layers, ring=ring)
     ansatz = build_ansatz(k, 1)
     lr = 1e-3
     cfg = TrainConfig(epochs=0, optimizer="sgd", learning_rate=lr, seed=2, init_scale=1.5, cutoff=c)
-    theta0 = co_train(cfg, raw, spec, ansatz).theta_star
-    step = co_train(replace(cfg, epochs=1), raw, spec, ansatz)
+    theta0 = co_train(cfg, features, labels, spec, ansatz).theta_star
+    step = co_train(replace(cfg, epochs=1), features, labels, spec, ansatz)
 
     def full_report(t):
-        smp = embed_dataset(raw, replace(spec, params=tuple(t[ansatz.n_params :])))
+        pairs = list(zip(features, labels.tolist()))
+        smp = embed_dataset(pairs, replace(spec, params=tuple(t[ansatz.n_params :])))
         return cost(t[: ansatz.n_params], smp, ansatz, cfg.lam, cfg.cutoff)
 
     assert (full_report(theta0).penalty > 0) == (c > 0)
@@ -381,16 +378,18 @@ def test_co_training_gradient_matches_finite_differences(k, embed_layers, ring, 
 def test_co_training_requires_raw_data_and_trainable_embedding():
     ansatz = build_ansatz(1, 1)
     cfg = TrainConfig(epochs=1)
-    raw = [(np.array([0.3]), +1), (np.array([-0.3]), -1)]
+    features = np.array([[0.3], [-0.3]])
     with pytest.raises(DomainError, match="trainable angles"):
-        co_train(cfg, raw, EmbeddingSpec("angle", 1), ansatz)
-    # the raw rows must hold both labels, checked as embed_dataset() checks them
-    one_class = [(x, +1) for x, _ in raw]
+        co_train(cfg, features, np.array([+1, -1]), EmbeddingSpec("angle", 1), ansatz)
+    # the labels must hold both classes, checked as embed_dataset() checks them
     spec = EmbeddingSpec("pca-layer", 1, params=(0.0,))
     with pytest.raises(ClassBalanceError, match=r"need both labels \+1 and -1, got \[1\]"):
-        co_train(cfg, one_class, spec, ansatz)
+        co_train(cfg, features, np.array([+1, +1]), spec, ansatz)
     with pytest.raises(ClassBalanceError, match=r"got \[1\]"):
-        embed_dataset(one_class, spec)
+        embed_dataset([(x, +1) for x in features], spec)
+    # one label per feature row
+    with pytest.raises(ShapeError, match=r"features \(2, 1\) vs labels \(3,\)"):
+        co_train(cfg, features, np.array([+1, -1, +1]), spec, ansatz)
 
 
 def test_compare_condition_names_and_validation():
@@ -513,7 +512,7 @@ def test_every_training_epoch_passes_the_boundary_checks(monkeypatch, tmp_path):
     def checked_states(k, moments):
         states, masses = unchecked_states(k, moments)
         for state in states:
-            DensityMatrix(state, moments.n_qubits)
+            DensityMatrix(state)
             seen["states"] += 1
         return states, masses
 
@@ -521,9 +520,9 @@ def test_every_training_epoch_passes_the_boundary_checks(monkeypatch, tmp_path):
     monkeypatch.setattr(training, "filter_moments", checked_states)
     for argv in TRAIN_SWEEP_FITS:
         assert main(["train", *argv, "--out", str(tmp_path / "m.json")]) == 0
-    raw = [(np.array([0.9, 0.1]), +1), (np.array([-0.8, 0.3]), -1),
-           (np.array([0.7, -0.2]), +1), (np.array([-0.9, 0.1]), -1)]
+    features = np.array([[0.9, 0.1], [-0.8, 0.3], [0.7, -0.2], [-0.9, 0.1]])
     spec = EmbeddingSpec("pca-layer", 2, (0.1, -0.2, 0.3) * 2, 2)
-    co_train(TrainConfig(init_scale=1.0), raw, spec, build_ansatz(2, 1))
+    labels = np.array([+1, -1] * 2)
+    co_train(TrainConfig(init_scale=1.0), features, labels, spec, build_ansatz(2, 1))
     epochs = (len(TRAIN_SWEEP_FITS) + 1) * 201
     assert seen == {"blocks": epochs, "states": 2 * epochs}
