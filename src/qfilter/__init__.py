@@ -29,9 +29,9 @@ from .datasets import (
     synthetic_blobs,
 )
 from .embedding import (
-    EmbeddedSample,
     EmbeddingSpec,
-    embed_dataset,
+    SampleSet,
+    embed_rows,
     encode_point,
 )
 from .featuremap import (

@@ -6,7 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embedding import EmbeddedSample
+from .datasets import check_labels
+from .embedding import SampleSet
 from .errors import ClassBalanceError, DomainError, ShapeError
 from .featuremap import TransformedEnsembles, apply_filter, transform_ensemble
 from .quantum import DensityMatrix, overlap
@@ -55,15 +56,14 @@ class RiskReport:
         return -self.hs_distance + self.penalty
 
 
-def build_ensembles(samples: list[EmbeddedSample]) -> tuple[DensityMatrix, DensityMatrix]:
+def build_ensembles(samples: SampleSet) -> tuple[DensityMatrix, DensityMatrix]:
     """Uniform per-class mixtures (weights 1/M_class), +1 class first.
 
     These are the ensembles of the identity filter, so any filter that acts
     as the identity reproduces them bit-for-bit.
     """
-    if {s.label for s in samples} != {+1, -1}:
-        raise ClassBalanceError("both classes are required to build ensembles")
-    ens = transform_ensemble(np.eye(2 ** samples[0].state.n_qubits, dtype=complex), samples)
+    check_labels(samples.labels.tolist())
+    ens = transform_ensemble(np.eye(2**samples.n_qubits, dtype=complex), samples)
     return ens.pos, ens.neg
 
 

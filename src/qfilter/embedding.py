@@ -1,8 +1,8 @@
-"""Classical-to-quantum encoders producing labeled pure-state samples.
+"""Classical-to-quantum encoders producing a labeled set of pure-state samples.
 
 A Pipeline takes a dataset descriptor, as a train manifest records it, to
-those samples: it holds the dataset, the preprocessing fitted on it and
-the embedding spec.
+that set: it holds the dataset, the preprocessing fitted on it and the
+embedding spec.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import dataclasses
 import hashlib
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,18 +27,13 @@ from .errors import (
     DimError,
     DomainError,
     ModelError,
+    ShapeError,
     ZeroVectorError,
     check_budget,
 )
 from .quantum import GateSpec, StateVector, gate_pass_bytes, run_gates
 
 EMBEDDING_KINDS = ("amplitude", "angle", "pca-layer")
-
-# Bytes an embedded row holds besides its amplitudes: its EmbeddedSample,
-# StateVector and amplitude-row view, and its list slot
-# (measured: 390 B of RSS per row under embed_dataset() at 1-3 qubits, 333 B
-# under tracemalloc; see CHANGES.md).
-SAMPLE_BYTES = 400
 
 
 @dataclass(frozen=True)
@@ -82,14 +77,44 @@ class EmbeddingSpec:
 
 @dataclass(frozen=True)
 class EmbeddedSample:
-    """One encoded training or test point."""
+    """One row of a SampleSet: its state and its label."""
 
     state: StateVector
     label: int
 
+
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Encoded points: row m of amplitudes is the state of point m, labels[m] its label.
+
+    amplitudes is an (M, 2**n_qubits) complex array and labels an (M,) array
+    of +1 and -1; both are checked once, here. A row's index is its
+    position, and set[m] is that row as an EmbeddedSample.
+    """
+
+    amplitudes: np.ndarray
+    labels: np.ndarray
+    n_qubits: int = field(init=False, repr=False)
+
     def __post_init__(self) -> None:
-        if self.label not in (+1, -1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
+        amps, labels = np.asarray(self.amplitudes, dtype=complex), np.asarray(self.labels)
+        d = amps.shape[-1] if amps.ndim else 0
+        if amps.ndim != 2 or not d or d & (d - 1):
+            raise DimError(f"expected an (M, 2**n) array of amplitude rows, got shape {amps.shape}")
+        if labels.shape != amps.shape[:1]:
+            raise ShapeError(f"amplitudes {amps.shape} vs labels {labels.shape}")
+        bad = labels[(labels != 1) & (labels != -1)]
+        if bad.size:
+            raise ValueError(f"label must be +1 or -1, got {bad[0]}")
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "labels", labels.astype(int, copy=False))
+        object.__setattr__(self, "n_qubits", d.bit_length() - 1)
+
+    def __len__(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def __getitem__(self, m: int) -> EmbeddedSample:
+        return EmbeddedSample(StateVector(self.amplitudes[m]), int(self.labels[m]))
 
 
 def _pca_layer(n_qubits: int, ring: bool) -> list[GateSpec]:
@@ -182,25 +207,29 @@ def encode_point(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
     return StateVector(encode_rows(np.asarray(x, dtype=float)[None], spec)[0])
 
 
-def embed_dataset(
-    data: list[tuple[np.ndarray, int]], spec: EmbeddingSpec
-) -> list[EmbeddedSample]:
-    """Encode every (x, y) pair in one batch, preserving order; both classes required.
+# Amplitude arrays a fit holds at its peak, as gate_pass_bytes() counts a
+# pass: transform_ensemble() holds the set, its column copy, K psi and two
+# copies of a class's columns; the rest covers the labels, the class masks
+# and the encoders' temporaries (measured peaks in CHANGES.md).
+SAMPLE_SET_ARRAYS = 8
 
-    The sample list is budgeted as one buffer, SAMPLE_BYTES and the
-    amplitudes per row, before any row is encoded.
-    """
-    check_labels([y for _, y in data])
-    n = spec.n_qubits
+
+def embed_rows(features: np.ndarray, labels: np.ndarray, spec: EmbeddingSpec) -> SampleSet:
+    """Encode the labelled rows of features in one batch, budgeted first; both classes required."""
+    check_labels(np.asarray(labels).tolist())
+    rows, n = len(labels), spec.n_qubits
     check_budget(
-        len(data) * (SAMPLE_BYTES + 2**n * 16),
-        f"{len(data)} embedded {n}-qubit rows need {{}} MiB",
+        SAMPLE_SET_ARRAYS * rows * 2**n * 16, f"{rows} embedded {n}-qubit rows need {{}} MiB"
     )
+    return SampleSet(encode_rows(features, spec), labels)
+
+
+def embed_dataset(data: list[tuple[np.ndarray, int]], spec: EmbeddingSpec) -> SampleSet:
+    """embed_rows() on (x, y) pairs, preserving order; the rows must share one width."""
     rows = [np.asarray(x, dtype=float) for x, _ in data]
     if len({r.shape for r in rows}) > 1:
         raise DimError("the rows of a dataset must all have one width")
-    states = encode_rows(np.array(rows), spec)
-    return [EmbeddedSample(StateVector(psi), int(y)) for psi, (_, y) in zip(states, data)]
+    return embed_rows(np.array(rows), np.array([y for _, y in data]), spec)
 
 
 @dataclass(frozen=True)
@@ -264,11 +293,10 @@ class Pipeline:
             out = self.scaling.apply(out)
         return out
 
-    def samples(self, data: RawDataset | None = None) -> list[EmbeddedSample]:
+    def samples(self, data: RawDataset | None = None) -> SampleSet:
         """The embedded, preprocessed rows of the pipeline's dataset or of another one."""
         data = self.dataset if data is None else data
-        rows = list(zip(self.preprocess(data.features), data.labels.tolist()))
-        return embed_dataset(rows, self.spec)
+        return embed_rows(self.preprocess(data.features), data.labels, self.spec)
 
     def encode(self, x: np.ndarray) -> StateVector:
         """The state of one point, which must have the dataset's features."""
@@ -283,11 +311,11 @@ class Pipeline:
         """"train" when test_samples() are the training rows (CSV data), else "test"."""
         return "train" if self.descriptor["kind"] == "csv" else "test"
 
-    def test_samples(self) -> list[EmbeddedSample]:
+    def test_samples(self) -> SampleSet:
         """The samples compare scores on.
 
-        Blobs drawn at seed + 1, the built-in iris test point, or (CSV data)
-        the training rows.
+        Blobs drawn at seed + 1, the built-in iris test point as a one-row
+        set, or (CSV data) the training rows.
         """
         d = self.descriptor
         if self.scored_on == "train":
@@ -295,7 +323,7 @@ class Pipeline:
         if d["kind"] == "blobs":
             return self.samples(data=load_dataset({**d, "seed": d["seed"] + 1}))
         _, (x, y) = iris_builtin()
-        return [EmbeddedSample(self.encode(x), y)]
+        return SampleSet(self.encode(x).amplitudes[None], np.array([y]))
 
     def embedding_manifest(self) -> dict:
         spec = self.spec

@@ -51,10 +51,9 @@ class RegisterTooLarge(QFilterError):
 
 
 # Largest buffer one run may hold: the blob features, the PCA covariance,
-# the embedded sample list, the filter's and the pca-layer embedding's gate
-# passes (the register-sized arrays alive at a pass's peak plus its gate
-# matrices) and the register-level twin's buffer. check_budget() refuses a bigger one before
-# it is built.
+# the embedded sample set, the filter's and the pca-layer embedding's gate
+# passes (each counted as the arrays alive at its peak) and the
+# register-level twin's buffer. check_budget() refuses a bigger one before it is built.
 MAX_BUFFER_BYTES = 2**28
 
 

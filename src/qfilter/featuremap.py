@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .embedding import EmbeddedSample
+from .embedding import SampleSet
 from .errors import ClassAnnihilated, DimError, FilterAnnihilated, check_budget
 from .quantum import DensityMatrix, GateSpec, UnitaryMatrix, gate_pass_bytes, run_gates
 
@@ -117,7 +117,9 @@ def kraus_with_pullback(
     backward pass of run_gates() with X+ in the even rows of its cotangent.
     """
     dim = 2**circuit.n_system
-    cols, run_back = run_gates(np.eye(2 * dim, dtype=complex)[:, 0::2], circuit.gates, theta)
+    p0 = np.zeros((2 * dim, dim), dtype=complex)  # input column j is |j>|0>, row 2j
+    p0[2 * np.arange(dim), np.arange(dim)] = 1
+    cols, run_back = run_gates(p0, circuit.gates, theta)
 
     def pullback(x: np.ndarray) -> np.ndarray:
         adj = np.zeros_like(cols)
@@ -164,13 +166,11 @@ def apply_filter(k: np.ndarray, rho: DensityMatrix) -> tuple[DensityMatrix, floa
     return DensityMatrix(m), p_s
 
 
-def _sample_columns(samples: list[EmbeddedSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes as the columns of a (dim, M) matrix, and the labels."""
-    if not samples:
+def _sample_columns(samples: SampleSet) -> np.ndarray:
+    """The amplitudes as the columns of a (dim, M) array; an empty set raises ClassAnnihilated."""
+    if not len(samples):
         raise ClassAnnihilated("no samples")
-    # one (M, dim) array and its transposed copy; np.stack would make a view per row
-    psi = np.ascontiguousarray(np.array([s.state.amplitudes for s in samples]).T)
-    return psi, np.array([s.label for s in samples])
+    return np.ascontiguousarray(samples.amplitudes.T)
 
 
 def check_class_mass(label: int, mass: float) -> None:
@@ -194,12 +194,12 @@ class ClassMoments:
 
 def column_moments(psi: np.ndarray, labels: np.ndarray) -> ClassMoments:
     """Class moments of the columns of psi, labelled +1 or -1."""
-    moments = [psi[:, labels == y] @ psi[:, labels == y].conj().T for y in (+1, -1)]
+    moments = [c @ c.conj().T for c in (psi[:, labels == y] for y in (+1, -1))]
     return ClassMoments(np.stack(moments), psi.shape[1])
 
 
-def class_moments(samples: list[EmbeddedSample]) -> ClassMoments:
-    return column_moments(*_sample_columns(samples))
+def class_moments(samples: SampleSet) -> ClassMoments:
+    return column_moments(_sample_columns(samples), samples.labels)
 
 
 def filter_moments(k: np.ndarray, moments: ClassMoments) -> tuple[np.ndarray, list[float]]:
@@ -216,7 +216,7 @@ def filter_moments(k: np.ndarray, moments: ClassMoments) -> tuple[np.ndarray, li
     )
 
 
-def transform_ensemble(k: np.ndarray, samples: list[EmbeddedSample]) -> TransformedEnsembles:
+def transform_ensemble(k: np.ndarray, samples: SampleSet) -> TransformedEnsembles:
     """Filter every sample and rebuild the two class ensembles.
 
     Each class mixture weights sample m by p_s(x_m) / p_s(class), which is
@@ -224,10 +224,10 @@ def transform_ensemble(k: np.ndarray, samples: list[EmbeddedSample]) -> Transfor
     filter_moments(), which raises ClassAnnihilated for a class the filter
     annihilates. Per-sample p_s are the squared column norms of K Psi.
     """
-    psi, labels = _sample_columns(samples)
+    psi = _sample_columns(samples)
     _check_kraus_shape(k, psi.shape[0])
     kpsi = k @ psi
-    (pos, neg), _ = filter_moments(k, column_moments(psi, labels))
+    (pos, neg), _ = filter_moments(k, column_moments(psi, samples.labels))
     return TransformedEnsembles(
         DensityMatrix(pos), DensityMatrix(neg), np.sum(kpsi.real**2 + kpsi.imag**2, axis=0)
     )

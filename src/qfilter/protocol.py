@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedSample
+from .embedding import SampleSet
 from .errors import DimError, check_budget
 from .featuremap import FeatureMapCircuit, check_class_mass, check_success, circuit_unitary
 from .quantum import StateVector, _within
@@ -146,13 +146,10 @@ class ProtocolOutcome:
         return float(np.dot(signs, contrast))
 
 
-def _check_samples(samples: list[EmbeddedSample]) -> int:
+def _check_samples(samples: SampleSet) -> int:
     if len(samples) < 2:
         raise DimError("need at least two samples")
-    n = samples[0].state.n_qubits
-    if any(s.state.n_qubits != n for s in samples):
-        raise DimError("samples must share one register size")
-    return n
+    return samples.n_qubits
 
 
 def _check_budget(n_qubits: int) -> None:
@@ -164,7 +161,7 @@ def _check_budget(n_qubits: int) -> None:
     check_budget(2 ** (n_qubits + 1) * 16, f"a {n_qubits}-qubit register needs a {{}} MiB buffer")
 
 
-def _check_classifier(samples: list[EmbeddedSample], test: StateVector) -> None:
+def _check_classifier(samples: SampleSet, test: StateVector) -> None:
     """Check that test matches the samples and [index | train | label | test] fits the budget."""
     n = _check_samples(samples)
     if test.n_qubits != n:
@@ -172,7 +169,7 @@ def _check_classifier(samples: list[EmbeddedSample], test: StateVector) -> None:
     _check_budget(index_register_width(len(samples)) + 2 * n + 1)
 
 
-def prepare_risk_state(samples: list[EmbeddedSample]) -> StateVector:
+def prepare_risk_state(samples: SampleSet) -> StateVector:
     """(1/sqrt(M)) sum_m |m> |psi_m> |label_m>: one training copy.
 
     Label +1 is the label qubit's |0>, -1 its |1>. Non-power-of-two M leaves
@@ -181,13 +178,12 @@ def prepare_risk_state(samples: list[EmbeddedSample]) -> StateVector:
     n = _check_samples(samples)
     m, nl = len(samples), index_register_width(len(samples))
     cells = np.zeros((2**nl, 2**n, 2), dtype=complex)
-    labels = [0 if s.label == +1 else 1 for s in samples]
-    cells[np.arange(m), :, labels] = np.array([s.state.amplitudes for s in samples]) / math.sqrt(m)
+    cells[np.arange(m), :, (1 - samples.labels) // 2] = samples.amplitudes / math.sqrt(m)
     return StateVector(cells.ravel())
 
 
 def prepare_classifier_state(
-    samples: list[EmbeddedSample], test: StateVector
+    samples: SampleSet, test: StateVector
 ) -> StateVector:
     """(1/sqrt(M)) sum_m |m> |psi_m> |label_m> |psi_test>, before any filter."""
     _check_classifier(samples, test)
@@ -224,14 +220,14 @@ def apply_feature_maps_postselect(
     return StateVector(kept.ravel()), p
 
 
-def _filtered_copy(samples: list[EmbeddedSample], half: np.ndarray) -> tuple[np.ndarray, float]:
+def _filtered_copy(samples: SampleSet, half: np.ndarray) -> tuple[np.ndarray, float]:
     """The filtered training copy as a contiguous (label, index, data) tensor, and its p.
 
     M p(label cell) of the filtered copy is that class's filtered mass
     sum_{m in class} p_s(x_m), which check_class_mass() sees, as in the
     analytic path's filter_moments().
     """
-    nl, n = index_register_width(len(samples)), samples[0].state.n_qubits
+    nl, n = index_register_width(len(samples)), samples.n_qubits
     filtered, p = apply_feature_maps_postselect(
         prepare_risk_state(samples), half, tuple(range(nl, nl + n))
     )
@@ -264,7 +260,7 @@ def _swap_table(t: np.ndarray, a: int, b: int, n_labels: int) -> np.ndarray:
 
 
 def run_classifier_protocol(
-    samples: list[EmbeddedSample],
+    samples: SampleSet,
     test: StateVector,
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
@@ -284,7 +280,7 @@ def run_classifier_protocol(
 
 
 def run_risk_protocol(
-    samples: list[EmbeddedSample],
+    samples: SampleSet,
     circuit: FeatureMapCircuit,
     theta: np.ndarray,
 ) -> ProtocolOutcome:

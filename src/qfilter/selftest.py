@@ -20,10 +20,11 @@ from .classifier import (
     filtered_fidelity_classify,
     weighted_empirical_risk,
 )
-from .embedding import EmbeddedSample
+from .embedding import SampleSet
 from .featuremap import build_ansatz, kraus_from_circuit, kraus_with_pullback, transform_ensemble
 from .protocol import run_classifier_protocol, run_risk_protocol
 from .quantum import (
+    StateVector,
     apply_channel,
     hs_distance,
     pure_to_density,
@@ -142,14 +143,12 @@ def suite_kraus_completeness(count: int = 1000) -> SuiteResult:
     return report
 
 
-def random_embedded_set(seed: int, m: int, n_qubits: int) -> list[EmbeddedSample]:
+def random_embedded_set(seed: int, m: int, n_qubits: int) -> SampleSet:
     """Random pure samples with both classes guaranteed present."""
     rng = np.random.default_rng(seed)
     labels = [+1, -1] + [int(rng.choice([+1, -1])) for _ in range(m - 2)]
-    return [
-        EmbeddedSample(random_state(seed * 10_000 + j, n_qubits), labels[j])
-        for j in range(m)
-    ]
+    states = [random_state(seed * 10_000 + j, n_qubits).amplitudes for j in range(m)]
+    return SampleSet(np.array(states), np.array(labels))
 
 
 def suite_risk_identities(count: int = 100) -> SuiteResult:
@@ -162,19 +161,15 @@ def suite_risk_identities(count: int = 100) -> SuiteResult:
         m = 2 + i % 7
         n = 1 + i % 3
         samples = random_embedded_set(6000 + i, m, n)
-        labels = np.array([s.label for s in samples])
+        labels = samples.labels
         ansatz = build_ansatz(n, 1)
         rng = np.random.default_rng(7000 + i)
         theta = rng.uniform(-np.pi, np.pi, ansatz.n_params)
         res = 0.0
         for k in (np.eye(2**n, dtype=complex), kraus_from_circuit(ansatz, theta)):
             ens = transform_ensemble(k, samples)
-            values = np.array(
-                [
-                    filtered_fidelity_classify(ens, k, pure_to_density(s.state)).value
-                    for s in samples
-                ]
-            )
+            states = [pure_to_density(StateVector(psi)) for psi in samples.amplitudes]
+            values = np.array([filtered_fidelity_classify(ens, k, s).value for s in states])
             risk = weighted_empirical_risk(
                 values, labels, filtered_class_weights(labels, ens.p_s)
             )

@@ -15,7 +15,7 @@ from .classifier import (
     sentinel_report,
 )
 from .datasets import check_labels
-from .embedding import EmbeddedSample, EmbeddingSpec, pca_layer_states
+from .embedding import EmbeddingSpec, SampleSet, pca_layer_states
 from .errors import ClassAnnihilated, DomainError, FilterAnnihilated, ShapeError, check_budget
 from .featuremap import (
     ClassMoments,
@@ -27,7 +27,7 @@ from .featuremap import (
     kraus_with_pullback,
     transform_ensemble,
 )
-from .quantum import gate_pass_bytes, hs_distance, pure_to_density
+from .quantum import StateVector, gate_pass_bytes, hs_distance, pure_to_density
 
 # train() kicks instead of stepping when the gradient norm is at most this:
 # at a stationary point, such as the identity start, the exact gradient
@@ -119,14 +119,14 @@ def moment_cost(
 
 def cost(
     theta: np.ndarray,
-    samples: list[EmbeddedSample],
+    samples: SampleSet,
     ansatz: FeatureMapCircuit,
     lam: float,
     cutoff: float,
 ) -> RiskReport:
     """Constrained risk at theta; +2 sentinel if the filter kills a class.
 
-    An empty sample list has no classes to filter and raises
+    An empty sample set has no classes to filter and raises
     ClassAnnihilated.
     """
     k = kraus_from_circuit(ansatz, theta)
@@ -175,7 +175,7 @@ def _adam_update(state: dict, g: np.ndarray, lr: float) -> np.ndarray:
 
 
 def train(
-    config: TrainConfig, samples: list[EmbeddedSample], ansatz: FeatureMapCircuit
+    config: TrainConfig, samples: SampleSet, ansatz: FeatureMapCircuit
 ) -> TrainResult:
     """Minimize the constrained risk of a fixed embedding; deterministic per seed.
 
@@ -283,27 +283,27 @@ def _descend(
 
 
 def _filtered_eval(
-    ens, k: np.ndarray, test_samples: list[EmbeddedSample]
+    ens, k: np.ndarray, test_samples: SampleSet
 ) -> tuple[float, float]:
     """(accuracy among filter successes, mean test p_s) of the filter K."""
     hits = successes = 0
     p_sum = 0.0
-    for s in test_samples:
+    for psi, label in zip(test_samples.amplitudes, test_samples.labels.tolist()):
         try:
-            out = filtered_fidelity_classify(ens, k, pure_to_density(s.state))
+            out = filtered_fidelity_classify(ens, k, pure_to_density(StateVector(psi)))
         except FilterAnnihilated:
             continue
         successes += 1
         p_sum += out.p_s_test
-        hits += out.decision == s.label
+        hits += out.decision == label
     if successes == 0:
         return float("nan"), 0.0
     return hits / successes, p_sum / len(test_samples)
 
 
 def compare_conditions(
-    samples: list[EmbeddedSample],
-    test_samples: list[EmbeddedSample],
+    samples: SampleSet,
+    test_samples: SampleSet,
     cutoffs: list[float | None],
     ansatz: FeatureMapCircuit,
     config: TrainConfig,

@@ -11,6 +11,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from qfilter.embedding import SampleSet
 from qfilter.quantum import StateVector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -24,6 +25,11 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 def basis_state(n, index):
     """The computational basis state |index> on n qubits."""
     return StateVector(np.eye(2**n, dtype=complex)[index])
+
+
+def sample_set(states, labels):
+    """The SampleSet whose row m is the StateVector states[m], labelled labels[m]."""
+    return SampleSet(np.array([s.amplitudes for s in states]), np.array(labels))
 
 
 def probabilities(state):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import basis_state
+from oracles import basis_state, sample_set
 from qfilter.classifier import (
     ClassifierOutput,
     RiskReport,
@@ -19,7 +19,6 @@ from qfilter.classifier import (
     sentinel_report,
     weighted_empirical_risk,
 )
-from qfilter.embedding import EmbeddedSample
 from qfilter.errors import ClassBalanceError, DomainError, ShapeError
 from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.quantum import (
@@ -33,18 +32,11 @@ from qfilter.quantum import (
 def _samples(seed, m=4, n=1):
     rng = np.random.default_rng(seed)
     labels = [+1, -1] + [int(rng.choice([+1, -1])) for _ in range(m - 2)]
-    return [
-        EmbeddedSample(random_state(seed * 1000 + j, n), labels[j])
-        for j in range(m)
-    ]
+    return sample_set([random_state(seed * 1000 + j, n) for j in range(m)], labels)
 
 
 def test_build_ensembles_uniform_mixture():
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), +1),
-        EmbeddedSample(basis_state(1, 0), -1),
-    ]
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1), basis_state(1, 0)], [+1, +1, -1])
     rho, sigma = build_ensembles(samples)
     np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
     np.testing.assert_allclose(sigma.entries, np.diag([1.0, 0.0]), atol=1e-15)
@@ -52,7 +44,7 @@ def test_build_ensembles_uniform_mixture():
 
 def test_build_ensembles_requires_both_classes():
     with pytest.raises(ClassBalanceError):
-        build_ensembles([EmbeddedSample(basis_state(1, 0), +1)])
+        build_ensembles(sample_set([basis_state(1, 0)], [+1]))
 
 
 def test_fidelity_classify_sign_and_value():

@@ -236,7 +236,7 @@ def test_classify_circuit_over_the_register_budget_exits_3(tmp_path, capsys, mon
     assert main(["train", "--dataset", "blobs", "--dims", "4", "--per-class", "16",
                  "--epochs", "0", "--out", str(model)]) == 0
     # 32 samples of 2 qubits, a 10-qubit classifier register, 32768 B buffer; the
-    # sample list (14,848 B) and the filter's gate pass (7168 B) fit
+    # sample set (16,384 B) and the filter's gate pass (7168 B) fit
     monkeypatch.setattr(errors, "MAX_BUFFER_BYTES", 32767)
     argv = ["classify", "--model", str(model), "--input", "0.3,0.9,0.1,0.2"]
     assert main(argv + ["--path", "circuit"]) == 3
@@ -346,13 +346,13 @@ def test_co_train_embeds_the_data_once(tmp_path, monkeypatch):
     """A co-trained fit embeds the dataset only for its final ensemble,
     after training: one batch of all six rows at the trained angles."""
     calls = []
-    embed = embedding.embed_dataset
+    embed = embedding.embed_rows
 
-    def counted(data, spec):
-        calls.append((len(data), spec.params))
-        return embed(data, spec)
+    def counted(features, labels, spec):
+        calls.append((len(labels), spec.params))
+        return embed(features, labels, spec)
 
-    monkeypatch.setattr(embedding, "embed_dataset", counted)
+    monkeypatch.setattr(embedding, "embed_rows", counted)
     csv_path = tmp_path / "train.csv"
     rows = ["f0,f1,label"] + [f"{0.1 * i:.1f},{(-1) ** i * 0.3:.1f},{(-1) ** i}" for i in range(6)]
     csv_path.write_text("\n".join(rows) + "\n")
@@ -631,13 +631,14 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("train, argv, need, message, allocator", [
     # 200 blobs of 128 features, 204,800 B; the covariance is 131,072 B, the
-    # sample list 86,400 B, the embedding's gate pass 51,584 B
+    # sample set 51,200 B, the embedding's gate pass 51,584 B
     (None, ["train", "--dataset", "blobs", "--dims", "128", "--per-class", "100",
             "--embedding", "pca:1"],
      2 * 100 * 128 * 8, "200 blobs of 128 features need", ("numpy.random", "default_rng")),
-    # 200 embedded 1-qubit rows; the features are 3200 B, the filter's gate pass 2944 B
+    # 200 embedded 1-qubit rows, 8 arrays of 200 x 2; the features are 3200 B,
+    # the filter's gate pass 2944 B
     (None, ["train", "--dataset", "blobs", "--dims", "2", "--per-class", "100"],
-     200 * (embedding.SAMPLE_BYTES + 2 * 16), "200 embedded 1-qubit rows need",
+     200 * embedding.SAMPLE_SET_ARRAYS * 2 * 16, "200 embedded 1-qubit rows need",
      ("qfilter.embedding", "encode_rows")),
     # a 20 x 20 covariance, 3200 B, formed under np.errstate; the filter's gate
     # pass is 2944 B, the features 320 B, the embedding's gate pass 896 B
@@ -649,7 +650,7 @@ def test_analytic_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch
      8 * 4 * 2 * 16 + 5 * quantum.GATE_BYTES, "a 1-qubit, 1-layer filter needs",
      ("qfilter.featuremap", "run_gates")),
     # 32 samples of 2 qubits: a 10-qubit classifier register and one more array;
-    # the sample list is 14,848 B, the filter's gate pass 7168 B
+    # the sample set is 16,384 B, the filter's gate pass 7168 B
     (["--dataset", "blobs", "--dims", "4", "--per-class", "16"],
      ["classify", "--input", "0.3,0.9,0.1,0.2", "--path", "circuit"],
      2**11 * 16, "a 10-qubit register needs", ("qfilter.protocol", "_half_columns")),

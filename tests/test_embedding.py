@@ -1,5 +1,6 @@
 """Encoders, dataset embedding, and the fitted rotation scaling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,16 @@ from hypothesis import strategies as st
 import oracles
 from oracles import basis_state
 from qfilter.embedding import (
+    SAMPLE_SET_ARRAYS,
     EmbeddedSample,
     EmbeddingSpec,
     FeatureScaling,
+    Pipeline,
+    SampleSet,
     embed_dataset,
+    embed_rows,
     encode_point,
+    encode_rows,
     fit_rotation_scaling,
     pca_layer_states,
 )
@@ -22,6 +28,7 @@ from qfilter.errors import (
     DimError,
     DomainError,
     ParamShapeError,
+    ShapeError,
     ZeroVectorError,
 )
 from qfilter.quantum import GateSpec
@@ -267,8 +274,63 @@ def test_embed_dataset_requires_both_classes():
 
 
 def test_embedded_sample_label_validation():
-    with pytest.raises(ValueError):
-        EmbeddedSample(basis_state(1, 0), 0)
+    """A set's labels are +1 or -1, checked once for the whole set; one class is a set."""
+    for bad in (0, 2):
+        with pytest.raises(ValueError, match=f"label must be \\+1 or -1, got {bad}"):
+            SampleSet(np.eye(2), np.array([+1, bad]))
+    assert SampleSet(np.eye(2), np.array([-1, -1])).labels.tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("amplitudes, labels, error", [
+    (np.ones(2), np.array([1]), DimError),
+    (np.ones((1, 2, 2)), np.array([1]), DimError),
+    (np.ones((2, 3)), np.array([1, -1]), DimError),
+    (np.ones((2, 0)), np.array([1, -1]), DimError),
+    (np.ones((2, 2)), np.array([1, -1, 1]), ShapeError),
+    (np.ones((2, 2)), np.array([[1, -1]]), ShapeError),
+], ids=["1-D", "3-D", "width-3", "width-0", "more-labels", "2-D-labels"])
+def test_sample_set_refuses_a_shape_that_is_not_m_rows_of_2_to_the_n(amplitudes, labels, error):
+    with pytest.raises(error):
+        SampleSet(amplitudes, labels)
+
+
+@pytest.mark.parametrize("spec", [
+    EmbeddingSpec("amplitude", 2),
+    EmbeddingSpec("angle", 1),
+    EmbeddingSpec("pca-layer", 2, params=(0.3, -0.2, 0.5)),
+], ids=lambda spec: spec.kind)
+def test_a_row_of_the_set_is_the_embedded_sample_of_its_point(spec):
+    """set[m] is the EmbeddedSample of row m of the batch, the pairs route
+    gives the same set, and the set's size comes from its array."""
+    rng = np.random.default_rng(5)
+    xs, labels = rng.uniform(-1, 1, (7, 2)), np.array([+1, -1, -1, +1, -1, +1, +1])
+    samples = embed_rows(xs, labels, spec)
+    pairs = embed_dataset(list(zip(xs, labels.tolist())), spec)
+    assert np.array_equal(pairs.amplitudes, samples.amplitudes)
+    assert np.array_equal(pairs.labels, samples.labels)
+    assert (len(samples), samples.n_qubits) == (7, spec.n_qubits)
+    for m, (psi, y) in enumerate(zip(encode_rows(xs, spec), labels.tolist())):
+        row = samples[m]
+        assert isinstance(row, EmbeddedSample) and type(row.label) is int
+        assert row.label == y
+        assert np.array_equal(row.state.amplitudes, psi)
+    assert [s.label for s in samples] == labels.tolist()
+
+
+def test_pipeline_samples_peak_within_the_counted_arrays():
+    """Pipeline.samples() on 100,000 one-qubit rows peaks within the
+    SAMPLE_SET_ARRAYS amplitude-sized arrays the budget counts; an object of
+    a few hundred bytes per row would not fit."""
+    blobs = {"kind": "blobs", "seed": 0, "per_class": 50_000, "dims": 2, "separation": 2.0}
+    pipe = Pipeline.fit(blobs, "amplitude")
+    tracemalloc.start()
+    try:
+        samples = pipe.samples()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.amplitudes.shape == (100_000, 2)
+    assert peak <= SAMPLE_SET_ARRAYS * 100_000 * 2 * 16
 
 
 def test_fit_rotation_scaling_maps_train_range_into_pi():

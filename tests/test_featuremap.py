@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import basis_state
-from qfilter.embedding import EmbeddedSample, EmbeddingSpec, pca_layer_states
+from oracles import basis_state, sample_set
+from qfilter.embedding import EmbeddingSpec, SampleSet, pca_layer_states
 from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated, ParamShapeError
 from qfilter.featuremap import (
     ClassMoments,
@@ -145,7 +145,7 @@ def test_apply_filter_dimension_check():
 def _filter_two_qubits(via, shape):
     """apply_filter or transform_ensemble with a K of the given shape on 2-qubit states."""
     k = np.eye(*shape, dtype=complex)
-    samples = [EmbeddedSample(random_state(seed, 2), y) for seed, y in ((1, +1), (2, -1))]
+    samples = sample_set([random_state(1, 2), random_state(2, 2)], [+1, -1])
     if via == "apply_filter":
         return apply_filter(k, pure_to_density(samples[0].state))
     return transform_ensemble(k, samples)
@@ -202,18 +202,15 @@ def test_apply_filter_is_filter_moments_on_one_state():
 
 def _two_class_samples(n_qubits=1, m=4, seed=0):
     labels = [+1, -1, +1, -1][:m]
-    return [
-        EmbeddedSample(random_state(seed * 100 + j, n_qubits), labels[j])
-        for j in range(m)
-    ]
+    return sample_set([random_state(seed * 100 + j, n_qubits) for j in range(m)], labels)
 
 
 def test_transform_ensemble_matches_hand_accumulation():
     for n, layers, m in [(1, 1, 4), (1, 2, 9), (2, 1, 12), (3, 2, 20)]:
-        samples = [
-            EmbeddedSample(random_state(1000 * n + j, n), (+1, -1)[j % 3 == 0])
-            for j in range(m)
-        ]
+        samples = sample_set(
+            [random_state(1000 * n + j, n) for j in range(m)],
+            [(+1, -1)[j % 3 == 0] for j in range(m)],
+        )
         circ = build_ansatz(n, layers)
         theta = np.random.default_rng(9 + m).uniform(-np.pi, np.pi, circ.n_params)
         k = kraus_from_circuit(circ, theta)
@@ -287,6 +284,25 @@ def test_kraus_pullback_matches_the_shift_rule(seed):
     np.testing.assert_allclose(got, gradient(scalar, theta), rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("n_system", [1, 2, 3, 4])
+def test_kraus_block_is_the_pass_over_the_ancilla_zero_columns_of_the_identity(n_system):
+    """kraus_with_pullback() builds the input columns of V P0 without an
+    identity; its block and gradient are bitwise those of the same pass over
+    the ancilla-|0> columns of the 2 dim x 2 dim identity."""
+    dim = 2**n_system
+    rng = np.random.default_rng(n_system)
+    for layers in (1, 2, 3) * 5:
+        circ = build_ansatz(n_system, layers)
+        theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        block, pullback = kraus_with_pullback(circ, theta)
+        want, run_back = run_gates(np.eye(2 * dim, dtype=complex)[:, 0::2], circ.gates, theta)
+        adj = np.zeros_like(want)
+        adj[0::2] = x.conj().T
+        assert block.tobytes() == want.tobytes()
+        assert pullback(x).tobytes() == run_back(adj).tobytes()
+
+
 def test_identity_filter_reproduces_baseline_ensembles_bitwise():
     samples = _two_class_samples(m=4, seed=6)
     ens = transform_ensemble(np.eye(2, dtype=complex), samples)
@@ -300,10 +316,7 @@ def test_identity_filter_reproduces_baseline_ensembles_bitwise():
 
 
 def test_identity_filter_is_exact_on_basis_samples():
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), -1),
-    ]
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
     ens = transform_ensemble(np.eye(2, dtype=complex), samples)
     assert ens.p_succ == 1.0
     assert ens.p_joint == 1.0
@@ -313,23 +326,17 @@ def test_identity_filter_is_exact_on_basis_samples():
 def test_transform_ensemble_class_annihilation():
     # keep branch kills |1>; make the -1 class pure |1>
     keep = np.diag([1.0, 0.0]).astype(complex)
-    samples = [
-        EmbeddedSample(random_state(1, 1), +1),
-        EmbeddedSample(basis_state(1, 1), -1),  # exactly |1>
-    ]
+    samples = sample_set([random_state(1, 1), basis_state(1, 1)], [+1, -1])  # -1 is exactly |1>
     with pytest.raises(ClassAnnihilated):
         transform_ensemble(keep, samples)
     with pytest.raises(ClassAnnihilated):
-        transform_ensemble(keep, [])
+        transform_ensemble(keep, SampleSet(np.zeros((0, 2)), np.zeros(0)))
 
 
 def test_annihilated_single_sample_is_harmless_if_class_survives():
     keep = np.diag([1.0, 0.0]).astype(complex)
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), +1),  # killed, class survives
-        EmbeddedSample(random_state(4, 1), -1),
-    ]
+    # the second sample is killed, its class survives
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1), random_state(4, 1)], [+1, +1, -1])
     ens = transform_ensemble(keep, samples)
     assert ens.p_s[1] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(ens.pos.entries, np.diag([1.0, 0.0]), atol=1e-12)

@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from oracles import basis_state
+from oracles import basis_state, sample_set
 from qfilter import protocol
-from qfilter.embedding import EmbeddedSample
 from qfilter.errors import ClassAnnihilated, DimError, ParamShapeError
 from qfilter.featuremap import apply_filter, build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.classifier import filtered_fidelity_classify
@@ -31,10 +30,7 @@ from qfilter.quantum import StateVector, hs_distance, pure_to_density, random_st
 
 def _samples(seed, m=2, n=1):
     labels = [+1, -1] + [(-1) ** j for j in range(m - 2)]
-    return [
-        EmbeddedSample(random_state(seed * 77 + j, n), labels[j])
-        for j in range(m)
-    ]
+    return sample_set([random_state(seed * 77 + j, n) for j in range(m)], labels)
 
 
 def test_index_register_width():
@@ -73,10 +69,7 @@ def test_register_layout_rejects_gaps():
 
 def test_prepare_classifier_state_amplitudes():
     # two one-qubit samples |0>(+1) and |1>(-1), test |1>
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), -1),
-    ]
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
     state = prepare_classifier_state(samples, basis_state(1, 1))
     # registers: index(1) train(1) label(1) test(1)
     assert state.n_qubits == 4
@@ -89,24 +82,15 @@ def test_prepare_classifier_state_amplitudes():
 
 
 def test_prepare_classifier_state_checks_sizes():
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), -1),
-    ]
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
     with pytest.raises(DimError):
-        prepare_classifier_state(samples[:1], basis_state(1, 0))
+        prepare_classifier_state(sample_set([basis_state(1, 0)], [+1]), basis_state(1, 0))
     with pytest.raises(DimError):
         prepare_classifier_state(samples, basis_state(2, 0))
-    mixed = samples + [EmbeddedSample(basis_state(2, 0), +1)]
-    with pytest.raises(DimError):
-        prepare_classifier_state(mixed, basis_state(1, 0))
 
 
 def test_prepare_risk_state_amplitudes():
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), -1),
-    ]
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
     state = prepare_risk_state(samples)
     assert state.n_qubits == 3
     want = np.zeros(8, dtype=complex)
@@ -175,10 +159,7 @@ def test_apply_feature_maps_postselect_annihilation():
     from qfilter.featuremap import FeatureMapCircuit
 
     circ = FeatureMapCircuit(1, (GateSpec("Rx", (1,)),))
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), -1),
-    ]
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
     with pytest.raises(ClassAnnihilated):
         run_classifier_protocol(samples, basis_state(1, 0), circ, np.array([math.pi]))
 
@@ -439,10 +420,7 @@ def test_class_annihilation_readout():
     # CRx(pi) with control = data qubit rotates ancilla |0> -> -i|1> exactly
     # when the data qubit is |1>, so post-selecting ancilla 0 kills |1> data
     circ = FeatureMapCircuit(1, (GateSpec("CRx", (0, 1)),))
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), -1),
-    ]
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
     with pytest.raises(ClassAnnihilated):
         run_classifier_protocol(samples, basis_state(1, 0), circ, np.array([math.pi]))
 

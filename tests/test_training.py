@@ -8,10 +8,10 @@ import pytest
 import sympy as sp
 
 import oracles
-from oracles import basis_state
+from oracles import basis_state, sample_set
 from qfilter import training
 from qfilter.classifier import build_ensembles, fidelity_classify
-from qfilter.embedding import EmbeddedSample, EmbeddingSpec, Pipeline, embed_dataset
+from qfilter.embedding import EmbeddingSpec, Pipeline, SampleSet, embed_dataset, embed_rows
 from qfilter.errors import ClassAnnihilated, ClassBalanceError, DomainError, ShapeError
 from qfilter.featuremap import FeatureMapCircuit, build_ansatz, class_moments, kraus_from_circuit
 from qfilter.quantum import GateSpec, hs_distance, pure_to_density, random_state
@@ -61,10 +61,7 @@ def test_cost_gradient_against_symbolic_circuit():
     theta0 = np.array([0.4, -0.7, 1.1, 0.2, -0.5])
     psi_a = np.array([0.6, 0.8])
     psi_b = np.array([1.0, 0.0])
-    samples = [
-        EmbeddedSample(__import__("qfilter").StateVector(psi_a), +1),
-        EmbeddedSample(__import__("qfilter").StateVector(psi_b), -1),
-    ]
+    samples = SampleSet(np.array([psi_a, psi_b]), np.array([+1, -1]))
 
     t = sp.Symbol("t", real=True)
     coord = 4  # the CRx angle
@@ -99,10 +96,8 @@ def test_cost_gradient_against_symbolic_circuit():
 
 
 def _random_samples(n_qubits, m, seed):
-    return [
-        EmbeddedSample(random_state(seed * 1000 + j, n_qubits), (+1, -1)[j % 2])
-        for j in range(m)
-    ]
+    states = [random_state(seed * 1000 + j, n_qubits) for j in range(m)]
+    return sample_set(states, [(+1, -1)[j % 2] for j in range(m)])
 
 
 def test_exact_gradient_matches_finite_differences():
@@ -138,10 +133,7 @@ def test_cost_matches_per_sample_oracle():
 
 
 def test_cost_is_baseline_risk_at_zero_theta():
-    samples = [
-        EmbeddedSample(random_state(1, 1), +1),
-        EmbeddedSample(random_state(2, 1), -1),
-    ]
+    samples = sample_set([random_state(1, 1), random_state(2, 1)], [+1, -1])
     ansatz = build_ansatz(1, 1)
     rep = cost(ansatz.zero_theta(), samples, ansatz, lam=1.0, cutoff=0.0)
     rho, sigma = build_ensembles(samples)
@@ -152,10 +144,7 @@ def test_cost_is_baseline_risk_at_zero_theta():
 def test_cost_sentinel_on_class_annihilation():
     # CRx(pi) filter kills |1>; the -1 class is exactly |1>
     circuit = FeatureMapCircuit(1, (GateSpec("CRx", (0, 1)),))
-    samples = [
-        EmbeddedSample(basis_state(1, 0), +1),
-        EmbeddedSample(basis_state(1, 1), -1),
-    ]
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
     rep = cost(np.array([math.pi]), samples, circuit, lam=1.0, cutoff=0.5)
     assert rep.risk == 2.0
     assert rep.p_succ == 0.0
@@ -168,10 +157,13 @@ def test_cost_sentinel_on_class_annihilation():
 def test_cost_and_train_reject_empty_samples():
     # no sample, no class to filter: an input error, not the +2 sentinel
     ansatz = build_ansatz(1, 1)
+    empty = SampleSet(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ClassAnnihilated, match="no samples"):
-        cost(ansatz.zero_theta(), [], ansatz, lam=1.0, cutoff=0.0)
+        class_moments(empty)
     with pytest.raises(ClassAnnihilated, match="no samples"):
-        train(TrainConfig(epochs=1), [], ansatz)
+        cost(ansatz.zero_theta(), empty, ansatz, lam=1.0, cutoff=0.0)
+    with pytest.raises(ClassAnnihilated, match="no samples"):
+        train(TrainConfig(epochs=1), empty, ansatz)
 
 
 def test_train_config_validation():
@@ -361,8 +353,7 @@ def test_co_training_gradient_matches_finite_differences(k, embed_layers, ring, 
     step = co_train(replace(cfg, epochs=1), features, labels, spec, ansatz)
 
     def full_report(t):
-        pairs = list(zip(features, labels.tolist()))
-        smp = embed_dataset(pairs, replace(spec, params=tuple(t[ansatz.n_params :])))
+        smp = embed_rows(features, labels, replace(spec, params=tuple(t[ansatz.n_params :])))
         return cost(t[: ansatz.n_params], smp, ansatz, cfg.lam, cfg.cutoff)
 
     assert (full_report(theta0).penalty > 0) == (c > 0)
@@ -381,12 +372,12 @@ def test_co_training_requires_raw_data_and_trainable_embedding():
     features = np.array([[0.3], [-0.3]])
     with pytest.raises(DomainError, match="trainable angles"):
         co_train(cfg, features, np.array([+1, -1]), EmbeddingSpec("angle", 1), ansatz)
-    # the labels must hold both classes, checked as embed_dataset() checks them
+    # the labels must hold both classes, checked as embed_rows() checks them
     spec = EmbeddingSpec("pca-layer", 1, params=(0.0,))
     with pytest.raises(ClassBalanceError, match=r"need both labels \+1 and -1, got \[1\]"):
         co_train(cfg, features, np.array([+1, +1]), spec, ansatz)
     with pytest.raises(ClassBalanceError, match=r"got \[1\]"):
-        embed_dataset([(x, +1) for x in features], spec)
+        embed_rows(features, np.array([+1, +1]), spec)
     # one label per feature row
     with pytest.raises(ShapeError, match=r"features \(2, 1\) vs labels \(3,\)"):
         co_train(cfg, features, np.array([+1, -1, +1]), spec, ansatz)
