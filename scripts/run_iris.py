@@ -14,7 +14,7 @@ from qfilter.classifier import filtered_fidelity_classify
 from qfilter.datasets import iris_builtin
 from qfilter.embedding import EmbeddingSpec, embed_dataset, encode_point
 from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
-from qfilter.quantum import hs_distance, pure_to_density
+from qfilter.quantum import hs_distance
 from qfilter.training import TrainConfig, train
 
 
@@ -22,11 +22,10 @@ def load():
     ds, (test_x, test_y) = iris_builtin()
     spec = EmbeddingSpec("angle", 1)
     samples = embed_dataset(ds.pairs(), spec)
-    test_rho = pure_to_density(encode_point(test_x, spec))
-    return samples, test_rho, test_y
+    return samples, encode_point(test_x, spec), test_y
 
 
-def run_once(samples, test_rho, layers, epochs, seed, init_scale, cutoff, lam):
+def run_once(samples, test_state, layers, epochs, seed, init_scale, cutoff, lam):
     config = TrainConfig(
         learning_rate=0.05,
         epochs=epochs,
@@ -40,7 +39,7 @@ def run_once(samples, test_rho, layers, epochs, seed, init_scale, cutoff, lam):
     res = train(config, samples, ansatz)
     k = kraus_from_circuit(ansatz, res.theta_star)
     ens = transform_ensemble(k, samples)
-    out = filtered_fidelity_classify(ens, k, test_rho)
+    out = filtered_fidelity_classify(ens, k, test_state)
     return res, ens, out
 
 
@@ -56,24 +55,24 @@ def main():
                     help="scan init scales instead of a single run")
     args = ap.parse_args()
 
-    samples, test_rho, test_y = load()
+    samples, test_state, test_y = load()
     # the baseline is the identity filter: the unfiltered class mixtures
     identity = np.eye(2, dtype=complex)
     plain = transform_ensemble(identity, samples)
-    base = filtered_fidelity_classify(plain, identity, test_rho)
+    base = filtered_fidelity_classify(plain, identity, test_state)
     print(f"baseline   risk {-hs_distance(plain.pos, plain.neg):+.6f}  "
           f"value {base.value:+.6f}  decision {base.decision:+d}  (truth {test_y:+d})")
 
     if args.sweep_init:
         print(f"{'init_scale':>10}  {'risk':>10}  {'p_succ':>8}  {'value':>10}  decision")
         for scale in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5):
-            res, _, out = run_once(samples, test_rho, args.layers, args.epochs,
+            res, _, out = run_once(samples, test_state, args.layers, args.epochs,
                                    args.seed, scale, args.cutoff, args.lam)
             print(f"{scale:>10.2f}  {res.report.risk:>10.4f}  "
                   f"{res.report.p_succ:>8.4f}  {out.value:>10.4f}  {out.decision:+d}")
         return
 
-    res, ens, out = run_once(samples, test_rho, args.layers, args.epochs,
+    res, ens, out = run_once(samples, test_state, args.layers, args.epochs,
                              args.seed, args.init_scale, args.cutoff, args.lam)
     print(f"trained    risk {res.report.risk:+.6f}  "
           f"value {out.value:+.6f}  decision {out.decision:+d}")

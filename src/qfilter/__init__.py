@@ -14,8 +14,8 @@ from .classifier import (
     ClassifierOutput,
     RiskReport,
     build_ensembles,
+    classify_rows,
     constrained_risk,
-    fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
     weighted_empirical_risk,
@@ -61,8 +61,6 @@ from .quantum import (
     StateVector,
     UnitaryMatrix,
     hs_distance,
-    overlap,
-    pure_to_density,
     random_cptp,
     run_gates,
     trace_norm,

@@ -2,18 +2,35 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import check_labels
 from .embedding import SampleSet
-from .errors import ClassBalanceError, DomainError, ShapeError
-from .featuremap import TransformedEnsembles, apply_filter, transform_ensemble
-from .quantum import DensityMatrix, overlap
+from .errors import ClassBalanceError, DomainError, NormError, ShapeError
+from .featuremap import (
+    EPS_ANNIHILATION,
+    TransformedEnsembles,
+    apply_filter,
+    check_success,
+    transform_ensemble,
+)
+from .quantum import ATOL_INPUT, DensityMatrix, StateVector
 
 TIE_EPS = 1e-12
 SENTINEL_COST = 2.0
+
+
+def sign_rule(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one sign rule on an array of values: (decisions, ties).
+
+    |value| <= TIE_EPS is a tie and decides +1; any other finite value decides
+    its sign; a non-finite one (an annihilated row, unsampled shots) decides 0.
+    """
+    v = np.asarray(values, dtype=float)
+    tie = np.abs(v) <= TIE_EPS
+    return np.where(np.isfinite(v), np.where(tie | (v > 0), 1, -1), 0), tie
 
 
 @dataclass(frozen=True)
@@ -26,14 +43,12 @@ class ClassifierOutput:
     @property
     def tie(self) -> bool:
         """|value| <= TIE_EPS; a tie decides +1."""
-        return abs(self.value) <= TIE_EPS
+        return bool(sign_rule(self.value)[1])
 
     @property
     def decision(self) -> int | None:
-        """The one sign rule: +1, -1, +1 on a tie; None for a non-finite value (unsampled shots)."""
-        if not math.isfinite(self.value):
-            return None
-        return +1 if self.tie or self.value > 0 else -1
+        """sign_rule() on the value: +1, -1, +1 on a tie; None for a non-finite value."""
+        return int(sign_rule(self.value)[0]) or None
 
 
 @dataclass(frozen=True)
@@ -67,19 +82,44 @@ def build_ensembles(samples: SampleSet) -> tuple[DensityMatrix, DensityMatrix]:
     return ens.pos, ens.neg
 
 
-def fidelity_classify(
-    rho: DensityMatrix, sigma: DensityMatrix, test: DensityMatrix
-) -> ClassifierOutput:
-    """tr[(rho - sigma) test]: positive favors the +1 class."""
-    return ClassifierOutput(overlap(rho, test) - overlap(sigma, test))
+def _check_unit_rows(amps: np.ndarray) -> None:
+    """Raise NormError for the first row whose norm is off 1 by more than ATOL_INPUT."""
+    norms = np.linalg.norm(amps, axis=-1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= ATOL_INPUT))
+    if bad.size:
+        raise NormError(f"state norm {norms[bad[0]]} != 1")
+
+
+def classify_rows(
+    ens: TransformedEnsembles, k: np.ndarray, amplitudes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values <K psi|D|K psi> / p_s and p_s = ||K psi||^2 of the rows psi of amplitudes.
+
+    D = rho'+ - rho'- holds the filtered class states of ens, so a value is
+    tr[D K rho K+] / p_s for rho = |psi><psi|, read without forming the
+    filtered state; positive favors +1. It is NaN where check_success()
+    refuses p_s. A row off unit norm by more than ATOL_INPUT raises NormError.
+    """
+    amps = np.ascontiguousarray(amplitudes, dtype=complex)
+    _check_unit_rows(amps)
+    kpsi, p_s = apply_filter(k, amps)
+    d_kpsi = (ens.pos.entries - ens.neg.entries) @ kpsi
+    # Re <K psi|D K psi> per column, on real views with (re, im) as a last axis
+    parts = [z.view(float).reshape(*z.shape, 2) for z in (kpsi, d_kpsi)]
+    values = np.einsum("imc,imc->m", *parts)
+    kept = p_s > EPS_ANNIHILATION
+    np.divide(values, p_s, out=values, where=kept)
+    values[~kept] = math.nan
+    return values, p_s
 
 
 def filtered_fidelity_classify(
-    ens: TransformedEnsembles, k: np.ndarray, test: DensityMatrix
+    ens: TransformedEnsembles, k: np.ndarray, test: StateVector
 ) -> ClassifierOutput:
-    """Filter the test state with K, then classify it against the filtered ensembles."""
-    test_f, p_s = apply_filter(k, test)
-    return replace(fidelity_classify(ens.pos, ens.neg, test_f), p_s_test=p_s)
+    """classify_rows() on one test state; FilterAnnihilated where its value would be NaN."""
+    (value,), (p_s,) = (a.tolist() for a in classify_rows(ens, k, test.amplitudes[None]))
+    check_success(p_s)
+    return ClassifierOutput(value, p_s)
 
 
 def filtered_class_weights(labels: np.ndarray, p_s: np.ndarray) -> np.ndarray:

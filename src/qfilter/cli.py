@@ -23,7 +23,6 @@ from .embedding import Pipeline, fingerprint, restore_model
 from .errors import DomainError, FilterAnnihilated, QFilterError
 from .featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
 from .protocol import run_classifier_protocol, sample_outcomes
-from .quantum import pure_to_density
 from .selftest import run_all
 from .training import TrainConfig, co_train, compare_conditions, train
 
@@ -163,7 +162,7 @@ def cmd_classify(args) -> int:
         if args.path == "analytic":
             k = kraus_from_circuit(ansatz, theta)
             ens = transform_ensemble(k, samples)
-            out = filtered_fidelity_classify(ens, k, pure_to_density(test_state))
+            out = filtered_fidelity_classify(ens, k, test_state)
         else:
             outcome = run_classifier_protocol(samples, test_state, ansatz, theta)
             if args.shots > 0:

@@ -34,12 +34,12 @@ class RawDataset:
 
     def __post_init__(self) -> None:
         f = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.labels, dtype=int)
+        y = np.asarray(self.labels)
         if f.ndim != 2 or y.ndim != 1 or f.shape[0] != y.shape[0]:
             raise ShapeError(f"features {f.shape} vs labels {y.shape}")
-        check_labels(y.tolist())
+        check_labels(y.tolist())  # as given: a cast would truncate 1.5 to 1
         object.__setattr__(self, "features", f)
-        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "labels", y.astype(int, copy=False))
 
     def pairs(self) -> list[tuple[np.ndarray, int]]:
         return [(self.features[i], int(self.labels[i])) for i in range(len(self.labels))]

@@ -208,9 +208,10 @@ def encode_point(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
 
 
 # Amplitude arrays a fit holds at its peak, as gate_pass_bytes() counts a
-# pass: transform_ensemble() holds the set, its column copy, K psi and two
-# copies of a class's columns; the rest covers the labels, the class masks
-# and the encoders' temporaries (measured peaks in CHANGES.md).
+# pass: transform_ensemble() holds the set, its column copy and two copies
+# of a class's columns (K psi before them), and classify_rows() the set,
+# K psi and D K psi; the rest covers the labels, the class masks and the
+# encoders' temporaries (measured peaks in CHANGES.md).
 SAMPLE_SET_ARRAYS = 8
 
 
@@ -373,10 +374,11 @@ def _finite(name: str, values: list) -> np.ndarray:
 def restore_model(result: dict) -> TrainedModel:
     """Rebuild a train result; a malformed one raises ModelError.
 
-    The PCA, the scaling and the trained embedding angles come from the
-    manifest as saved, not refitted; every number in them and in theta_star
-    must be finite, and the embedding's gate pass must fit the memory
-    budget. The dataset, rebuilt from its descriptor, must still match the
+    The embedding is rebuilt only for a kind that train writes, at the saved
+    n_qubits. The PCA, the scaling and the trained embedding angles come from
+    the manifest as saved, not refitted; every number in them and in
+    theta_star must be finite, and the embedding's gate pass must fit the
+    memory budget. The dataset, rebuilt from its descriptor, must still match the
     fingerprint the model was trained on.
     """
     try:
@@ -394,8 +396,12 @@ def restore_model(result: dict) -> TrainedModel:
             dataset = load_dataset(d)
             _check_pass_budget(spec, dataset.features.shape[0])
             pipe = Pipeline(d, dataset, spec, pca, FeatureScaling(center, factor))
+        elif e["kind"] in ("amplitude", "angle"):
+            pipe, n = Pipeline.fit(d, e["kind"]), e["n_qubits"]
+            if type(n) is not int or n != pipe.spec.n_qubits:
+                raise ModelError(f"malformed model: n_qubits {n!r} for {pipe.spec.n_qubits}-qubit data")
         else:
-            pipe = Pipeline.fit(d, e["kind"])
+            raise ModelError(f"malformed model: unknown embedding kind {e['kind']!r}")
         layers, theta = cfg["ansatz_layers"], _finite("theta_star", result["theta_star"])
         if type(layers) is not int or layers < 1:
             raise ModelError(f"malformed model: ansatz_layers {layers!r} is not an integer >= 1")

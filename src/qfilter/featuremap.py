@@ -7,9 +7,8 @@ of the full circuit gives K+K + K0+K0 = I.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -129,24 +128,6 @@ def kraus_with_pullback(
     return cols, pullback
 
 
-def _filtered(
-    k: np.ndarray, a: np.ndarray, checks: Sequence[Callable[[float], None]]
-) -> tuple[np.ndarray, list[float]]:
-    """The filter step on a stack a of matrices: each K a_i K+ / mass_i, in one batched product.
-
-    Returns the stack of filtered states and the masses tr[K a_i K+], which
-    checks[i] sees before anything is divided by them. For a PSD a_i the
-    state is PSD with unit trace by construction; the boundary callers wrap
-    it in a DensityMatrix, which checks that.
-    """
-    total = k @ a @ k.conj().T
-    masses = total.trace(axis1=1, axis2=2).real
-    for check, mass in zip(checks, masses.tolist()):
-        check(mass)
-    m = total / masses[:, None, None]
-    return (m + m.conj().transpose(0, 2, 1)) / 2, masses.tolist()  # scrub roundoff asymmetry
-
-
 def check_success(p_s: float) -> None:
     """Raise FilterAnnihilated for a success probability p_s <= EPS_ANNIHILATION."""
     if p_s <= EPS_ANNIHILATION:
@@ -159,18 +140,15 @@ def _check_kraus_shape(k: np.ndarray, dim: int) -> None:
         raise DimError(f"a Kraus operator of shape {k.shape} does not act on dimension {dim}")
 
 
-def apply_filter(k: np.ndarray, rho: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """Post-selected map rho -> K rho K+ / p_s with p_s = tr[K rho K+]."""
-    _check_kraus_shape(k, rho.entries.shape[0])
-    (m,), (p_s,) = _filtered(k, rho.entries[None], (check_success,))
-    return DensityMatrix(m), p_s
+def apply_filter(k: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The filter step on the rows psi_m of an (M, dim) amplitude array.
 
-
-def _sample_columns(samples: SampleSet) -> np.ndarray:
-    """The amplitudes as the columns of a (dim, M) array; an empty set raises ClassAnnihilated."""
-    if not len(samples):
-        raise ClassAnnihilated("no samples")
-    return np.ascontiguousarray(samples.amplitudes.T)
+    Returns K psi_m as the columns of a (dim, M) array and p_s(x_m) =
+    ||K psi_m||^2 = tr[K rho_m K+] per row, undivided and unchecked.
+    """
+    _check_kraus_shape(k, amplitudes.shape[-1])
+    kpsi = k @ amplitudes.T
+    return kpsi, np.sum(kpsi.real**2 + kpsi.imag**2, axis=0)
 
 
 def check_class_mass(label: int, mass: float) -> None:
@@ -199,21 +177,28 @@ def column_moments(psi: np.ndarray, labels: np.ndarray) -> ClassMoments:
 
 
 def class_moments(samples: SampleSet) -> ClassMoments:
-    return column_moments(_sample_columns(samples), samples.labels)
+    """column_moments() of the samples' amplitudes; an empty set raises ClassAnnihilated."""
+    if not len(samples):
+        raise ClassAnnihilated("no samples")
+    return column_moments(np.ascontiguousarray(samples.amplitudes.T), samples.labels)
 
 
 def filter_moments(k: np.ndarray, moments: ClassMoments) -> tuple[np.ndarray, list[float]]:
     """Filtered class states [rho+, rho-] = K A+- K+ / P+- as one array, and the masses P+-.
 
-    Both classes go through one batched product, and P+- = tr[K A+- K+].
+    Both classes go through one batched product, and P+- = tr[K A+- K+],
+    which check_class_mass() sees before anything is divided by it.
     Dividing each class sum once by its mass keeps annihilated samples
     harmless as long as the class as a whole survives. The states are not
     wrapped in DensityMatrix: K A K+ / tr is PSD with unit trace by
     construction, and transform_ensemble() checks them where they leave.
     """
-    return _filtered(
-        k, moments.stack, (partial(check_class_mass, +1), partial(check_class_mass, -1))
-    )
+    total = k @ moments.stack @ k.conj().T
+    masses = total.trace(axis1=1, axis2=2).real
+    for label, mass in zip((+1, -1), masses.tolist()):
+        check_class_mass(label, mass)
+    m = total / masses[:, None, None]
+    return (m + m.conj().transpose(0, 2, 1)) / 2, masses.tolist()  # scrub roundoff asymmetry
 
 
 def transform_ensemble(k: np.ndarray, samples: SampleSet) -> TransformedEnsembles:
@@ -222,12 +207,8 @@ def transform_ensemble(k: np.ndarray, samples: SampleSet) -> TransformedEnsemble
     Each class mixture weights sample m by p_s(x_m) / p_s(class), which is
     the same as filtering the class moment: the states come from
     filter_moments(), which raises ClassAnnihilated for a class the filter
-    annihilates. Per-sample p_s are the squared column norms of K Psi.
+    annihilates. Per-sample p_s come from apply_filter().
     """
-    psi = _sample_columns(samples)
-    _check_kraus_shape(k, psi.shape[0])
-    kpsi = k @ psi
-    (pos, neg), _ = filter_moments(k, column_moments(psi, samples.labels))
-    return TransformedEnsembles(
-        DensityMatrix(pos), DensityMatrix(neg), np.sum(kpsi.real**2 + kpsi.imag**2, axis=0)
-    )
+    p_s = apply_filter(k, samples.amplitudes)[1]  # K psi is not kept
+    (pos, neg), _ = filter_moments(k, class_moments(samples))
+    return TransformedEnsembles(DensityMatrix(pos), DensityMatrix(neg), p_s)

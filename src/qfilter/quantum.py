@@ -108,9 +108,6 @@ class StateVector:
         object.__setattr__(self, "n_qubits", _register_width(amps.shape, 1))
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -240,26 +237,12 @@ def run_gates(
     return out, pullback
 
 
-def pure_to_density(state: StateVector) -> DensityMatrix:
-    if abs(state.norm() - 1.0) > ATOL_INPUT:
-        raise NormError(f"state norm {state.norm()} != 1")
-    psi = state.amplitudes
-    return DensityMatrix(np.outer(psi, psi.conj()))
-
-
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """tr[(rho - sigma)^2]; equals the squared Frobenius norm for Hermitian args."""
     if rho.n_qubits != sigma.n_qubits:
         raise DimError("states live on different registers")
     diff = rho.entries - sigma.entries
     return float(np.sum(np.abs(diff) ** 2))
-
-
-def overlap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Re tr[rho sigma]; real by Hermiticity."""
-    if rho.n_qubits != sigma.n_qubits:
-        raise DimError("states live on different registers")
-    return float(np.real(np.vdot(sigma.entries, rho.entries)))
 
 
 def trace_norm(matrix: np.ndarray) -> float:

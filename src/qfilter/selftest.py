@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import (
+    classify_rows,
     filtered_class_weights,
     filtered_fidelity_classify,
     weighted_empirical_risk,
@@ -23,15 +24,7 @@ from .classifier import (
 from .embedding import SampleSet
 from .featuremap import build_ansatz, kraus_from_circuit, kraus_with_pullback, transform_ensemble
 from .protocol import run_classifier_protocol, run_risk_protocol
-from .quantum import (
-    StateVector,
-    apply_channel,
-    hs_distance,
-    pure_to_density,
-    random_cptp,
-    random_state,
-    trace_norm,
-)
+from .quantum import apply_channel, hs_distance, random_cptp, random_state, trace_norm
 
 
 @dataclass(frozen=True)
@@ -168,8 +161,7 @@ def suite_risk_identities(count: int = 100) -> SuiteResult:
         res = 0.0
         for k in (np.eye(2**n, dtype=complex), kraus_from_circuit(ansatz, theta)):
             ens = transform_ensemble(k, samples)
-            states = [pure_to_density(StateVector(psi)) for psi in samples.amplitudes]
-            values = np.array([filtered_fidelity_classify(ens, k, s).value for s in states])
+            values = classify_rows(ens, k, samples.amplitudes)[0]
             risk = weighted_empirical_risk(
                 values, labels, filtered_class_weights(labels, ens.p_s)
             )
@@ -198,7 +190,7 @@ def suite_path_equivalence(count: int = 100) -> list[SuiteResult]:
         k = kraus_from_circuit(ansatz, theta)
         ens = transform_ensemble(k, samples)
 
-        analytic = filtered_fidelity_classify(ens, k, pure_to_density(test))
+        analytic = filtered_fidelity_classify(ens, k, test)
         cls = run_classifier_protocol(samples, test, ansatz, theta)
         rsk = run_risk_protocol(samples, ansatz, theta)
 

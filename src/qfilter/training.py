@@ -10,13 +10,14 @@ import numpy as np
 
 from .classifier import (
     RiskReport,
+    classify_rows,
     constrained_risk,
-    filtered_fidelity_classify,
     sentinel_report,
+    sign_rule,
 )
 from .datasets import check_labels
 from .embedding import EmbeddingSpec, SampleSet, pca_layer_states
-from .errors import ClassAnnihilated, DomainError, FilterAnnihilated, ShapeError, check_budget
+from .errors import ClassAnnihilated, DomainError, ShapeError, check_budget
 from .featuremap import (
     ClassMoments,
     FeatureMapCircuit,
@@ -27,7 +28,7 @@ from .featuremap import (
     kraus_with_pullback,
     transform_ensemble,
 )
-from .quantum import StateVector, gate_pass_bytes, hs_distance, pure_to_density
+from .quantum import gate_pass_bytes, hs_distance
 
 # train() kicks instead of stepping when the gradient norm is at most this:
 # at a stationary point, such as the identity start, the exact gradient
@@ -285,20 +286,19 @@ def _descend(
 def _filtered_eval(
     ens, k: np.ndarray, test_samples: SampleSet
 ) -> tuple[float, float]:
-    """(accuracy among filter successes, mean test p_s) of the filter K."""
-    hits = successes = 0
-    p_sum = 0.0
-    for psi, label in zip(test_samples.amplitudes, test_samples.labels.tolist()):
-        try:
-            out = filtered_fidelity_classify(ens, k, pure_to_density(StateVector(psi)))
-        except FilterAnnihilated:
-            continue
-        successes += 1
-        p_sum += out.p_s_test
-        hits += out.decision == label
+    """(accuracy among filter successes, mean test p_s) of the filter K.
+
+    An annihilated row has no decision and adds to neither count nor to the
+    sum of p_s; the mean divides that sum by the number of test rows.
+    """
+    values, p_s = classify_rows(ens, k, test_samples.amplitudes)
+    decisions = sign_rule(values)[0]
+    success = decisions != 0
+    successes = np.count_nonzero(success)
     if successes == 0:
         return float("nan"), 0.0
-    return hits / successes, p_sum / len(test_samples)
+    hits = np.count_nonzero(decisions == test_samples.labels)
+    return float(hits / successes), float(np.sum(p_s, where=success)) / len(test_samples)
 
 
 def compare_conditions(

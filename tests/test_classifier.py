@@ -1,5 +1,7 @@
 """Fidelity classifier, class weights, and the risk/distance identities."""
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,25 +10,29 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import basis_state, sample_set
+from qfilter import training
 from qfilter.classifier import (
     ClassifierOutput,
     RiskReport,
     build_ensembles,
+    classify_rows,
     constrained_risk,
-    fidelity_classify,
     filtered_class_weights,
     filtered_fidelity_classify,
     sentinel_report,
+    sign_rule,
     weighted_empirical_risk,
 )
-from qfilter.errors import ClassBalanceError, DomainError, ShapeError
-from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
-from qfilter.quantum import (
-    DensityMatrix,
-    hs_distance,
-    pure_to_density,
-    random_state,
+from qfilter.embedding import SAMPLE_SET_ARRAYS, Pipeline
+from qfilter.errors import ClassBalanceError, DomainError, NormError, ShapeError
+from qfilter.featuremap import (
+    TransformedEnsembles,
+    build_ansatz,
+    kraus_from_circuit,
+    transform_ensemble,
 )
+from qfilter.quantum import DensityMatrix, StateVector, hs_distance, random_state
+from qfilter.training import TrainConfig, train
 
 
 def _samples(seed, m=4, n=1):
@@ -47,22 +53,25 @@ def test_build_ensembles_requires_both_classes():
         build_ensembles(sample_set([basis_state(1, 0)], [+1]))
 
 
+def _identity_readout(pos, neg, state):
+    """filtered_fidelity_classify() with K = I against the class states pos and neg."""
+    ens = TransformedEnsembles(DensityMatrix(pos), DensityMatrix(neg), np.ones(2))
+    return filtered_fidelity_classify(ens, np.eye(2, dtype=complex), state)
+
+
 def test_fidelity_classify_sign_and_value():
-    rho = DensityMatrix(np.diag([1.0, 0.0]))
-    sigma = DensityMatrix(np.diag([0.0, 1.0]))
-    up = pure_to_density(basis_state(1, 0))
-    out = fidelity_classify(rho, sigma, up)
+    up = basis_state(1, 0)
+    out = _identity_readout(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), up)
     assert out.value == pytest.approx(1.0)
     assert out.decision == +1
     assert not out.tie
-    out = fidelity_classify(sigma, rho, up)
+    out = _identity_readout(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), up)
     assert out.value == pytest.approx(-1.0)
     assert out.decision == -1
 
 
 def test_fidelity_classify_tie_goes_positive_and_flags():
-    rho = DensityMatrix(np.eye(2) / 2)
-    out = fidelity_classify(rho, rho, pure_to_density(basis_state(1, 0)))
+    out = _identity_readout(np.eye(2) / 2, np.eye(2) / 2, basis_state(1, 0))
     assert out.value == 0.0
     assert out.decision == +1
     assert out.tie
@@ -86,17 +95,119 @@ def test_filtered_fidelity_classify_records_test_success():
     theta = np.random.default_rng(4).uniform(-np.pi, np.pi, ansatz.n_params)
     k = kraus_from_circuit(ansatz, theta)
     ens = transform_ensemble(k, samples)
-    test = pure_to_density(random_state(99, 1))
+    test = random_state(99, 1)
     out = filtered_fidelity_classify(ens, k, test)
     # p_s_test is the test point's own filter probability
-    want_p = float(np.real(np.trace(k.conj().T @ k @ test.entries)))
+    rho = np.outer(test.amplitudes, test.amplitudes.conj())
+    want_p = float(np.real(np.trace(k.conj().T @ k @ rho)))
     assert out.p_s_test == pytest.approx(want_p, abs=1e-12)
     # classifying against the filtered test state by hand
-    filt = k @ test.entries @ k.conj().T / want_p
+    filt = k @ rho @ k.conj().T / want_p
     want_value = float(
         np.real(np.trace((ens.pos.entries - ens.neg.entries) @ filt))
     )
     assert out.value == pytest.approx(want_value, abs=1e-12)
+
+
+def test_readout_refuses_a_non_unit_row():
+    """Every scored row is checked for unit norm, as a state; so is the one-row case."""
+    eye = np.eye(2, dtype=complex)
+    ens = transform_ensemble(eye, _samples(5))
+    values, _ = classify_rows(ens, eye, np.array([[0.6, 0.8]]))
+    assert values[0] == pytest.approx(oracles.filtered_classify(ens, eye, [0.6, 0.8]).value)
+    for bad in ([1.0, 1.0], [0.6, 0.8 + 2e-8], [math.nan, 0.0]):
+        with pytest.raises(NormError, match="state norm"):
+            classify_rows(ens, eye, np.array([[1.0, 0.0], bad]))
+    with pytest.raises(NormError):
+        filtered_fidelity_classify(ens, eye, StateVector(np.array([1.0, 1.0])))
+
+
+def _trained_case():
+    """A filter trained on pca:2 blobs (K != I) and its held-out draw."""
+    pipe = Pipeline.fit(
+        {"kind": "blobs", "dims": 4, "seed": 0, "per_class": 60, "separation": 2.0}, "pca:2"
+    )
+    samples, test = pipe.samples(), pipe.test_samples()
+    ansatz = build_ansatz(2, 1)
+    result = train(TrainConfig(epochs=20, init_scale=0.5, seed=3), samples, ansatz)
+    return samples, test, kraus_from_circuit(ansatz, result.theta_star)
+
+
+def _annihilating_case():
+    """CRx(pi) on the ancilla, controlled by the data qubit: K|1> = 0, so every
+    test row |1> is annihilated while both training classes survive."""
+    ansatz = build_ansatz(1, 1)
+    theta = np.zeros(ansatz.n_params)
+    theta[-1] = math.pi  # the CRx(0, 1) gate
+    plus = StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
+    samples = sample_set([basis_state(1, 0), plus, random_state(41, 1)], [+1, -1, -1])
+    test = sample_set(
+        [basis_state(1, 1), basis_state(1, 0), plus, random_state(42, 1), basis_state(1, 1)],
+        [+1, +1, -1, -1, -1],
+    )
+    return samples, test, kraus_from_circuit(ansatz, theta)
+
+
+def _tie_case():
+    """|0> against |1> with K = I: |+> and |-> sit exactly between the classes."""
+    samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
+    minus = StateVector(np.array([1.0, -1.0]) / math.sqrt(2))
+    plus = StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
+    test = sample_set([plus, minus, basis_state(1, 1), random_state(43, 1)], [-1, +1, -1, +1])
+    return samples, test, np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "case", [_trained_case, _annihilating_case, _tie_case], ids=["trained", "annihilating", "tie"]
+)
+def test_batched_readout_matches_the_per_point_oracle(case):
+    """classify_rows() and compare's scoring against the density-matrix route, point by point."""
+    samples, test, k = case()
+    ens = transform_ensemble(k, samples)
+    values, p_s = classify_rows(ens, k, test.amplitudes)
+    want = [oracles.filtered_classify(ens, k, psi) for psi in test.amplitudes]
+    np.testing.assert_allclose(p_s, [w.p_s_test for w in want], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(values, [w.value for w in want], rtol=0, atol=1e-12)
+    accuracy, mean_p = training._filtered_eval(ens, k, test)
+    want_accuracy, want_p = oracles.filtered_eval(ens, k, test)
+    assert accuracy == want_accuracy
+    assert type(accuracy) is float  # compare's CSV writes repr(accuracy)
+    assert mean_p == pytest.approx(want_p, rel=0, abs=1e-15)
+    if case is _annihilating_case:
+        assert np.isnan(values[[0, 4]]).all() and np.isfinite(values[1:4]).all()
+    if case is _tie_case:
+        assert sign_rule(values)[1].tolist() == [True, True, False, False]
+        assert [ClassifierOutput(v).decision for v in values[:2]] == [+1, +1]
+    if case is _trained_case:
+        assert not np.allclose(k, np.eye(4))
+
+
+def test_sign_rule_on_arrays_is_the_decision_of_each_value():
+    values = np.array([0.5, -0.5, 1e-12, -1e-12, -2e-12, math.nan, math.inf, -math.inf])
+    decisions, ties = sign_rule(values)
+    assert decisions.tolist() == [1, -1, 1, 1, -1, 0, 0, 0]
+    assert ties.tolist() == [False, False, True, True, False, False, False, False]
+    for v, d, t in zip(values, decisions, ties):
+        assert ClassifierOutput(v).decision == (int(d) or None)
+        assert ClassifierOutput(v).tie == t
+
+
+def test_readout_peak_within_the_counted_arrays():
+    """classify_rows() on 100,000 one-qubit rows peaks within the
+    SAMPLE_SET_ARRAYS amplitude-sized arrays that embed_rows() budgets."""
+    blobs = {"kind": "blobs", "seed": 0, "per_class": 50_000, "dims": 2, "separation": 2.0}
+    samples = Pipeline.fit(blobs, "amplitude").samples()
+    ansatz = build_ansatz(1, 1)
+    k = kraus_from_circuit(ansatz, np.random.default_rng(8).uniform(-1, 1, ansatz.n_params))
+    ens = transform_ensemble(k, samples)
+    tracemalloc.start()
+    try:
+        values, _ = classify_rows(ens, k, samples.amplitudes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (100_000,)
+    assert peak <= SAMPLE_SET_ARRAYS * 100_000 * 2 * 16
 
 
 def test_filtered_class_weights_formula():
@@ -140,9 +251,8 @@ def test_baseline_risk_identity(seed, m, n):
     samples = _samples(seed, m, n)
     labels = np.array([s.label for s in samples])
     rho, sigma = build_ensembles(samples)
-    values = np.array(
-        [fidelity_classify(rho, sigma, pure_to_density(s.state)).value for s in samples]
-    )
+    ens = TransformedEnsembles(rho, sigma, np.ones(len(labels)))
+    values, _ = classify_rows(ens, np.eye(2**n, dtype=complex), samples.amplitudes)
     weights = filtered_class_weights(labels, np.ones(len(labels)))
     risk = weighted_empirical_risk(values, labels, weights)
     assert risk == pytest.approx(-hs_distance(rho, sigma), abs=1e-10)
@@ -162,12 +272,7 @@ def test_filtered_risk_identity(seed, m, n):
     theta = np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, ansatz.n_params)
     k = kraus_from_circuit(ansatz, theta)
     ens = transform_ensemble(k, samples)
-    values = np.array(
-        [
-            filtered_fidelity_classify(ens, k, pure_to_density(s.state)).value
-            for s in samples
-        ]
-    )
+    values, _ = classify_rows(ens, k, samples.amplitudes)
     risk = weighted_empirical_risk(values, labels, filtered_class_weights(labels, ens.p_s))
     assert risk == pytest.approx(-hs_distance(ens.pos, ens.neg), abs=1e-10)
 

@@ -774,6 +774,32 @@ def test_a_malformed_model_count_exits_3(tmp_path, capsys, pca_model_text, field
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path", ["analytic", "circuit"])
+@pytest.mark.parametrize("field, value, message", [
+    ("kind", "pca:2", "unknown embedding kind 'pca:2'"),
+    ("n_qubits", 7, "n_qubits 7 for 2-qubit data"),
+])
+def test_an_amplitude_model_train_never_writes_exits_3(tmp_path, capsys, field, value, message,
+                                                       path):
+    """restore_model() rebuilds only the kinds train writes, at the saved
+    width: a kind edited to the CLI's "pca:2" would refit a PCA, and an
+    edited n_qubits would be ignored."""
+    (tmp_path / "tiny.csv").write_text(TINY_CSV)
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", f"csv:{tmp_path / 'tiny.csv'}", "--embedding", "amplitude",
+                 "--epochs", "3", "--out", str(model)]) == 0
+    argv = ["classify", "--model", str(model), "--input", "0.5,0.1,0.2", "--path", path]
+    assert main(argv) == 0
+    content = json.loads(model.read_text())
+    content["manifest"]["config"]["embedding"][field] = value
+    model.write_text(json.dumps(content))
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed model: {message}")
+    assert "Traceback" not in err
+
+
 def test_a_layer_count_past_the_budget_exits_3(tmp_path, capsys):
     """10**9 filter layers are refused from the gate count, before any gate is
     built, and 10**12 embedding layers before their angles are built."""

@@ -1,4 +1,5 @@
 """Built-in data, CSV loading, PCA, and synthetic blobs."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,16 @@ def test_raw_dataset_validation():
     assert len(pairs) == 2
     np.testing.assert_array_equal(pairs[1][0], [3.0, 4.0])
     assert pairs[1][1] == -1
+
+
+def test_raw_dataset_checks_labels_as_given():
+    """A label that is not +1 or -1 is refused before the integer cast, which
+    would truncate it; exact floats +1.0 and -1.0 are cast."""
+    for labels, shown in (([1.5, -1.7], "[-1.7, 1.5]"), ([0.5, -1], "[-1.0, 0.5]")):
+        with pytest.raises(ClassBalanceError, match=re.escape(f"got {shown}")):
+            RawDataset(np.ones((2, 1)), np.array(labels), "x")
+    ds = RawDataset(np.ones((2, 1)), np.array([1.0, -1.0]), "x")
+    assert ds.labels.dtype == int and ds.labels.tolist() == [1, -1]
 
 
 def test_iris_builtin_values():

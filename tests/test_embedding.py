@@ -40,7 +40,7 @@ def test_amplitude_encode_normalizes_and_pads():
     np.testing.assert_allclose(s.amplitudes, [0.6, 0.8])
     s = encode_point(np.array([1.0, 1.0, 1.0]), EmbeddingSpec("amplitude", 2))
     np.testing.assert_allclose(s.amplitudes, [1 / math.sqrt(3)] * 3 + [0.0])
-    assert s.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0)
 
 
 def test_amplitude_encode_rejects_bad_input():
@@ -60,7 +60,7 @@ def test_angle_encode_components(x0):
     s = encode_point(x0, EmbeddingSpec("angle", 1))
     assert s.amplitudes[0].real == pytest.approx(x0, abs=1e-15)
     assert s.amplitudes[1].real == pytest.approx(math.sqrt(1 - x0 * x0), abs=1e-15)
-    assert s.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_angle_encode_equals_ry_rotation():

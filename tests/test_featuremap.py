@@ -12,6 +12,7 @@ from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated, ParamS
 from qfilter.featuremap import (
     ClassMoments,
     FeatureMapCircuit,
+    TransformedEnsembles,
     apply_filter,
     build_ansatz,
     circuit_unitary,
@@ -21,7 +22,7 @@ from qfilter.featuremap import (
     kraus_with_pullback,
     transform_ensemble,
 )
-from qfilter.classifier import build_ensembles
+from qfilter.classifier import build_ensembles, filtered_fidelity_classify
 from qfilter.training import gradient
 from qfilter.quantum import (
     GATE_BYTES,
@@ -30,7 +31,6 @@ from qfilter.quantum import (
     StateVector,
     UnitaryMatrix,
     hs_distance,
-    pure_to_density,
     random_state,
     run_gates,
 )
@@ -114,32 +114,39 @@ def test_kraus_identity_at_zero_theta():
 def test_apply_filter_success_probability_and_state():
     # projector-style filter: keep |0><0| (and discard |1><1|)
     keep = np.diag([1.0, 0.0]).astype(complex)
-    rho = DensityMatrix(np.array([[0.25, 0.0], [0.0, 0.75]]))
-    out, p_s = apply_filter(keep, rho)
-    assert p_s == pytest.approx(0.25)
-    np.testing.assert_allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-12)
+    rows = np.array([[0.5, np.sqrt(0.75)], [0.0, 1.0]], dtype=complex)
+    kpsi, p_s = apply_filter(keep, rows)
+    np.testing.assert_allclose(p_s, [0.25, 0.0], atol=1e-15)
+    np.testing.assert_array_equal(kpsi, [[0.5, 0.0], [0.0, 0.0]])
 
 
 def test_apply_filter_matches_oracle_on_random_instances():
     circ = build_ansatz(1, 1)
     theta = np.random.default_rng(3).uniform(-np.pi, np.pi, circ.n_params)
     k = kraus_from_circuit(circ, theta)
-    rho = pure_to_density(random_state(5, 1))
-    got, p_s = apply_filter(k, rho)
-    want, p_want = oracles.filter_state(k, rho.entries)
-    assert p_s == pytest.approx(p_want, abs=1e-12)
-    np.testing.assert_allclose(got.entries, want, atol=1e-12)
+    states = [random_state(seed, 1).amplitudes for seed in (5, 6, 7)]
+    kpsi, p_s = apply_filter(k, np.array(states))
+    for psi, col, p in zip(states, kpsi.T, p_s):
+        want, p_want = oracles.filter_state(k, np.outer(psi, psi.conj()))
+        assert p == pytest.approx(p_want, abs=1e-12)
+        np.testing.assert_allclose(np.outer(col, col.conj()) / p, want, atol=1e-12)
 
 
 def test_apply_filter_annihilation():
-    rho = DensityMatrix(np.diag([0.0, 1.0]))
+    """A row K kills has p_s = 0, and the one-row readout refuses it."""
+    keep = np.diag([1.0, 0.0]).astype(complex)
+    _, (p_s,) = apply_filter(keep, np.array([[0.0, 1.0]], dtype=complex))
+    assert p_s == 0.0
+    ens = TransformedEnsembles(
+        DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.eye(2) / 2), np.ones(2)
+    )
     with pytest.raises(FilterAnnihilated):
-        apply_filter(np.diag([1.0, 0.0]).astype(complex), rho)
+        filtered_fidelity_classify(ens, keep, basis_state(1, 1))
 
 
 def test_apply_filter_dimension_check():
     with pytest.raises(DimError):
-        apply_filter(np.eye(2, dtype=complex), DensityMatrix(np.eye(4) / 4))
+        apply_filter(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
 
 
 def _filter_two_qubits(via, shape):
@@ -147,7 +154,7 @@ def _filter_two_qubits(via, shape):
     k = np.eye(*shape, dtype=complex)
     samples = sample_set([random_state(1, 2), random_state(2, 2)], [+1, -1])
     if via == "apply_filter":
-        return apply_filter(k, pure_to_density(samples[0].state))
+        return apply_filter(k, samples.amplitudes)
     return transform_ensemble(k, samples)
 
 
@@ -187,17 +194,17 @@ def test_sizes_come_from_shapes(build, want):
 
 
 def test_apply_filter_is_filter_moments_on_one_state():
-    """A state filtered alone and as a class moment: the same step, bit for bit."""
+    """A state filtered as a row and as a class moment: the same p_s and state."""
     circ = build_ansatz(2, 1)
     theta = np.random.default_rng(21).uniform(-np.pi, np.pi, circ.n_params)
     k = kraus_from_circuit(circ, theta)
-    rho, sigma = (pure_to_density(random_state(seed, 2)) for seed in (22, 23))
-    moments = ClassMoments(np.stack([rho.entries, sigma.entries]), 2)
+    rows = np.array([random_state(seed, 2).amplitudes for seed in (22, 23)])
+    moments = ClassMoments(np.stack([np.outer(psi, psi.conj()) for psi in rows]), 2)
     states, masses = filter_moments(k, moments)
-    for state, want, mass in zip((rho, sigma), states, masses):
-        got, p_s = apply_filter(k, state)
-        np.testing.assert_array_equal(got.entries, want)
-        assert p_s == mass
+    kpsi, p_s = apply_filter(k, rows)
+    np.testing.assert_allclose(p_s, masses, rtol=0, atol=1e-15)
+    for col, p, want in zip(kpsi.T, p_s, states):
+        np.testing.assert_allclose(np.outer(col, col.conj()) / p, want, rtol=0, atol=1e-15)
 
 
 def _two_class_samples(n_qubits=1, m=4, seed=0):

@@ -10,11 +10,11 @@ import sympy as sp
 import oracles
 from oracles import basis_state, sample_set
 from qfilter import training
-from qfilter.classifier import build_ensembles, fidelity_classify
+from qfilter.classifier import build_ensembles
 from qfilter.embedding import EmbeddingSpec, Pipeline, SampleSet, embed_dataset, embed_rows
 from qfilter.errors import ClassAnnihilated, ClassBalanceError, DomainError, ShapeError
 from qfilter.featuremap import FeatureMapCircuit, build_ansatz, class_moments, kraus_from_circuit
-from qfilter.quantum import GateSpec, hs_distance, pure_to_density, random_state
+from qfilter.quantum import GateSpec, hs_distance, random_state
 from qfilter.training import (
     STATIONARY_GRADIENT_NORM,
     TrainConfig,
@@ -442,7 +442,8 @@ def test_embedding_only_row_is_the_unfiltered_classifier(descriptor, embedding):
     rho, sigma = build_ensembles(samples)
     assert row["hs_distance"] == hs_distance(rho, sigma)
     hits = [
-        fidelity_classify(rho, sigma, pure_to_density(s.state)).decision == s.label
+        oracles.fidelity_classify(rho, sigma, oracles.pure_to_density(s.state)).decision
+        == s.label
         for s in test_samples
     ]
     assert row["accuracy"] == sum(hits) / len(hits)
