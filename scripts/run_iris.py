@@ -12,8 +12,8 @@ import numpy as np
 
 from qfilter.classifier import filtered_fidelity_classify
 from qfilter.datasets import iris_builtin
-from qfilter.embedding import EmbeddingSpec, embed_dataset, encode_point
-from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
+from qfilter.embedding import EmbeddingSpec, embed_rows, encode_point
+from qfilter.featuremap import apply_filter, build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.quantum import hs_distance
 from qfilter.training import TrainConfig, train
 
@@ -21,7 +21,7 @@ from qfilter.training import TrainConfig, train
 def load():
     ds, (test_x, test_y) = iris_builtin()
     spec = EmbeddingSpec("angle", 1)
-    samples = embed_dataset(ds.pairs(), spec)
+    samples = embed_rows(ds.features, ds.labels, spec)
     return samples, encode_point(test_x, spec), test_y
 
 
@@ -38,9 +38,8 @@ def run_once(samples, test_state, layers, epochs, seed, init_scale, cutoff, lam)
     ansatz = build_ansatz(1, layers)
     res = train(config, samples, ansatz)
     k = kraus_from_circuit(ansatz, res.theta_star)
-    ens = transform_ensemble(k, samples)
-    out = filtered_fidelity_classify(ens, k, test_state)
-    return res, ens, out
+    out = filtered_fidelity_classify(transform_ensemble(k, samples), k, test_state)
+    return res, k, out
 
 
 def main():
@@ -60,7 +59,7 @@ def main():
     identity = np.eye(2, dtype=complex)
     plain = transform_ensemble(identity, samples)
     base = filtered_fidelity_classify(plain, identity, test_state)
-    print(f"baseline   risk {-hs_distance(plain.pos, plain.neg):+.6f}  "
+    print(f"baseline   risk {-hs_distance(*plain):+.6f}  "
           f"value {base.value:+.6f}  decision {base.decision:+d}  (truth {test_y:+d})")
 
     if args.sweep_init:
@@ -72,11 +71,12 @@ def main():
                   f"{res.report.p_succ:>8.4f}  {out.value:>10.4f}  {out.decision:+d}")
         return
 
-    res, ens, out = run_once(samples, test_state, args.layers, args.epochs,
-                             args.seed, args.init_scale, args.cutoff, args.lam)
+    res, k, out = run_once(samples, test_state, args.layers, args.epochs,
+                           args.seed, args.init_scale, args.cutoff, args.lam)
     print(f"trained    risk {res.report.risk:+.6f}  "
           f"value {out.value:+.6f}  decision {out.decision:+d}")
-    print(f"           p_succ {res.report.p_succ:.6f}  p_joint {ens.p_joint:.3e}  "
+    p_joint = np.prod(apply_filter(k, samples.amplitudes)[1])
+    print(f"           p_succ {res.report.p_succ:.6f}  p_joint {p_joint:.3e}  "
           f"p_s(test) {out.p_s_test:.6f}")
 
 

@@ -9,13 +9,7 @@ import numpy as np
 from .datasets import check_labels
 from .embedding import SampleSet
 from .errors import ClassBalanceError, DomainError, NormError, ShapeError
-from .featuremap import (
-    EPS_ANNIHILATION,
-    TransformedEnsembles,
-    apply_filter,
-    check_success,
-    transform_ensemble,
-)
+from .featuremap import EPS_ANNIHILATION, apply_filter, check_success, transform_ensemble
 from .quantum import ATOL_INPUT, DensityMatrix, StateVector
 
 TIE_EPS = 1e-12
@@ -78,8 +72,7 @@ def build_ensembles(samples: SampleSet) -> tuple[DensityMatrix, DensityMatrix]:
     as the identity reproduces them bit-for-bit.
     """
     check_labels(samples.labels.tolist())
-    ens = transform_ensemble(np.eye(2**samples.n_qubits, dtype=complex), samples)
-    return ens.pos, ens.neg
+    return transform_ensemble(np.eye(2**samples.n_qubits, dtype=complex), samples)
 
 
 def _check_unit_rows(amps: np.ndarray) -> None:
@@ -91,11 +84,12 @@ def _check_unit_rows(amps: np.ndarray) -> None:
 
 
 def classify_rows(
-    ens: TransformedEnsembles, k: np.ndarray, amplitudes: np.ndarray
+    states: tuple[DensityMatrix, DensityMatrix], k: np.ndarray, amplitudes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values <K psi|D|K psi> / p_s and p_s = ||K psi||^2 of the rows psi of amplitudes.
 
-    D = rho'+ - rho'- holds the filtered class states of ens, so a value is
+    D = rho'+ - rho'- holds the filtered class states (rho'+, rho'-), as
+    transform_ensemble() returns them, so a value is
     tr[D K rho K+] / p_s for rho = |psi><psi|, read without forming the
     filtered state; positive favors +1. It is NaN where check_success()
     refuses p_s. A row off unit norm by more than ATOL_INPUT raises NormError.
@@ -103,7 +97,8 @@ def classify_rows(
     amps = np.ascontiguousarray(amplitudes, dtype=complex)
     _check_unit_rows(amps)
     kpsi, p_s = apply_filter(k, amps)
-    d_kpsi = (ens.pos.entries - ens.neg.entries) @ kpsi
+    pos, neg = states
+    d_kpsi = (pos.entries - neg.entries) @ kpsi
     # Re <K psi|D K psi> per column, on real views with (re, im) as a last axis
     parts = [z.view(float).reshape(*z.shape, 2) for z in (kpsi, d_kpsi)]
     values = np.einsum("imc,imc->m", *parts)
@@ -114,10 +109,10 @@ def classify_rows(
 
 
 def filtered_fidelity_classify(
-    ens: TransformedEnsembles, k: np.ndarray, test: StateVector
+    states: tuple[DensityMatrix, DensityMatrix], k: np.ndarray, test: StateVector
 ) -> ClassifierOutput:
     """classify_rows() on one test state; FilterAnnihilated where its value would be NaN."""
-    (value,), (p_s,) = (a.tolist() for a in classify_rows(ens, k, test.amplitudes[None]))
+    (value,), (p_s,) = (a.tolist() for a in classify_rows(states, k, test.amplitudes[None]))
     check_success(p_s)
     return ClassifierOutput(value, p_s)
 
@@ -131,11 +126,10 @@ def filtered_class_weights(labels: np.ndarray, p_s: np.ndarray) -> np.ndarray:
     p = np.asarray(p_s, dtype=float)
     if y.shape != p.shape:
         raise ShapeError(f"labels {y.shape} vs p_s {p.shape}")
-    m = y.shape[0]
-    class_p = {lab: float(p[y == lab].sum()) for lab in (+1, -1)}
-    if class_p[+1] <= 0 or class_p[-1] <= 0:
+    p_pos, p_neg = (float(p[y == lab].sum()) for lab in (+1, -1))
+    if p_pos <= 0 or p_neg <= 0:
         raise ClassBalanceError("a class has zero total success probability")
-    return np.array([m * p[i] / class_p[int(y[i])] for i in range(m)], dtype=float)
+    return y.shape[0] * p / np.where(y == 1, p_pos, p_neg)
 
 
 def weighted_empirical_risk(

@@ -21,7 +21,7 @@ from . import __version__
 from .classifier import ClassifierOutput, filtered_fidelity_classify
 from .embedding import Pipeline, fingerprint, restore_model
 from .errors import DomainError, FilterAnnihilated, QFilterError
-from .featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
+from .featuremap import apply_filter, build_ansatz, kraus_from_circuit, transform_ensemble
 from .protocol import run_classifier_protocol, sample_outcomes
 from .selftest import run_all
 from .training import TrainConfig, co_train, compare_conditions, train
@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
         samples = pipe.samples()
         result = train(config, samples, ansatz)
     k = kraus_from_circuit(ansatz, result.theta_star[: ansatz.n_params])
-    ens = transform_ensemble(k, samples)
+    transform_ensemble(k, samples)  # the filtered class states are checked before any output
 
     manifest = {
         "command": "train",
@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
         "final_cost": result.report.risk,
         "hs_distance": result.report.hs_distance,
         "p_succ": result.report.p_succ,
-        "p_joint": ens.p_joint,
+        "p_joint": np.prod(apply_filter(k, samples.amplitudes)[1]),
         "penalty": result.report.penalty,
         "theta_star": result.theta_star,
         "cost_trace": result.cost_trace,
@@ -141,9 +141,7 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = restore_model(json.load(fh))
-    ansatz = build_ansatz(model.pipeline.spec.n_qubits, model.ansatz_layers)
     samples = model.pipeline.samples()
-    theta = model.theta_star[: ansatz.n_params]
     test_state = model.pipeline.encode(args.input)
 
     out_manifest = {
@@ -160,11 +158,10 @@ def cmd_classify(args) -> int:
     extra: dict = {}
     try:
         if args.path == "analytic":
-            k = kraus_from_circuit(ansatz, theta)
-            ens = transform_ensemble(k, samples)
-            out = filtered_fidelity_classify(ens, k, test_state)
+            k = kraus_from_circuit(model.ansatz, model.theta)
+            out = filtered_fidelity_classify(transform_ensemble(k, samples), k, test_state)
         else:
-            outcome = run_classifier_protocol(samples, test_state, ansatz, theta)
+            outcome = run_classifier_protocol(samples, test_state, model.ansatz, model.theta)
             if args.shots > 0:
                 outcome = sample_outcomes(outcome, args.shots, args.seed)
             # p_s of the test point: its own register's post-selection

@@ -31,6 +31,7 @@ from .errors import (
     ZeroVectorError,
     check_budget,
 )
+from .featuremap import FeatureMapCircuit, build_ansatz
 from .quantum import GateSpec, StateVector, gate_pass_bytes, run_gates
 
 EMBEDDING_KINDS = ("amplitude", "angle", "pca-layer")
@@ -209,9 +210,9 @@ def encode_point(x: np.ndarray, spec: EmbeddingSpec) -> StateVector:
 
 # Amplitude arrays a fit holds at its peak, as gate_pass_bytes() counts a
 # pass: transform_ensemble() holds the set, its column copy and two copies
-# of a class's columns (K psi before them), and classify_rows() the set,
-# K psi and D K psi; the rest covers the labels, the class masks and the
-# encoders' temporaries (measured peaks in CHANGES.md).
+# of a class's columns, and classify_rows() the set, K psi and D K psi; the
+# rest covers the labels, the class masks and the encoders' temporaries
+# (measured peaks in CHANGES.md).
 SAMPLE_SET_ARRAYS = 8
 
 
@@ -354,11 +355,11 @@ def fingerprint(dataset: RawDataset) -> dict:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """The parts of a train result that classification reads."""
+    """The parts of a train result that classification reads: the filter is ansatz at theta."""
 
     pipeline: Pipeline
-    ansatz_layers: int
-    theta_star: np.ndarray
+    ansatz: FeatureMapCircuit
+    theta: np.ndarray
     config: dict
     fingerprint: dict
 
@@ -371,31 +372,41 @@ def _finite(name: str, values: list) -> np.ndarray:
     return out
 
 
+# the arrays a pca-layer model saves in its embedding manifest
+PCA_ARRAYS = ("params", "pca_mean", "pca_components", "scale_center", "scale_factor")
+
+
 def restore_model(result: dict) -> TrainedModel:
     """Rebuild a train result; a malformed one raises ModelError.
 
     The embedding is rebuilt only for a kind that train writes, at the saved
     n_qubits. The PCA, the scaling and the trained embedding angles come from
     the manifest as saved, not refitted; every number in them and in
-    theta_star must be finite, and the embedding's gate pass must fit the
-    memory budget. The dataset, rebuilt from its descriptor, must still match the
-    fingerprint the model was trained on.
+    theta_star must be finite, their shapes must fit the dataset's d
+    features and the k = n_qubits components (pca_mean (d,), pca_components
+    (d, k), scale_center and scale_factor (k,), one angle per embedding
+    gate), and the embedding's gate pass must fit the memory budget.
+    theta_star holds the filter's angles, then, for a co-trained model,
+    the embedding's, which must equal params. The dataset, rebuilt from its
+    descriptor, must still match the fingerprint the model was trained on.
     """
     try:
         manifest = result["manifest"]
         cfg = manifest["config"]
         d, e = cfg["dataset"], cfg["embedding"]
         if e["kind"] == "pca-layer":
-            params = tuple(_finite("params", e["params"]).tolist())
-            spec = EmbeddingSpec("pca-layer", e["n_qubits"], params, e["layers"], e["ring"])
-            comps = _finite("pca_components", e["pca_components"])
-            pca = PCAModel(_finite("pca_mean", e["pca_mean"]), comps)
-            center, factor = (
-                tuple(_finite(k, e[k]).tolist()) for k in ("scale_center", "scale_factor")
-            )
+            params, mean, comps, center, factor = arrays = [_finite(f, e[f]) for f in PCA_ARRAYS]
+            spec = EmbeddingSpec("pca-layer", e["n_qubits"], tuple(params), e["layers"], e["ring"])
             dataset = load_dataset(d)
+            width, k = dataset.features.shape[1], spec.n_qubits
+            shapes = [(spec.param_count(),), (width,), (width, k), (k,), (k,)]
+            for name, values, shape in zip(PCA_ARRAYS, arrays, shapes):
+                if values.shape != shape:
+                    what = f"{name} has shape {values.shape}, not {shape}"
+                    raise ModelError(f"malformed model: {what}")
             _check_pass_budget(spec, dataset.features.shape[0])
-            pipe = Pipeline(d, dataset, spec, pca, FeatureScaling(center, factor))
+            scaling = FeatureScaling(tuple(center.tolist()), tuple(factor.tolist()))
+            pipe = Pipeline(d, dataset, spec, PCAModel(mean, comps), scaling)
         elif e["kind"] in ("amplitude", "angle"):
             pipe, n = Pipeline.fit(d, e["kind"]), e["n_qubits"]
             if type(n) is not int or n != pipe.spec.n_qubits:
@@ -412,6 +423,14 @@ def restore_model(result: dict) -> TrainedModel:
         raise ModelError(f"model has no entry {exc}") from exc
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model: {exc}") from exc
+    ansatz = build_ansatz(pipe.spec.n_qubits, layers)
+    n, angles = ansatz.n_params, pipe.spec.params
+    if angles and theta.size == n + len(angles):
+        if not np.array_equal(theta[n:], angles):
+            raise ModelError("malformed model: the embedding angles in theta_star are not params")
+    elif theta.size != n:
+        what = f"theta_star holds {theta.size} angles, not the filter's {n}"
+        raise ModelError(f"malformed model: {what}")
     if fingerprint(pipe.dataset) != saved:
         raise ModelError("the dataset differs from the one the model was trained on")
-    return TrainedModel(pipe, layers, theta, cfg, saved)
+    return TrainedModel(pipe, ansatz, theta[:n], cfg, saved)

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .embedding import SampleSet
 from .errors import ClassAnnihilated, DimError, FilterAnnihilated, check_budget
 from .quantum import DensityMatrix, GateSpec, UnitaryMatrix, gate_pass_bytes, run_gates
+
+if TYPE_CHECKING:  # embedding imports build_ansatz from here
+    from .embedding import SampleSet
 
 EPS_ANNIHILATION = 1e-12
 
@@ -36,28 +39,6 @@ class FeatureMapCircuit:
 
     def zero_theta(self) -> np.ndarray:
         return np.zeros(self.n_params)
-
-
-@dataclass(frozen=True)
-class TransformedEnsembles:
-    """Class ensembles after filtering, with per-sample success probabilities p_s.
-
-    pos/neg are the renormalized filtered mixtures of the +1 and -1 classes.
-    """
-
-    pos: DensityMatrix
-    neg: DensityMatrix
-    p_s: np.ndarray
-
-    @property
-    def p_succ(self) -> float:
-        """The mean per-sample success probability."""
-        return float(self.p_s.mean())
-
-    @property
-    def p_joint(self) -> float:
-        """The product of p_s, for diagnostics only (it decays fast with the sample count)."""
-        return float(np.prod(self.p_s))
 
 
 def build_ansatz(n_system: int, layers: int) -> FeatureMapCircuit:
@@ -201,14 +182,16 @@ def filter_moments(k: np.ndarray, moments: ClassMoments) -> tuple[np.ndarray, li
     return (m + m.conj().transpose(0, 2, 1)) / 2, masses.tolist()  # scrub roundoff asymmetry
 
 
-def transform_ensemble(k: np.ndarray, samples: SampleSet) -> TransformedEnsembles:
-    """Filter every sample and rebuild the two class ensembles.
+def transform_ensemble(
+    k: np.ndarray, samples: SampleSet
+) -> tuple[DensityMatrix, DensityMatrix]:
+    """The filtered class states rho'+- = K A+- K+ / tr[K A+- K+], +1 class first.
 
     Each class mixture weights sample m by p_s(x_m) / p_s(class), which is
     the same as filtering the class moment: the states come from
     filter_moments(), which raises ClassAnnihilated for a class the filter
-    annihilates. Per-sample p_s come from apply_filter().
+    annihilates. A K that is not (dim, dim) raises DimError before any product.
     """
-    p_s = apply_filter(k, samples.amplitudes)[1]  # K psi is not kept
+    _check_kraus_shape(k, samples.amplitudes.shape[1])
     (pos, neg), _ = filter_moments(k, class_moments(samples))
-    return TransformedEnsembles(DensityMatrix(pos), DensityMatrix(neg), p_s)
+    return DensityMatrix(pos), DensityMatrix(neg)

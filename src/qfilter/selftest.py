@@ -22,7 +22,13 @@ from .classifier import (
     weighted_empirical_risk,
 )
 from .embedding import SampleSet
-from .featuremap import build_ansatz, kraus_from_circuit, kraus_with_pullback, transform_ensemble
+from .featuremap import (
+    apply_filter,
+    build_ansatz,
+    kraus_from_circuit,
+    kraus_with_pullback,
+    transform_ensemble,
+)
 from .protocol import run_classifier_protocol, run_risk_protocol
 from .quantum import apply_channel, hs_distance, random_cptp, random_state, trace_norm
 
@@ -160,12 +166,10 @@ def suite_risk_identities(count: int = 100) -> SuiteResult:
         theta = rng.uniform(-np.pi, np.pi, ansatz.n_params)
         res = 0.0
         for k in (np.eye(2**n, dtype=complex), kraus_from_circuit(ansatz, theta)):
-            ens = transform_ensemble(k, samples)
-            values = classify_rows(ens, k, samples.amplitudes)[0]
-            risk = weighted_empirical_risk(
-                values, labels, filtered_class_weights(labels, ens.p_s)
-            )
-            res = max(res, abs(risk - (-hs_distance(ens.pos, ens.neg))))
+            states = transform_ensemble(k, samples)
+            values, p_s = classify_rows(states, k, samples.amplitudes)
+            risk = weighted_empirical_risk(values, labels, filtered_class_weights(labels, p_s))
+            res = max(res, abs(risk - (-hs_distance(*states))))
         return res, {"seed": i, "m": m, "n_qubits": n}
 
     (report,) = _run(one, count, (("risk-identities", 1e-10),))
@@ -188,19 +192,20 @@ def suite_path_equivalence(count: int = 100) -> list[SuiteResult]:
         rng = np.random.default_rng(10_000 + i)
         theta = rng.uniform(-np.pi, np.pi, ansatz.n_params)
         k = kraus_from_circuit(ansatz, theta)
-        ens = transform_ensemble(k, samples)
+        states = transform_ensemble(k, samples)
+        p_succ = float(apply_filter(k, samples.amplitudes)[1].mean())
 
-        analytic = filtered_fidelity_classify(ens, k, test)
+        analytic = filtered_fidelity_classify(states, k, test)
         cls = run_classifier_protocol(samples, test, ansatz, theta)
         rsk = run_risk_protocol(samples, ansatz, theta)
 
         value_res = max(
             abs(cls.derived_value - analytic.value),
-            abs(rsk.derived_value - hs_distance(ens.pos, ens.neg)),
+            abs(rsk.derived_value - hs_distance(*states)),
         )
         prob_res = max(
-            abs(cls.p_postselect - ens.p_succ * analytic.p_s_test),
-            abs(rsk.p_postselect - ens.p_succ**2),
+            abs(cls.p_postselect - p_succ * analytic.p_s_test),
+            abs(rsk.p_postselect - p_succ**2),
         )
         return value_res, prob_res, {"seed": i, "m": m, "n_qubits": n}
 

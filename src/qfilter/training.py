@@ -28,7 +28,7 @@ from .featuremap import (
     kraus_with_pullback,
     transform_ensemble,
 )
-from .quantum import gate_pass_bytes, hs_distance
+from .quantum import DensityMatrix, gate_pass_bytes, hs_distance
 
 # train() kicks instead of stepping when the gradient norm is at most this:
 # at a stationary point, such as the identity start, the exact gradient
@@ -284,14 +284,14 @@ def _descend(
 
 
 def _filtered_eval(
-    ens, k: np.ndarray, test_samples: SampleSet
+    states: tuple[DensityMatrix, DensityMatrix], k: np.ndarray, test_samples: SampleSet
 ) -> tuple[float, float]:
-    """(accuracy among filter successes, mean test p_s) of the filter K.
+    """(accuracy among filter successes, mean test p_s) of K and its filtered class states.
 
     An annihilated row has no decision and adds to neither count nor to the
     sum of p_s; the mean divides that sum by the number of test rows.
     """
-    values, p_s = classify_rows(ens, k, test_samples.amplitudes)
+    values, p_s = classify_rows(states, k, test_samples.amplitudes)
     decisions = sign_rule(values)[0]
     success = decisions != 0
     successes = np.count_nonzero(success)
@@ -321,12 +321,12 @@ def compare_conditions(
         else:
             result = train(replace(config, cutoff=c), samples, ansatz)
             k = kraus_from_circuit(ansatz, result.theta_star)
-        ens = transform_ensemble(k, samples)
-        accuracy, mean_test_p = _filtered_eval(ens, k, test_samples)
+        states = transform_ensemble(k, samples)
+        accuracy, mean_test_p = _filtered_eval(states, k, test_samples)
         if c is None:
             row = {
                 "condition": "embedding-only",
-                "hs_distance": hs_distance(ens.pos, ens.neg),
+                "hs_distance": hs_distance(*states),
                 "p_succ_train": 1.0,
                 "p_succ_total": 1.0,
             }

@@ -179,8 +179,9 @@ def fidelity_classify(rho, sigma, test):
     return ClassifierOutput(overlap(rho, test) - overlap(sigma, test))
 
 
-def filtered_classify(ens, k, psi):
-    """The per-point readout: filter the density matrix of psi, then classify it.
+def filtered_classify(states, k, psi):
+    """The per-point readout: filter the density matrix of psi, then classify it
+    against the filtered class states (rho'+, rho'-).
 
     Returns a ClassifierOutput with p_s_test = tr[K rho K+]; its value is
     NaN when that p_s is at most EPS_ANNIHILATION.
@@ -190,15 +191,15 @@ def filtered_classify(ens, k, psi):
     if p <= EPS_ANNIHILATION:
         return ClassifierOutput(math.nan, p)
     filtered = DensityMatrix((num + num.conj().T) / (2 * p))
-    return ClassifierOutput(fidelity_classify(ens.pos, ens.neg, filtered).value, p)
+    return ClassifierOutput(fidelity_classify(*states, filtered).value, p)
 
 
-def filtered_eval(ens, k, test_samples):
+def filtered_eval(states, k, test_samples):
     """(accuracy among filter successes, mean test p_s), one test point at a time."""
     hits = successes = 0
     p_sum = 0.0
     for psi, label in zip(test_samples.amplitudes, test_samples.labels.tolist()):
-        out = filtered_classify(ens, k, psi)
+        out = filtered_classify(states, k, psi)
         if out.decision is None:
             continue
         successes += 1
@@ -234,9 +235,17 @@ def hs(a, b):
     return float(np.real(np.trace(d @ d)))
 
 
-def risk_from_ensembles(ens):
-    """-D_hs of the filtered class ensembles, the training objective at c = 0."""
-    return -hs(ens.pos.entries, ens.neg.entries)
+def risk_from_ensembles(states):
+    """-D_hs of the filtered class states (rho'+, rho'-), the training objective at c = 0."""
+    pos, neg = states
+    return -hs(pos.entries, neg.entries)
+
+
+def class_weights_loop(labels, p_s):
+    """Post-selected weights M * p_s(x_m) / p_s(class of m), one row at a time."""
+    m = len(labels)
+    class_p = {lab: float(p_s[labels == lab].sum()) for lab in (+1, -1)}
+    return np.array([m * p_s[i] / class_p[int(labels[i])] for i in range(m)], dtype=float)
 
 
 def project_bit(amps, qubit, n, outcome=0):

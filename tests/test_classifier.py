@@ -25,12 +25,7 @@ from qfilter.classifier import (
 )
 from qfilter.embedding import SAMPLE_SET_ARRAYS, Pipeline
 from qfilter.errors import ClassBalanceError, DomainError, NormError, ShapeError
-from qfilter.featuremap import (
-    TransformedEnsembles,
-    build_ansatz,
-    kraus_from_circuit,
-    transform_ensemble,
-)
+from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.quantum import DensityMatrix, StateVector, hs_distance, random_state
 from qfilter.training import TrainConfig, train
 
@@ -55,8 +50,8 @@ def test_build_ensembles_requires_both_classes():
 
 def _identity_readout(pos, neg, state):
     """filtered_fidelity_classify() with K = I against the class states pos and neg."""
-    ens = TransformedEnsembles(DensityMatrix(pos), DensityMatrix(neg), np.ones(2))
-    return filtered_fidelity_classify(ens, np.eye(2, dtype=complex), state)
+    states = DensityMatrix(pos), DensityMatrix(neg)
+    return filtered_fidelity_classify(states, np.eye(2, dtype=complex), state)
 
 
 def test_fidelity_classify_sign_and_value():
@@ -94,9 +89,9 @@ def test_filtered_fidelity_classify_records_test_success():
     ansatz = build_ansatz(1, 1)
     theta = np.random.default_rng(4).uniform(-np.pi, np.pi, ansatz.n_params)
     k = kraus_from_circuit(ansatz, theta)
-    ens = transform_ensemble(k, samples)
+    pos, neg = transform_ensemble(k, samples)
     test = random_state(99, 1)
-    out = filtered_fidelity_classify(ens, k, test)
+    out = filtered_fidelity_classify((pos, neg), k, test)
     # p_s_test is the test point's own filter probability
     rho = np.outer(test.amplitudes, test.amplitudes.conj())
     want_p = float(np.real(np.trace(k.conj().T @ k @ rho)))
@@ -104,7 +99,7 @@ def test_filtered_fidelity_classify_records_test_success():
     # classifying against the filtered test state by hand
     filt = k @ rho @ k.conj().T / want_p
     want_value = float(
-        np.real(np.trace((ens.pos.entries - ens.neg.entries) @ filt))
+        np.real(np.trace((pos.entries - neg.entries) @ filt))
     )
     assert out.value == pytest.approx(want_value, abs=1e-12)
 
@@ -221,6 +216,22 @@ def test_filtered_class_weights_formula():
         filtered_class_weights(np.array([+1, -1]), np.array([0.0, 1.0]))
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=200),
+)
+def test_filtered_class_weights_are_the_per_row_formula_bit_for_bit(seed, m):
+    """The array form divides each M p_s(x_m) by its class's total, as the
+    per-row loop does, so every weight has the same bits."""
+    rng = np.random.default_rng(seed)
+    labels = np.array([+1, -1] + rng.choice([+1, -1], m - 2).tolist())
+    p_s = rng.uniform(0, 1, m) * rng.choice([1.0, 1e-9, 1e-300], m)
+    got = filtered_class_weights(labels, p_s)
+    assert got.dtype == float
+    assert got.tobytes() == oracles.class_weights_loop(labels, p_s).tobytes()
+
+
 def test_uniform_class_weights_balance():
     """The identity filter (p_s = 1) gives the baseline weights M / M_class."""
     labels = np.array([+1, -1, -1, -1])
@@ -251,8 +262,7 @@ def test_baseline_risk_identity(seed, m, n):
     samples = _samples(seed, m, n)
     labels = np.array([s.label for s in samples])
     rho, sigma = build_ensembles(samples)
-    ens = TransformedEnsembles(rho, sigma, np.ones(len(labels)))
-    values, _ = classify_rows(ens, np.eye(2**n, dtype=complex), samples.amplitudes)
+    values, _ = classify_rows((rho, sigma), np.eye(2**n, dtype=complex), samples.amplitudes)
     weights = filtered_class_weights(labels, np.ones(len(labels)))
     risk = weighted_empirical_risk(values, labels, weights)
     assert risk == pytest.approx(-hs_distance(rho, sigma), abs=1e-10)
@@ -272,18 +282,16 @@ def test_filtered_risk_identity(seed, m, n):
     theta = np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, ansatz.n_params)
     k = kraus_from_circuit(ansatz, theta)
     ens = transform_ensemble(k, samples)
-    values, _ = classify_rows(ens, k, samples.amplitudes)
-    risk = weighted_empirical_risk(values, labels, filtered_class_weights(labels, ens.p_s))
-    assert risk == pytest.approx(-hs_distance(ens.pos, ens.neg), abs=1e-10)
+    values, p_s = classify_rows(ens, k, samples.amplitudes)
+    risk = weighted_empirical_risk(values, labels, filtered_class_weights(labels, p_s))
+    assert risk == pytest.approx(-hs_distance(*ens), abs=1e-10)
 
 
 def test_risk_from_ensembles_matches_distance():
     samples = _samples(17)
     k = kraus_from_circuit(build_ansatz(1, 1), np.random.default_rng(18).uniform(-1, 1, 5))
     ens = transform_ensemble(k, samples)
-    assert oracles.risk_from_ensembles(ens) == pytest.approx(
-        -hs_distance(ens.pos, ens.neg), abs=1e-15
-    )
+    assert oracles.risk_from_ensembles(ens) == pytest.approx(-hs_distance(*ens), abs=1e-15)
 
 
 def test_constrained_risk_hinge():

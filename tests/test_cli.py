@@ -44,6 +44,24 @@ def test_train_stdout_json_shape(capsys):
     assert len(payload["cost_trace"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dataset", "iris", "--layers", "2", "--init-scale", "2.5", "--epochs", "30"],
+    ["--dataset", "blobs", "--dims", "4", "--per-class", "12", "--epochs", "10"],
+], ids=["iris", "blobs"])
+def test_train_p_joint_is_the_product_of_the_sample_success_probabilities(tmp_path, argv):
+    """p_joint is prod_m tr[K rho_m K+] over the training samples at theta*."""
+    import oracles
+
+    path = tmp_path / "m.json"
+    assert main(["train", *argv, "--out", str(path)]) == 0
+    saved = json.loads(path.read_text())
+    model = embedding.restore_model(saved)
+    k = training.kraus_from_circuit(model.ansatz, model.theta)
+    _, _, p_s = oracles.ensemble_loop(k, model.pipeline.samples())
+    assert 0 < saved["p_joint"] < 1
+    assert saved["p_joint"] == pytest.approx(np.prod(p_s), rel=1e-12, abs=0)
+
+
 def test_train_writes_file_and_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["train", "--dataset", "blobs", "--per-class", "4", "--dims", "2",
@@ -798,6 +816,107 @@ def test_an_amplitude_model_train_never_writes_exits_3(tmp_path, capsys, field, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed model: {message}")
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def co_trained_model_text(tmp_path_factory):
+    """The CI's co-trained pca:2 model on TINY_CSV, as JSON text."""
+    folder = tmp_path_factory.mktemp("co_trained_model")
+    (folder / "tiny.csv").write_text(TINY_CSV)
+    model = folder / "model.json"
+    assert main(["train", "--dataset", f"csv:{folder / 'tiny.csv'}", "--embedding", "pca:2",
+                 "--co-train", "--init-scale", "1", "--epochs", "5", "--out", str(model)]) == 0
+    return model.read_text()
+
+
+def _classify_edited(tmp_path, capsys, text, edit, argv):
+    """classify with a copy of the model text that edit(content) changed: (exit code, stderr)."""
+    content = json.loads(text)
+    edit(content)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(content))
+    capsys.readouterr()
+    code = main(["classify", "--model", str(model), *argv])
+    return code, capsys.readouterr().err
+
+
+def _embedding_of(content):
+    return content["manifest"]["config"]["embedding"]
+
+
+@pytest.mark.parametrize("path", ["analytic", "circuit"])
+@pytest.mark.parametrize("field, edit, shape", [
+    pytest.param("pca_mean", lambda e: e.update(pca_mean=e["pca_mean"][:2]), "(2,), not (3,)",
+                 id="pca_mean-short"),
+    pytest.param("pca_components", lambda e: e.update(pca_components=e["pca_components"][:2]),
+                 "(2, 2), not (3, 2)", id="pca_components-rows"),
+    pytest.param("pca_components",
+                 lambda e: e.update(pca_components=[r[:1] for r in e["pca_components"]]),
+                 "(3, 1), not (3, 2)", id="pca_components-columns"),
+    pytest.param("scale_center", lambda e: e.update(scale_center=e["scale_center"][:1]),
+                 "(1,), not (2,)", id="scale_center-short"),
+    pytest.param("scale_factor", lambda e: e.update(scale_factor=e["scale_factor"] * 2),
+                 "(4,), not (2,)", id="scale_factor-long"),
+    pytest.param("params", lambda e: e.update(params=e["params"][:2]), "(2,), not (3,)",
+                 id="params-short"),
+])
+def test_a_pca_model_whose_arrays_disagree_exits_3(tmp_path, capsys, co_trained_model_text,
+                                                   field, edit, shape, path):
+    """A pca-layer model's arrays must fit each other: pca_mean (d,),
+    pca_components (d, k), scale_center and scale_factor (k,) and one angle
+    per embedding gate, for the dataset's d features and k = n_qubits."""
+    code, err = _classify_edited(
+        tmp_path, capsys, co_trained_model_text, lambda c: edit(_embedding_of(c)),
+        ["--input", "0.5,0.1,0.2", "--path", path],
+    )
+    assert code == 3
+    assert err == f"error: malformed model: {field} has shape {shape}\n"
+
+
+@pytest.mark.parametrize("path", ["analytic", "circuit"])
+@pytest.mark.parametrize("case", ["extra-angles", "short", "co-trained-tail"])
+def test_a_theta_star_of_the_wrong_length_exits_3(tmp_path, capsys, co_trained_model_text,
+                                                  case, path):
+    """theta_star holds exactly the filter's angles, or (co-trained) those and
+    the embedding's, which must equal the manifest's params."""
+    argv = ["--input", "0.5,0.1,0.2", "--path", path]
+    if case == "co-trained-tail":
+        def edit(content):
+            emb = _embedding_of(content)
+            emb["params"] = [0.0] * len(emb["params"])
+
+        text = co_trained_model_text
+    else:
+        model = tmp_path / "iris.json"
+        assert main(["train", "--dataset", "iris", "--epochs", "3", "--init-scale", "1",
+                     "--out", str(model)]) == 0
+        text, argv = model.read_text(), ["--input", "0.3,0.9", "--path", path]
+
+        def edit(content):
+            theta = content["theta_star"]
+            content["theta_star"] = theta + [0.1] * 7 if case == "extra-angles" else theta[:4]
+
+    code, err = _classify_edited(tmp_path, capsys, text, edit, argv)
+    assert code == 3
+    if case == "co-trained-tail":
+        assert err == "error: malformed model: the embedding angles in theta_star are not params\n"
+    else:
+        held = {"extra-angles": 12, "short": 4}[case]
+        assert err == f"error: malformed model: theta_star holds {held} angles, not the filter's 5\n"
+
+
+def test_a_co_trained_model_restores_the_filter_angles(co_trained_model_text):
+    """restore_model() splits theta_star: the filter gets its own angles, and
+    the embedding angles it drops are the manifest's params."""
+    saved = json.loads(co_trained_model_text)
+    model = embedding.restore_model(saved)
+    assert model.ansatz.n_params == 8
+    assert model.theta.tolist() == saved["theta_star"][:8]
+    assert list(model.pipeline.spec.params) == saved["theta_star"][8:]
+    for theta in (saved["theta_star"], saved["theta_star"][:8]):
+        assert embedding.restore_model({**saved, "theta_star": theta}).theta.tolist() == (
+            saved["theta_star"][:8]
+        )
 
 
 def test_a_layer_count_past_the_budget_exits_3(tmp_path, capsys):

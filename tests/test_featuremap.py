@@ -12,7 +12,6 @@ from qfilter.errors import ClassAnnihilated, DimError, FilterAnnihilated, ParamS
 from qfilter.featuremap import (
     ClassMoments,
     FeatureMapCircuit,
-    TransformedEnsembles,
     apply_filter,
     build_ansatz,
     circuit_unitary,
@@ -137,11 +136,9 @@ def test_apply_filter_annihilation():
     keep = np.diag([1.0, 0.0]).astype(complex)
     _, (p_s,) = apply_filter(keep, np.array([[0.0, 1.0]], dtype=complex))
     assert p_s == 0.0
-    ens = TransformedEnsembles(
-        DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.eye(2) / 2), np.ones(2)
-    )
+    states = DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.eye(2) / 2)
     with pytest.raises(FilterAnnihilated):
-        filtered_fidelity_classify(ens, keep, basis_state(1, 1))
+        filtered_fidelity_classify(states, keep, basis_state(1, 1))
 
 
 def test_apply_filter_dimension_check():
@@ -221,14 +218,13 @@ def test_transform_ensemble_matches_hand_accumulation():
         circ = build_ansatz(n, layers)
         theta = np.random.default_rng(9 + m).uniform(-np.pi, np.pi, circ.n_params)
         k = kraus_from_circuit(circ, theta)
-        ens = transform_ensemble(k, samples)
+        pos, neg = transform_ensemble(k, samples)
         want_pos, want_neg, ps = oracles.ensemble_loop(k, samples)
         labels = np.array([s.label for s in samples])
-        np.testing.assert_allclose(ens.pos.entries, want_pos, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ens.neg.entries, want_neg, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ens.p_s, ps, rtol=0, atol=1e-15)
-        assert ens.p_succ == pytest.approx(np.mean(ps), abs=1e-15)
-        assert ens.p_joint == pytest.approx(np.prod(ps), abs=1e-15)
+        np.testing.assert_allclose(pos.entries, want_pos, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(neg.entries, want_neg, rtol=0, atol=1e-12)
+        # the per-sample p_s that train's p_joint and the selftest read
+        np.testing.assert_allclose(apply_filter(k, samples.amplitudes)[1], ps, rtol=0, atol=1e-15)
         # the class masses tr[K A K+] the training cost divides by
         _, (mass_pos, mass_neg) = filter_moments(k, class_moments(samples))
         assert mass_pos == pytest.approx(ps[labels == 1].sum(), abs=1e-14)
@@ -312,22 +308,22 @@ def test_kraus_block_is_the_pass_over_the_ancilla_zero_columns_of_the_identity(n
 
 def test_identity_filter_reproduces_baseline_ensembles_bitwise():
     samples = _two_class_samples(m=4, seed=6)
-    ens = transform_ensemble(np.eye(2, dtype=complex), samples)
+    pos, neg = transform_ensemble(np.eye(2, dtype=complex), samples)
     rho, sigma = build_ensembles(samples)
-    assert np.array_equal(ens.pos.entries, rho.entries)
-    assert np.array_equal(ens.neg.entries, sigma.entries)
+    assert np.array_equal(pos.entries, rho.entries)
+    assert np.array_equal(neg.entries, sigma.entries)
     # per-sample p_s equals the (floating point) squared norm, so it is 1
     # only up to normalization roundoff for generic states
-    assert ens.p_succ == pytest.approx(1.0, abs=1e-12)
-    assert hs_distance(ens.pos, ens.neg) == hs_distance(rho, sigma)
+    assert apply_filter(np.eye(2), samples.amplitudes)[1].mean() == pytest.approx(1.0, abs=1e-12)
+    assert hs_distance(pos, neg) == hs_distance(rho, sigma)
 
 
 def test_identity_filter_is_exact_on_basis_samples():
     samples = sample_set([basis_state(1, 0), basis_state(1, 1)], [+1, -1])
-    ens = transform_ensemble(np.eye(2, dtype=complex), samples)
-    assert ens.p_succ == 1.0
-    assert ens.p_joint == 1.0
-    np.testing.assert_array_equal(ens.p_s, [1.0, 1.0])
+    pos, neg = transform_ensemble(np.eye(2, dtype=complex), samples)
+    np.testing.assert_array_equal(pos.entries, np.diag([1.0, 0.0]))
+    np.testing.assert_array_equal(neg.entries, np.diag([0.0, 1.0]))
+    np.testing.assert_array_equal(apply_filter(np.eye(2), samples.amplitudes)[1], [1.0, 1.0])
 
 
 def test_transform_ensemble_class_annihilation():
@@ -344,9 +340,9 @@ def test_annihilated_single_sample_is_harmless_if_class_survives():
     keep = np.diag([1.0, 0.0]).astype(complex)
     # the second sample is killed, its class survives
     samples = sample_set([basis_state(1, 0), basis_state(1, 1), random_state(4, 1)], [+1, +1, -1])
-    ens = transform_ensemble(keep, samples)
-    assert ens.p_s[1] == pytest.approx(0.0, abs=1e-15)
-    np.testing.assert_allclose(ens.pos.entries, np.diag([1.0, 0.0]), atol=1e-12)
+    pos, _ = transform_ensemble(keep, samples)
+    assert apply_filter(keep, samples.amplitudes)[1][1] == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose(pos.entries, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_build_ansatz_checks_the_gate_tape_budget(monkeypatch):

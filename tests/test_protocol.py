@@ -11,7 +11,7 @@ import oracles
 from oracles import basis_state, sample_set
 from qfilter import protocol
 from qfilter.errors import ClassAnnihilated, DimError, ParamShapeError
-from qfilter.featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
+from qfilter.featuremap import apply_filter, build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.classifier import filtered_fidelity_classify
 from qfilter.protocol import (
     ProtocolOutcome,
@@ -298,11 +298,12 @@ def test_joint_tables_have_the_closed_form_of_the_analytic_path(m, n):
     circ = build_ansatz(n, 2)
     theta = np.random.default_rng(103 + 10 * m + n).uniform(-np.pi, np.pi, circ.n_params)
     k = kraus_from_circuit(circ, theta)
-    ens = transform_ensemble(k, samples)
+    pos, neg = transform_ensemble(k, samples)
     t, _ = oracles.filter_state(k, np.outer(test.amplitudes, test.amplitudes.conj()))
     labels = np.array([s.label for s in samples])
-    shares = np.array([ens.p_s[labels == y].sum() for y in (+1, -1)]) / ens.p_s.sum()
-    rhos = [ens.pos.entries, ens.neg.entries]
+    p_s = apply_filter(k, samples.amplitudes)[1]
+    shares = np.array([p_s[labels == y].sum() for y in (+1, -1)]) / p_s.sum()
+    rhos = [pos.entries, neg.entries]
     swap = np.array([1.0, -1.0])
 
     overlaps = np.array([np.trace(r @ t).real for r in rhos])
@@ -324,16 +325,17 @@ def test_protocol_matches_analytic_path(m, n):
     circ = build_ansatz(n, 1)
     theta = np.random.default_rng(33).uniform(-np.pi, np.pi, circ.n_params)
     k = kraus_from_circuit(circ, theta)
-    ens = transform_ensemble(k, samples)
-    analytic = filtered_fidelity_classify(ens, k, test)
+    states = transform_ensemble(k, samples)
+    analytic = filtered_fidelity_classify(states, k, test)
+    p_succ = apply_filter(k, samples.amplitudes)[1].mean()
 
     cls = run_classifier_protocol(samples, test, circ, theta)
     assert cls.derived_value == pytest.approx(analytic.value, abs=1e-9)
-    assert cls.p_postselect == pytest.approx(ens.p_succ * analytic.p_s_test, abs=1e-10)
+    assert cls.p_postselect == pytest.approx(p_succ * analytic.p_s_test, abs=1e-10)
 
     rsk = run_risk_protocol(samples, circ, theta)
-    assert rsk.derived_value == pytest.approx(hs_distance(ens.pos, ens.neg), abs=1e-9)
-    assert rsk.p_postselect == pytest.approx(ens.p_succ**2, abs=1e-10)
+    assert rsk.derived_value == pytest.approx(hs_distance(*states), abs=1e-9)
+    assert rsk.p_postselect == pytest.approx(p_succ**2, abs=1e-10)
 
 
 def test_protocols_use_no_analytic_route(monkeypatch):

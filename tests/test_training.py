@@ -472,8 +472,7 @@ def test_final_cost_is_the_full_circuit_cost_at_theta_star(argv, tmp_path):
     assert main(["train", *argv, "--epochs", "20", "--out", str(path)]) == 0
     saved = json.loads(path.read_text())
     model = restore_model(saved)
-    ansatz = build_ansatz(model.pipeline.spec.n_qubits, model.ansatz_layers)
-    k = kraus_from_circuit(ansatz, model.theta_star[: ansatz.n_params])
+    k = kraus_from_circuit(model.ansatz, model.theta)
     config = saved["manifest"]["config"]["train"]
     report, _, _ = training.moment_cost(
         k, class_moments(model.pipeline.samples()), config["lambda"], config["cutoff"]
