@@ -188,14 +188,24 @@ def _check_pass_budget(spec: EmbeddingSpec, rows: int) -> None:
     check_budget(gate_pass_bytes(spec.param_count(), n, rows), what)
 
 
+def finite_rows(xs: np.ndarray) -> np.ndarray:
+    """xs as a float array; the first row holding a NaN or an infinity raises DomainError."""
+    v = np.asarray(xs, dtype=float)
+    if not np.isfinite(v).all():
+        row = np.flatnonzero(~np.isfinite(v.reshape(len(v), -1)).all(axis=1))[0]
+        raise DomainError(f"cannot encode row {row}: it holds a NaN or an infinity")
+    return v
+
+
 def encode_rows(xs: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
     """The states of the rows of xs, one row of amplitudes each, in one array pass.
 
+    Any row holding a NaN or an infinity is refused before an encoder runs.
     amplitude: a row of at most 2**n_qubits features, normalized and zero
     padded. angle: the first feature of each row. pca-layer: a row of
     n_qubits features.
     """
-    v = np.asarray(xs, dtype=float)
+    v = finite_rows(xs)
     if spec.kind == "amplitude":
         return amplitude_states(v, spec.n_qubits)
     if spec.kind == "angle":
@@ -288,11 +298,16 @@ class Pipeline:
         return cls(descriptor, dataset, spec, pca, scaling)
 
     def preprocess(self, features: np.ndarray) -> np.ndarray:
+        """features projected and scaled as the pipeline was fitted.
+
+        An overflow gives inf without a numpy warning; encode_rows() refuses it.
+        """
         out = np.asarray(features, dtype=float)
-        if self.pca is not None:
-            out = pca_project(self.pca, out)
-        if self.scaling is not None:
-            out = self.scaling.apply(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.pca is not None:
+                out = pca_project(self.pca, out)
+            if self.scaling is not None:
+                out = self.scaling.apply(out)
         return out
 
     def samples(self, data: RawDataset | None = None) -> SampleSet:

@@ -16,7 +16,7 @@ from .classifier import (
     sign_rule,
 )
 from .datasets import check_labels
-from .embedding import EmbeddingSpec, SampleSet, pca_layer_states
+from .embedding import EmbeddingSpec, SampleSet, finite_rows, pca_layer_states
 from .errors import ClassAnnihilated, DomainError, ShapeError, check_budget
 from .featuremap import (
     ClassMoments,
@@ -202,14 +202,15 @@ def co_train(
 ) -> TrainResult:
     """train() with the trainable pca-layer angles of spec appended to theta.
 
-    features holds the preprocessed rows and labels their +1/-1 labels. The
-    rows are re-embedded at every evaluation, and the angles' gradient
-    comes from the same backward pass as the filter's: sample m of class s
-    has the state cotangent (K+ W_s K) psi_m (see moment_cost()).
+    features holds the preprocessed rows and labels their +1/-1 labels; a
+    row holding a NaN or an infinity is refused here, once. The rows are
+    re-embedded at every evaluation, and the angles' gradient comes from
+    the same backward pass as the filter's: sample m of class s has the
+    state cotangent (K+ W_s K) psi_m (see moment_cost()).
     """
     if spec.param_count() == 0:
         raise DomainError("co-training needs an embedding with trainable angles")
-    xs, labels = np.asarray(features, dtype=float), np.asarray(labels)
+    xs, labels = finite_rows(features), np.asarray(labels)
     if labels.shape != xs.shape[:1]:
         raise ShapeError(f"features {xs.shape} vs labels {labels.shape}")
     check_labels(labels.tolist())

@@ -112,7 +112,8 @@ def test_criterion_05_iris_baseline():
 # sits on a symmetric stationary point whose escape direction decides which
 # of two degenerate optima the run falls into; this seeded wide start lands
 # in the basin that keeps the test decision at -1 while nearly doubling the
-# class separation. See scripts/run_iris.py for the sweep.
+# class separation. tests/test_cli.py::test_iris_starts_reach_two_optimum_families
+# trains both families through the CLI.
 IRIS_TRAINED_CONFIG = TrainConfig(
     learning_rate=0.05,
     epochs=200,

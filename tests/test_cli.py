@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qfilter import embedding, errors, quantum, training
 from qfilter.cli import main
+from qfilter.datasets import iris_builtin
 from qfilter.errors import QFilterError
 
 
@@ -159,6 +160,25 @@ def test_circuit_p_s_test_matches_the_analytic_path(tmp_path, capsys, train_flag
     assert circuit["value"] == pytest.approx(analytic["value"], abs=1e-9)
     assert circuit["p_s_test"] == pytest.approx(analytic["p_s_test"], abs=1e-10)
     assert 0 < circuit["p_s_test"] < 1
+
+
+@pytest.mark.parametrize("init_scale, decision, p_succ", [("0", +1, 0.2155), ("2.5", -1, 0.3185)])
+def test_iris_starts_reach_two_optimum_families(tmp_path, capsys, init_scale, decision, p_succ):
+    """At --layers 2 the identity start and a wide start both reach the
+    largest class separation, D_hs = 2, in different optimum families: the
+    first classifies the built-in test point +1, the second keeps it at -1
+    with a higher post-selection rate."""
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", "iris", "--layers", "2", "--init-scale", init_scale,
+                 "--out", str(model)]) == 0
+    trained = json.loads(model.read_text())
+    assert abs(trained["hs_distance"] - 2.0) <= 1e-9
+    assert round(trained["p_succ"], 4) == p_succ
+    _, (x, _) = iris_builtin()
+    point = ",".join(map(repr, x.tolist()))
+    code, out = _run(["classify", "--model", str(model), f"--input={point}"], capsys)
+    assert code == 0
+    assert json.loads(out)["decision"] == decision
 
 
 def test_the_cached_parser_leaks_no_flag_between_calls(tmp_path, capsys):
@@ -1086,6 +1106,24 @@ def test_overflowing_pca_input_exits_3_naming_it(tmp_path, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert f"error: {data}: the centred data or its covariance overflows" in err
+
+
+@pytest.mark.parametrize("path", ["analytic", "circuit"])
+@pytest.mark.parametrize("co_train", [False, True], ids=["fixed", "co-trained"])
+def test_an_input_that_overflows_the_scaling_exits_3(tmp_path, capsys, path, co_train):
+    """+-1e308 is a finite input, but a pca:2 model's scaling takes it to inf:
+    encode_rows() refuses the row before either path runs, with one error
+    line and no RuntimeWarning (an error under this suite's settings)."""
+    data = tmp_path / "tiny.csv"
+    data.write_text(TINY_CSV)
+    model = tmp_path / "model.json"
+    flags = ["--co-train", "--init-scale", "1"] if co_train else []
+    assert main(["train", "--dataset", f"csv:{data}", "--embedding", "pca:2", *flags,
+                 "--epochs", "5", "--out", str(model)]) == 0
+    capsys.readouterr()
+    argv = ["classify", "--model", str(model), "--path", path, "--input=1e308,-1e308,1e308"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: cannot encode row 0: it holds a NaN or an infinity\n"
 
 
 def test_classify_rejects_a_non_string_csv_path(tmp_path, capsys):

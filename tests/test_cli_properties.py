@@ -3,8 +3,11 @@
 Hypothesis draws argv for train, classify and compare: flag values that
 mix valid, malformed and extreme text, arbitrary --input strings, and
 small CSV bodies as the data (zero feature columns, NaN/inf cells, labels
-0, 1 and 2). Every example runs in-process on one thread. Every count that
-sizes an allocation (--dims, --per-class, --dim-sweep, --epochs, --layers,
+0, 1 and 2). A well-formed classify point has the model's width and mixes
++-1e308, which a pca model's scaling takes to inf, into small features;
+the explicit example pins one such point on the circuit path. Every
+example runs in-process on one thread. Every count that sizes an
+allocation (--dims, --per-class, --dim-sweep, --epochs, --layers,
 --embed-layers, --shots) stays at most 4, so no example allocates much.
 An uncaught exception, a RuntimeWarning (an error under this suite's
 settings) or a traceback on stderr fails the property.
@@ -14,12 +17,14 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qfilter.cli import main
 
 MAX_COUNT = 4
+# stands for the workdir fixture's folder in drawn argv; the test substitutes it
+ROOT = "{root}"
 
 
 def _small(text: str) -> bool:
@@ -118,17 +123,18 @@ def workdir(tmp_path_factory):
 
 
 @st.composite
-def invocations(draw, root) -> tuple[list[str], str | None]:
+def invocations(draw) -> tuple[list[str], str | None]:
     """argv for one command, and the CSV body its dataset reads (if any)."""
     clean = draw(st.integers(0, 2)) > 0  # two examples in three have well-formed flags
     command = draw(st.sampled_from(["train", "compare", "classify"]))
     if command == "classify":
         widths = {"iris": 2, "blobs": 3, "co": 3, "broken": 2, "list": 2, "missing": 2}
         model = draw(st.sampled_from(list(widths)[:3] if clean else list(widths)))
-        features = st.floats(-2, 2).map(repr) if clean else any_real
+        clean_features = st.one_of(st.floats(-2, 2).map(repr), st.sampled_from(["1e308", "-1e308"]))
+        features = clean_features if clean else any_real
         size = widths[model] if clean else None
         point = draw(st.lists(features, min_size=size or 1, max_size=size or 4).map(",".join))
-        argv = ["classify", f"--model={root / model}.json", f"--input={point}"]
+        argv = ["classify", f"--model={ROOT}/{model}.json", f"--input={point}"]
         argv += _flags(draw, {
             "--path": (st.sampled_from(["analytic", "circuit"]), st.just("quantum")),
             "--shots": (counts, any_count),
@@ -137,7 +143,7 @@ def invocations(draw, root) -> tuple[list[str], str | None]:
         return argv, None
     body = draw(st.one_of(st.none(), csv_bodies()))
     if body is not None:
-        dataset = f"csv:{root / 'data.csv'}"
+        dataset = f"csv:{ROOT}/data.csv"
     else:
         dataset = draw(st.sampled_from(["iris", "blobs", "csv:/no/such/file.csv", ""]))
     argv = [command, f"--dataset={dataset}"]
@@ -157,13 +163,16 @@ def invocations(draw, root) -> tuple[list[str], str | None]:
         }, clean)
     if draw(st.booleans()):
         argv.append("--ring")
-    return argv + [f"--out={root / 'out.json'}"], body
+    return argv + [f"--out={ROOT}/out.json"], body
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_cli_exits_0_2_or_3_without_a_traceback(workdir, data):
-    argv, body = data.draw(invocations(workdir))
+@example(case=(["classify", f"--model={ROOT}/co.json", "--input=1e308,-1e308,1e308",
+                "--path=circuit"], None))
+@given(case=invocations())
+def test_cli_exits_0_2_or_3_without_a_traceback(workdir, case):
+    argv, body = case
+    argv = [a.replace(ROOT, str(workdir)) for a in argv]
     if body is not None:
         (workdir / "data.csv").write_text(body)
     err = io.StringIO()

@@ -1,8 +1,6 @@
 """Encoders, dataset embedding, and the fitted rotation scaling."""
-import importlib.util
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import basis_state
-from qfilter.datasets import RawDataset
 from qfilter.embedding import (
     SAMPLE_SET_ARRAYS,
     EmbeddedSample,
@@ -79,6 +76,21 @@ def test_angle_encode_domain():
         encode_point(1.2, EmbeddingSpec("angle", 1))
     with pytest.raises(DomainError):
         encode_point(-1.0001, EmbeddingSpec("angle", 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "spec",
+    [EmbeddingSpec("angle", 1), EmbeddingSpec("pca-layer", 2, params=(0.0,) * 3)],
+    ids=["angle", "pca-layer"],
+)
+def test_a_non_finite_row_is_refused_before_any_encoder(spec, bad):
+    """A NaN passes angle's |x0| <= 1 test and pca-layer's cos/sin would put
+    it in the state, so encode_rows() refuses the row itself."""
+    with pytest.raises(DomainError, match="row 1: it holds a NaN or an infinity"):
+        embed_rows(np.array([[0.1, 0.2], [bad, 0.3]]), np.array([1, -1]), spec)
+    with pytest.raises(DomainError, match="row 0: it holds a NaN or an infinity"):
+        encode_point(np.array([0.5, bad]), spec)
 
 
 def test_embedding_spec_validation():
@@ -369,26 +381,3 @@ def test_rotation_scaling_bounds_random_data(seed):
 def test_feature_scaling_roundtrips_tuple_fields():
     s = FeatureScaling((1.0, 2.0), (0.5, 2.0))
     np.testing.assert_allclose(s.apply(np.array([[3.0, 3.0]])), [[1.0, 2.0]])
-
-
-def test_the_iris_script_embeds_through_embed_rows(monkeypatch):
-    """scripts/run_iris.py encodes the dataset's feature matrix with the one
-    encoding route, not row pairs."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_iris.py"
-    spec = importlib.util.spec_from_file_location("run_iris", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    calls = []
-
-    def counted(features, labels, spec):
-        calls.append(len(labels))
-        return embed_rows(features, labels, spec)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("embedded (x, y) pairs")
-
-    monkeypatch.setattr(script, "embed_rows", counted, raising=False)
-    monkeypatch.setattr(RawDataset, "pairs", forbidden)
-    samples, _, _ = script.load()
-    assert calls == [2]
-    assert samples.amplitudes.shape == (2, 2)

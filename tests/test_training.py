@@ -11,7 +11,14 @@ import oracles
 from oracles import basis_state, sample_set
 from qfilter import training
 from qfilter.classifier import build_ensembles
-from qfilter.embedding import EmbeddingSpec, Pipeline, SampleSet, embed_dataset, embed_rows
+from qfilter.embedding import (
+    EmbeddingSpec,
+    Pipeline,
+    SampleSet,
+    embed_dataset,
+    embed_rows,
+    finite_rows,
+)
 from qfilter.errors import ClassAnnihilated, ClassBalanceError, DomainError, ShapeError
 from qfilter.featuremap import FeatureMapCircuit, build_ansatz, class_moments, kraus_from_circuit
 from qfilter.quantum import GateSpec, hs_distance, random_state
@@ -315,6 +322,27 @@ def test_overflowing_parameters_raise_a_domain_error():
     spec = EmbeddingSpec("pca-layer", 1, params=(0.0,))
     with pytest.raises(DomainError, match="overflow"):
         co_train(TrainConfig(epochs=1, init_scale=1.7e308), features, labels, spec, ansatz)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_co_training_refuses_a_non_finite_row_once_at_entry(monkeypatch, bad):
+    """The features are checked before the first evaluation, and only then:
+    the per-epoch re-embedding does not re-check them."""
+    features, labels = np.array([[0.3, -0.4], [-0.9, 0.2], [0.5, 0.1]]), np.array([+1, -1, +1])
+    spec = EmbeddingSpec("pca-layer", 2, params=(0.0,) * 3)
+    cfg = TrainConfig(epochs=3, seed=1, init_scale=0.3)
+    checks = []
+
+    def counted(xs):
+        checks.append(len(xs))
+        return finite_rows(xs)
+
+    monkeypatch.setattr(training, "finite_rows", counted)
+    co_train(cfg, features, labels, spec, build_ansatz(2, 1))
+    assert checks == [3]
+    features[2, 1] = bad
+    with pytest.raises(DomainError, match="row 2: it holds a NaN or an infinity"):
+        co_train(cfg, features, labels, spec, build_ansatz(2, 1))
 
 
 def test_co_training_never_embeds_point_by_point(monkeypatch):
