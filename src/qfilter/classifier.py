@@ -8,9 +8,9 @@ import numpy as np
 
 from .datasets import check_labels
 from .embedding import SampleSet
-from .errors import ClassBalanceError, DomainError, NormError, ShapeError
+from .errors import ClassBalanceError, DomainError, ShapeError
 from .featuremap import EPS_ANNIHILATION, apply_filter, check_success, transform_ensemble
-from .quantum import ATOL_INPUT, DensityMatrix, StateVector
+from .quantum import DensityMatrix, StateVector, check_unit_rows
 
 TIE_EPS = 1e-12
 SENTINEL_COST = 2.0
@@ -75,14 +75,6 @@ def build_ensembles(samples: SampleSet) -> tuple[DensityMatrix, DensityMatrix]:
     return transform_ensemble(np.eye(2**samples.n_qubits, dtype=complex), samples)
 
 
-def _check_unit_rows(amps: np.ndarray) -> None:
-    """Raise NormError for the first row whose norm is off 1 by more than ATOL_INPUT."""
-    norms = np.linalg.norm(amps, axis=-1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= ATOL_INPUT))
-    if bad.size:
-        raise NormError(f"state norm {norms[bad[0]]} != 1")
-
-
 def classify_rows(
     states: tuple[DensityMatrix, DensityMatrix], k: np.ndarray, amplitudes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +87,7 @@ def classify_rows(
     refuses p_s. A row off unit norm by more than ATOL_INPUT raises NormError.
     """
     amps = np.ascontiguousarray(amplitudes, dtype=complex)
-    _check_unit_rows(amps)
+    check_unit_rows(amps)
     kpsi, p_s = apply_filter(k, amps)
     pos, neg = states
     d_kpsi = (pos.entries - neg.entries) @ kpsi

@@ -21,7 +21,7 @@ from . import __version__
 from .classifier import ClassifierOutput, filtered_fidelity_classify
 from .embedding import Pipeline, fingerprint, restore_model
 from .errors import DomainError, FilterAnnihilated, QFilterError
-from .featuremap import apply_filter, build_ansatz, kraus_from_circuit, transform_ensemble
+from .featuremap import build_ansatz, kraus_from_circuit, transform_ensemble
 from .protocol import run_classifier_protocol, sample_outcomes
 from .selftest import run_all
 from .training import TrainConfig, co_train, compare_conditions, train
@@ -82,7 +82,6 @@ def _train_config(args, **train_only) -> TrainConfig:
     return TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
-        optimizer=args.optimizer,
         lam=getattr(args, "lambda"),
         init_scale=args.init_scale,
         seed=args.seed,
@@ -127,7 +126,6 @@ def cmd_train(args) -> int:
         "final_cost": result.report.risk,
         "hs_distance": result.report.hs_distance,
         "p_succ": result.report.p_succ,
-        "p_joint": np.prod(apply_filter(k, samples.amplitudes)[1]),
         "penalty": result.report.penalty,
         "theta_star": result.theta_star,
         "cost_trace": result.cost_trace,
@@ -295,7 +293,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=_COUNT, default=200)
     p.add_argument("--lr", type=_checked(float, lambda v: v > 0, "a finite number > 0"),
                    default=0.05)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--init-scale", type=_NON_NEGATIVE, default=0.0, dest="init_scale",
                    help="stddev of the random start (0 = exact identity)")
 

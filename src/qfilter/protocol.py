@@ -33,7 +33,7 @@ import numpy as np
 from .embedding import SampleSet
 from .errors import DimError, check_budget
 from .featuremap import FeatureMapCircuit, check_class_mass, check_success, circuit_unitary
-from .quantum import StateVector, _within
+from .quantum import StateVector, _within, check_unit_rows
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,12 @@ def _check_budget(n_qubits: int) -> None:
 
 
 def _check_classifier(samples: SampleSet, test: StateVector) -> None:
-    """Check that test matches the samples and [index | train | label | test] fits the budget."""
+    """Check that test is a unit state matching the samples and that
+    [index | train | label | test] fits the budget."""
     n = _check_samples(samples)
     if test.n_qubits != n:
         raise DimError("test register size differs from the samples")
+    check_unit_rows(test.amplitudes[None])
     _check_budget(index_register_width(len(samples)) + 2 * n + 1)
 
 

@@ -25,6 +25,20 @@ from .errors import (
 ATOL_INVARIANT = 1e-10
 ATOL_INPUT = 1e-8
 
+
+def check_unit_rows(amps: np.ndarray) -> None:
+    """Raise NormError for the first row whose norm is off 1 by more than ATOL_INPUT.
+
+    A row holding a NaN or an infinity, or too large to square, has no
+    such norm and raises too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(amps, axis=-1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= ATOL_INPUT))
+    if bad.size:
+        raise NormError(f"state norm {norms[bad[0]]} != 1")
+
+
 # The generator P of each rotation exp(-i t P / 2), control = first target.
 _GENERATORS = {
     "Rx": np.array([[0, 1], [1, 0]], dtype=complex),

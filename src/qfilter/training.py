@@ -48,7 +48,6 @@ CO_TRAIN_ANGLE_BYTES = 256
 class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 200
-    optimizer: str = "adam"
     lam: float = 1.0
     cutoff: float = 0.0
     init_scale: float = 0.0
@@ -59,8 +58,6 @@ class TrainConfig:
             raise DomainError("learning rate must be positive")
         if self.epochs < 0:
             raise DomainError("epochs must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise DomainError(f"unknown optimizer {self.optimizer!r}")
         if not 0 <= self.lam < math.inf:
             raise DomainError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.cutoff <= 1.0:
@@ -243,7 +240,7 @@ def _descend(
     evaluate: Callable[[np.ndarray], tuple[RiskReport, np.ndarray]],
     theta0: np.ndarray,
 ) -> TrainResult:
-    """Adam or SGD on evaluate: theta -> (report, gradient), from theta0.
+    """Adam on evaluate: theta -> (report, gradient), from theta0.
 
     With init_scale > 0 the start moves by a seeded Gaussian offset.
     Returns the best theta seen and its report.
@@ -264,10 +261,8 @@ def _descend(
             elif np.linalg.norm(g) <= STATIONARY_GRADIENT_NORM:
                 direction = kick_rng.standard_normal(theta.shape)
                 theta = theta + KICK_STEP * direction / np.linalg.norm(direction)
-            elif config.optimizer == "adam":
-                theta = theta - _adam_update(adam_state, g, config.learning_rate)
             else:
-                theta = theta - config.learning_rate * g
+                theta = theta - _adam_update(adam_state, g, config.learning_rate)
         if not np.isfinite(theta).all():
             raise DomainError("theta overflows: init_scale or the learning rate is too large")
         current, g = evaluate(theta)

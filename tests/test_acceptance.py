@@ -117,7 +117,6 @@ def test_criterion_05_iris_baseline():
 IRIS_TRAINED_CONFIG = TrainConfig(
     learning_rate=0.05,
     epochs=200,
-    optimizer="adam",
     init_scale=2.5,
     seed=0,
 )

@@ -45,24 +45,6 @@ def test_train_stdout_json_shape(capsys):
     assert len(payload["cost_trace"]) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["--dataset", "iris", "--layers", "2", "--init-scale", "2.5", "--epochs", "30"],
-    ["--dataset", "blobs", "--dims", "4", "--per-class", "12", "--epochs", "10"],
-], ids=["iris", "blobs"])
-def test_train_p_joint_is_the_product_of_the_sample_success_probabilities(tmp_path, argv):
-    """p_joint is prod_m tr[K rho_m K+] over the training samples at theta*."""
-    import oracles
-
-    path = tmp_path / "m.json"
-    assert main(["train", *argv, "--out", str(path)]) == 0
-    saved = json.loads(path.read_text())
-    model = embedding.restore_model(saved)
-    k = training.kraus_from_circuit(model.ansatz, model.theta)
-    _, _, p_s = oracles.ensemble_loop(k, model.pipeline.samples())
-    assert 0 < saved["p_joint"] < 1
-    assert saved["p_joint"] == pytest.approx(np.prod(p_s), rel=1e-12, abs=0)
-
-
 def test_train_writes_file_and_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["train", "--dataset", "blobs", "--per-class", "4", "--dims", "2",
@@ -453,14 +435,15 @@ def test_compare_out_that_is_its_own_csv_path_exits_2(tmp_path, capsys, monkeypa
         assert not out.exists()
 
 
-def test_compare_manifest_records_the_optimizer_flags(tmp_path):
+def test_compare_manifest_records_the_training_flags(tmp_path):
     out = tmp_path / "cmp.json"
     code = main(["compare", "--dataset", "blobs", "--per-class", "3", "--epochs", "2",
                  "--embedding", "pca:2", "--embed-layers", "2", "--ring",
-                 "--optimizer", "sgd", "--init-scale", "0.5", "--out", str(out)])
+                 "--lr", "0.1", "--init-scale", "0.5", "--out", str(out)])
     assert code == 0
     config = json.loads(out.read_text())["manifest"]["config"]
-    assert config["optimizer"] == "sgd"
+    assert "optimizer" not in config
+    assert config["learning_rate"] == 0.1
     assert config["init_scale"] == 0.5
     assert config["embed_layers"] == 2
     assert config["ring"] is True

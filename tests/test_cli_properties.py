@@ -97,7 +97,6 @@ TRAIN_FLAGS = {
     "--lambda": (reals, any_real),
     "--epochs": (counts, any_count),
     "--lr": (st.floats(1e-3, 2).map(repr), any_real),
-    "--optimizer": (st.sampled_from(["adam", "sgd"]), st.sampled_from(["newton", ""])),
     "--init-scale": (reals, any_real),
 }
 CONDITIONS = st.sampled_from(["embedding-only", "c=0", "c=0.5", "c=1", "c=2", "c=nan", "c=x", "kernel"])

@@ -223,7 +223,7 @@ def test_transform_ensemble_matches_hand_accumulation():
         labels = np.array([s.label for s in samples])
         np.testing.assert_allclose(pos.entries, want_pos, rtol=0, atol=1e-12)
         np.testing.assert_allclose(neg.entries, want_neg, rtol=0, atol=1e-12)
-        # the per-sample p_s that train's p_joint and the selftest read
+        # the per-sample p_s that the readout and the selftest read
         np.testing.assert_allclose(apply_filter(k, samples.amplitudes)[1], ps, rtol=0, atol=1e-15)
         # the class masses tr[K A K+] the training cost divides by
         _, (mass_pos, mass_neg) = filter_moments(k, class_moments(samples))

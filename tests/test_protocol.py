@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import basis_state, sample_set
 from qfilter import protocol
-from qfilter.errors import ClassAnnihilated, DimError, ParamShapeError
+from qfilter.errors import ClassAnnihilated, DimError, NormError, ParamShapeError
 from qfilter.featuremap import apply_filter, build_ansatz, kraus_from_circuit, transform_ensemble
 from qfilter.classifier import filtered_fidelity_classify
 from qfilter.protocol import (
@@ -87,6 +87,21 @@ def test_prepare_classifier_state_checks_sizes():
         prepare_classifier_state(sample_set([basis_state(1, 0)], [+1]), basis_state(1, 0))
     with pytest.raises(DimError):
         prepare_classifier_state(samples, basis_state(2, 0))
+
+
+@pytest.mark.parametrize("bad", [3.0, 1e200, math.nan, math.inf])
+def test_a_test_state_off_unit_norm_raises_the_same_error_on_both_paths(bad):
+    """The circuit path refuses the test state before it builds a register,
+    with the NormError of the analytic path."""
+    samples, ansatz = _samples(3), build_ansatz(1, 1)
+    theta = np.linspace(0.2, 1.0, ansatz.n_params)
+    k = kraus_from_circuit(ansatz, theta)
+    test = StateVector(np.array([bad, 0.0]))
+    with pytest.raises(NormError, match="state norm") as analytic:
+        filtered_fidelity_classify(transform_ensemble(k, samples), k, test)
+    with pytest.raises(NormError, match="state norm") as circuit:
+        run_classifier_protocol(samples, test, ansatz, theta)
+    assert str(circuit.value) == str(analytic.value)
 
 
 def test_prepare_risk_state_amplitudes():
