@@ -1,18 +1,16 @@
 """Command-line front end: train, classify, compare, selftest.
 
-All results are JSON with stable key order; the compare command also emits
-a plottable CSV. Every result embeds a manifest (resolved config + dataset
+Every command writes one artifact, its JSON with stable key order, to --out
+or stdout. Every result embeds a manifest (resolved config + dataset
 fingerprint) sufficient to rebuild the run.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -189,7 +187,7 @@ def cmd_compare(args) -> int:
     if len(conditions) < 2:
         raise DomainError("compare needs at least 2 conditions")
     embedding = _embedding(args)
-    descriptors = _descriptors(args, args.dim_sweep or [args.dims])
+    descriptors = _descriptors(args, args.dims)
     config = _train_config(args)
 
     all_rows = []
@@ -219,13 +217,6 @@ def cmd_compare(args) -> int:
         },
     }
     _emit_json({"manifest": manifest, "rows": all_rows}, args.out)
-    csv_path = (os.path.splitext(args.out)[0] if args.out else "compare") + ".csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        columns = ["condition", "d", "hs_distance", "p_succ_train", "p_succ_total", "accuracy"]
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in all_rows:
-            writer.writerow([row["condition"], row["d"], *(repr(row[k]) for k in columns[2:])])
     return 0
 
 
@@ -270,7 +261,8 @@ def _embedding_name(text: str) -> str:
     return text
 
 
-def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_data_flags(p: argparse.ArgumentParser, dims) -> None:
+    """The data flags train and compare share; dims is the argparse type of --dims."""
     p.add_argument("--dataset", default="iris", help="iris | blobs | csv:<path>")
     p.add_argument(
         "--embedding",
@@ -282,7 +274,8 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embed-layers", type=_COUNT, default=1, dest="embed_layers")
     p.add_argument("--ring", action="store_true", help="ring couplers in pca-layer")
     p.add_argument("--per-class", type=_POSITIVE_COUNT, default=20, dest="per_class")
-    p.add_argument("--dims", type=_POSITIVE_COUNT, default=2, help="blobs feature dimension")
+    p.add_argument("--dims", type=dims, default="2",
+                   help="blobs feature dimension (compare: a comma list)")
     p.add_argument("--separation", type=_REAL, default=2.0, help="blobs class gap")
     p.add_argument("--seed", type=_COUNT, default=0)
 
@@ -308,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="fit filter parameters")
-    _add_common_data_flags(p_train)
+    _add_common_data_flags(p_train, _POSITIVE_COUNT)
     _add_train_flags(p_train)
     p_train.add_argument("--c", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
                          default=0.0, help="success-probability cutoff")
@@ -328,21 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_cmp = sub.add_parser("compare", help="embedding-only vs trained filter arms")
-    _add_common_data_flags(p_cmp)
+    _add_common_data_flags(p_cmp, _list_of(_POSITIVE_COUNT))
     _add_train_flags(p_cmp)
     p_cmp.add_argument(
         "--conditions",
         default="embedding-only,c=0,c=0.5",
         help="comma list: embedding-only, c=<cutoff>",
     )
-    p_cmp.add_argument(
-        "--dim-sweep",
-        type=_list_of(_POSITIVE_COUNT),
-        default=None,
-        dest="dim_sweep",
-        help="comma list of blob dims (default: --dims only)",
-    )
-    p_cmp.add_argument("--out", default=None, help="JSON path; CSV lands beside it")
+    p_cmp.add_argument("--out", default=None, help="result JSON path (default stdout)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_self = sub.add_parser("selftest", help="run the verification suites")
@@ -359,9 +345,6 @@ def main(argv: list[str] | None = None) -> int:
     # shots sample the circuit's outcomes; the analytic path has none to sample
     if args.command == "classify" and args.path == "analytic" and args.shots > 0:
         parser.error("--shots samples the circuit path; use --path circuit or --shots 0")
-    # compare's CSV path is --out with its extension replaced by .csv
-    if args.command == "compare" and os.path.splitext(args.out or "")[1] == ".csv":
-        parser.error(f"--out {args.out} is also the path of compare's CSV; name the JSON otherwise")
     # a data error is any library error, an unreadable file or a model that is not JSON
     try:
         return args.func(args)

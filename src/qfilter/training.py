@@ -304,7 +304,7 @@ def compare_conditions(
     ansatz: FeatureMapCircuit,
     config: TrainConfig,
 ) -> list[dict]:
-    """Seed-matched arms sharing one dataset; rows are CSV/JSON friendly.
+    """Seed-matched arms sharing one dataset; rows are JSON friendly.
 
     An arm is its cutoff: None is the embedding-only arm, the identity
     filter K = I, and c is a filter trained with config at cutoff c. Every

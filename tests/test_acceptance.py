@@ -225,7 +225,7 @@ def test_criterion_09_deterministic_artifacts(tmp_path):
 
     def compare_run(out):
         return ["compare", "--dataset", "blobs", "--per-class", "4", "--epochs", "5",
-                "--dim-sweep", "2,3", "--conditions", "embedding-only,c=0",
+                "--dims", "2,3", "--conditions", "embedding-only,c=0",
                 "--seed", "3", "--out", out]
 
     strip = lambda text: "\n".join(

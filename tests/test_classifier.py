@@ -166,7 +166,7 @@ def test_batched_readout_matches_the_per_point_oracle(case):
     accuracy, mean_p = training._filtered_eval(ens, k, test)
     want_accuracy, want_p = oracles.filtered_eval(ens, k, test)
     assert accuracy == want_accuracy
-    assert type(accuracy) is float  # compare's CSV writes repr(accuracy)
+    assert type(accuracy) is float  # compare's JSON rows hold plain floats
     assert mean_p == pytest.approx(want_p, rel=0, abs=1e-15)
     if case is _annihilating_case:
         assert np.isnan(values[[0, 4]]).all() and np.isfinite(values[1:4]).all()

@@ -1,5 +1,4 @@
-"""Command-line behavior: JSON/CSV artifacts, exit codes, reproducibility."""
-import csv
+"""Command-line behavior: JSON artifacts, exit codes, reproducibility."""
 import json
 import math
 import re
@@ -384,10 +383,10 @@ def test_co_train_embeds_the_data_once(tmp_path, monkeypatch):
     assert calls == [(6, trained)]
 
 
-def test_compare_emits_json_and_csv(tmp_path):
+def test_compare_emits_one_json(tmp_path):
     out = tmp_path / "cmp.json"
     code = main(["compare", "--dataset", "blobs", "--per-class", "4",
-                 "--dim-sweep", "2,3", "--epochs", "5",
+                 "--dims", "2,3", "--epochs", "5",
                  "--conditions", "embedding-only,c=0,c=0.5", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -396,43 +395,41 @@ def test_compare_emits_json_and_csv(tmp_path):
     assert {r["condition"] for r in rows} == {"embedding-only", "feature-map-c0", "feature-map-c0.5"}
     assert sorted({r["d"] for r in rows}) == [2, 3]
 
-    csv_file = tmp_path / "cmp.csv"
-    with open(csv_file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        body = list(reader)
-    assert header == ["condition", "d", "hs_distance", "p_succ_train", "p_succ_total", "accuracy"]
-    assert len(body) == 6
-    # repr round-trip: CSV floats reparse to the JSON values exactly
-    for row, ref in zip(body, rows):
-        assert float(row[2]) == ref["hs_distance"]
 
-
-def test_compare_csv_lands_beside_an_out_path_in_a_dotted_directory(tmp_path):
-    out = tmp_path / "res.v2" / "out"
-    out.parent.mkdir()
-    argv = ["compare", "--dataset", "blobs", "--per-class", "4", "--epochs", "1", "--out", str(out)]
+def test_compare_writes_its_json_and_no_other_file(tmp_path, monkeypatch, capsys):
+    """stdout or --out gets the JSON, whatever --out is named, and nothing else lands."""
+    monkeypatch.chdir(tmp_path)
+    listing = lambda: sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    argv = ["compare", "--dataset", "blobs", "--per-class", "4", "--epochs", "1"]
     assert main(argv) == 0
-    assert (tmp_path / "res.v2" / "out.csv").exists()
-    assert not (tmp_path / "res.csv").exists()
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["rows"]
+    assert listing() == []
+    (tmp_path / "res.v2").mkdir()
+    assert main([*argv, "--out", "res.v2/out"]) == 0
+    assert listing() == ["res.v2", "res.v2/out"]
+    assert main([*argv, "--out", "res.csv"]) == 0
+    assert (tmp_path / "res.csv").read_text() == printed
+    assert listing() == ["res.csv", "res.v2", "res.v2/out"]
+    # a directory at the path where a stdout run once put its CSV copy stops nothing
+    side = (tmp_path / "compare").with_suffix(".csv")
+    side.mkdir()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
+    assert listing() == [side.name, "res.csv", "res.v2", "res.v2/out"]
 
 
-def test_compare_out_that_is_its_own_csv_path_exits_2(tmp_path, capsys, monkeypatch):
-    """--out res.csv would have the CSV overwrite the JSON: refused before training."""
-    from qfilter import cli
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("trained before the usage check")
-
-    monkeypatch.setattr(cli, "compare_conditions", forbidden)
-    for out in (tmp_path / "res.csv", tmp_path / "res.v2" / "out.csv"):
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", "--dataset", "iris", "--epochs", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and "compare's CSV" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+def test_compare_offers_exactly_its_15_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--help"])
+    assert exc.value.code == 0
+    # the pattern the CI step applies to train --help
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert flags == {
+        "--dataset", "--embedding", "--layers", "--embed-layers", "--ring", "--per-class",
+        "--dims", "--separation", "--seed", "--lambda", "--epochs", "--lr", "--init-scale",
+        "--conditions", "--out",
+    }
 
 
 def test_compare_manifest_records_the_training_flags(tmp_path):
@@ -465,9 +462,6 @@ def test_compare_manifest_says_which_rows_it_scored_on(tmp_path, dataset, scored
     argv = ["compare", "--dataset", dataset, "--epochs", "2", "--out", str(out)]
     assert main(argv) == 0
     assert json.loads(out.read_text())["manifest"]["accuracy_on"] == scored_on
-    # the label lives in the manifest only: the CSV header is unchanged
-    with open(tmp_path / "cmp.csv", newline="") as fh:
-        assert "accuracy_on" not in next(csv.reader(fh))
 
 
 def test_compare_needs_two_conditions():
@@ -544,9 +538,11 @@ def test_exit_code_2_on_bad_flags(tmp_path):
         ["train", "--lr", "0"],
         ["train", "--lr", "inf"],
         ["train", "--init-scale", "-1"],
-        ["compare", "--dim-sweep", "2,a"],
+        ["compare", "--dims", "2,a"],
         # compare trains every arm at its own cutoff, so it takes no --c
         ["compare", "--c", "0.7", "--co-train", "--embedding", "pca:1"],
+        # train fits one dataset, so its --dims is one integer
+        ["train", "--dims", "2,3"],
     ],
 )
 def test_malformed_flag_values_exit_2(argv, capsys):

@@ -7,10 +7,11 @@ small CSV bodies as the data (zero feature columns, NaN/inf cells, labels
 +-1e308, which a pca model's scaling takes to inf, into small features;
 the explicit example pins one such point on the circuit path. Every
 example runs in-process on one thread. Every count that sizes an
-allocation (--dims, --per-class, --dim-sweep, --epochs, --layers,
---embed-layers, --shots) stays at most 4, so no example allocates much.
-An uncaught exception, a RuntimeWarning (an error under this suite's
-settings) or a traceback on stderr fails the property.
+allocation (--dims, each entry of compare's --dims list, --per-class,
+--epochs, --layers, --embed-layers, --shots) stays at most 4, so no
+example allocates much. An uncaught exception, a RuntimeWarning (an
+error under this suite's settings) or a traceback on stderr fails the
+property.
 """
 import contextlib
 import io
@@ -99,6 +100,11 @@ TRAIN_FLAGS = {
     "--lr": (st.floats(1e-3, 2).map(repr), any_real),
     "--init-scale": (reals, any_real),
 }
+# compare's --dims is a comma list, one dataset per entry
+DIM_LISTS = (
+    st.lists(positive, min_size=1, max_size=3).map(",".join),
+    st.lists(any_count, min_size=1, max_size=3).map(",".join),
+)
 CONDITIONS = st.sampled_from(["embedding-only", "c=0", "c=0.5", "c=1", "c=2", "c=nan", "c=x", "kernel"])
 
 
@@ -146,7 +152,8 @@ def invocations(draw) -> tuple[list[str], str | None]:
     else:
         dataset = draw(st.sampled_from(["iris", "blobs", "csv:/no/such/file.csv", ""]))
     argv = [command, f"--dataset={dataset}"]
-    argv += _flags(draw, DATA_FLAGS, clean) + _flags(draw, TRAIN_FLAGS, clean)
+    data_flags = DATA_FLAGS if command == "train" else DATA_FLAGS | {"--dims": DIM_LISTS}
+    argv += _flags(draw, data_flags, clean) + _flags(draw, TRAIN_FLAGS, clean)
     if command == "train":
         argv += _flags(draw, {"--c": (st.floats(0, 1).map(repr), any_real)}, clean)
         pca = any(a.startswith("--embedding=pca:") for a in argv)
@@ -155,10 +162,6 @@ def invocations(draw) -> tuple[list[str], str | None]:
     else:
         argv += _flags(draw, {
             "--conditions": (st.lists(CONDITIONS, min_size=1, max_size=4).map(",".join), junk),
-            "--dim-sweep": (
-                st.lists(st.integers(1, MAX_COUNT).map(str), min_size=1, max_size=3).map(",".join),
-                st.lists(any_count, min_size=1, max_size=3).map(",".join),
-            ),
         }, clean)
     if draw(st.booleans()):
         argv.append("--ring")
